@@ -11,6 +11,7 @@ that serialize directly to a JSON report.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -26,7 +27,7 @@ from .dynamics import (
     conjugate_step,
     run_trajectory,
 )
-from .geometry import PointSet, dual_sequence, dual_weight_trajectory, limit_point, polygon_step
+from .geometry import PointSet, _polygon_average, dual_sequence, dual_weight_trajectory, limit_point
 from .stationary import certificate, solve_alpha
 
 __all__ = [
@@ -330,6 +331,11 @@ def check_comparison_domination(
     return True, None
 
 
+# Elements per temporary array in spectral_check and the t-ratio check:
+# about 0.25 MB each at large p, while small p takes a single block.
+_BLOCK_ELEMS = 1 << 15
+
+
 def linearized_update_matrix(p: int, beta: float) -> np.ndarray:
     """Jacobian of the conjugate step at the stationary state: zero diagonal,
     -beta everywhere else."""
@@ -342,7 +348,12 @@ def spectral_check(p: int, atol: float = 1e-13) -> bool:
     """Eigen-action check of the linearized step.
 
     The all-ones vector must carry eigenvalue (1-p) * beta with modulus
-    above 1, and a basis of the sum-zero hyperplane must carry beta.
+    above 1, and the basis e_0 - e_i (i = 1 .. p-1) of the sum-zero
+    hyperplane must carry beta.  A @ (e_0 - e_i) is the column difference
+    A[:, 0] - A[:, i], bitwise: every other product is with 0 and these two
+    are with +1 and -1, all exact.  So each basis vector costs O(p) instead
+    of a matrix-vector product, and the whole check O(p^2) instead of
+    O(p^3); the columns are taken in blocks, so no p x p temporary is made.
     """
     if p < 3:
         raise ValueError(f"spectral_check requires p >= 3, got {p}")
@@ -351,10 +362,15 @@ def spectral_check(p: int, atol: float = 1e-13) -> bool:
     ones = np.ones(p)
     if np.max(np.abs(A @ ones - cert.lambda_repulsive * ones)) > atol:
         return False
-    for i in range(1, p):
-        w = np.zeros(p)
-        w[0], w[i] = 1.0, -1.0
-        if np.max(np.abs(A @ w - cert.lambda_contractive * w)) > atol:
+    lam = cert.lambda_contractive
+    width = max(1, _BLOCK_ELEMS // p)
+    for i0 in range(1, p, width):
+        # column j is (A - lam I)(e_0 - e_i) for i = i0 + j
+        r = A[:, :1] - A[:, i0 : i0 + width]
+        j = np.arange(r.shape[1])
+        r[0] -= lam
+        r[i0 + j, j] += lam
+        if np.max(np.abs(r, out=r)) > atol:
             return False
     return abs(cert.lambda_repulsive) > 1.0
 
@@ -500,20 +516,59 @@ def _traj_geometric_bound(traj: TrajectoryRecord) -> tuple[bool, dict]:
     return True, {}
 
 
+@functools.lru_cache(maxsize=16)
+def _triangle_pairs(r: int) -> tuple[np.ndarray, np.ndarray]:
+    # Pairs i < j < r in row-major order (i ascending, then j).
+    i, j = np.triu_indices(r, 1)
+    i.setflags(write=False)
+    j.setflags(write=False)
+    return i, j
+
+
+def _ratio_gap(lp_k, lp_l, u_k, u_l) -> np.ndarray:
+    # |exp(lp_l - lp_k) - u_k / u_l| elementwise, on gathered or broadcast
+    # operands alike.
+    gap = lp_l - lp_k
+    np.exp(gap, gap)
+    gap -= u_k / u_l
+    return np.abs(gap, gap)
+
+
 def _traj_t_ratio_transfer(traj: TrajectoryRecord) -> tuple[bool, dict]:
     # Weight components of step m+1 are exp(log_products[m]); their ratios
-    # must mirror the inverted conjugate ratios of step m.
-    p = traj.p
-    for m in range(0, len(traj.states), 2):
-        lp = traj.log_products[m]
-        u = traj.states[m].u
-        for k in range(p - 1):
-            for l in range(k + 1, p):
-                lhs = math.exp(lp[l] - lp[k])
-                rhs = u[k] / u[l]
-                if abs(lhs - rhs) > 1e-12:
-                    return False, {"step": m, "pair": [k, l], "diff": abs(lhs - rhs)}
-    return True, {}
+    # must mirror the inverted conjugate ratios of step m: for every even m
+    # and pair k < l, |exp(lp[l] - lp[k]) - u[k] / u[l]| <= 1e-12.
+    #
+    # All even states are compared at once, in blocks of rows k0 <= k < k1.
+    # The pairs with both ends inside the block are gathered through the
+    # cached triangle indices; those with l >= k1 form a rectangle and are
+    # broadcast.  Small p is one block with no rectangle; at large p the
+    # block size bounds the temporaries.  The failure reported is the first
+    # in (step, k, l) order, whichever part of which block holds it.
+    lp = np.array(traj.log_products[::2])
+    u = np.array([st.u for st in traj.states[::2]])
+    n, p = lp.shape
+    rows = max(1, min(p, _BLOCK_ELEMS // (n * p)))
+    found = []
+    for k0 in range(0, p, rows):
+        k1 = min(k0 + rows, p)
+        i, j = _triangle_pairs(k1 - k0)
+        lpb, ub = lp[:, k0:k1], u[:, k0:k1]
+        gap = _ratio_gap(lpb.take(i, 1), lpb.take(j, 1), ub.take(i, 1), ub.take(j, 1))
+        bad = gap > 1e-12
+        if np.count_nonzero(bad):
+            m, q = np.unravel_index(np.argmax(bad), bad.shape)
+            found.append((int(m), k0 + int(i[q]), k0 + int(j[q]), float(gap[m, q])))
+        if k1 < p:
+            gap = _ratio_gap(lpb[:, :, None], lp[:, None, k1:], ub[:, :, None], u[:, None, k1:])
+            bad = gap > 1e-12
+            if np.count_nonzero(bad):
+                m, r, c = np.unravel_index(np.argmax(bad), bad.shape)
+                found.append((int(m), k0 + int(r), k1 + int(c), float(gap[m, r, c])))
+    if not found:
+        return True, {}
+    m, k, l, diff = min(found)
+    return False, {"step": 2 * m, "pair": [k, l], "diff": diff}
 
 
 def _traj_phase_alternation(traj: TrajectoryRecord) -> tuple[bool, dict]:
@@ -695,6 +750,9 @@ def _check_dual_convergence(rng: np.random.Generator) -> CheckResult:
 
 
 def _check_polygon_collapse(rng: np.random.Generator, draws: int = 8) -> CheckResult:
+    # The raw-array iterates are not validated per step, so a non-finite
+    # iterate or target shows up only as a NaN error: the comparisons are
+    # written so that NaN fails.
     worst = 0.0
     for _ in range(draws):
         p = int(rng.integers(3, 8))
@@ -702,13 +760,14 @@ def _check_polygon_collapse(rng: np.random.Generator, draws: int = 8) -> CheckRe
         pts = PointSet.of(rng.uniform(-1.0, 1.0, size=(p, dim))).require_distinct()
         t = WeightTuple.of(rng.uniform(0.1, 0.9, size=p))
         target = limit_point(pts, t)
-        B = pts
+        w = np.asarray(t.t)[:, None]
+        B = pts.points
         for _ in range(500):
-            B = polygon_step(B, t)
-        err = float(np.max(np.linalg.norm(B.points - target, axis=1)))
-        worst = max(worst, err)
-        if err > 1e-8:
+            B = _polygon_average(B, w)
+        err = float(np.max(np.linalg.norm(B - target, axis=1)))
+        if not err <= 1e-8:
             return CheckResult("polygon_collapse", False, {"p": p, "dim": dim, "err": err})
+        worst = max(worst, err)
     return CheckResult("polygon_collapse", True, {"draws": draws, "worst_err": worst})
 
 

@@ -39,10 +39,16 @@ class RunConfig:
     dim: int = 2
     weights: tuple[float, ...] | None = None
     points: list[list[float]] | None = None
-    max_steps: int = 200
+    max_steps: int | None = None  # None: the subcommand's default, see _max_steps
     seed: int = 0
     output_dir: str = "."
     extra: dict = field(default_factory=dict)
+
+
+def _max_steps(cfg: RunConfig, default: int = 200) -> int:
+    # An explicit --steps or config value always wins, even when it equals
+    # some subcommand's default.
+    return default if cfg.max_steps is None else cfg.max_steps
 
 
 def _fmt(x: float) -> str:
@@ -146,7 +152,7 @@ def cmd_trajectory(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
         print(f"error: {exc}", file=sys.stderr)
         return 2
     alpha = solve_alpha(t0.p)
-    traj = run_trajectory(conjugate_of(t0), cfg.max_steps, alpha)
+    traj = run_trajectory(conjugate_of(t0), _max_steps(cfg), alpha)
 
     out, close = _open_out(args.out)
     try:
@@ -195,7 +201,7 @@ def cmd_dual(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     try:
         t0 = WeightTuple.of(cfg.weights)
         pts = _points_from_config(cfg, t0.p)
-        record = dual_sequence(pts, t0, cfg.max_steps)
+        record = dual_sequence(pts, t0, _max_steps(cfg))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -265,11 +271,12 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             print(f"error: {exc}", file=sys.stderr)
             return 2
         alpha = solve_alpha(t0.p)
-        traj = run_trajectory(conjugate_of(t0), cfg.max_steps, alpha)
+        max_steps = _max_steps(cfg)
+        traj = run_trajectory(conjugate_of(t0), max_steps, alpha)
         results = trajectory_checks(traj)
         if checks:
             results = [r for r in results if r.name in checks]
-        config = {"weights": list(t0.t), "max_steps": cfg.max_steps}
+        config = {"weights": list(t0.t), "max_steps": max_steps}
         return _emit_verify_report(results, config, args)
 
     p_values = [cfg.p] if cfg.p is not None else [3, 4, 5, 6, 7, 8]
@@ -280,7 +287,7 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     results = default_suite(
         p_values=p_values,
         seeds_per_p=seeds,
-        max_steps=cfg.max_steps if cfg.max_steps != 200 else 400,
+        max_steps=_max_steps(cfg, 400),
         rng_seed=cfg.seed,
         checks=checks,
         inject_fault=args.inject_fault,
@@ -469,7 +476,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--weights", type=_parse_weights, help="verify one trajectory instead of sweeping")
     sp.add_argument("--sweep", action="store_true",
                     help="force the randomized sweep even when --weights is present")
-    sp.add_argument("--steps", type=int, help="steps per trajectory (default 400)")
+    sp.add_argument("--steps", type=int,
+                    help="steps per trajectory (default 400 for a sweep, 200 with --weights)")
     sp.add_argument("--seeds", type=int, help="random seeds per p (default 100)")
     sp.add_argument("--inject-fault", action="store_true",
                     help="corrupt one trajectory to demonstrate failure detection")

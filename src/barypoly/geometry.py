@@ -136,13 +136,18 @@ def limit_point(A: PointSet, t: WeightTuple) -> np.ndarray:
     return _normalized_weights(log_w) @ A.points
 
 
+def _polygon_average(points: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # One averaging pass on a raw (p, dim) array with the weights as a (p, 1)
+    # column; no validation, so iterating callers check the final result.
+    shifted = np.concatenate((points[1:], points[:1]))
+    return w * points + (1.0 - w) * shifted
+
+
 def polygon_step(B: PointSet, t: WeightTuple) -> PointSet:
     """One averaging pass: vertex k moves to t_k * B_k + (1 - t_k) * B_{k+1}."""
     if B.p != t.p:
         raise ValueError(f"point count {B.p} does not match weight count {t.p}")
-    w = np.asarray(t.t)[:, None]
-    shifted = np.roll(B.points, -1, axis=0)
-    return PointSet(B.p, B.dim, w * B.points + (1.0 - w) * shifted)
+    return PointSet(B.p, B.dim, _polygon_average(B.points, np.asarray(t.t)[:, None]))
 
 
 def dual_weight_trajectory(t0: WeightTuple, steps: int) -> np.ndarray:

@@ -11,8 +11,10 @@ from barypoly import (
     ConjugateTuple,
     EvenOddVerdict,
     Phase,
+    PointSet,
     VerificationError,
     WeightTuple,
+    certificate,
     char_poly_residuals,
     check_comparison_domination,
     check_ratio_monotonicity,
@@ -24,6 +26,7 @@ from barypoly import (
     elementary_symmetric_all,
     even_odd_limits,
     linearized_update_matrix,
+    polygon_step,
     reliable_horizon,
     run_trajectory,
     sequence_metric,
@@ -32,6 +35,9 @@ from barypoly import (
     stationary_weights,
     trajectory_checks,
 )
+from barypoly import analysis
+from barypoly.analysis import _traj_t_ratio_transfer
+from barypoly.geometry import _polygon_average
 
 
 def test_elementary_symmetric_hand_case():
@@ -198,6 +204,177 @@ def test_linearized_matrix_and_spectrum():
         spectral_check(2)
     for p in range(3, 9):
         assert max(char_poly_residuals(p)) < 1e-9
+
+
+def _spectral_by_products(p, atol=1e-13):
+    # The matrix-vector form spectral_check replaced: one product A @ w per
+    # basis vector of the sum-zero hyperplane.
+    cert = certificate(p)
+    A = analysis.linearized_update_matrix(p, cert.beta)
+    ones = np.ones(p)
+    if np.max(np.abs(A @ ones - cert.lambda_repulsive * ones)) > atol:
+        return False
+    for i in range(1, p):
+        w = np.zeros(p)
+        w[0], w[i] = 1.0, -1.0
+        if np.max(np.abs(A @ w - cert.lambda_contractive * w)) > atol:
+            return False
+    return abs(cert.lambda_repulsive) > 1.0
+
+
+def _patch_matrix(monkeypatch, edits):
+    # edits: (row, col, delta) added to the true linearized matrix
+    def edited(p, beta):
+        A = linearized_update_matrix(p, beta)
+        for r, c, delta in edits:
+            A[r, c] += delta
+        return A
+
+    monkeypatch.setattr(analysis, "linearized_update_matrix", edited)
+
+
+def test_spectral_check_agrees_with_matrix_vector_products(monkeypatch):
+    for p in range(3, 65):
+        assert spectral_check(p) is _spectral_by_products(p) is True
+    # edited matrices, with entries moved by amounts on both sides of atol
+    rng = np.random.default_rng(11)
+    for p in (3, 4, 8, 17, 64):
+        for delta in (5e-14, 2e-13, 1e-9):
+            r, c = (int(v) for v in rng.integers(0, p, size=2))
+            _patch_matrix(monkeypatch, [(r, c, delta)])
+            assert spectral_check(p) is _spectral_by_products(p)
+            # a pair of edits that keeps the row sum, so only the hyperplane
+            # vectors can notice it
+            c2 = (c + 1) % p
+            _patch_matrix(monkeypatch, [(r, c, delta), (r, c2, -delta)])
+            assert spectral_check(p) is _spectral_by_products(p)
+
+
+def test_spectral_check_notices_one_changed_entry(monkeypatch):
+    _patch_matrix(monkeypatch, [(3, 5, 1e-9)])
+    assert not spectral_check(8)
+    # same row sum, so the all-ones vector still sees the true eigenvalue
+    _patch_matrix(monkeypatch, [(3, 5, 1e-9), (3, 6, -1e-9)])
+    assert not spectral_check(8)
+    _patch_matrix(monkeypatch, [(3, 0, 1e-9), (3, 6, -1e-9)])
+    assert not spectral_check(1024)
+
+
+def _t_ratio_by_pair_loop(traj):
+    # The scalar pair loop the array kernel replaced, kept as its oracle.
+    p = traj.p
+    for m in range(0, len(traj.states), 2):
+        lp = traj.log_products[m]
+        u = traj.states[m].u
+        for k in range(p - 1):
+            for l in range(k + 1, p):
+                lhs = math.exp(lp[l] - lp[k])
+                rhs = u[k] / u[l]
+                if abs(lhs - rhs) > 1e-12:
+                    return False, {"step": m, "pair": [k, l], "diff": abs(lhs - rhs)}
+    return True, {}
+
+
+def _record_of_states(rows):
+    # A record whose states are the given sorted rows; the log products come
+    # from the record builder itself.
+    recs = [_traj(u, steps=0) for u in rows]
+    return dataclasses.replace(
+        recs[0],
+        states=tuple(r.states[0] for r in recs),
+        log_products=tuple(r.log_products[0] for r in recs),
+    )
+
+
+def _corrupt(traj, m, q, delta, where):
+    if where == "log_products":
+        lps = [list(row) for row in traj.log_products]
+        lps[m][q] += delta
+        return dataclasses.replace(traj, log_products=tuple(tuple(r) for r in lps))
+    states = list(traj.states)
+    u = list(states[m].u)
+    u[q] *= 1.0 + delta
+    states[m] = ConjugateTuple.of(u)
+    return dataclasses.replace(traj, states=tuple(states))
+
+
+def _assert_same_t_ratio_verdict(traj):
+    ok, info = _traj_t_ratio_transfer(traj)
+    ref_ok, ref_info = _t_ratio_by_pair_loop(traj)
+    assert ok == ref_ok
+    if not ok:
+        assert (info["step"], info["pair"]) == (ref_info["step"], ref_info["pair"])
+        assert info["diff"] == pytest.approx(ref_info["diff"], rel=1e-6)
+    return ok
+
+
+def test_t_ratio_transfer_agrees_with_pair_loop():
+    rng = np.random.default_rng(7)
+    verdicts = []
+    for p, n_states in [(p, 7) for p in range(3, 9)] + [(64, 5), (256, 5)]:
+        rows = [sorted(rng.uniform(1e-3, 1.0 - 1e-3, size=p)) for _ in range(n_states)]
+        clean = _record_of_states(rows)
+        verdicts.append(_assert_same_t_ratio_verdict(clean))
+        for _ in range(6):
+            m = int(rng.integers(0, n_states))  # may be odd: odd steps are not audited
+            q = int(rng.integers(0, p))
+            delta = float(rng.choice([1e-6, 1e-9, 1e-11, 1e-13]))
+            where = ("log_products", "states")[int(rng.integers(0, 2))]
+            verdicts.append(_assert_same_t_ratio_verdict(_corrupt(clean, m, q, delta, where)))
+    assert True in verdicts and False in verdicts
+
+
+def test_t_ratio_transfer_reports_the_first_failure_across_blocks():
+    # p = 256 with three audited states spans several blocks of rows.
+    # Step 0 fails only from row 150 on (the small leading components hide
+    # the error in the earlier rows), step 2 fails in row 0; the report must
+    # name step 0, as the pair loop does.
+    p, q = 256, 150
+    rng = np.random.default_rng(3)
+    lead = [0.01] * q + sorted(rng.uniform(0.3, 0.7, size=p - q))
+    rows = [lead] + [sorted(rng.uniform(1e-3, 1.0 - 1e-3, size=p)) for _ in range(4)]
+    clean = _record_of_states(rows)
+    traj = _corrupt(clean, 0, q, 1e-11, "log_products")
+    traj = _corrupt(traj, 2, 1, 1e-9, "log_products")
+    assert not _assert_same_t_ratio_verdict(traj)
+    ok, info = _traj_t_ratio_transfer(traj)
+    assert info["step"] == 0 and info["pair"][0] == q
+    # a first failure (k, 200) with k in an early block lies in that block's
+    # rectangle of far columns, not in its own triangle
+    traj = _corrupt(clean, 2, 200, 1e-9, "log_products")
+    assert not _assert_same_t_ratio_verdict(traj)
+    ok, info = _traj_t_ratio_transfer(traj)
+    assert info["step"] == 2 and info["pair"][0] < 100 and info["pair"][1] == 200
+
+
+def test_default_suite_large_p_t_ratio_negative_control():
+    kwargs = dict(p_values=(1024,), seeds_per_p=1, checks=["t_ratio_transfer"])
+    (clean,) = default_suite(**kwargs)
+    assert clean.passed, clean.witness
+    (faulty,) = default_suite(inject_fault=True, **kwargs)
+    assert not faulty.passed
+
+
+def test_polygon_average_matches_polygon_step():
+    rng = np.random.default_rng(5)
+    A = PointSet.of(rng.uniform(-1.0, 1.0, size=(6, 3)))
+    t = WeightTuple.of(rng.uniform(0.1, 0.9, size=6))
+    w = np.asarray(t.t)[:, None]
+    raw, B, rolled = A.points, A, A.points
+    for _ in range(500):
+        raw = _polygon_average(raw, w)
+        B = polygon_step(B, t)
+        # the np.roll form of the step, bitwise the same data movement
+        rolled = w * rolled + (1.0 - w) * np.roll(rolled, -1, axis=0)
+    assert np.array_equal(raw, B.points)
+    assert np.array_equal(raw, rolled)
+
+
+def test_polygon_collapse_fails_on_nan(monkeypatch):
+    monkeypatch.setattr(analysis, "limit_point", lambda A, t: np.full(A.dim, np.nan))
+    (res,) = default_suite(p_values=(3,), seeds_per_p=1, checks=["polygon_collapse"])
+    assert not res.passed
+    assert math.isnan(res.witness["err"])
 
 
 def test_sequence_metric():

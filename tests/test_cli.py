@@ -146,6 +146,28 @@ def test_verify_inject_fault_fails(capsys):
     assert "CHECK FAILURES PRESENT" in capsys.readouterr().out
 
 
+def test_verify_passes_explicit_steps_through(monkeypatch, capsys):
+    import barypoly.cli as cli
+
+    seen = []
+    real_suite = cli.default_suite
+
+    def recording_suite(**kwargs):
+        seen.append(kwargs["max_steps"])
+        return real_suite(**kwargs)
+
+    monkeypatch.setattr(cli, "default_suite", recording_suite)
+    base = ["verify", "--p", "3", "--seeds", "1", "--check", "fixed_point"]
+    for steps in (199, 200, 201):
+        assert main(base + ["--steps", str(steps)]) == 0
+    assert main(base) == 0
+    assert seen == [199, 200, 201, 400]
+    capsys.readouterr()
+    # a single trajectory keeps its own default of 200 steps
+    assert main(["verify", "--weights", "0.2,0.5,0.8", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["max_steps"] == 200
+
+
 def test_verify_sweep_flag_overrides_weights(capsys):
     rc = main(["verify", "--weights", "0.2,0.5,0.7", "--sweep", "--p", "3",
                "--seeds", "2"])
