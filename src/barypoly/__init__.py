@@ -15,18 +15,15 @@ from .analysis import (
     ContractionCertificate,
     EvenOddVerdict,
     VerificationError,
-    char_poly_residuals,
     check_comparison_domination,
     check_ratio_monotonicity,
     contraction_certificate,
     default_suite,
     detect_alternation,
-    elementary_symmetric,
     elementary_symmetric_all,
     even_odd_limits,
     linearized_update_matrix,
     reliable_horizon,
-    sequence_metric,
     spectral_check,
     trajectory_checks,
 )
@@ -42,7 +39,6 @@ from .dynamics import (
     conjugate_step,
     derived_step,
     run_trajectory,
-    weights_of,
 )
 from .geometry import (
     DualSequenceRecord,
@@ -77,7 +73,6 @@ __all__ = [
     "alpha_residual",
     "centroid",
     "certificate",
-    "char_poly_residuals",
     "check_comparison_domination",
     "check_ratio_monotonicity",
     "classify_phase",
@@ -90,7 +85,6 @@ __all__ = [
     "detect_alternation",
     "dual_sequence",
     "dual_weight_trajectory",
-    "elementary_symmetric",
     "elementary_symmetric_all",
     "even_odd_limits",
     "limit_point",
@@ -98,11 +92,9 @@ __all__ = [
     "polygon_step",
     "reliable_horizon",
     "run_trajectory",
-    "sequence_metric",
     "solve_alpha",
     "spectral_check",
     "stationary_weights",
     "trajectory_checks",
     "weight_orders",
-    "weights_of",
 ]

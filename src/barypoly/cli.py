@@ -13,17 +13,24 @@ Options may be loaded from a JSON config file; explicit flags win.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .analysis import KNOWN_CHECKS, CheckResult, default_suite, trajectory_checks
 from .dynamics import WeightTuple, conjugate_of, run_trajectory
-from .geometry import PointSet, centroid, dual_sequence, limit_point, polygon_step, weight_orders
+from .geometry import (
+    PointSet,
+    _regular_polygon,
+    centroid,
+    dual_sequence,
+    limit_point,
+    polygon_step,
+    weight_orders,
+)
 from .stationary import certificate, solve_alpha
 
 __all__ = ["main", "RunConfig", "figure_iterates"]
@@ -31,18 +38,16 @@ __all__ = ["main", "RunConfig", "figure_iterates"]
 _FLOAT_FMT = "%.17g"
 
 
-@dataclass
+@dataclasses.dataclass
 class RunConfig:
-    """Resolved options shared by the subcommands."""
+    """Resolved options shared by the subcommands; the fields are the config keys."""
 
     p: int | None = None
-    dim: int = 2
     weights: tuple[float, ...] | None = None
     points: list[list[float]] | None = None
     max_steps: int | None = None  # None: the subcommand's default, see _max_steps
     seed: int = 0
     output_dir: str = "."
-    extra: dict = field(default_factory=dict)
 
 
 def _max_steps(cfg: RunConfig, default: int = 200) -> int:
@@ -70,18 +75,36 @@ def _load_config(path: str) -> dict:
     return data
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _config_value(key: str, value):
+    # Each key's JSON type is checked here, so that a malformed value is an
+    # input error (exit 2) instead of a TypeError deep in a subcommand.
+    if key == "weights":
+        ok = isinstance(value, list) and all(_is_int(v) or isinstance(v, float) for v in value)
+    elif key == "points":
+        ok = isinstance(value, list) and all(isinstance(row, list) for row in value)
+    elif key == "output_dir":
+        ok = isinstance(value, str)
+    else:
+        ok = _is_int(value)
+    if not ok:
+        raise ValueError(f"config value of {key!r} has the wrong JSON type: {value!r}")
+    return tuple(float(v) for v in value) if key == "weights" else value
+
+
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if getattr(args, "config", None):
         raw = _load_config(args.config)
-        known = {"p", "dim", "weights", "points", "max_steps", "seed", "output_dir"}
+        known = [f.name for f in dataclasses.fields(RunConfig)]
+        unknown = sorted(set(raw).difference(known))
+        if unknown:
+            raise ValueError(f"unknown config keys {unknown}; known: {', '.join(known)}")
         for key, value in raw.items():
-            if key in known:
-                if key == "weights":
-                    value = tuple(float(v) for v in value)
-                setattr(cfg, key, value)
-            else:
-                cfg.extra[key] = value
+            setattr(cfg, key, _config_value(key, value))
     if getattr(args, "p", None) is not None:
         cfg.p = args.p
     if getattr(args, "weights", None) is not None:
@@ -94,7 +117,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         cfg.output_dir = args.out_dir
     if getattr(args, "points_file", None):
         with open(args.points_file, encoding="utf-8") as fh:
-            cfg.points = json.load(fh)
+            cfg.points = _config_value("points", json.load(fh))
     return cfg
 
 
@@ -113,8 +136,7 @@ def cmd_alpha(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if cfg.p is None:
         parser.error("alpha needs --p")
     if cfg.p < 3:
-        print(f"error: the instability certificate requires p >= 3, got {cfg.p}", file=sys.stderr)
-        return 2
+        raise ValueError(f"the instability certificate requires p >= 3, got {cfg.p}")
     cert = certificate(cfg.p)
     if args.json:
         payload = {
@@ -146,11 +168,7 @@ def cmd_trajectory(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
     cfg = _resolve_config(args)
     if cfg.weights is None:
         parser.error("trajectory needs --weights (comma separated, each in (0,1))")
-    try:
-        t0 = WeightTuple.of(cfg.weights)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    t0 = WeightTuple.of(cfg.weights)
     alpha = solve_alpha(t0.p)
     traj = run_trajectory(conjugate_of(t0), _max_steps(cfg), alpha)
 
@@ -187,24 +205,15 @@ def cmd_trajectory(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
 def _points_from_config(cfg: RunConfig, p: int) -> PointSet:
     if cfg.points is not None:
         return PointSet.of(cfg.points)
-    pts = [
-        (math.cos(2.0 * math.pi * k / p), math.sin(2.0 * math.pi * k / p))
-        for k in range(p)
-    ]
-    return PointSet.of(pts)
+    return _regular_polygon(p)
 
 
 def cmd_dual(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     cfg = _resolve_config(args)
     if cfg.weights is None:
         parser.error("dual needs --weights (comma separated, each in (0,1))")
-    try:
-        t0 = WeightTuple.of(cfg.weights)
-        pts = _points_from_config(cfg, t0.p)
-        record = dual_sequence(pts, t0, _max_steps(cfg))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    t0 = WeightTuple.of(cfg.weights)
+    record = dual_sequence(_points_from_config(cfg, t0.p), t0, _max_steps(cfg))
 
     out, close = _open_out(args.out)
     try:
@@ -258,18 +267,10 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     if checks:
         unknown = set(checks).difference(KNOWN_CHECKS)
         if unknown:
-            print(
-                f"error: unknown checks {sorted(unknown)}; known: {', '.join(KNOWN_CHECKS)}",
-                file=sys.stderr,
-            )
-            return 2
+            raise ValueError(f"unknown checks {sorted(unknown)}; known: {', '.join(KNOWN_CHECKS)}")
 
-    if cfg.weights is not None and not args.sweep:
-        try:
-            t0 = WeightTuple.of(cfg.weights)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    if cfg.weights is not None:
+        t0 = WeightTuple.of(cfg.weights)
         alpha = solve_alpha(t0.p)
         max_steps = _max_steps(cfg)
         traj = run_trajectory(conjugate_of(t0), max_steps, alpha)
@@ -281,8 +282,7 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
     p_values = [cfg.p] if cfg.p is not None else [3, 4, 5, 6, 7, 8]
     if any(p < 3 for p in p_values):
-        print("error: verification sweeps require p >= 3", file=sys.stderr)
-        return 2
+        raise ValueError("verification sweeps require p >= 3")
     seeds = args.seeds if args.seeds is not None else 100
     results = default_suite(
         p_values=p_values,
@@ -389,20 +389,11 @@ def cmd_figure(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     cfg = _resolve_config(args)
     if cfg.weights is None:
         parser.error("figure needs --weights (comma separated, each in (0,1))")
-    try:
-        t0 = WeightTuple.of(cfg.weights)
-        A = _points_from_config(cfg, t0.p)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    t0 = WeightTuple.of(cfg.weights)
+    A = _points_from_config(cfg, t0.p)
     if A.dim != 2:
-        print(f"error: figures need planar points, got dim={A.dim}", file=sys.stderr)
-        return 2
-    try:
-        A.require_distinct()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"figures need planar points, got dim={A.dim}")
+    A.require_distinct()
 
     orders = [0, 1] if args.superpose else [args.order]
     try:
@@ -474,8 +465,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(sp)
     sp.add_argument("--check", action="append", help="restrict to this check (repeatable)")
     sp.add_argument("--weights", type=_parse_weights, help="verify one trajectory instead of sweeping")
-    sp.add_argument("--sweep", action="store_true",
-                    help="force the randomized sweep even when --weights is present")
     sp.add_argument("--steps", type=int,
                     help="steps per trajectory (default 400 for a sweep, 200 with --weights)")
     sp.add_argument("--seeds", type=int, help="random seeds per p (default 100)")
@@ -501,6 +490,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # Subcommands raise ValueError for bad input, OSError for unusable files.
     try:
         return args.fn(args, parser)
     except (OSError, ValueError) as exc:

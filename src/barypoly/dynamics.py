@@ -27,7 +27,6 @@ __all__ = [
     "ConjugateTuple",
     "TrajectoryRecord",
     "conjugate_of",
-    "weights_of",
     "derived_step",
     "conjugate_step",
     "classify_phase",
@@ -114,11 +113,6 @@ def conjugate_of(t: WeightTuple) -> ConjugateTuple:
     return ConjugateTuple.of(1.0 - v for v in t.t)
 
 
-def weights_of(u: ConjugateTuple) -> WeightTuple:
-    """Coordinate change u -> t = 1 - u."""
-    return WeightTuple.of(1.0 - v for v in u.u)
-
-
 def _excluded_log_sums(logs: Sequence[float]) -> list[float]:
     # One exact-ish full sum shared by all components: ordering of the logs
     # transfers to the ordering of the results without any rescue tolerance.
@@ -135,14 +129,20 @@ def derived_step(t: WeightTuple) -> WeightTuple:
     return WeightTuple(t.p, out)
 
 
+def _sums_and_next(u: tuple[float, ...]) -> tuple[list[float], tuple[float, ...]]:
+    # Log sums of the products prod_{i != k} u_i, and the next components
+    # before any check of the bounds.
+    sums = _excluded_log_sums([math.log(v) for v in u])
+    return sums, tuple(-math.expm1(s) for s in sums)
+
+
 def conjugate_step(u: ConjugateTuple) -> ConjugateTuple:
     """One application of the conjugate map u'_k = 1 - prod_{i != k} u_i.
 
     The complement is taken as -expm1(log-sum), which stays accurate both
     when the product is near 1 and when it is near 0.
     """
-    sums = _excluded_log_sums([math.log(v) for v in u.u])
-    out = tuple(-math.expm1(s) for s in sums)
+    _, out = _sums_and_next(u.u)
     if any(not 0.0 < v < 1.0 for v in out):
         raise SaturationError("conjugate step left (0, 1) in working precision", out)
     return ConjugateTuple(u.p, out)
@@ -178,7 +178,6 @@ class TrajectoryRecord:
     components as evidence of which bound was reached, and iteration stops.
     """
 
-    initial: ConjugateTuple
     permutation: tuple[int, ...]
     alpha: float
     states: tuple[ConjugateTuple, ...]
@@ -190,7 +189,7 @@ class TrajectoryRecord:
 
     @property
     def p(self) -> int:
-        return self.initial.p
+        return self.states[0].p
 
     def __len__(self) -> int:
         return len(self.states)
@@ -208,35 +207,31 @@ def run_trajectory(u0: ConjugateTuple, max_steps: int, alpha: float) -> Trajecto
     order = tuple(sorted(range(u0.p), key=lambda i: u0.u[i]))
     state = ConjugateTuple.of(u0.u[i] for i in order)
     states = [state]
+    log_products = []
+    spread = []
+    phases = []
     saturation_step: int | None = None
     saturation_values: tuple[float, ...] | None = None
     ulp_zero = math.ulp(0.0)
     ulp_one = math.ulp(1.0)
-    for _ in range(max_steps):
-        try:
-            state = conjugate_step(state)
-        except SaturationError as exc:
-            saturation_step = len(states)
-            saturation_values = exc.values
+    while True:
+        sums, out = _sums_and_next(state.u)
+        log_products.append(tuple(sums))
+        spread.append(state.u[-1] / state.u[0] - 1.0)
+        phases.append(classify_phase(state, alpha))
+        if len(states) > max_steps:
             break
-        # states within one ulp of the bounds are saturated too: the next
-        # products would no longer be trustworthy at working precision
-        if any(v <= ulp_zero or 1.0 - v <= ulp_one for v in state.u):
+        # a step that leaves (0, 1), or lands within one ulp of its bounds,
+        # saturates: the next products would no longer be trustworthy at
+        # working precision
+        if any(v <= ulp_zero or 1.0 - v <= ulp_one for v in out):
             saturation_step = len(states)
-            saturation_values = state.u
+            saturation_values = out
             break
+        state = ConjugateTuple(state.p, out)
         states.append(state)
 
-    log_products = []
-    spread = []
-    phases = []
-    for st in states:
-        sums = _excluded_log_sums([math.log(v) for v in st.u])
-        log_products.append(tuple(sums))
-        spread.append(st.u[-1] / st.u[0] - 1.0)
-        phases.append(classify_phase(st, alpha))
     return TrajectoryRecord(
-        initial=states[0],
         permutation=order,
         alpha=alpha,
         states=tuple(states),

@@ -105,6 +105,14 @@ def centroid(A: PointSet) -> np.ndarray:
     return A.points.mean(axis=0)
 
 
+def _regular_polygon(p: int) -> PointSet:
+    # Vertices of the regular p-gon on the unit circle, the first at (1, 0).
+    return PointSet.of(
+        (math.cos(2.0 * math.pi * k / p), math.sin(2.0 * math.pi * k / p))
+        for k in range(p)
+    )
+
+
 def _excluded_sums(b: np.ndarray) -> np.ndarray:
     # sum_{i != k} b_i for every k.  The shared-total shortcut needs finite
     # entries; with infinities the direct sums avoid inf - inf.

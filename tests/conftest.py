@@ -2,7 +2,14 @@
 import numpy as np
 import pytest
 
-from barypoly import ConjugateTuple, run_trajectory, solve_alpha, trajectory_checks
+from barypoly import (
+    ConjugateTuple,
+    certificate,
+    linearized_update_matrix,
+    run_trajectory,
+    solve_alpha,
+    trajectory_checks,
+)
 
 SWEEP_SEED = 20260819
 SWEEP_SIZE = 1000
@@ -30,3 +37,24 @@ def sweep(alphas):
 def sweep_results(sweep):
     """Per-trajectory verifier outcomes for the shared sweep, keyed by check name."""
     return [{r.name: r for r in trajectory_checks(traj)} for traj in sweep]
+
+
+@pytest.fixture(scope="session")
+def det_residuals():
+    """|det(lambda I - A)| at both claimed eigenvalues, by LU determinant.
+
+    An oracle independent of spectral_check's eigen-action test; at machine
+    precision the determinant of a dense p x p matrix is a meaningful
+    residual only for p <= 8 or so.
+    """
+
+    def residuals(p):
+        cert = certificate(p)
+        A = linearized_update_matrix(p, cert.beta)
+        eye = np.eye(p)
+        return tuple(
+            abs(float(np.linalg.det(lam * eye - A)))
+            for lam in (cert.lambda_repulsive, cert.lambda_contractive)
+        )
+
+    return residuals

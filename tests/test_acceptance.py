@@ -69,10 +69,10 @@ def test_criterion_2_instability_inequalities():
                f"{elapsed * 1e3:.1f}ms")
 
 
-def test_criterion_3_spectral_certificate():
+def test_criterion_3_spectral_certificate(det_residuals):
     t0 = time.perf_counter()
     eigen_ok = all(bp.spectral_check(p, atol=1e-13) for p in range(3, 33))
-    det_worst = max(max(bp.char_poly_residuals(p)) for p in range(3, 9))
+    det_worst = max(max(det_residuals(p)) for p in range(3, 9))
     elapsed = time.perf_counter() - t0
     ok = eigen_ok and det_worst < 1e-9 and elapsed < 1.0
     _criterion(3, "eigen-action p in [3,32] and determinants p <= 8", ok,

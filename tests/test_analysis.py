@@ -15,24 +15,20 @@ from barypoly import (
     VerificationError,
     WeightTuple,
     certificate,
-    char_poly_residuals,
     check_comparison_domination,
     check_ratio_monotonicity,
     comparison_sequence,
     contraction_certificate,
     default_suite,
     detect_alternation,
-    elementary_symmetric,
     elementary_symmetric_all,
     even_odd_limits,
     linearized_update_matrix,
     polygon_step,
     reliable_horizon,
     run_trajectory,
-    sequence_metric,
     solve_alpha,
     spectral_check,
-    stationary_weights,
     trajectory_checks,
 )
 from barypoly import analysis
@@ -42,9 +38,6 @@ from barypoly.geometry import _polygon_average
 
 def test_elementary_symmetric_hand_case():
     assert elementary_symmetric_all((2.0, 3.0, 4.0)) == [1.0, 9.0, 26.0, 24.0]
-    assert elementary_symmetric((2.0, 3.0, 4.0), 2) == 26.0
-    with pytest.raises(ValueError):
-        elementary_symmetric((1.0, 2.0), 3)
 
 
 @given(st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=0, max_size=7))
@@ -185,6 +178,72 @@ def test_comparison_domination():
     assert check_comparison_domination(fixed) == (True, None)  # vacuous: never BELOW
 
 
+def _comparison_domination_inline(traj, slack=1e-12):
+    # The check as it was with the scalar orbit written inline, kept as the
+    # oracle for the version that iterates comparison_sequence.
+    states = traj.states
+    b0 = next((i for i, ph in enumerate(traj.phase) if ph is Phase.BELOW), None)
+    if b0 is None or b0 + 1 >= len(states):
+        return True, None
+    p = traj.p
+    u_top = states[b0].u[-1]
+    u_low_next = states[b0 + 1].u[0]
+    if u_low_next > 1.0 - u_top ** (p - 1):
+        tau = u_top
+    else:
+        tau = (1.0 - u_low_next) ** (1.0 / (p - 1))
+    for offset in range(len(states) - b0):
+        m = b0 + offset
+        u = states[m].u
+        if offset % 2 == 0:
+            if tau < u[-1] - slack:
+                return False, m
+        else:
+            if tau > u[0] + slack:
+                return False, m
+        tau = 1.0 - tau ** (p - 1)
+    return True, None
+
+
+def test_comparison_domination_matches_the_inline_orbit(sweep):
+    rng = np.random.default_rng(17)
+    verdicts = set()
+    for traj in sweep:
+        assert check_comparison_domination(traj) == _comparison_domination_inline(traj)
+    # negative slacks make the comparisons fail at every margin size, which
+    # pins the orbit values well below the default slack
+    for slack in (1e-12, 0.0, -1e-15, -1e-13, -1e-11, -1e-8, -1e-4):
+        for traj in sweep[::4]:
+            got = check_comparison_domination(traj, slack)
+            assert got == _comparison_domination_inline(traj, slack)
+            verdicts.add(got[0])
+    for traj in sweep[::5]:
+        if len(traj.states) < 2:
+            continue
+        # move one component of one state, leaving the phases as recorded
+        states = list(traj.states)
+        m = int(rng.integers(0, len(states)))
+        u = list(states[m].u)
+        q = int(rng.integers(0, len(u)))
+        step = rng.choice([-1.0, 1.0]) * rng.choice([1e-13, 1e-11, 1e-3, 0.1])
+        u[q] = min(max(u[q] + float(step), 1e-9), 1.0 - 1e-9)
+        states[m] = ConjugateTuple.of(u)
+        bad = dataclasses.replace(traj, states=tuple(states))
+        got = check_comparison_domination(bad)
+        assert got == _comparison_domination_inline(bad)
+        verdicts.add(got[0])
+    assert verdicts == {True, False}
+
+
+def test_comparison_domination_requires_p3():
+    # p = 2 alternates between BELOW and ABOVE forever; the scalar orbit, like
+    # the contraction certificate, is defined from p = 3 on
+    traj = _traj((0.2, 0.3), steps=4)
+    assert traj.phase[0] is Phase.BELOW
+    with pytest.raises(ValueError, match="p >= 3"):
+        check_comparison_domination(traj)
+
+
 def test_comparison_orbit_is_the_scalar_map():
     seq = comparison_sequence(0.7, 4, 5)
     x = 0.7
@@ -193,7 +252,7 @@ def test_comparison_orbit_is_the_scalar_map():
         x = 1.0 - x ** 3
 
 
-def test_linearized_matrix_and_spectrum():
+def test_linearized_matrix_and_spectrum(det_residuals):
     A = linearized_update_matrix(4, 0.25)
     assert A.shape == (4, 4)
     assert np.all(np.diag(A) == 0.0)
@@ -203,7 +262,7 @@ def test_linearized_matrix_and_spectrum():
     with pytest.raises(ValueError):
         spectral_check(2)
     for p in range(3, 9):
-        assert max(char_poly_residuals(p)) < 1e-9
+        assert max(det_residuals(p)) < 1e-9
 
 
 def _spectral_by_products(p, atol=1e-13):
@@ -377,23 +436,6 @@ def test_polygon_collapse_fails_on_nan(monkeypatch):
     assert math.isnan(res.witness["err"])
 
 
-def test_sequence_metric():
-    t = WeightTuple.of((0.2, 0.3, 0.4))
-    assert sequence_metric(t, t, 25) == 0.0
-    s = stationary_weights(4)
-    nudged = WeightTuple.of((s.t[0] + 1e-6,) + s.t[1:])
-    near = sequence_metric(s, nudged, 0)
-    far = sequence_metric(s, nudged, 60)
-    assert near == pytest.approx(1e-6, rel=1e-3)
-    # exponential instability: a 1e-6 nudge becomes an O(1) separation
-    assert far > 0.1
-    assert sequence_metric(s, nudged, 30) <= far
-    with pytest.raises(ValueError):
-        sequence_metric(t, WeightTuple.of((0.2, 0.3, 0.4, 0.5)), 5)
-    with pytest.raises(ValueError):
-        sequence_metric(t, t, -1)
-
-
 def test_trajectory_checks_pass_and_catch_faults():
     traj = _traj((0.12, 0.34, 0.56, 0.78), steps=400)
     results = trajectory_checks(traj)
@@ -420,6 +462,12 @@ def test_default_suite_check_filter():
     assert [r.name for r in results] == ["fixed_point"]
     with pytest.raises(ValueError):
         default_suite(checks=["no_such_check"])
+
+
+def test_default_suite_rejects_a_sweep_of_nothing():
+    for kwargs in (dict(p_values=()), dict(seeds_per_p=0), dict(seeds_per_p=-3)):
+        with pytest.raises(ValueError):
+            default_suite(checks=["fixed_point"], **kwargs)
 
 
 def test_default_suite_notices_injected_fault():

@@ -1,6 +1,9 @@
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -63,6 +66,37 @@ def test_config_file_errors(tmp_path, capsys):
     non_object.write_text("[1, 2]")
     assert main(["alpha", "--config", str(non_object), "--p", "4"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "command, config, key",
+    [
+        ("alpha", {"p": "5"}, "p"),
+        ("trajectory", {"weights": 5}, "weights"),
+        ("trajectory", {"weights": [0.3, None]}, "weights"),
+        ("trajectory", {"weights": [0.3, 0.2], "max_steps": "7"}, "max_steps"),
+        ("trajectory", {"weights": [0.3, 0.2], "max_steps": True}, "max_steps"),
+        ("dual", {"weights": [0.3, 0.2, 0.1], "points": 3}, "points"),
+        ("alpha", {"p": 5, "bogus": 1}, "bogus"),
+        ("alpha", {"p": 5, "dim": 2}, "dim"),
+    ],
+    ids=["p_string", "weights_number", "weights_null_entry", "max_steps_string",
+         "max_steps_bool", "points_number", "unknown_key", "dim_key"],
+)
+def test_malformed_config_is_an_input_error(tmp_path, capsys, command, config, key):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(key) in err
+
+
+def test_points_file_of_the_wrong_type_is_an_input_error(tmp_path, capsys):
+    pts = tmp_path / "points.json"
+    for content in (3, [1, 2, 3]):
+        pts.write_text(json.dumps(content))
+        assert main(["dual", "--weights", "0.2,0.3,0.4", "--points-file", str(pts)]) == 2
+        assert "'points'" in capsys.readouterr().err
 
 
 def test_trajectory_csv_roundtrip(tmp_path, capsys):
@@ -146,6 +180,12 @@ def test_verify_inject_fault_fails(capsys):
     assert "CHECK FAILURES PRESENT" in capsys.readouterr().out
 
 
+def test_verify_rejects_a_sweep_of_no_seeds(capsys):
+    for seeds in ("0", "-3"):
+        assert main(["verify", "--seeds", seeds]) == 2
+        assert "seeds_per_p" in capsys.readouterr().err
+
+
 def test_verify_passes_explicit_steps_through(monkeypatch, capsys):
     import barypoly.cli as cli
 
@@ -166,13 +206,6 @@ def test_verify_passes_explicit_steps_through(monkeypatch, capsys):
     # a single trajectory keeps its own default of 200 steps
     assert main(["verify", "--weights", "0.2,0.5,0.8", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["config"]["max_steps"] == 200
-
-
-def test_verify_sweep_flag_overrides_weights(capsys):
-    rc = main(["verify", "--weights", "0.2,0.5,0.7", "--sweep", "--p", "3",
-               "--seeds", "2"])
-    assert rc == 0
-    assert "PASS stationary_certificate" in capsys.readouterr().out
 
 
 def test_figure_single_order(tmp_path, capsys):
@@ -218,3 +251,32 @@ def test_module_entry_point():
         line for line in proc.stdout.splitlines() if line.startswith("alpha = ")
     )
     assert float(alpha_line.split("=")[1]) == pytest.approx(0.6180339887498949, abs=1e-15)
+
+
+def _readme_commands():
+    # The lines of the README's sh blocks that run barypoly, and the echo
+    # lines that write the files they read.
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return [
+        shlex.split(line, comments=True)
+        for block in re.findall(r"```sh\n(.*?)```", text, flags=re.S)
+        for line in block.splitlines()
+        if line.startswith(("barypoly ", "echo "))
+    ]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    ran = []
+    for argv in _readme_commands():
+        if argv[0] == "echo":
+            text, redirect, path = argv[1:]
+            assert redirect == ">"
+            Path(path).write_text(text + "\n")
+            continue
+        expected = 1 if "--inject-fault" in argv else 0
+        assert main(argv[1:]) == expected, argv
+        ran.append(argv)
+    capsys.readouterr()
+    assert any("--config" in argv for argv in ran)
+    assert any("--inject-fault" in argv for argv in ran)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,7 +16,6 @@ from barypoly import (
     derived_step,
     run_trajectory,
     solve_alpha,
-    weights_of,
 )
 
 
@@ -56,7 +56,7 @@ def test_step_preserves_order_exactly(vals):
 @given(weight_lists(lo=1e-6, hi=1.0 - 1e-6, min_p=2, max_p=6))
 def test_coordinate_roundtrip(vals):
     t = WeightTuple.of(vals)
-    back = weights_of(conjugate_of(t))
+    back = WeightTuple.of(1.0 - v for v in conjugate_of(t).u)
     for a, b in zip(t.t, back.t):
         assert abs(a - b) <= 1e-15
 
@@ -154,3 +154,68 @@ def test_comparison_sequence_validation():
         comparison_sequence(1.0, 3, 4)
     with pytest.raises(ValueError):
         comparison_sequence(0.5, 3, -1)
+
+
+def _run_trajectory_stepping_then_summing(u0, max_steps, alpha):
+    # The record builder before the log sums were shared with the step: the
+    # orbit by conjugate_step, then each state's sums computed again.
+    order = tuple(sorted(range(u0.p), key=lambda i: u0.u[i]))
+    state = ConjugateTuple.of(u0.u[i] for i in order)
+    states = [state]
+    sat_step = sat_values = None
+    for _ in range(max_steps):
+        try:
+            state = conjugate_step(state)
+        except SaturationError as exc:
+            sat_step, sat_values = len(states), exc.values
+            break
+        if any(v <= math.ulp(0.0) or 1.0 - v <= math.ulp(1.0) for v in state.u):
+            sat_step, sat_values = len(states), state.u
+            break
+        states.append(state)
+    log_products = []
+    for st in states:
+        logs = [math.log(v) for v in st.u]
+        total = math.fsum(logs)
+        log_products.append(tuple(total - lg for lg in logs))
+    return dict(
+        permutation=order,
+        states=[st.u for st in states],
+        log_products=log_products,
+        spread=[st.u[-1] / st.u[0] - 1.0 for st in states],
+        phase=[classify_phase(st, alpha) for st in states],
+        saturation_step=sat_step,
+        saturation_values=sat_values,
+    )
+
+
+def _bits(values):
+    # float.hex tells -0.0 from 0.0, so equal strings mean equal bits
+    return [x.hex() for x in values]
+
+
+def test_run_trajectory_matches_stepping_then_summing():
+    rng = np.random.default_rng(20261018)
+    cases = [((0.15, 0.5, 0.85), 400), ((1e-300, 1e-300, 0.5), 5), ((0.8, 0.2, 0.5), 0)]
+    cases += [([solve_alpha(4)] * 4, 12), ((0.3, 0.5, 0.6, 0.7), 6)]
+    for p in list(range(3, 9)) * 25 + [64] * 10:
+        steps = int(rng.choice([0, 1, 3, 400]))
+        cases.append((rng.uniform(1e-3, 1.0 - 1e-3, size=p), steps))
+    saturated = 0
+    for u0, steps in cases:
+        u0 = ConjugateTuple.of(u0)
+        alpha = solve_alpha(u0.p)
+        got = run_trajectory(u0, steps, alpha)
+        ref = _run_trajectory_stepping_then_summing(u0, steps, alpha)
+        assert got.permutation == ref["permutation"]
+        assert [_bits(st.u) for st in got.states] == [_bits(u) for u in ref["states"]]
+        assert [_bits(lp) for lp in got.log_products] == [_bits(lp) for lp in ref["log_products"]]
+        assert _bits(got.spread) == _bits(ref["spread"])
+        assert list(got.phase) == ref["phase"]
+        assert got.saturation_step == ref["saturation_step"]
+        if ref["saturation_values"] is None:
+            assert got.saturation_values is None
+        else:
+            assert _bits(got.saturation_values) == _bits(ref["saturation_values"])
+            saturated += 1
+    assert 0 < saturated < len(cases)
