@@ -276,7 +276,13 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         traj = run_trajectory(conjugate_of(t0), max_steps, alpha)
         results = trajectory_checks(traj)
         if checks:
+            ran = [r.name for r in results]
             results = [r for r in results if r.name in checks]
+            if not results:
+                raise ValueError(
+                    f"checks {sorted(checks)} ran nothing: --weights runs only "
+                    f"the trajectory checks ({', '.join(ran)})"
+                )
         config = {"weights": list(t0.t), "max_steps": max_steps}
         return _emit_verify_report(results, config, args)
 
@@ -292,6 +298,11 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         checks=checks,
         inject_fault=args.inject_fault,
     )
+    if not results:
+        raise ValueError(
+            f"checks {sorted(checks)} ran nothing: unique_fixed_point_grid runs "
+            f"only when the swept p values {p_values} include 3"
+        )
     config = {
         "p_values": p_values,
         "seeds_per_p": seeds,

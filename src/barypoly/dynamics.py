@@ -107,6 +107,16 @@ class ConjugateTuple:
         vals = tuple(values)
         return cls(len(vals), vals)
 
+    @classmethod
+    def _from_checked(cls, u: tuple[float, ...]) -> "ConjugateTuple":
+        # Step output of at least 2 floats that the caller has just checked
+        # to lie inside (0, 1): _validated would only repeat that check.
+        state = object.__new__(cls)
+        object.__setattr__(state, "p", len(u))
+        object.__setattr__(state, "u", u)
+        object.__setattr__(state, "sorted_flag", all(a <= b for a, b in zip(u, u[1:])))
+        return state
+
 
 def conjugate_of(t: WeightTuple) -> ConjugateTuple:
     """Coordinate change t -> u = 1 - t."""
@@ -145,7 +155,7 @@ def conjugate_step(u: ConjugateTuple) -> ConjugateTuple:
     _, out = _sums_and_next(u.u)
     if any(not 0.0 < v < 1.0 for v in out):
         raise SaturationError("conjugate step left (0, 1) in working precision", out)
-    return ConjugateTuple(u.p, out)
+    return ConjugateTuple._from_checked(out)
 
 
 def classify_phase(u: ConjugateTuple, alpha: float) -> Phase:
@@ -228,7 +238,7 @@ def run_trajectory(u0: ConjugateTuple, max_steps: int, alpha: float) -> Trajecto
             saturation_step = len(states)
             saturation_values = out
             break
-        state = ConjugateTuple(state.p, out)
+        state = ConjugateTuple._from_checked(out)
         states.append(state)
 
     return TrajectoryRecord(

@@ -114,12 +114,18 @@ def _regular_polygon(p: int) -> PointSet:
 
 
 def _excluded_sums(b: np.ndarray) -> np.ndarray:
-    # sum_{i != k} b_i for every k.  The shared-total shortcut needs finite
-    # entries; with infinities the direct sums avoid inf - inf.
+    # sum_{i != k} b[..., i] for every k, over the last axis, so a (rows, p)
+    # batch gives each row its own sums.  The shared-total shortcut needs
+    # finite entries; with infinities the direct sums avoid inf - inf.  One
+    # non-finite entry sends the whole batch to the direct sums.  The
+    # concatenated rows are contiguous, so each row is summed in the same
+    # order as on its own (a boolean mask on the last axis would not be).
     if np.all(np.isfinite(b)):
-        return b.sum() - b
-    n = b.size
-    return np.array([b[np.arange(n) != k].sum() for k in range(n)])
+        return b.sum(axis=-1, keepdims=True) - b
+    out = np.empty_like(b)
+    for k in range(b.shape[-1]):
+        out[..., k] = np.concatenate((b[..., :k], b[..., k + 1 :]), axis=-1).sum(axis=-1)
+    return out
 
 
 def _normalized_weights(log_w: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from barypoly import (
     KNOWN_CHECKS,
+    CheckResult,
     ConjugateTuple,
     EvenOddVerdict,
     Phase,
@@ -18,6 +19,7 @@ from barypoly import (
     check_comparison_domination,
     check_ratio_monotonicity,
     comparison_sequence,
+    conjugate_step,
     contraction_certificate,
     default_suite,
     detect_alternation,
@@ -434,6 +436,57 @@ def test_polygon_collapse_fails_on_nan(monkeypatch):
     (res,) = default_suite(p_values=(3,), seeds_per_p=1, checks=["polygon_collapse"])
     assert not res.passed
     assert math.isnan(res.witness["err"])
+
+
+def _grid_by_scalar_loop():
+    # The grid check as it was before the array step: one validated
+    # ConjugateTuple and one conjugate_step per grid point.
+    alpha = solve_alpha(3)
+    n = 20
+    axis = [(i + 0.5) / n for i in range(n)]
+    spurious = 0
+    for x in axis:
+        for y in axis:
+            for z in axis:
+                state = ConjugateTuple.of((x, y, z))
+                nxt = conjugate_step(state)
+                diff = max(abs(a - b) for a, b in zip(nxt.u, state.u))
+                if diff < 1e-9 and max(abs(v - alpha) for v in state.u) > 1e-4:
+                    spurious += 1
+    return CheckResult("unique_fixed_point_grid", spurious == 0, {"spurious": spurious})
+
+
+def test_unique_fixed_point_grid_matches_the_scalar_loop():
+    (res,) = default_suite(p_values=(3,), seeds_per_p=1, checks=["unique_fixed_point_grid"])
+    assert res == _grid_by_scalar_loop()
+    assert res.passed and res.witness == {"spurious": 0}
+
+
+def test_unique_fixed_point_grid_notices_a_spurious_fixed_point(monkeypatch):
+    # a clean call first: a result kept from it must not hide the fault below
+    (clean,) = default_suite(p_values=(3,), seeds_per_p=1, checks=["unique_fixed_point_grid"])
+    assert clean.passed
+    # make the grid point (0.025, 0.975, 0.525), far from alpha, map onto itself
+    fake = np.log((0.025, 0.975, 0.525))
+    real = analysis._excluded_sums
+
+    def with_a_fixed_row(b):
+        out = real(b)
+        row = np.all(b == fake, axis=-1)
+        out[row] = np.log1p(-np.exp(b[row]))
+        return out
+
+    monkeypatch.setattr(analysis, "_excluded_sums", with_a_fixed_row)
+    (res,) = default_suite(p_values=(3,), seeds_per_p=1, checks=["unique_fixed_point_grid"])
+    assert not res.passed
+    assert res.witness["spurious"] >= 1
+
+
+def test_instability_growth_names_the_audited_p():
+    for p_values, audited in (((3, 4, 5, 6), [3, 4, 5]), ((8,), []), ((6, 4), [4])):
+        (res,) = default_suite(p_values=p_values, seeds_per_p=1, checks=["instability_growth"])
+        assert res.passed
+        assert res.witness == {"p_audited": audited}
 
 
 def test_trajectory_checks_pass_and_catch_faults():

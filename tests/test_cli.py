@@ -175,6 +175,26 @@ def test_verify_unknown_check(capsys):
     assert "unknown checks" in capsys.readouterr().err
 
 
+def test_verify_grid_check_without_p3_is_an_input_error(capsys):
+    assert main(["verify", "--p", "4", "--check", "unique_fixed_point_grid"]) == 2
+    captured = capsys.readouterr()
+    assert "all checks passed" not in captured.out
+    assert "unique_fixed_point_grid" in captured.err and "[4]" in captured.err
+
+
+def test_verify_weights_with_only_static_checks_is_an_input_error(capsys):
+    assert main(["verify", "--weights", "0.2,0.5,0.7", "--check", "spectral"]) == 2
+    captured = capsys.readouterr()
+    assert "all checks passed" not in captured.out
+    assert "spectral" in captured.err and "trajectory checks" in captured.err
+
+
+def test_verify_instability_growth_shows_what_it_audited(capsys):
+    assert main(["verify", "--p", "8", "--check", "instability_growth", "--json"]) == 0
+    (check,) = json.loads(capsys.readouterr().out)["checks"]
+    assert check["witness"] == {"p_audited": []}
+
+
 def test_verify_inject_fault_fails(capsys):
     assert main(["verify", "--p", "4", "--seeds", "2", "--inject-fault"]) == 1
     assert "CHECK FAILURES PRESENT" in capsys.readouterr().out

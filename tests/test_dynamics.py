@@ -68,7 +68,49 @@ def test_step_raises_on_saturation():
     assert any(v >= 1.0 for v in err.value.values)
 
 
+def test_step_raises_when_an_output_reaches_a_bound(monkeypatch):
+    # the bounds test of conjugate_step is all that guards the states it
+    # builds without validating them again
+    from barypoly import dynamics
+
+    u = ConjugateTuple.of((0.2, 0.5, 0.8))
+    for bad in (0.0, 1.0, -0.25, 1.5, math.nan):
+        monkeypatch.setattr(dynamics, "_sums_and_next", lambda u, bad=bad: ([], (0.3, bad, 0.6)))
+        with pytest.raises(SaturationError):
+            conjugate_step(u)
+
+
+def test_stepped_states_equal_validated_states():
+    rng = np.random.default_rng(3)
+    seeds = [(0.8, 0.2, 0.5), (0.3, 0.3, 0.9), (1e-300, 1e-300, 0.5)]
+    seeds += [rng.uniform(1e-3, 1.0 - 1e-3, size=p) for p in list(range(2, 9)) * 5 + [64]]
+    unsorted = 0
+    for u0 in seeds:
+        u0 = ConjugateTuple.of(u0)
+        stepped = list(run_trajectory(u0, 50, solve_alpha(max(u0.p, 3))).states)
+        state = u0
+        for _ in range(50):
+            try:
+                state = conjugate_step(state)
+            except SaturationError:
+                break
+            stepped.append(state)
+        for state in stepped:
+            ref = ConjugateTuple.of(state.u)
+            assert state == ref
+            assert state.sorted_flag is ref.sorted_flag
+            assert all(type(v) is float for v in state.u)
+            assert [v.hex() for v in state.u] == [v.hex() for v in ref.u]
+            unsorted += not state.sorted_flag
+    assert unsorted > 0
+
+
 def test_validation():
+    for bad in (math.nan, 0.0, 1.0, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            ConjugateTuple(3, (0.5, bad, 0.25))
+        with pytest.raises(ValueError):
+            ConjugateTuple.of((0.5, bad, 0.25))
     with pytest.raises(ValueError):
         WeightTuple.of((0.5,))
     with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from barypoly import (
     polygon_step,
     weight_orders,
 )
+from barypoly.geometry import _excluded_sums
 
 
 def regular_polygon(p):
@@ -137,6 +138,31 @@ def test_dual_weight_trajectory_rows():
     assert rows[0] == pytest.approx(w / w.sum(), rel=1e-13)
     # the normalized weights flatten toward the uniform vector
     assert np.max(np.abs(rows[60] - 0.2)) <= 1e-12
+
+
+def _excluded_sums_1d(b):
+    # The kernel before it took batches: one row, summed whole.
+    if np.all(np.isfinite(b)):
+        return b.sum() - b
+    n = b.size
+    return np.array([b[np.arange(n) != k].sum() for k in range(n)])
+
+
+def test_excluded_sums_rows_match_the_one_row_kernel():
+    rng = np.random.default_rng(11)
+    for p in (2, 3, 5, 8, 9, 64, 1024):
+        finite = np.log(rng.uniform(1e-3, 1.0, size=(6, p)))
+        with_inf = finite.copy()
+        with_inf[np.arange(6), rng.integers(0, p, size=6)] = -np.inf
+        with_inf[0, :2] = -np.inf
+        for batch in (finite, with_inf):
+            got = _excluded_sums(batch)
+            assert got.shape == batch.shape
+            for row, out in zip(batch, got):
+                # equal bytes mean equal bits, -0.0 and the infinities included
+                ref = _excluded_sums_1d(row).tobytes()
+                assert _excluded_sums(row).tobytes() == ref
+                assert out.tobytes() == ref
 
 
 def test_dual_sequence_reference_seed():
