@@ -8,12 +8,18 @@ the spectral splitting of the linearized step, and the collapse of the
 averaging polygon onto its limit point.  default_suite sweeps randomized
 seeds through every check and aggregates the outcomes into CheckResult rows
 that serialize directly to a JSON report.
+
+The check registry is the one place a check is added: _STATIC_CHECKS (run
+once on the swept p values), _TRAJ_CHECKS (run on every swept record) and
+_GEOMETRY_CHECKS (run on the suite's RNG after the sweep has drawn its
+seeds) map each name to a function that returns (passed, witness).  Their
+order, KNOWN_CHECKS, is the report order.
 """
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -539,58 +545,23 @@ def _traj_comparison_domination(traj: TrajectoryRecord) -> tuple[bool, dict]:
     ok, first = check_comparison_domination(traj)
     return ok, {} if ok else {"step": first}
 
-
-_TRAJ_CHECKS: dict[str, Callable[[TrajectoryRecord], tuple[bool, dict]]] = {
-    "order_preserved": _traj_order_preserved,
-    "ratio_monotone": _traj_ratio_monotone,
-    "spread_contraction": _traj_spread_contraction,
-    "contraction_certificates": _traj_contraction_certificates,
-    "spread_geometric_bound": _traj_geometric_bound,
-    "t_ratio_transfer": _traj_t_ratio_transfer,
-    "phase_alternation": _traj_phase_alternation,
-    "even_odd_limits": _traj_even_odd_limits,
-    "comparison_domination": _traj_comparison_domination,
-}
-
-_STATIC_CHECKS = (
-    "stationary_certificate",
-    "fixed_point",
-    "spectral",
-    "instability_growth",
-    "unique_fixed_point_grid",
-)
-
-_GEOMETRY_CHECKS = ("dual_convergence", "polygon_collapse")
-
-KNOWN_CHECKS = _STATIC_CHECKS + tuple(_TRAJ_CHECKS) + _GEOMETRY_CHECKS
-
-
-def trajectory_checks(traj: TrajectoryRecord) -> list[CheckResult]:
-    """Run every per-trajectory verifier against one record."""
-    out = []
-    for name, fn in _TRAJ_CHECKS.items():
-        ok, info = fn(traj)
-        out.append(CheckResult(name, ok, info))
-    return out
-
-
-def _check_stationary(p_values: Sequence[int]) -> CheckResult:
+def _check_stationary(p_values: Sequence[int]) -> tuple[bool, dict]:
     worst = 0.0
     prev_alpha = None
     for p in p_values:
         cert = certificate(p)
         worst = max(worst, abs(cert.alpha ** (p - 1) + cert.alpha - 1.0))
         if not cert.alpha < 1.0 - 1.0 / p:
-            return CheckResult("stationary_certificate", False, {"p": p, "reason": "alpha bound"})
+            return False, {"p": p, "reason": "alpha bound"}
         if not cert.lambda_repulsive < -1.0:
-            return CheckResult("stationary_certificate", False, {"p": p, "reason": "eigenvalue bound"})
+            return False, {"p": p, "reason": "eigenvalue bound"}
         if prev_alpha is not None and not cert.alpha > prev_alpha:
-            return CheckResult("stationary_certificate", False, {"p": p, "reason": "monotonicity in p"})
+            return False, {"p": p, "reason": "monotonicity in p"}
         prev_alpha = cert.alpha
-    return CheckResult("stationary_certificate", True, {"p_count": len(list(p_values)), "worst_residual": worst})
+    return True, {"p_count": len(p_values), "worst_residual": worst}
 
 
-def _check_fixed_point(p_values: Sequence[int]) -> CheckResult:
+def _check_fixed_point(p_values: Sequence[int]) -> tuple[bool, dict]:
     worst = 0.0
     for p in p_values:
         alpha = solve_alpha(p)
@@ -598,20 +569,20 @@ def _check_fixed_point(p_values: Sequence[int]) -> CheckResult:
         diff = max(abs(v - alpha) for v in conjugate_step(state).u)
         worst = max(worst, diff)
         if diff > 1e-14:
-            return CheckResult("fixed_point", False, {"p": p, "diff": diff})
-    return CheckResult("fixed_point", True, {"worst_diff": worst})
+            return False, {"p": p, "diff": diff}
+    return True, {"worst_diff": worst}
 
 
-def _check_spectral(p_values: Sequence[int]) -> CheckResult:
+def _check_spectral(p_values: Sequence[int]) -> tuple[bool, dict]:
     # The eigen-action on the ones vector and the p - 1 hyperplane vectors
     # covers a full eigenbasis, which fixes the characteristic polynomial.
     for p in p_values:
         if not spectral_check(p):
-            return CheckResult("spectral", False, {"p": p, "reason": "eigen action"})
-    return CheckResult("spectral", True, {"p_count": len(p_values)})
+            return False, {"p": p, "reason": "eigen action"}
+    return True, {"p_count": len(p_values)}
 
 
-def _check_instability_growth(p_values: Sequence[int]) -> CheckResult:
+def _check_instability_growth(p_values: Sequence[int]) -> tuple[bool, dict]:
     # Only p = 3, 4, 5 are audited; the witness names them, so a sweep that
     # audits none of them shows an empty list.
     eps = 1e-8
@@ -626,15 +597,14 @@ def _check_instability_growth(p_values: Sequence[int]) -> CheckResult:
             new_dist = max(abs(v - cert.alpha) for v in state.u)
             factor = new_dist / dist
             if abs(factor / rho - 1.0) > 0.1:
-                return CheckResult(
-                    "instability_growth", False, {"p": p, "factor": factor, "expected": rho}
-                )
+                return False, {"p": p, "factor": factor, "expected": rho}
             dist = new_dist
-    return CheckResult("instability_growth", True, {"p_audited": audited})
+    return True, {"p_audited": audited}
 
 
-def _check_unique_fixed_point_grid() -> CheckResult:
-    # 20-per-axis midpoint grid over (0,1)^3: near-fixed states must all sit
+def _check_unique_fixed_point_grid(p_values: Sequence[int]) -> tuple[bool, dict]:
+    # 20-per-axis midpoint grid over (0,1)^3, whatever p_values hold (the
+    # suite runs it only when they include 3): near-fixed states must all sit
     # within 1e-4 of the known stationary tuple.  The grid is stepped in one
     # slab of 400 rows per first coordinate, which keeps the temporaries
     # small; no grid state saturates, as every product of two midpoints lies
@@ -650,45 +620,39 @@ def _check_unique_fixed_point_grid() -> CheckResult:
         near_fixed = np.max(np.abs(nxt - slab), axis=1) < 1e-9
         off_alpha = np.max(np.abs(slab - alpha), axis=1) > 1e-4
         spurious += int(np.count_nonzero(near_fixed & off_alpha))
-    return CheckResult("unique_fixed_point_grid", spurious == 0, {"spurious": spurious})
+    return spurious == 0, {"spurious": spurious}
 
 
-def _check_dual_convergence(rng: np.random.Generator) -> CheckResult:
+def _check_dual_convergence(rng: np.random.Generator) -> tuple[bool, dict]:
     # Slowly spreading reference seed on the regular pentagon, one randomized
     # family, and the regular-weight degenerate case.
     seed = WeightTuple.of((0.3, 0.08, 0.06, 0.04, 0.01))
     record = dual_sequence(_regular_polygon(5), seed, 60)
     if not record.distances_to_centroid.min() < 1e-8:
-        return CheckResult(
-            "dual_convergence", False,
-            {"reason": "reference seed distance floor", "min": float(record.distances_to_centroid.min())},
-        )
+        return False, {"reason": "reference seed distance floor", "min": float(record.distances_to_centroid.min())}
     if record.fitted_rate is None or not record.fitted_rate < 0.0:
-        return CheckResult("dual_convergence", False, {"reason": "fitted rate", "rate": record.fitted_rate})
+        return False, {"reason": "fitted rate", "rate": record.fitted_rate}
     rows = dual_weight_trajectory(seed, 60)
     norm_err = float(np.max(np.abs(rows.sum(axis=1) - 1.0)))
     if norm_err > 1e-14:
-        return CheckResult("dual_convergence", False, {"reason": "weight normalization", "err": norm_err})
+        return False, {"reason": "weight normalization", "err": norm_err}
 
     regular = WeightTuple.of([0.25] * 4)
     square = PointSet.of([(0, 0), (1, 0), (1, 1), (0, 1)])
     reg_record = dual_sequence(square, regular, 20)
     if not float(reg_record.distances_to_centroid.max()) <= 1e-14:
-        return CheckResult(
-            "dual_convergence", False,
-            {"reason": "regular weights not centered", "max": float(reg_record.distances_to_centroid.max())},
-        )
+        return False, {"reason": "regular weights not centered", "max": float(reg_record.distances_to_centroid.max())}
 
     p = int(rng.integers(3, 8))
     pts = PointSet.of(rng.uniform(-1.0, 1.0, size=(p, 3)))
     t0 = WeightTuple.of(rng.uniform(0.05, 0.95, size=p))
     rec = dual_sequence(pts, t0, 80)
     if not rec.distances_to_centroid.min() < 1e-8:
-        return CheckResult("dual_convergence", False, {"reason": "random seed distance floor", "p": p})
-    return CheckResult("dual_convergence", True, {"reference_rate": record.fitted_rate})
+        return False, {"reason": "random seed distance floor", "p": p}
+    return True, {"reference_rate": record.fitted_rate}
 
 
-def _check_polygon_collapse(rng: np.random.Generator, draws: int = 8) -> CheckResult:
+def _check_polygon_collapse(rng: np.random.Generator, draws: int = 8) -> tuple[bool, dict]:
     # The raw-array iterates are not validated per step, so a non-finite
     # iterate or target shows up only as a NaN error: the comparisons are
     # written so that NaN fails.
@@ -705,22 +669,54 @@ def _check_polygon_collapse(rng: np.random.Generator, draws: int = 8) -> CheckRe
             B = _polygon_average(B, w)
         err = float(np.max(np.linalg.norm(B - target, axis=1)))
         if not err <= 1e-8:
-            return CheckResult("polygon_collapse", False, {"p": p, "dim": dim, "err": err})
+            return False, {"p": p, "dim": dim, "err": err}
         worst = max(worst, err)
-    return CheckResult("polygon_collapse", True, {"draws": draws, "worst_err": worst})
+    return True, {"draws": draws, "worst_err": worst}
+
+
+# The check registry; see the module docstring.
+_STATIC_CHECKS: dict[str, Callable[[Sequence[int]], tuple[bool, dict]]] = {
+    "stationary_certificate": _check_stationary,
+    "fixed_point": _check_fixed_point,
+    "spectral": _check_spectral,
+    "instability_growth": _check_instability_growth,
+    "unique_fixed_point_grid": _check_unique_fixed_point_grid,
+}
+
+_TRAJ_CHECKS: dict[str, Callable[[TrajectoryRecord], tuple[bool, dict]]] = {
+    "order_preserved": _traj_order_preserved,
+    "ratio_monotone": _traj_ratio_monotone,
+    "spread_contraction": _traj_spread_contraction,
+    "contraction_certificates": _traj_contraction_certificates,
+    "spread_geometric_bound": _traj_geometric_bound,
+    "t_ratio_transfer": _traj_t_ratio_transfer,
+    "phase_alternation": _traj_phase_alternation,
+    "even_odd_limits": _traj_even_odd_limits,
+    "comparison_domination": _traj_comparison_domination,
+}
+
+_GEOMETRY_CHECKS: dict[str, Callable[[np.random.Generator], tuple[bool, dict]]] = {
+    "dual_convergence": _check_dual_convergence,
+    "polygon_collapse": _check_polygon_collapse,
+}
+
+KNOWN_CHECKS = (*_STATIC_CHECKS, *_TRAJ_CHECKS, *_GEOMETRY_CHECKS)
+
+
+def trajectory_checks(traj: TrajectoryRecord) -> list[CheckResult]:
+    """Run every per-trajectory verifier against one record."""
+    return [CheckResult(name, *fn(traj)) for name, fn in _TRAJ_CHECKS.items()]
 
 
 def _perturbed_record(traj: TrajectoryRecord) -> TrajectoryRecord:
     # Harness sanity fixture: bump one component of a middle state so that
     # order and recurrence checks must notice.
-    import dataclasses
-
     states = list(traj.states)
     idx = min(2, len(states) - 1)
     u = list(states[idx].u)
     u[0] = min(u[0] + 0.07, 1.0 - 1e-9)
     states[idx] = ConjugateTuple.of(u)
-    return dataclasses.replace(traj, states=tuple(states))
+    return replace(traj, states=tuple(states))
 
 
 def default_suite(
@@ -733,68 +729,54 @@ def default_suite(
 ) -> list[CheckResult]:
     """Randomized verification sweep across every registered check.
 
-    Unknown check names, an empty p_values and seeds_per_p < 1 raise
-    ValueError: a sweep over no trajectories would pass on no evidence.
-    inject_fault corrupts the first swept trajectory so the harness itself
-    can be shown to catch failures.
+    Unknown check names, an empty p_values, a p below 3 and seeds_per_p < 1
+    raise ValueError: a sweep over no trajectories would pass on no
+    evidence.  inject_fault corrupts the first swept trajectory so the
+    harness itself can be shown to catch failures.
     """
     if len(p_values) == 0:
         raise ValueError("p_values must name at least one p")
+    if any(p < 3 for p in p_values):
+        raise ValueError("verification sweeps require p >= 3")
     if seeds_per_p < 1:
         raise ValueError(f"seeds_per_p must be >= 1, got {seeds_per_p}")
-    wanted = None if checks is None else set(checks)
-    if wanted is not None:
-        unknown = wanted.difference(KNOWN_CHECKS)
-        if unknown:
-            raise ValueError(f"unknown checks: {sorted(unknown)}")
+    wanted = set(KNOWN_CHECKS if checks is None else checks)
+    unknown = wanted.difference(KNOWN_CHECKS)
+    if unknown:
+        raise ValueError(f"unknown checks: {sorted(unknown)}")
+    if 3 not in p_values:
+        wanted.discard("unique_fixed_point_grid")
+    names = [n for n in KNOWN_CHECKS if n in wanted]
 
-    def enabled(name: str) -> bool:
-        return wanted is None or name in wanted
-
+    # The seeds are drawn only when a trajectory check runs, and before the
+    # geometry checks draw theirs.
     rng = np.random.default_rng(rng_seed)
-    results: list[CheckResult] = []
+    traj_names = [n for n in names if n in _TRAJ_CHECKS]
+    swept, violations, first_failure = 0, dict.fromkeys(traj_names, 0), {}
+    for p in p_values if traj_names else ():
+        alpha = solve_alpha(p)
+        for s in range(seeds_per_p):
+            u0 = ConjugateTuple.of(sorted(rng.uniform(1e-3, 1.0 - 1e-3, size=p)))
+            traj = run_trajectory(u0, max_steps, alpha)
+            if inject_fault and swept == 0:
+                traj = _perturbed_record(traj)
+            swept += 1
+            for name in traj_names:
+                ok, info = _TRAJ_CHECKS[name](traj)
+                if not ok:
+                    violations[name] += 1
+                    first_failure.setdefault(name, {"p": p, "seed_index": s, **info})
 
-    if enabled("stationary_certificate"):
-        results.append(_check_stationary(p_values))
-    if enabled("fixed_point"):
-        results.append(_check_fixed_point(p_values))
-    if enabled("spectral"):
-        results.append(_check_spectral(p_values))
-    if enabled("instability_growth"):
-        results.append(_check_instability_growth(p_values))
-    if enabled("unique_fixed_point_grid") and 3 in p_values:
-        results.append(_check_unique_fixed_point_grid())
-
-    traj_names = [n for n in _TRAJ_CHECKS if enabled(n)]
-    if traj_names:
-        stats = {n: {"checked": 0, "violations": 0, "first_failure": None} for n in traj_names}
-        fault_pending = inject_fault
-        for p in p_values:
-            alpha = solve_alpha(p)
-            for s in range(seeds_per_p):
-                u0 = ConjugateTuple.of(sorted(rng.uniform(1e-3, 1.0 - 1e-3, size=p)))
-                traj = run_trajectory(u0, max_steps, alpha)
-                if fault_pending:
-                    traj = _perturbed_record(traj)
-                    fault_pending = False
-                for name in traj_names:
-                    ok, info = _TRAJ_CHECKS[name](traj)
-                    st = stats[name]
-                    st["checked"] += 1
-                    if not ok:
-                        st["violations"] += 1
-                        if st["first_failure"] is None:
-                            st["first_failure"] = {"p": p, "seed_index": s, **info}
-        for name in traj_names:
-            st = stats[name]
-            passed = st["violations"] == 0
-            witness = {"trajectories": st["checked"], "violations": st["violations"]}
-            if st["first_failure"] is not None:
-                witness["first_failure"] = st["first_failure"]
-            results.append(CheckResult(name, passed, witness))
-
-    if enabled("dual_convergence"):
-        results.append(_check_dual_convergence(rng))
-    if enabled("polygon_collapse"):
-        results.append(_check_polygon_collapse(rng))
+    results = []
+    for name in names:
+        if name in _STATIC_CHECKS:
+            passed, witness = _STATIC_CHECKS[name](p_values)
+        elif name in _TRAJ_CHECKS:
+            passed = violations[name] == 0
+            witness = {"trajectories": swept, "violations": violations[name]}
+            if name in first_failure:
+                witness["first_failure"] = first_failure[name]
+        else:
+            passed, witness = _GEOMETRY_CHECKS[name](rng)
+        results.append(CheckResult(name, passed, witness))
     return results

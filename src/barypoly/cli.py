@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import KNOWN_CHECKS, CheckResult, default_suite, trajectory_checks
-from .dynamics import WeightTuple, conjugate_of, run_trajectory
+from .analysis import KNOWN_CHECKS, _perturbed_record, default_suite, trajectory_checks
+from .dynamics import SaturationError, WeightTuple, conjugate_of, run_trajectory
 from .geometry import (
     PointSet,
     _regular_polygon,
@@ -241,26 +241,6 @@ def cmd_dual(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _emit_verify_report(results: list[CheckResult], config: dict, args) -> int:
-    passed = all(r.passed for r in results)
-    if args.json or args.out:
-        payload = {
-            "config": config,
-            "checks": [r.as_json() for r in results],
-            "passed": passed,
-        }
-        text = json.dumps(payload, indent=2)
-        if args.out:
-            Path(args.out).write_text(text + "\n", encoding="utf-8")
-        else:
-            print(text)
-    if not (args.json and not args.out):
-        for r in results:
-            print(f"{'PASS' if r.passed else 'FAIL'} {r.name}")
-        print(f"{'all checks passed' if passed else 'CHECK FAILURES PRESENT'}")
-    return 0 if passed else 1
-
-
 def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     cfg = _resolve_config(args)
     checks = args.check or None
@@ -271,45 +251,38 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
     if cfg.weights is not None:
         t0 = WeightTuple.of(cfg.weights)
-        alpha = solve_alpha(t0.p)
         max_steps = _max_steps(cfg)
-        traj = run_trajectory(conjugate_of(t0), max_steps, alpha)
-        results = trajectory_checks(traj)
-        if checks:
-            ran = [r.name for r in results]
-            results = [r for r in results if r.name in checks]
-            if not results:
-                raise ValueError(
-                    f"checks {sorted(checks)} ran nothing: --weights runs only "
-                    f"the trajectory checks ({', '.join(ran)})"
-                )
-        config = {"weights": list(t0.t), "max_steps": max_steps}
-        return _emit_verify_report(results, config, args)
-
-    p_values = [cfg.p] if cfg.p is not None else [3, 4, 5, 6, 7, 8]
-    if any(p < 3 for p in p_values):
-        raise ValueError("verification sweeps require p >= 3")
-    seeds = args.seeds if args.seeds is not None else 100
-    results = default_suite(
-        p_values=p_values,
-        seeds_per_p=seeds,
-        max_steps=_max_steps(cfg, 400),
-        rng_seed=cfg.seed,
-        checks=checks,
-        inject_fault=args.inject_fault,
-    )
+        traj = run_trajectory(conjugate_of(t0), max_steps, solve_alpha(t0.p))
+        if args.inject_fault:
+            traj = _perturbed_record(traj)
+        ran = trajectory_checks(traj)
+        results = [r for r in ran if not checks or r.name in checks]
+        config = {"weights": list(t0.t), "max_steps": max_steps, "inject_fault": args.inject_fault}
+        why = f"--weights runs only the trajectory checks ({', '.join(r.name for r in ran)})"
+    else:
+        p_values = [cfg.p] if cfg.p is not None else [3, 4, 5, 6, 7, 8]
+        seeds = args.seeds if args.seeds is not None else 100
+        results = default_suite(p_values=p_values, seeds_per_p=seeds, max_steps=_max_steps(cfg, 400),
+                                rng_seed=cfg.seed, checks=checks, inject_fault=args.inject_fault)
+        config = {"p_values": p_values, "seeds_per_p": seeds, "rng_seed": cfg.seed,
+                  "inject_fault": args.inject_fault}
+        why = f"unique_fixed_point_grid runs only when the swept p values {p_values} include 3"
     if not results:
-        raise ValueError(
-            f"checks {sorted(checks)} ran nothing: unique_fixed_point_grid runs "
-            f"only when the swept p values {p_values} include 3"
-        )
-    config = {
-        "p_values": p_values,
-        "seeds_per_p": seeds,
-        "rng_seed": cfg.seed,
-        "inject_fault": args.inject_fault,
-    }
-    return _emit_verify_report(results, config, args)
+        raise ValueError(f"checks {sorted(checks)} ran nothing: {why}")
+
+    passed = all(r.passed for r in results)
+    if args.json or args.out:
+        payload = {"config": config, "checks": [r.as_json() for r in results], "passed": passed}
+        text = json.dumps(payload, indent=2)
+        if args.out:
+            Path(args.out).write_text(text + "\n", encoding="utf-8")
+        else:
+            print(text)
+    if not (args.json and not args.out):
+        for r in results:
+            print(f"{'PASS' if r.passed else 'FAIL'} {r.name}")
+        print(f"{'all checks passed' if passed else 'CHECK FAILURES PRESENT'}")
+    return 0 if passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -407,11 +380,7 @@ def cmd_figure(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     A.require_distinct()
 
     orders = [0, 1] if args.superpose else [args.order]
-    try:
-        weight_list = weight_orders(t0, max(orders))
-    except Exception as exc:
-        print(f"error: weight order iteration failed: {exc}", file=sys.stderr)
-        return 2
+    weight_list = weight_orders(t0, max(orders))
 
     families = []
     limits = []
@@ -480,7 +449,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="steps per trajectory (default 400 for a sweep, 200 with --weights)")
     sp.add_argument("--seeds", type=int, help="random seeds per p (default 100)")
     sp.add_argument("--inject-fault", action="store_true",
-                    help="corrupt one trajectory to demonstrate failure detection")
+                    help="corrupt one trajectory, of the sweep or of --weights, "
+                         "to demonstrate failure detection")
     sp.add_argument("--json", action="store_true", help="emit the JSON report to stdout")
     sp.add_argument("--out", help="write the JSON report to this path")
     sp.set_defaults(fn=cmd_verify)
@@ -501,10 +471,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    # Subcommands raise ValueError for bad input, OSError for unusable files.
+    # Subcommands raise ValueError for bad input, OSError for unusable files
+    # and SaturationError for input whose iteration leaves (0, 1).
     try:
         return args.fn(args, parser)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, SaturationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

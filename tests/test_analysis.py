@@ -517,6 +517,31 @@ def test_default_suite_check_filter():
         default_suite(checks=["no_such_check"])
 
 
+@pytest.mark.parametrize("name", KNOWN_CHECKS)
+def test_default_suite_runs_each_registered_check_alone(name):
+    results = default_suite(p_values=(3,), seeds_per_p=1, checks=[name])
+    assert [r.name for r in results] == [name]
+
+
+def test_default_suite_draws_seeds_only_for_trajectory_checks():
+    # The geometry checks draw from the suite's RNG after the sweep's seeds,
+    # and no seeds are drawn when no trajectory check runs.
+    def worst(seeds_per_p, checks):
+        res = default_suite(p_values=(3,), seeds_per_p=seeds_per_p, checks=checks)
+        return res[-1].witness["worst_err"]
+
+    alone = ["polygon_collapse"]
+    assert worst(1, alone) == worst(4, alone)
+    swept = ["order_preserved", "polygon_collapse"]
+    assert worst(1, swept) != worst(4, swept)
+
+
+def test_default_suite_rejects_p_below_3():
+    for p_values in ((2,), (3, 2)):
+        with pytest.raises(ValueError, match="p >= 3"):
+            default_suite(p_values=p_values, seeds_per_p=5, checks=["order_preserved"])
+
+
 def test_default_suite_rejects_a_sweep_of_nothing():
     for kwargs in (dict(p_values=()), dict(seeds_per_p=0), dict(seeds_per_p=-3)):
         with pytest.raises(ValueError):

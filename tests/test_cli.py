@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import barypoly
 from barypoly import ConjugateTuple, conjugate_step
 from barypoly.cli import main
 
@@ -171,8 +173,9 @@ def test_verify_check_filter(capsys):
 
 
 def test_verify_unknown_check(capsys):
-    assert main(["verify", "--check", "bogus"]) == 2
-    assert "unknown checks" in capsys.readouterr().err
+    for argv in (["verify"], ["verify", "--weights", "0.2,0.5,0.7"]):
+        assert main(argv + ["--check", "bogus"]) == 2
+        assert "unknown checks" in capsys.readouterr().err
 
 
 def test_verify_grid_check_without_p3_is_an_input_error(capsys):
@@ -196,8 +199,11 @@ def test_verify_instability_growth_shows_what_it_audited(capsys):
 
 
 def test_verify_inject_fault_fails(capsys):
-    assert main(["verify", "--p", "4", "--seeds", "2", "--inject-fault"]) == 1
-    assert "CHECK FAILURES PRESENT" in capsys.readouterr().out
+    for argv in (["--p", "4", "--seeds", "2"], ["--weights", "0.2,0.5,0.7"]):
+        assert main(["verify", *argv, "--inject-fault"]) == 1
+        assert "CHECK FAILURES PRESENT" in capsys.readouterr().out
+        assert main(["verify", *argv, "--inject-fault", "--json"]) == 1
+        assert json.loads(capsys.readouterr().out)["config"]["inject_fault"] is True
 
 
 def test_verify_rejects_a_sweep_of_no_seeds(capsys):
@@ -245,6 +251,15 @@ def test_figure_superposed(tmp_path, capsys):
     assert "#1f77b4" in svg and "#d62728" in svg
 
 
+def test_figure_order_past_saturation_is_an_input_error(tmp_path, capsys):
+    # the derived weights of the reference seed leave (0, 1) before order 40
+    assert main(["figure", "--weights", REF_WEIGHTS, "--order", "40",
+                 "--out-dir", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "(0, 1)" in captured.err
+    assert not list(tmp_path.iterdir())
+
+
 def test_figure_rejects_non_planar_points(tmp_path, capsys):
     pts = tmp_path / "points.json"
     pts.write_text(json.dumps([[0, 0, 0], [1, 0, 0], [0, 1, 0]]))
@@ -262,9 +277,12 @@ def test_figure_rejects_duplicate_points(tmp_path, capsys):
 
 
 def test_module_entry_point():
+    # the child imports the package under test, installed or not
+    src = str(Path(barypoly.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "barypoly.cli", "alpha", "--p", "3"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     alpha_line = next(
