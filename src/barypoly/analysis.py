@@ -30,13 +30,13 @@ from .dynamics import (
     Phase,
     TrajectoryRecord,
     WeightTuple,
+    _run_batch,
+    _step,
     comparison_sequence,
     conjugate_step,
-    run_trajectory,
 )
 from .geometry import (
     PointSet,
-    _excluded_sums,
     _polygon_average,
     _regular_polygon,
     dual_sequence,
@@ -546,9 +546,11 @@ def _traj_comparison_domination(traj: TrajectoryRecord) -> tuple[bool, dict]:
     return ok, {} if ok else {"step": first}
 
 def _check_stationary(p_values: Sequence[int]) -> tuple[bool, dict]:
+    # alpha_p must grow with p: the distinct p are taken in ascending order
+    distinct = sorted(set(p_values))
     worst = 0.0
     prev_alpha = None
-    for p in p_values:
+    for p in distinct:
         cert = certificate(p)
         worst = max(worst, abs(cert.alpha ** (p - 1) + cert.alpha - 1.0))
         if not cert.alpha < 1.0 - 1.0 / p:
@@ -558,7 +560,7 @@ def _check_stationary(p_values: Sequence[int]) -> tuple[bool, dict]:
         if prev_alpha is not None and not cert.alpha > prev_alpha:
             return False, {"p": p, "reason": "monotonicity in p"}
         prev_alpha = cert.alpha
-    return True, {"p_count": len(p_values), "worst_residual": worst}
+    return True, {"p_count": len(distinct), "worst_residual": worst}
 
 
 def _check_fixed_point(p_values: Sequence[int]) -> tuple[bool, dict]:
@@ -616,7 +618,7 @@ def _check_unique_fixed_point_grid(p_values: Sequence[int]) -> tuple[bool, dict]
     spurious = 0
     for x in axis:
         slab = np.column_stack((np.full(len(rest), x), rest))
-        nxt = -np.expm1(_excluded_sums(np.log(slab)))
+        _, nxt = _step(slab)
         near_fixed = np.max(np.abs(nxt - slab), axis=1) < 1e-9
         off_alpha = np.max(np.abs(slab - alpha), axis=1) > 1e-4
         spurious += int(np.count_nonzero(near_fixed & off_alpha))
@@ -703,8 +705,13 @@ _GEOMETRY_CHECKS: dict[str, Callable[[np.random.Generator], tuple[bool, dict]]] 
 KNOWN_CHECKS = (*_STATIC_CHECKS, *_TRAJ_CHECKS, *_GEOMETRY_CHECKS)
 
 
+_P_BELOW_3 = "verification sweeps require p >= 3"
+
+
 def trajectory_checks(traj: TrajectoryRecord) -> list[CheckResult]:
-    """Run every per-trajectory verifier against one record."""
+    """Run every per-trajectory verifier against one record of p >= 3."""
+    if traj.p < 3:
+        raise ValueError(_P_BELOW_3)
     return [CheckResult(name, *fn(traj)) for name, fn in _TRAJ_CHECKS.items()]
 
 
@@ -737,7 +744,7 @@ def default_suite(
     if len(p_values) == 0:
         raise ValueError("p_values must name at least one p")
     if any(p < 3 for p in p_values):
-        raise ValueError("verification sweeps require p >= 3")
+        raise ValueError(_P_BELOW_3)
     if seeds_per_p < 1:
         raise ValueError(f"seeds_per_p must be >= 1, got {seeds_per_p}")
     wanted = set(KNOWN_CHECKS if checks is None else checks)
@@ -754,10 +761,9 @@ def default_suite(
     traj_names = [n for n in names if n in _TRAJ_CHECKS]
     swept, violations, first_failure = 0, dict.fromkeys(traj_names, 0), {}
     for p in p_values if traj_names else ():
-        alpha = solve_alpha(p)
-        for s in range(seeds_per_p):
-            u0 = ConjugateTuple.of(sorted(rng.uniform(1e-3, 1.0 - 1e-3, size=p)))
-            traj = run_trajectory(u0, max_steps, alpha)
+        # one draw takes the same numbers from the RNG as one draw per seed
+        seeds = rng.uniform(1e-3, 1.0 - 1e-3, size=(seeds_per_p, p))
+        for s, traj in enumerate(_run_batch(seeds, max_steps, solve_alpha(p))):
             if inject_fault and swept == 0:
                 traj = _perturbed_record(traj)
             swept += 1

@@ -3,9 +3,10 @@
 Two coupled coordinate systems describe the same dynamics.  The weight map
 acts on tuples t in (0,1)^p by t'_k = prod_{i != k} (1 - t_i); in conjugate
 coordinates u = 1 - t the same step reads u'_k = 1 - prod_{i != k} u_i.
-All products go through a cached sum of logs: every component reuses the
-identical full sum, which keeps componentwise ordering exact under rounding
-and postpones underflow as long as possible.
+Every product prod_{i != k} goes through one kernel, _excluded_sums, which
+sums logs over the last axis of an array: every component of a row reuses
+the identical row total, which keeps componentwise ordering exact under
+rounding and postpones underflow as long as possible.
 
 Away from the unique interior fixed tuple the orbits head for the boundary,
 alternating between the all-small and the all-large corner.  Once a computed
@@ -17,7 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
+
+import numpy as np
 
 __all__ = [
     "PHASE_TIE_TOL",
@@ -123,36 +126,40 @@ def conjugate_of(t: WeightTuple) -> ConjugateTuple:
     return ConjugateTuple.of(1.0 - v for v in t.t)
 
 
-def _excluded_log_sums(logs: Sequence[float]) -> list[float]:
-    # One exact-ish full sum shared by all components: ordering of the logs
-    # transfers to the ordering of the results without any rescue tolerance.
-    total = math.fsum(logs)
-    return [total - lg for lg in logs]
+def _excluded_sums(b: np.ndarray) -> np.ndarray:
+    # sum_{i != k} b[..., i] for every k, over the last axis, so a (rows, p)
+    # batch gives each row its own sums.  The shared-total shortcut needs
+    # finite entries; with infinities the direct sums avoid inf - inf.  One
+    # non-finite entry sends the whole batch to the direct sums.  The
+    # concatenated rows are contiguous, so each row is summed in the same
+    # order as on its own (a boolean mask on the last axis would not be).
+    if np.isfinite(b).all():
+        return b.sum(axis=-1, keepdims=True) - b
+    out = np.empty_like(b)
+    for k in range(b.shape[-1]):
+        out[..., k] = np.concatenate((b[..., :k], b[..., k + 1 :]), axis=-1).sum(axis=-1)
+    return out
+
+
+def _step(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Log sums of the products prod_{i != k} u_i over the last axis, and the
+    # next components before any bounds check: -expm1(log sum) stays
+    # accurate both when the product is near 1 and when it is near 0.
+    sums = _excluded_sums(np.log(u))
+    return sums, -np.expm1(sums)
 
 
 def derived_step(t: WeightTuple) -> WeightTuple:
     """One application of the weight map t'_k = prod_{i != k} (1 - t_i)."""
-    sums = _excluded_log_sums([math.log1p(-v) for v in t.t])
-    out = tuple(math.exp(s) for s in sums)
+    out = tuple(np.exp(_excluded_sums(np.log1p(-np.array(t.t)))).tolist())
     if any(not 0.0 < v < 1.0 for v in out):
         raise SaturationError("derived step left (0, 1) in working precision", out)
     return WeightTuple(t.p, out)
 
 
-def _sums_and_next(u: tuple[float, ...]) -> tuple[list[float], tuple[float, ...]]:
-    # Log sums of the products prod_{i != k} u_i, and the next components
-    # before any check of the bounds.
-    sums = _excluded_log_sums([math.log(v) for v in u])
-    return sums, tuple(-math.expm1(s) for s in sums)
-
-
 def conjugate_step(u: ConjugateTuple) -> ConjugateTuple:
-    """One application of the conjugate map u'_k = 1 - prod_{i != k} u_i.
-
-    The complement is taken as -expm1(log-sum), which stays accurate both
-    when the product is near 1 and when it is near 0.
-    """
-    _, out = _sums_and_next(u.u)
+    """One application of the conjugate map u'_k = 1 - prod_{i != k} u_i."""
+    out = tuple(_step(np.array(u.u))[1].tolist())
     if any(not 0.0 < v < 1.0 for v in out):
         raise SaturationError("conjugate step left (0, 1) in working precision", out)
     return ConjugateTuple._from_checked(out)
@@ -212,45 +219,52 @@ def run_trajectory(u0: ConjugateTuple, max_steps: int, alpha: float) -> Trajecto
     saturates first.  The seed is sorted once, ascending and stably; later
     states stay sorted because the shared log sum preserves order exactly.
     """
+    return _run_batch(np.array([u0.u]), max_steps, alpha)[0]
+
+
+def _run_batch(u0: np.ndarray, max_steps: int, alpha: float) -> list[TrajectoryRecord]:
+    # run_trajectory of every row of a (rows, p) array of seeds strictly
+    # inside (0, 1), stepped as one array.  A row leaves the batch at its own
+    # saturation step.  The rows still stepping are copied into one
+    # contiguous array, so each row is summed as it is on its own and its
+    # record is bitwise the one-row record.
     if max_steps < 0:
         raise ValueError(f"max_steps must be >= 0, got {max_steps}")
-    order = tuple(sorted(range(u0.p), key=lambda i: u0.u[i]))
-    state = ConjugateTuple.of(u0.u[i] for i in order)
-    states = [state]
-    log_products = []
-    spread = []
-    phases = []
-    saturation_step: int | None = None
-    saturation_values: tuple[float, ...] | None = None
-    ulp_zero = math.ulp(0.0)
-    ulp_one = math.ulp(1.0)
-    while True:
-        sums, out = _sums_and_next(state.u)
-        log_products.append(tuple(sums))
-        spread.append(state.u[-1] / state.u[0] - 1.0)
-        phases.append(classify_phase(state, alpha))
-        if len(states) > max_steps:
+    order = np.argsort(u0, axis=-1, kind="stable")
+    u = np.sort(u0, axis=-1)  # u0 in the stable order: tied entries are equal
+    n = len(u)
+    states, log_products, spread, phases = ([[] for _ in range(n)] for _ in range(4))
+    saturation = [(None, None)] * n
+    live = np.arange(n)
+    ulp_zero, ulp_one = math.ulp(0.0), math.ulp(1.0)
+    for step in range(max_steps + 1):
+        sums, nxt = _step(u)
+        for r, values, lp in zip(live.tolist(), u.tolist(), sums.tolist()):
+            state = ConjugateTuple._from_checked(tuple(values))
+            states[r].append(state)
+            log_products[r].append(tuple(lp))
+            spread[r].append(values[-1] / values[0] - 1.0)
+            phases[r].append(classify_phase(state, alpha))
+        if step == max_steps:
             break
         # a step that leaves (0, 1), or lands within one ulp of its bounds,
         # saturates: the next products would no longer be trustworthy at
         # working precision
-        if any(v <= ulp_zero or 1.0 - v <= ulp_one for v in out):
-            saturation_step = len(states)
-            saturation_values = out
-            break
-        state = ConjugateTuple._from_checked(out)
-        states.append(state)
+        at_bound = (nxt <= ulp_zero) | (1.0 - nxt <= ulp_one)
+        if at_bound.any():
+            hit = at_bound.any(axis=-1)
+            for r, values in zip(live[hit].tolist(), nxt[hit].tolist()):
+                saturation[r] = (step + 1, tuple(values))
+            live, nxt = live[~hit], nxt[~hit]
+            if not live.size:
+                break
+        u = nxt
 
-    return TrajectoryRecord(
-        permutation=order,
-        alpha=alpha,
-        states=tuple(states),
-        log_products=tuple(log_products),
-        spread=tuple(spread),
-        phase=tuple(phases),
-        saturation_step=saturation_step,
-        saturation_values=saturation_values,
-    )
+    return [
+        TrajectoryRecord(tuple(perm), alpha, tuple(states[r]), tuple(log_products[r]),
+                         tuple(spread[r]), tuple(phases[r]), *saturation[r])
+        for r, perm in enumerate(order.tolist())
+    ]
 
 
 def comparison_sequence(tau0: float, p: int, steps: int) -> list[float]:

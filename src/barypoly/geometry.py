@@ -19,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .dynamics import WeightTuple, derived_step
+from .dynamics import WeightTuple, _excluded_sums, derived_step
 
 __all__ = [
     "DISTINCT_TOL",
@@ -113,21 +113,6 @@ def _regular_polygon(p: int) -> PointSet:
     )
 
 
-def _excluded_sums(b: np.ndarray) -> np.ndarray:
-    # sum_{i != k} b[..., i] for every k, over the last axis, so a (rows, p)
-    # batch gives each row its own sums.  The shared-total shortcut needs
-    # finite entries; with infinities the direct sums avoid inf - inf.  One
-    # non-finite entry sends the whole batch to the direct sums.  The
-    # concatenated rows are contiguous, so each row is summed in the same
-    # order as on its own (a boolean mask on the last axis would not be).
-    if np.all(np.isfinite(b)):
-        return b.sum(axis=-1, keepdims=True) - b
-    out = np.empty_like(b)
-    for k in range(b.shape[-1]):
-        out[..., k] = np.concatenate((b[..., :k], b[..., k + 1 :]), axis=-1).sum(axis=-1)
-    return out
-
-
 def _normalized_weights(log_w: np.ndarray) -> np.ndarray:
     shift = np.max(log_w)
     if not np.isfinite(shift):
@@ -179,20 +164,11 @@ def dual_weight_trajectory(t0: WeightTuple, steps: int) -> np.ndarray:
         log_w = _excluded_sums(b)
         rows[m] = _normalized_weights(log_w)
         if m < steps:
-            b = _advance_log_u(log_w)
+            # log_w[k] = log t'_k <= 0; the new log u_k is log(1 - t'_k),
+            # -inf once t'_k reaches 1 in working precision
+            with np.errstate(divide="ignore"):
+                b = np.log(-np.expm1(log_w))
     return rows
-
-
-def _advance_log_u(log_t_next: np.ndarray) -> np.ndarray:
-    # log_t_next[k] = log t'_k; the new log u_k is log(1 - t'_k).
-    out = np.empty_like(log_t_next)
-    for k, a in enumerate(log_t_next):
-        if a >= 0.0:
-            out[k] = -math.inf  # t' reached 1 in working precision
-        else:
-            c = -math.expm1(a)
-            out[k] = math.log(c) if c > 0.0 else -math.inf
-    return out
 
 
 def dual_sequence(A: PointSet, t0: WeightTuple, steps: int) -> DualSequenceRecord:

@@ -33,7 +33,7 @@ from barypoly import (
     spectral_check,
     trajectory_checks,
 )
-from barypoly import analysis
+from barypoly import analysis, dynamics
 from barypoly.analysis import _traj_t_ratio_transfer
 from barypoly.geometry import _polygon_average
 
@@ -468,7 +468,7 @@ def test_unique_fixed_point_grid_notices_a_spurious_fixed_point(monkeypatch):
     assert clean.passed
     # make the grid point (0.025, 0.975, 0.525), far from alpha, map onto itself
     fake = np.log((0.025, 0.975, 0.525))
-    real = analysis._excluded_sums
+    real = dynamics._excluded_sums
 
     def with_a_fixed_row(b):
         out = real(b)
@@ -476,7 +476,9 @@ def test_unique_fixed_point_grid_notices_a_spurious_fixed_point(monkeypatch):
         out[row] = np.log1p(-np.exp(b[row]))
         return out
 
-    monkeypatch.setattr(analysis, "_excluded_sums", with_a_fixed_row)
+    # the grid steps through dynamics._step, which looks the kernel up when
+    # it is called
+    monkeypatch.setattr(dynamics, "_excluded_sums", with_a_fixed_row)
     (res,) = default_suite(p_values=(3,), seeds_per_p=1, checks=["unique_fixed_point_grid"])
     assert not res.passed
     assert res.witness["spurious"] >= 1
@@ -534,6 +536,38 @@ def test_default_suite_draws_seeds_only_for_trajectory_checks():
     assert worst(1, alone) == worst(4, alone)
     swept = ["order_preserved", "polygon_collapse"]
     assert worst(1, swept) != worst(4, swept)
+
+
+def test_default_suite_draws_each_p_as_one_batch_of_per_seed_draws(monkeypatch):
+    # One (seeds, p) draw takes the numbers that one size-p draw per seed
+    # takes, in the same order, and leaves the RNG where they leave it.
+    batches = []
+    real = analysis._run_batch
+
+    def recording(u0, max_steps, alpha):
+        batches.append(u0.copy())
+        return real(u0, max_steps, alpha)
+
+    monkeypatch.setattr(analysis, "_run_batch", recording)
+    p_values = (5, 3, 8)
+    res = default_suite(p_values=p_values, seeds_per_p=7, rng_seed=4,
+                        checks=["order_preserved", "polygon_collapse"])
+    rng = np.random.default_rng(4)
+    assert len(batches) == len(p_values)
+    for u0, p in zip(batches, p_values):
+        per_seed = np.array([rng.uniform(1e-3, 1.0 - 1e-3, size=p) for _ in range(7)])
+        assert u0.tobytes() == per_seed.tobytes()
+    assert (res[-1].passed, res[-1].witness) == analysis._check_polygon_collapse(rng)
+
+
+def test_stationary_certificate_takes_p_in_any_order():
+    def run(p_values):
+        (res,) = default_suite(p_values=p_values, seeds_per_p=1, checks=["stationary_certificate"])
+        return res
+
+    assert run((8, 3)).passed and run((8, 3)) == run((3, 8))
+    assert run((4, 4)).passed and run((4, 4)) == run((4,))
+    assert run((8, 3, 5, 3)) == run((3, 5, 8))
 
 
 def test_default_suite_rejects_p_below_3():

@@ -113,12 +113,11 @@ def test_trajectory_csv_roundtrip(tmp_path, capsys):
     assert [r[0] for r in rows] == [str(m) for m in range(len(rows))]
     assert all(r[-1] in ("below", "above", "mixed") for r in rows)
     # 17 significant digits make the CSV a lossless record: stepping a parsed
-    # row reproduces the next row
+    # row reproduces the next row bit for bit
     for cur, nxt in zip(rows, rows[1:]):
         u = ConjugateTuple.of(float(v) for v in cur[1:6])
         stepped = conjugate_step(u)
-        for a, b in zip(stepped.u, (float(v) for v in nxt[1:6])):
-            assert abs(a - b) <= 1e-12
+        assert [v.hex() for v in stepped.u] == [float(v).hex() for v in nxt[1:6]]
 
 
 def test_trajectory_to_stdout(capsys):
@@ -204,6 +203,15 @@ def test_verify_inject_fault_fails(capsys):
         assert "CHECK FAILURES PRESENT" in capsys.readouterr().out
         assert main(["verify", *argv, "--inject-fault", "--json"]) == 1
         assert json.loads(capsys.readouterr().out)["config"]["inject_fault"] is True
+
+
+def test_verify_weights_at_p2_is_an_input_error(capsys):
+    # these three orbits once ended in exit 1 or in two different errors
+    for weights in ("0.99999,0.5", "0.4,0.6", "0.0005,0.3"):
+        assert main(["verify", "--weights", weights]) == 2
+        captured = capsys.readouterr()
+        assert "FAIL" not in captured.out and "PASS" not in captured.out
+        assert captured.err == "error: verification sweeps require p >= 3\n"
 
 
 def test_verify_rejects_a_sweep_of_no_seeds(capsys):

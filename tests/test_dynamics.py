@@ -75,7 +75,7 @@ def test_step_raises_when_an_output_reaches_a_bound(monkeypatch):
 
     u = ConjugateTuple.of((0.2, 0.5, 0.8))
     for bad in (0.0, 1.0, -0.25, 1.5, math.nan):
-        monkeypatch.setattr(dynamics, "_sums_and_next", lambda u, bad=bad: ([], (0.3, bad, 0.6)))
+        monkeypatch.setattr(dynamics, "_step", lambda u, bad=bad: (None, np.array([0.3, bad, 0.6])))
         with pytest.raises(SaturationError):
             conjugate_step(u)
 
@@ -199,8 +199,8 @@ def test_comparison_sequence_validation():
 
 
 def _run_trajectory_stepping_then_summing(u0, max_steps, alpha):
-    # The record builder before the log sums were shared with the step: the
-    # orbit by conjugate_step, then each state's sums computed again.
+    # The orbit by conjugate_step, then each state's log sums computed again
+    # independently of the kernel: math.log and one correctly rounded fsum.
     order = tuple(sorted(range(u0.p), key=lambda i: u0.u[i]))
     state = ConjugateTuple.of(u0.u[i] for i in order)
     states = [state]
@@ -216,19 +216,35 @@ def _run_trajectory_stepping_then_summing(u0, max_steps, alpha):
             break
         states.append(state)
     log_products = []
+    log_bounds = []
     for st in states:
         logs = [math.log(v) for v in st.u]
         total = math.fsum(logs)
         log_products.append(tuple(total - lg for lg in logs))
+        log_bounds.append(_log_sum_bound(logs))
     return dict(
         permutation=order,
         states=[st.u for st in states],
         log_products=log_products,
+        log_bounds=log_bounds,
         spread=[st.u[-1] / st.u[0] - 1.0 for st in states],
         phase=[classify_phase(st, alpha) for st in states],
         saturation_step=sat_step,
         saturation_values=sat_values,
     )
+
+
+def _log_sum_bound(logs):
+    # How far the kernel's excluded log sums may lie from the fsum reference.
+    # With eps = 2**-52 and S the sum of |log u_i|: the numpy and math logs
+    # are each within an ulp of the true log, so they differ by at most
+    # 2 eps |log u_i| and the sums by 2 eps S; numpy sums p terms, in any
+    # order within (p - 1) eps/2 S of the exact sum; the fsum total adds
+    # eps/2 S, the excluded term 2 eps S, and the two final subtractions
+    # eps/2 S each.  That is (p/2 + 5) eps S to first order; the test allows
+    # one more eps S for the second-order terms.
+    p = len(logs)
+    return (p / 2 + 6) * 2.0**-52 * math.fsum(abs(lg) for lg in logs)
 
 
 def _bits(values):
@@ -243,6 +259,11 @@ def test_run_trajectory_matches_stepping_then_summing():
     for p in list(range(3, 9)) * 25 + [64] * 10:
         steps = int(rng.choice([0, 1, 3, 400]))
         cases.append((rng.uniform(1e-3, 1.0 - 1e-3, size=p), steps))
+    for p in (16, 64, 1024):
+        # many tied components: only a stable sort keeps Python's order
+        u = rng.uniform(1e-3, 1.0 - 1e-3, size=p)
+        u[::3], u[1::5] = u[0], u[1]
+        cases.append((u, 3))
     saturated = 0
     for u0, steps in cases:
         u0 = ConjugateTuple.of(u0)
@@ -251,7 +272,10 @@ def test_run_trajectory_matches_stepping_then_summing():
         ref = _run_trajectory_stepping_then_summing(u0, steps, alpha)
         assert got.permutation == ref["permutation"]
         assert [_bits(st.u) for st in got.states] == [_bits(u) for u in ref["states"]]
-        assert [_bits(lp) for lp in got.log_products] == [_bits(lp) for lp in ref["log_products"]]
+        assert len(got.log_products) == len(ref["log_products"])
+        for lp, ref_lp, bound in zip(got.log_products, ref["log_products"], ref["log_bounds"]):
+            assert all(type(v) is float for v in lp)
+            assert max(abs(a - b) for a, b in zip(lp, ref_lp)) <= bound
         assert _bits(got.spread) == _bits(ref["spread"])
         assert list(got.phase) == ref["phase"]
         assert got.saturation_step == ref["saturation_step"]
@@ -261,3 +285,45 @@ def test_run_trajectory_matches_stepping_then_summing():
             assert _bits(got.saturation_values) == _bits(ref["saturation_values"])
             saturated += 1
     assert 0 < saturated < len(cases)
+
+
+def _record_bits(traj):
+    # every field of a record, floats by their bits
+    return (
+        traj.permutation,
+        traj.alpha.hex(),
+        [_bits(st.u) for st in traj.states],
+        [st.sorted_flag for st in traj.states],
+        [_bits(lp) for lp in traj.log_products],
+        _bits(traj.spread),
+        traj.phase,
+        traj.saturation_step,
+        None if traj.saturation_values is None else _bits(traj.saturation_values),
+    )
+
+
+def test_batched_records_equal_one_row_records():
+    from barypoly.dynamics import _run_batch
+
+    rng = np.random.default_rng(20261018)
+    for p in (3, 4, 5, 6, 7, 8, 64, 1024):
+        alpha = solve_alpha(p)
+        u0 = rng.uniform(1e-3, 1.0 - 1e-3, size=(24 if p <= 8 else 4, p))
+        u0[1, : p // 2] = u0[1, -1]  # tied components
+        u0[2] = u0[1, ::-1]
+        u0[3] = alpha  # the fixed tuple saturates late, if at all
+        for steps in (0, 1, 3, 400):
+            batch = _run_batch(u0, steps, alpha)
+            assert len(batch) == len(u0)
+            for row, rec in zip(u0, batch):
+                one = run_trajectory(ConjugateTuple.of(row), steps, alpha)
+                assert _record_bits(rec) == _record_bits(one)
+            ends = {len(rec) for rec in batch}
+            if steps == 0:
+                assert ends == {1}
+            elif steps == 400:
+                # rows leave the batch at different steps
+                assert len({rec.saturation_step for rec in batch} - {None}) >= 2
+    with pytest.raises(ValueError):
+        _run_batch(u0, -1, alpha)
+

@@ -15,7 +15,7 @@ from barypoly import (
     polygon_step,
     weight_orders,
 )
-from barypoly.geometry import _excluded_sums
+from barypoly.dynamics import _excluded_sums
 
 
 def regular_polygon(p):
