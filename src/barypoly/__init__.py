@@ -10,20 +10,11 @@ polygon limit points.
 """
 from .analysis import (
     KNOWN_CHECKS,
-    AlternationReport,
     CheckResult,
     ContractionCertificate,
-    EvenOddVerdict,
     VerificationError,
-    check_comparison_domination,
-    check_ratio_monotonicity,
     contraction_certificate,
     default_suite,
-    detect_alternation,
-    elementary_symmetric_all,
-    even_odd_limits,
-    linearized_update_matrix,
-    reliable_horizon,
     spectral_check,
     trajectory_checks,
 )
@@ -57,12 +48,10 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "KNOWN_CHECKS",
-    "AlternationReport",
     "CheckResult",
     "ConjugateTuple",
     "ContractionCertificate",
     "DualSequenceRecord",
-    "EvenOddVerdict",
     "Phase",
     "PointSet",
     "SaturationError",
@@ -73,8 +62,6 @@ __all__ = [
     "alpha_residual",
     "centroid",
     "certificate",
-    "check_comparison_domination",
-    "check_ratio_monotonicity",
     "classify_phase",
     "comparison_sequence",
     "conjugate_of",
@@ -82,15 +69,10 @@ __all__ = [
     "contraction_certificate",
     "default_suite",
     "derived_step",
-    "detect_alternation",
     "dual_sequence",
     "dual_weight_trajectory",
-    "elementary_symmetric_all",
-    "even_odd_limits",
     "limit_point",
-    "linearized_update_matrix",
     "polygon_step",
-    "reliable_horizon",
     "run_trajectory",
     "solve_alpha",
     "spectral_check",

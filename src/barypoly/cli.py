@@ -37,6 +37,11 @@ __all__ = ["main", "RunConfig", "figure_iterates"]
 
 _FLOAT_FMT = "%.17g"
 
+# Stopping rule of figure_iterates, see its docstring.
+_FIGURE_MIN_ITERS = 60
+_FIGURE_SHRINK = 1e-3
+_FIGURE_CAP = 20000
+
 
 @dataclasses.dataclass
 class RunConfig:
@@ -289,18 +294,11 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 # figure
 # ---------------------------------------------------------------------------
 
-def figure_iterates(
-    A: PointSet,
-    t: WeightTuple,
-    min_iters: int = 60,
-    shrink: float = 1e-3,
-    cap: int = 20000,
-) -> list[PointSet]:
+def figure_iterates(A: PointSet, t: WeightTuple) -> list[PointSet]:
     """Averaging-polygon iterates, run until visibly collapsed.
 
-    Iterates until at least min_iters steps are drawn and the diameter has
-    dropped below shrink times the initial diameter, hard-capped at cap
-    steps.
+    Iterates until at least 60 steps are drawn and the diameter has dropped
+    below 1e-3 times the initial diameter, hard-capped at 20000 steps.
     """
 
     def diameter(ps: PointSet) -> float:
@@ -313,10 +311,10 @@ def figure_iterates(
     d0 = diameter(A)
     iterates = [A]
     B = A
-    while len(iterates) - 1 < cap:
+    while len(iterates) - 1 < _FIGURE_CAP:
         B = polygon_step(B, t)
         iterates.append(B)
-        if len(iterates) - 1 >= min_iters and diameter(B) <= shrink * d0:
+        if len(iterates) - 1 >= _FIGURE_MIN_ITERS and diameter(B) <= _FIGURE_SHRINK * d0:
             break
     return iterates
 

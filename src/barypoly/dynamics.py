@@ -16,7 +16,7 @@ records keep only the states strictly inside (0, 1)^p.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
@@ -90,20 +90,16 @@ class WeightTuple:
 
 @dataclass(frozen=True)
 class ConjugateTuple:
-    """State in u = 1 - t coordinates; sorted_flag marks ascending order."""
+    """State in u = 1 - t coordinates."""
 
     p: int
     u: tuple[float, ...]
-    sorted_flag: bool = field(init=False)
 
     def __post_init__(self):
         u = _validated(self.u, "conjugate tuple")
         object.__setattr__(self, "u", u)
         if self.p != len(u):
             raise ValueError(f"p={self.p} does not match {len(u)} components")
-        object.__setattr__(
-            self, "sorted_flag", all(a <= b for a, b in zip(u, u[1:]))
-        )
 
     @classmethod
     def of(cls, values: Iterable[float]) -> "ConjugateTuple":
@@ -117,7 +113,6 @@ class ConjugateTuple:
         state = object.__new__(cls)
         object.__setattr__(state, "p", len(u))
         object.__setattr__(state, "u", u)
-        object.__setattr__(state, "sorted_flag", all(a <= b for a, b in zip(u, u[1:])))
         return state
 
 

@@ -36,6 +36,11 @@ __all__ = [
 # Pairwise separation required of caller-provided point families.
 DISTINCT_TOL = 1e-12
 
+# Distances at or below _FIT_FLOOR are noise to the decay fit, which needs
+# at least _FIT_MIN_POINTS samples above it.
+_FIT_FLOOR = 1e-13
+_FIT_MIN_POINTS = 5
+
 
 @dataclass(frozen=True)
 class PointSet:
@@ -73,14 +78,14 @@ class PointSet:
             arr = arr[:, None]
         return cls(arr.shape[0], arr.shape[1], arr)
 
-    def require_distinct(self, tol: float = DISTINCT_TOL) -> "PointSet":
-        """Raise unless all pairwise distances exceed tol; returns self."""
+    def require_distinct(self) -> "PointSet":
+        """Raise unless all pairwise distances exceed DISTINCT_TOL; returns self."""
         for i in range(self.p):
             d = np.linalg.norm(self.points[i + 1 :] - self.points[i], axis=1)
-            if d.size and d.min() <= tol:
+            if d.size and d.min() <= DISTINCT_TOL:
                 j = i + 1 + int(d.argmin())
                 raise ValueError(
-                    f"points {i} and {j} are closer than {tol}; "
+                    f"points {i} and {j} are closer than {DISTINCT_TOL}; "
                     "input families must be pairwise distinct"
                 )
         return self
@@ -188,13 +193,13 @@ def dual_sequence(A: PointSet, t0: WeightTuple, steps: int) -> DualSequenceRecor
     )
 
 
-def _fit_rate(dists: np.ndarray, floor: float = 1e-13, min_points: int = 5) -> float | None:
+def _fit_rate(dists: np.ndarray) -> float | None:
     # fit over the final half of the samples still above the noise floor,
-    # widened to min_points when the decay leaves fewer than 2*min_points
-    idx = np.nonzero(dists > floor)[0]
-    if idx.size < min_points:
+    # widened to _FIT_MIN_POINTS when the decay leaves fewer than twice that
+    idx = np.nonzero(dists > _FIT_FLOOR)[0]
+    if idx.size < _FIT_MIN_POINTS:
         return None
-    tail = idx[-max(min_points, idx.size // 2) :]
+    tail = idx[-max(_FIT_MIN_POINTS, idx.size // 2) :]
     slope = np.polyfit(tail.astype(float), np.log(dists[tail]), 1)[0]
     return float(slope)
 

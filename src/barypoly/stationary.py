@@ -23,6 +23,8 @@ __all__ = [
 # Bracket width reached by bisection before Newton polishing takes over.
 _BISECT_WIDTH = 1e-15
 _NEWTON_STEPS = 3
+# Largest |residual| a returned root may leave.
+_RESIDUAL_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -59,17 +61,15 @@ def _residual_slope(p: int, x: float) -> float:
     return (p - 1) * math.exp((p - 2) * math.log(x)) + 1.0
 
 
-def solve_alpha(p: int, tol: float = 1e-14) -> float:
+def solve_alpha(p: int) -> float:
     """Unique root of x**(p-1) + x - 1 inside (0, 1).
 
     Bisection narrows [0, 1] to a 1e-15 bracket, then three Newton steps
-    polish the midpoint.  Raises ArithmeticError if the final residual does
-    not meet tol, so a successful return certifies |residual| <= tol.
+    polish the midpoint.  Raises ArithmeticError if the final residual
+    exceeds 1e-14, so a successful return certifies |residual| <= 1e-14.
     """
     if p < 2:
         raise ValueError(f"p must be >= 2, got {p}")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
     lo, hi = 0.0, 1.0
     while hi - lo > _BISECT_WIDTH:
         mid = 0.5 * (lo + hi)
@@ -80,14 +80,14 @@ def solve_alpha(p: int, tol: float = 1e-14) -> float:
     x = 0.5 * (lo + hi)
     for _ in range(_NEWTON_STEPS):
         x -= alpha_residual(p, x) / _residual_slope(p, x)
-    if not 0.0 < x < 1.0 or abs(alpha_residual(p, x)) > tol:
+    if not 0.0 < x < 1.0 or abs(alpha_residual(p, x)) > _RESIDUAL_TOL:
         raise ArithmeticError(
-            f"root refinement for p={p} missed the requested tolerance {tol}"
+            f"root refinement for p={p} missed the tolerance {_RESIDUAL_TOL}"
         )
     return x
 
 
-def certificate(p: int, tol: float = 1e-14) -> StationaryCertificate:
+def certificate(p: int) -> StationaryCertificate:
     """Instability certificate of the stationary tuple; defined for p >= 3.
 
     For p = 2 the repulsive eigenvalue has modulus exactly 1 and the
@@ -95,7 +95,7 @@ def certificate(p: int, tol: float = 1e-14) -> StationaryCertificate:
     """
     if p < 3:
         raise ValueError(f"the instability certificate requires p >= 3, got {p}")
-    alpha = solve_alpha(p, tol)
+    alpha = solve_alpha(p)
     beta = alpha ** (p - 2)
     lam = (1 - p) * beta
     return StationaryCertificate(

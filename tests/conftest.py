@@ -5,11 +5,11 @@ import pytest
 from barypoly import (
     ConjugateTuple,
     certificate,
-    linearized_update_matrix,
     run_trajectory,
     solve_alpha,
     trajectory_checks,
 )
+from barypoly.analysis import _linearized_update_matrix
 
 SWEEP_SEED = 20260819
 SWEEP_SIZE = 1000
@@ -50,7 +50,7 @@ def det_residuals():
 
     def residuals(p):
         cert = certificate(p)
-        A = linearized_update_matrix(p, cert.beta)
+        A = _linearized_update_matrix(p, cert.beta)
         eye = np.eye(p)
         return tuple(
             abs(float(np.linalg.det(lam * eye - A)))

@@ -71,7 +71,9 @@ def test_criterion_2_instability_inequalities():
 
 def test_criterion_3_spectral_certificate(det_residuals):
     t0 = time.perf_counter()
-    eigen_ok = all(bp.spectral_check(p, atol=1e-13) for p in range(3, 33))
+    eigen_ok = bp.analysis.SPECTRAL_ATOL <= 1e-13 and all(
+        bp.spectral_check(p) for p in range(3, 33)
+    )
     det_worst = max(max(det_residuals(p)) for p in range(3, 9))
     elapsed = time.perf_counter() - t0
     ok = eigen_ok and det_worst < 1e-9 and elapsed < 1.0
@@ -103,13 +105,11 @@ def test_criterion_5_sortedness(sweep):
                ok, f"{len(sweep)} trajectories, {bad} violations")
 
 
-def test_criterion_6_ratio_and_spread_contraction(sweep, sweep_results):
-    ratio_bad = sum(
-        1 for traj in sweep if not bp.check_ratio_monotonicity(traj, slack=1e-12)[0]
-    )
+def test_criterion_6_ratio_and_spread_contraction(sweep_results):
+    ratio_bad = sum(1 for res in sweep_results if not res["ratio_monotone"].passed)
     spread_bad = sum(1 for res in sweep_results if not res["spread_contraction"].passed)
     geom_bad = sum(1 for res in sweep_results if not res["spread_geometric_bound"].passed)
-    ok = ratio_bad == 0 and spread_bad == 0 and geom_bad == 0
+    ok = bp.analysis.RATIO_SLACK <= 1e-12 and ratio_bad == 0 and spread_bad == 0 and geom_bad == 0
     _criterion(
         6, "ratio monotonicity, spread halving, geometric bound on the sweep", ok,
         f"ratio {ratio_bad}, halving {spread_bad}, geometric {geom_bad} violations",

@@ -10,41 +10,39 @@ from barypoly import (
     KNOWN_CHECKS,
     CheckResult,
     ConjugateTuple,
-    EvenOddVerdict,
     Phase,
     PointSet,
     VerificationError,
     WeightTuple,
     certificate,
-    check_comparison_domination,
-    check_ratio_monotonicity,
     comparison_sequence,
     conjugate_step,
     contraction_certificate,
     default_suite,
-    detect_alternation,
-    elementary_symmetric_all,
-    even_odd_limits,
-    linearized_update_matrix,
     polygon_step,
-    reliable_horizon,
     run_trajectory,
     solve_alpha,
     spectral_check,
     trajectory_checks,
 )
 from barypoly import analysis, dynamics
-from barypoly.analysis import _traj_t_ratio_transfer
+from barypoly.analysis import (
+    _TRAJ_CHECKS,
+    _elementary_symmetric,
+    _linearized_update_matrix,
+    _reliable_horizon,
+    _traj_t_ratio_transfer,
+)
 from barypoly.geometry import _polygon_average
 
 
 def test_elementary_symmetric_hand_case():
-    assert elementary_symmetric_all((2.0, 3.0, 4.0)) == [1.0, 9.0, 26.0, 24.0]
+    assert _elementary_symmetric((2.0, 3.0, 4.0)) == [1.0, 9.0, 26.0, 24.0]
 
 
 @given(st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=0, max_size=7))
 def test_elementary_symmetric_against_combinations(vals):
-    got = elementary_symmetric_all(vals)
+    got = _elementary_symmetric(vals)
     for i in range(len(vals) + 1):
         brute = sum(math.prod(c) for c in itertools.combinations(vals, i))
         # both sides cancel internally, so the agreement is semantic, not ulp
@@ -90,94 +88,84 @@ def test_contraction_certificate_errors():
         contraction_certificate(_traj((0.4, 0.6)), 0)  # p too small
     good = _traj((0.2, 0.3, 0.4, 0.5))
     shuffled = dataclasses.replace(
-        good, states=(ConjugateTuple.of((0.4, 0.2, 0.5, 0.3)),) + good.states[1:]
+        good, states=(ConjugateTuple.of((0.2, 0.4, 0.3, 0.5)),) + good.states[1:]
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not sorted"):
         contraction_certificate(shuffled, 0)
 
 
 def test_reliable_horizon():
     traj = _traj((0.15, 0.5, 0.85), steps=400)
-    h = reliable_horizon(traj)
+    h = _reliable_horizon(traj)
     assert 0 < h <= len(traj.states)
     assert all(1.0 - max(st.u) > 1e-10 for st in traj.states[:h])
-    assert reliable_horizon(traj, gap=0.5) <= h
 
 
 def test_ratio_monotonicity_catches_corruption():
+    check = _TRAJ_CHECKS["ratio_monotone"]
     traj = _traj((0.2, 0.3, 0.4, 0.5), steps=6)
-    ok, first = check_ratio_monotonicity(traj)
-    assert ok and first is None
+    assert check(traj) == (True, {})
     states = list(traj.states)
     u = list(states[2].u)
     u[-1] = min(u[-1] + 0.2, 0.999)
     states[2] = ConjugateTuple.of(u)
     bad = dataclasses.replace(traj, states=tuple(states))
-    ok, first = check_ratio_monotonicity(bad)
-    assert not ok and first in (0, 2)
+    ok, witness = check(bad)
+    assert not ok and witness["step"] in (0, 2)
+
+
+def _fixed_point_traj():
+    alpha = solve_alpha(3)
+    return run_trajectory(ConjugateTuple.of([alpha] * 3), 10, alpha)
 
 
 def test_detect_alternation_on_generic_seed():
     traj = _traj((0.2, 0.5, 0.8), steps=400)
-    report = detect_alternation(traj)
-    assert report.found
-    assert report.violations == 0
-    assert traj.phase[report.m0] is not Phase.MIXED
-    assert len(report.pattern) == len(traj.states) - report.m0
+    ok, witness = _TRAJ_CHECKS["phase_alternation"](traj)
+    assert ok
+    m0 = witness["m0"]
+    assert all(ph is Phase.MIXED for ph in traj.phase[:m0])
+    decided = traj.phase[m0:]
+    assert Phase.MIXED not in decided
+    assert all(a is not b for a, b in zip(decided, decided[1:]))
 
 
 def test_detect_alternation_fixed_point_has_nothing_to_find():
-    alpha = solve_alpha(3)
-    traj = run_trajectory(ConjugateTuple.of([alpha] * 3), 10, alpha)
-    report = detect_alternation(traj)
-    assert not report.found
-    assert report.m0 is None and report.violations == 0
+    ok, witness = _TRAJ_CHECKS["phase_alternation"](_fixed_point_traj())
+    assert not ok
+    assert witness == {"reason": "no decided phase before saturation"}
 
 
 def test_even_odd_limits_saturated_is_decided():
     traj = _traj((0.2, 0.5, 0.8), steps=400)
     assert traj.saturation_step is not None
-    verdict = even_odd_limits(traj, tol=1e-6)
-    assert verdict is not EvenOddVerdict.UNDECIDED
+    ok, witness = _TRAJ_CHECKS["even_odd_limits"](traj)
+    assert ok and witness["verdict"] in ("even_to_zero_odd_to_one", "even_to_one_odd_to_zero")
 
 
 def test_even_odd_limits_fixed_point_is_undecided():
-    alpha = solve_alpha(3)
-    traj = run_trajectory(ConjugateTuple.of([alpha] * 3), 10, alpha)
-    assert even_odd_limits(traj, tol=1e-6) is EvenOddVerdict.UNDECIDED
-
-
-def test_even_odd_limits_tol_validation():
-    traj = _traj((0.2, 0.5, 0.8))
-    for tol in (0.0, 0.5, -1.0):
-        with pytest.raises(ValueError):
-            even_odd_limits(traj, tol=tol)
+    ok, witness = _TRAJ_CHECKS["even_odd_limits"](_fixed_point_traj())
+    assert not ok and witness == {"reason": "undecided at the recorded horizon"}
 
 
 def test_verdict_matches_alternation_parity(sweep):
     """The saturation-side verdict and the phase pattern tell the same story:
     whichever parity is BELOW heads to the zero corner."""
     for traj in sweep[::17]:
-        report = detect_alternation(traj)
-        verdict = even_odd_limits(traj, tol=1e-6)
-        if not report.found or verdict is EvenOddVerdict.UNDECIDED:
+        _, alternation = _TRAJ_CHECKS["phase_alternation"](traj)
+        decided, limits = _TRAJ_CHECKS["even_odd_limits"](traj)
+        if "m0" not in alternation or not decided:
             continue
-        below_on_even = (report.pattern[0] is Phase.BELOW) == (report.m0 % 2 == 0)
-        expected = (
-            EvenOddVerdict.EVEN_TO_ZERO_ODD_TO_ONE
-            if below_on_even
-            else EvenOddVerdict.EVEN_TO_ONE_ODD_TO_ZERO
-        )
-        assert verdict is expected
+        m0 = alternation["m0"]
+        below_on_even = (traj.phase[m0] is Phase.BELOW) == (m0 % 2 == 0)
+        expected = "even_to_zero_odd_to_one" if below_on_even else "even_to_one_odd_to_zero"
+        assert limits["verdict"] == expected
 
 
 def test_comparison_domination():
-    traj = _traj((0.2, 0.5, 0.8), steps=400)
-    ok, first = check_comparison_domination(traj)
-    assert ok and first is None
-    alpha = solve_alpha(3)
-    fixed = run_trajectory(ConjugateTuple.of([alpha] * 3), 10, alpha)
-    assert check_comparison_domination(fixed) == (True, None)  # vacuous: never BELOW
+    check = _TRAJ_CHECKS["comparison_domination"]
+    assert check(_traj((0.2, 0.5, 0.8), steps=400)) == (True, {})
+    assert check(_fixed_point_traj()) == (True, {})  # vacuous: never BELOW
 
 
 def _comparison_domination_inline(traj, slack=1e-12):
@@ -186,7 +174,7 @@ def _comparison_domination_inline(traj, slack=1e-12):
     states = traj.states
     b0 = next((i for i, ph in enumerate(traj.phase) if ph is Phase.BELOW), None)
     if b0 is None or b0 + 1 >= len(states):
-        return True, None
+        return True, {}
     p = traj.p
     u_top = states[b0].u[-1]
     u_low_next = states[b0 + 1].u[0]
@@ -199,26 +187,20 @@ def _comparison_domination_inline(traj, slack=1e-12):
         u = states[m].u
         if offset % 2 == 0:
             if tau < u[-1] - slack:
-                return False, m
+                return False, {"step": m}
         else:
             if tau > u[0] + slack:
-                return False, m
+                return False, {"step": m}
         tau = 1.0 - tau ** (p - 1)
-    return True, None
+    return True, {}
 
 
-def test_comparison_domination_matches_the_inline_orbit(sweep):
+def test_comparison_domination_matches_the_inline_orbit(sweep, monkeypatch):
+    check = _TRAJ_CHECKS["comparison_domination"]
     rng = np.random.default_rng(17)
     verdicts = set()
     for traj in sweep:
-        assert check_comparison_domination(traj) == _comparison_domination_inline(traj)
-    # negative slacks make the comparisons fail at every margin size, which
-    # pins the orbit values well below the default slack
-    for slack in (1e-12, 0.0, -1e-15, -1e-13, -1e-11, -1e-8, -1e-4):
-        for traj in sweep[::4]:
-            got = check_comparison_domination(traj, slack)
-            assert got == _comparison_domination_inline(traj, slack)
-            verdicts.add(got[0])
+        assert check(traj) == _comparison_domination_inline(traj)
     for traj in sweep[::5]:
         if len(traj.states) < 2:
             continue
@@ -231,9 +213,17 @@ def test_comparison_domination_matches_the_inline_orbit(sweep):
         u[q] = min(max(u[q] + float(step), 1e-9), 1.0 - 1e-9)
         states[m] = ConjugateTuple.of(u)
         bad = dataclasses.replace(traj, states=tuple(states))
-        got = check_comparison_domination(bad)
+        got = check(bad)
         assert got == _comparison_domination_inline(bad)
         verdicts.add(got[0])
+    # negative slacks make the comparisons fail at every margin size, which
+    # pins the orbit values well below the default slack
+    for slack in (1e-12, 0.0, -1e-15, -1e-13, -1e-11, -1e-8, -1e-4):
+        monkeypatch.setattr(analysis, "DOMINATION_SLACK", slack)
+        for traj in sweep[::4]:
+            got = check(traj)
+            assert got == _comparison_domination_inline(traj, slack)
+            verdicts.add(got[0])
     assert verdicts == {True, False}
 
 
@@ -243,7 +233,7 @@ def test_comparison_domination_requires_p3():
     traj = _traj((0.2, 0.3), steps=4)
     assert traj.phase[0] is Phase.BELOW
     with pytest.raises(ValueError, match="p >= 3"):
-        check_comparison_domination(traj)
+        _TRAJ_CHECKS["comparison_domination"](traj)
 
 
 def test_comparison_orbit_is_the_scalar_map():
@@ -255,7 +245,7 @@ def test_comparison_orbit_is_the_scalar_map():
 
 
 def test_linearized_matrix_and_spectrum(det_residuals):
-    A = linearized_update_matrix(4, 0.25)
+    A = _linearized_update_matrix(4, 0.25)
     assert A.shape == (4, 4)
     assert np.all(np.diag(A) == 0.0)
     off = A[~np.eye(4, dtype=bool)]
@@ -271,7 +261,7 @@ def _spectral_by_products(p, atol=1e-13):
     # The matrix-vector form spectral_check replaced: one product A @ w per
     # basis vector of the sum-zero hyperplane.
     cert = certificate(p)
-    A = analysis.linearized_update_matrix(p, cert.beta)
+    A = analysis._linearized_update_matrix(p, cert.beta)
     ones = np.ones(p)
     if np.max(np.abs(A @ ones - cert.lambda_repulsive * ones)) > atol:
         return False
@@ -286,12 +276,12 @@ def _spectral_by_products(p, atol=1e-13):
 def _patch_matrix(monkeypatch, edits):
     # edits: (row, col, delta) added to the true linearized matrix
     def edited(p, beta):
-        A = linearized_update_matrix(p, beta)
+        A = _linearized_update_matrix(p, beta)
         for r, c, delta in edits:
             A[r, c] += delta
         return A
 
-    monkeypatch.setattr(analysis, "linearized_update_matrix", edited)
+    monkeypatch.setattr(analysis, "_linearized_update_matrix", edited)
 
 
 def test_spectral_check_agrees_with_matrix_vector_products(monkeypatch):
@@ -502,6 +492,34 @@ def test_trajectory_checks_pass_and_catch_faults():
     states[2] = ConjugateTuple.of(u)
     corrupted = dataclasses.replace(traj, states=tuple(states))
     assert any(not r.passed for r in trajectory_checks(corrupted))
+
+
+def test_trajectory_check_witnesses_are_pinned():
+    readme_seed = _traj((0.2, 0.5, 0.8), steps=400)
+    expected = {
+        "order_preserved": {},
+        "ratio_monotone": {},
+        "spread_contraction": {},
+        "contraction_certificates": {"certificates": 9},
+        "spread_geometric_bound": {},
+        "t_ratio_transfer": {},
+        "phase_alternation": {"m0": 2},
+        "even_odd_limits": {"verdict": "even_to_zero_odd_to_one"},
+        "comparison_domination": {},
+    }
+    first = trajectory_checks(readme_seed)
+    assert [(r.name, r.passed, r.witness) for r in first] == [
+        (name, True, witness) for name, witness in expected.items()
+    ]
+    # every call builds its own witness dicts, so a caller may edit one
+    for r in first:
+        r.witness["edited"] = True
+    assert [r.witness for r in trajectory_checks(readme_seed)] == list(expected.values())
+    failed = {r.name: r.witness for r in trajectory_checks(_fixed_point_traj()) if not r.passed}
+    assert failed == {
+        "phase_alternation": {"reason": "no decided phase before saturation"},
+        "even_odd_limits": {"reason": "undecided at the recorded horizon"},
+    }
 
 
 def test_default_suite_small_run_is_clean():

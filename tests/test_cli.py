@@ -1,3 +1,4 @@
+import doctest
 import json
 import os
 import re
@@ -299,13 +300,17 @@ def test_module_entry_point():
     assert float(alpha_line.split("=")[1]) == pytest.approx(0.6180339887498949, abs=1e-15)
 
 
+def _readme_blocks(lang):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return re.findall(rf"```{lang}\n(.*?)```", text, flags=re.S)
+
+
 def _readme_commands():
     # The lines of the README's sh blocks that run barypoly, and the echo
     # lines that write the files they read.
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     return [
         shlex.split(line, comments=True)
-        for block in re.findall(r"```sh\n(.*?)```", text, flags=re.S)
+        for block in _readme_blocks("sh")
         for line in block.splitlines()
         if line.startswith(("barypoly ", "echo "))
     ]
@@ -326,3 +331,15 @@ def test_readme_commands_run(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert any("--config" in argv for argv in ran)
     assert any("--inject-fault" in argv for argv in ran)
+
+
+def test_readme_library_example_runs():
+    # Each python block without its closing fence, which doctest would read
+    # as the expected output of the last example.
+    blocks = _readme_blocks("python")
+    assert blocks
+    runner = doctest.DocTestRunner()
+    for block in blocks:
+        runner.run(doctest.DocTestParser().get_doctest(block, {}, "README.md", "README.md", 0))
+    result = runner.summarize(verbose=False)
+    assert result.attempted > 0 and result.failed == 0

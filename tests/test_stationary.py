@@ -54,8 +54,6 @@ def test_solve_alpha_validation():
     with pytest.raises(ValueError):
         solve_alpha(1)
     with pytest.raises(ValueError):
-        solve_alpha(5, tol=0.0)
-    with pytest.raises(ValueError):
         alpha_residual(1, 0.5)
 
 
