@@ -1,20 +1,27 @@
 """Verifiers for the qualitative claims about the weight-product dynamics.
 
-Each check takes computed data (usually a TrajectoryRecord) and confirms one
-structural property at a stated tolerance: order preservation, two-step ratio
-monotonicity, the affine two-step contraction of the sorted spread, phase
-alternation, the even/odd boundary limits with their scalar comparison orbit,
-the spectral splitting of the linearized step, and the collapse of the
-averaging polygon onto its limit point.  default_suite sweeps randomized
-seeds through every check and aggregates the outcomes into CheckResult rows
-that serialize directly to a JSON report.
+Each check takes computed data and confirms one structural property at a
+stated tolerance: order preservation, two-step ratio monotonicity, the affine
+two-step contraction of the sorted spread, phase alternation, the even/odd
+boundary limits with their scalar comparison orbit, the spectral splitting of
+the linearized step, and the collapse of the averaging polygon onto its limit
+point.  default_suite sweeps randomized seeds through every check and
+aggregates the outcomes into CheckResult rows that serialize directly to a
+JSON report.
 
 The check registry is the one place a check is added: _STATIC_CHECKS (run
-once on the swept p values), _TRAJ_CHECKS (run on every swept record) and
+once on the swept p values), _TRAJ_CHECKS (run on every swept trajectory) and
 _GEOMETRY_CHECKS (run on the suite's RNG after the sweep has drawn its
 seeds) map each name to a function that returns (passed, witness), a fresh
 dict per call.  Each function is the only implementation of its claim.
 Their order, KNOWN_CHECKS, is the report order.
+
+A sweep is checked one p at a time, as one array batch from stepping to
+verdict: dynamics._run_batch steps the p's seeds into a dynamics._Batch, and
+every trajectory check reduces that batch to one (passed, witness) per row,
+reading only the row's recorded states.  trajectory_checks runs the same
+functions on the one-row batch of a TrajectoryRecord, built from the
+record's own fields.
 """
 from __future__ import annotations
 
@@ -27,17 +34,15 @@ import numpy as np
 
 from .dynamics import (
     ConjugateTuple,
-    Phase,
     TrajectoryRecord,
     WeightTuple,
+    _Batch,
     _run_batch,
     _step,
     comparison_sequence,
-    conjugate_step,
 )
 from .geometry import (
     PointSet,
-    _polygon_average,
     _regular_polygon,
     dual_sequence,
     dual_weight_trajectory,
@@ -74,15 +79,18 @@ class VerificationError(AssertionError):
     """A verifier postcondition failed on the supplied data."""
 
 
-def _elementary_symmetric(values: Sequence[float]) -> list[float]:
-    # All elementary symmetric functions e_0 .. e_n of the values, by the
+def _elementary_symmetric(values) -> list:
+    # All elementary symmetric functions e_0 .. e_n of the n values on the
+    # last axis of an array, each e_j an array over the leading axes, by the
     # incremental coefficient recurrence: after absorbing each value v the
     # partial coefficients update as e_j += v * e_{j-1}, descending j.
-    n = len(values)
-    e = [1.0] + [0.0] * n
-    for idx, v in enumerate(values, start=1):
-        for j in range(min(idx, n), 0, -1):
-            e[j] += v * e[j - 1]
+    values = np.asarray(values, dtype=float)
+    n = values.shape[-1]
+    e = [np.ones(values.shape[:-1])] + [np.zeros(values.shape[:-1]) for _ in range(n)]
+    for idx in range(1, n + 1):
+        v = values[..., idx - 1]
+        for j in range(idx, 0, -1):
+            e[j] = e[j] + v * e[j - 1]
     return e
 
 
@@ -105,6 +113,68 @@ class ContractionCertificate:
     residual_high: float
 
 
+def _certificate_fields(u: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, ...]:
+    # slope, intercept, ratio_bound, contraction, residual_low and
+    # residual_high of the certificate for every state on the last axis of u
+    # (at m) and u2 (at m + 2).  Each state takes the operations of the
+    # scalar formulas in their order: sequential products, the e_j
+    # recurrence, then Horner.
+    p = u.shape[-1]
+    pi = np.ones(u.shape[:-1])
+    for j in range(p):
+        pi = pi * u[..., j]
+    mids = u[..., 1:-1]
+    slope = np.ones(u.shape[:-1])
+    for j in range(p - 2):
+        slope = slope * (mids[..., j] - pi)
+    # intercept = u_min * u_max * sum_{j=0}^{p-3} (-pi)^j e_{p-3-j}(mids),
+    # evaluated by Horner; for small pi the series is dominated by its first
+    # term, which keeps the sum cancellation-free.
+    s = np.zeros(u.shape[:-1])
+    for coeff in _elementary_symmetric(mids)[: p - 2]:  # e_0 .. e_{p-3}, highest power of -pi first
+        s = s * -pi + coeff
+    intercept = u[..., 0] * u[..., -1] * s
+    low = slope * u[..., 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (
+            slope,
+            intercept,
+            low / intercept,
+            low / (low + intercept),
+            np.abs(low + intercept - u2[..., 0]) / np.abs(u2[..., 0]),
+            np.abs(slope * u[..., -1] + intercept - u2[..., -1]) / np.abs(u2[..., -1]),
+        )
+
+
+def _certificate_failures(fields: tuple[np.ndarray, ...]) -> np.ndarray:
+    # Which claims of each certificate fail, on a new first axis in the order
+    # of _CERTIFICATE_ERRORS.
+    slope, intercept, ratio_bound, contraction, residual_low, residual_high = fields
+    return np.stack([
+        (slope <= 0.0) | (intercept <= 0.0),
+        ~((0.0 < ratio_bound) & (ratio_bound < 1.0)),
+        ~(contraction < 0.5),
+        (residual_low > IDENTITY_RTOL) | (residual_high > IDENTITY_RTOL),
+    ])
+
+
+_CERTIFICATE_ERRORS = (
+    "positivity failed at m={m}: slope={slope!r}, intercept={intercept!r}",
+    "ratio bound {ratio_bound!r} outside (0, 1) at m={m}",
+    "two-step contraction {contraction!r} not below 1/2 at m={m}",
+    "recurrence identity residuals ({residual_low:.3e}, {residual_high:.3e}) exceed {rtol} at m={m}",
+)
+
+
+def _certificate_error(fields: tuple[np.ndarray, ...], failures: np.ndarray, at: tuple, m: int) -> str:
+    # The VerificationError text of the first failed claim of the
+    # certificate at index `at` of the fields, the certificate at step m.
+    names = ("slope", "intercept", "ratio_bound", "contraction", "residual_low", "residual_high")
+    values = {name: float(f[at]) for name, f in zip(names, fields)}
+    claim = int(failures[(slice(None), *at)].argmax())
+    return _CERTIFICATE_ERRORS[claim].format(m=m, rtol=IDENTITY_RTOL, **values)
+
+
 def contraction_certificate(traj: TrajectoryRecord, m: int) -> ContractionCertificate:
     """Build and validate the two-step contraction certificate at step m.
 
@@ -123,49 +193,11 @@ def contraction_certificate(traj: TrajectoryRecord, m: int) -> ContractionCertif
         raise ValueError(f"state at m={m} is not sorted ascending")
     if not u[0] < u[-1]:
         raise ValueError("regular state: extreme components coincide")
-
-    pi = math.prod(u)
-    mids = u[1:-1]
-    slope = math.prod(v - pi for v in mids)
-    # intercept = u_min * u_max * sum_{j=0}^{p-3} (-pi)^j e_{p-3-j}(mids),
-    # evaluated by Horner; for small pi the series is dominated by its first
-    # term, which keeps the sum cancellation-free.
-    sig = _elementary_symmetric(mids)
-    s = 0.0
-    for coeff in sig[: p - 2]:  # e_0 .. e_{p-3}, highest power of -pi first
-        s = s * (-pi) + coeff
-    intercept = u[0] * u[-1] * s
-
-    u2 = traj.states[m + 2].u
-    pred_low = slope * u[0] + intercept
-    pred_high = slope * u[-1] + intercept
-    residual_low = abs(pred_low - u2[0]) / abs(u2[0])
-    residual_high = abs(pred_high - u2[-1]) / abs(u2[-1])
-    ratio_bound = slope * u[0] / intercept
-    contraction = slope * u[0] / (slope * u[0] + intercept)
-
-    if slope <= 0.0 or intercept <= 0.0:
-        raise VerificationError(
-            f"positivity failed at m={m}: slope={slope!r}, intercept={intercept!r}"
-        )
-    if not 0.0 < ratio_bound < 1.0:
-        raise VerificationError(f"ratio bound {ratio_bound!r} outside (0, 1) at m={m}")
-    if not contraction < 0.5:
-        raise VerificationError(f"two-step contraction {contraction!r} not below 1/2 at m={m}")
-    if residual_low > IDENTITY_RTOL or residual_high > IDENTITY_RTOL:
-        raise VerificationError(
-            f"recurrence identity residuals ({residual_low:.3e}, {residual_high:.3e}) "
-            f"exceed {IDENTITY_RTOL} at m={m}"
-        )
-    return ContractionCertificate(
-        m=m,
-        slope=slope,
-        intercept=intercept,
-        ratio_bound=ratio_bound,
-        contraction=contraction,
-        residual_low=residual_low,
-        residual_high=residual_high,
-    )
+    fields = _certificate_fields(np.array(u), np.array(traj.states[m + 2].u))
+    failures = _certificate_failures(fields)
+    if failures.any():
+        raise VerificationError(_certificate_error(fields, failures, (), m))
+    return ContractionCertificate(m, *map(float, fields))
 
 
 # Elements per temporary array in spectral_check and the t-ratio check:
@@ -173,12 +205,13 @@ def contraction_certificate(traj: TrajectoryRecord, m: int) -> ContractionCertif
 _BLOCK_ELEMS = 1 << 15
 
 
-def _linearized_update_matrix(p: int, beta: float) -> np.ndarray:
-    # Jacobian of the conjugate step at the stationary state: zero diagonal,
-    # -beta everywhere else.
-    A = np.full((p, p), -beta)
-    np.fill_diagonal(A, 0.0)
-    return A
+def _jacobian_action(v: np.ndarray, beta: float) -> np.ndarray:
+    # The Jacobian of the conjugate step at the stationary state, zero on the
+    # diagonal and -beta everywhere else, applied to every column of v
+    # without forming the p x p matrix.
+    out = v.sum(axis=0) - v
+    out *= -beta
+    return out
 
 
 def spectral_check(p: int) -> bool:
@@ -186,26 +219,27 @@ def spectral_check(p: int) -> bool:
 
     The all-ones vector must carry eigenvalue (1-p) * beta with modulus
     above 1, and the basis e_0 - e_i (i = 1 .. p-1) of the sum-zero
-    hyperplane must carry beta, each entry to within SPECTRAL_ATOL.  A @
-    (e_0 - e_i) is the column difference A[:, 0] - A[:, i], bitwise: every
-    other product is with 0 and these two are with +1 and -1, all exact.  So
-    each basis vector costs O(p) instead of a matrix-vector product, and the
-    whole check O(p^2) instead of O(p^3); the columns are taken in blocks, so
-    no p x p temporary is made.
+    hyperplane must carry beta, each entry to within SPECTRAL_ATOL.  The
+    Jacobian is applied as an action, O(p) per vector, so the whole check is
+    O(p^2); the basis vectors are taken in blocks of columns, so no p x p
+    array is made.
     """
     if p < 3:
         raise ValueError(f"spectral_check requires p >= 3, got {p}")
     cert = certificate(p)
-    A = _linearized_update_matrix(p, cert.beta)
     ones = np.ones(p)
-    if np.max(np.abs(A @ ones - cert.lambda_repulsive * ones)) > SPECTRAL_ATOL:
+    if np.max(np.abs(_jacobian_action(ones, cert.beta) - cert.lambda_repulsive * ones)) > SPECTRAL_ATOL:
         return False
     lam = cert.lambda_contractive
     width = max(1, _BLOCK_ELEMS // p)
     for i0 in range(1, p, width):
-        # column j is (A - lam I)(e_0 - e_i) for i = i0 + j
-        r = A[:, :1] - A[:, i0 : i0 + width]
-        j = np.arange(r.shape[1])
+        # column j is e_0 - e_i for i = i0 + j, and of the residual
+        # (J - lam I)(e_0 - e_i) only rows 0 and i take lam, the rest 0
+        v = np.zeros((p, min(width, p - i0)))
+        j = np.arange(v.shape[1])
+        v[0] = 1.0
+        v[i0 + j, j] = -1.0
+        r = _jacobian_action(v, cert.beta)
         r[0] -= lam
         r[i0 + j, j] += lam
         if np.max(np.abs(r, out=r)) > SPECTRAL_ATOL:
@@ -217,9 +251,12 @@ def spectral_check(p: int) -> bool:
 # Aggregated randomized suite
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class CheckResult:
-    """One named verifier outcome with serializable witness data."""
+    """One named verifier outcome with serializable witness data.
+
+    Slotted: a caller may keep every report of a long run.
+    """
 
     name: str
     passed: bool
@@ -243,102 +280,117 @@ CERT_WINDOW = (1e-3, 1.0 - 1e-3)
 # Random polygons drawn by polygon_collapse.
 _COLLAPSE_DRAWS = 8
 
-
-def _traj_order_preserved(traj: TrajectoryRecord) -> tuple[bool, dict]:
-    for m, st in enumerate(traj.states):
-        for a, b in zip(st.u, st.u[1:]):
-            if b < a - SORTED_SLACK:
-                return False, {"step": m}
-    return True, {}
+# Every trajectory check takes a _Batch and returns one (passed, witness) per
+# row.  A row's verdict reads only that row's recorded states: the padding
+# past its length is masked out with batch.valid.
 
 
-def _traj_ratio_monotone(traj: TrajectoryRecord) -> tuple[bool, dict]:
+def _first(bad: np.ndarray) -> np.ndarray:
+    # Index of the first True on the last axis of a (rows, n) array, -1 in a
+    # row without one.
+    if not bad.shape[-1]:
+        return np.full(len(bad), -1)
+    return np.where(bad.any(axis=-1), bad.argmax(axis=-1), -1)
+
+
+def _traj_order_preserved(batch: _Batch) -> list[tuple[bool, dict]]:
+    U = batch.U
+    bad = (U[..., 1:] < U[..., :-1] - SORTED_SLACK).any(axis=-1) & batch.valid
+    return [(True, {}) if m < 0 else (False, {"step": m}) for m in _first(bad).tolist()]
+
+
+def _pair_quantization_noise(batch: _Batch) -> np.ndarray:
+    # (rows, n_max - 2): the relative error inherited by state m+2 from
+    # storing state m+1, where a component 1 - d keeps d only to half an ulp
+    # of 1.  The 1e-14 term covers the log/exp round-off of the two steps
+    # themselves.
+    return 5.6e-17 / (1.0 - batch.U[:, 1:-1].max(axis=-1)) + 1e-14
+
+
+def _traj_ratio_monotone(batch: _Batch) -> list[tuple[bool, dict]]:
     # Sorted component ratios never increase across two steps: for every
     # sorted pair k < l and every pair of states two steps apart,
     # 1 <= u_l^(m+2)/u_k^(m+2) <= u_l^(m)/u_k^(m) + slack.  The slack widens
     # from RATIO_SLACK to ten times the quantization noise the pair inherits
     # from storage, so deep-corner states degrade to vacuous comparisons
     # instead of spurious failures.  A failure names the first violating m.
-    states = traj.states
-    p = traj.p
-    for m in range(len(states) - 2):
-        a = states[m].u
-        b = states[m + 2].u
-        tol = max(RATIO_SLACK, 10.0 * _pair_quantization_noise(traj, m))
-        for k in range(p - 1):
-            for l in range(k + 1, p):
-                r_now = b[l] / b[k]
-                if r_now < 1.0 - tol or r_now > a[l] / a[k] + tol:
-                    return False, {"step": m}
-    return True, {}
+    U = batch.U
+    a, b = U[:, :-2], U[:, 2:]
+    tol = np.maximum(RATIO_SLACK, 10.0 * _pair_quantization_noise(batch))[..., None]
+    bad = np.zeros(b.shape[:-1], dtype=bool)
+    for k in range(U.shape[-1] - 1) if bad.size else ():
+        # the pairs (k, l) for every l > k
+        r_now = b[..., k + 1 :] / b[..., k : k + 1]
+        bad |= ((r_now < 1.0 - tol) | (r_now > a[..., k + 1 :] / a[..., k : k + 1] + tol)).any(axis=-1)
+    bad &= batch.valid[:, 2:]
+    return [(True, {}) if m < 0 else (False, {"step": m}) for m in _first(bad).tolist()]
 
 
-def _pair_quantization_noise(traj: TrajectoryRecord, m: int) -> float:
-    # Relative error inherited by state m+2 from storing state m+1: a
-    # component 1 - d keeps d only to half an ulp of 1.  The 1e-14 term
-    # covers the log/exp round-off of the two steps themselves.
-    return 5.6e-17 / (1.0 - max(traj.states[m + 1].u)) + 1e-14
-
-
-def _traj_spread_contraction(traj: TrajectoryRecord) -> tuple[bool, dict]:
+def _traj_spread_contraction(batch: _Batch) -> list[tuple[bool, dict]]:
     # The exact two-step factor is strictly below 1/2, but its margin can be
     # any size (near-ties in the upper components), so the comparison gets
     # an allowance of ten times the hard bound on the inherited noise
     # instead of a skip rule: a real violation always exceeds it.
-    spread = traj.spread
-    for m in range(len(spread) - 2):
-        if spread[m] <= SPREAD_FLOOR:
-            continue
-        allowance = 10.0 * _pair_quantization_noise(traj, m) * (1.0 + spread[m])
-        if not spread[m + 2] < 0.5 * spread[m] + allowance:
-            return False, {"step": m, "ratio": spread[m + 2] / spread[m]}
-    return True, {}
+    S = batch.spread
+    now, later = S[:, :-2], S[:, 2:]
+    allowance = 10.0 * _pair_quantization_noise(batch) * (1.0 + now)
+    bad = (now > SPREAD_FLOOR) & ~(later < 0.5 * now + allowance) & batch.valid[:, 2:]
+    return [(True, {}) if m < 0 else (False, {"step": m, "ratio": float(S[r, m + 2] / S[r, m])})
+            for r, m in enumerate(_first(bad).tolist())]
 
 
-def _cert_window_ok(traj: TrajectoryRecord, m: int) -> bool:
+def _traj_contraction_certificates(batch: _Batch) -> list[tuple[bool, dict]]:
+    # A certificate is emitted at every m whose states m, m+1 and m+2 lie in
+    # CERT_WINDOW and whose state m has a spread above 1e-9.  A row fails at
+    # its first m whose certificate fails; an unsorted state there raises
+    # contraction_certificate's ValueError.
+    U = batch.U
+    p = U.shape[-1]
     lo, hi = CERT_WINDOW
-    for idx in (m, m + 1, m + 2):
-        u = traj.states[idx].u
-        if u[0] < lo or u[-1] > hi:
-            return False
-    return traj.spread[m] > 1e-9 and traj.states[m].u[0] < traj.states[m].u[-1]
-
-
-def _traj_contraction_certificates(traj: TrajectoryRecord) -> tuple[bool, dict]:
-    emitted = 0
-    for m in range(len(traj.states) - 2):
-        if not _cert_window_ok(traj, m):
+    inside = ~((U[..., 0] < lo) | (U[..., -1] > hi))
+    window = (inside[:, :-2] & inside[:, 1:-1] & inside[:, 2:] & (batch.spread[:, :-2] > 1e-9)
+              & (U[:, :-2, 0] < U[:, :-2, -1]) & batch.valid[:, 2:])
+    out = [(True, {"certificates": c}) for c in window.sum(axis=-1).tolist()]
+    if not window.any():
+        return out
+    if p < 3:
+        raise ValueError(f"the contraction certificate requires p >= 3, got {p}")
+    # every m is evaluated and then masked: the temporaries keep the batch's
+    # shape instead of one that varies with the number of certificates
+    fields = _certificate_fields(U[:, :-2], U[:, 2:])
+    failures = _certificate_failures(fields) & window
+    unsorted = ~(U[:, :-2, :-1] <= U[:, :-2, 1:]).all(axis=-1) & window
+    for r, m in enumerate(_first(failures.any(axis=0) | unsorted).tolist()):
+        if m < 0:
             continue
-        try:
-            contraction_certificate(traj, m)
-        except VerificationError as exc:
-            return False, {"step": m, "reason": str(exc)}
-        emitted += 1
-    return True, {"certificates": emitted}
+        if unsorted[r, m]:
+            raise ValueError(f"state at m={m} is not sorted ascending")
+        out[r] = (False, {"step": m, "reason": _certificate_error(fields, failures, (r, m), m)})
+    return out
 
 
-def _reliable_horizon(traj: TrajectoryRecord) -> int:
-    # Number of leading states whose ratios carry working precision.  A
-    # component stored as 1 - d keeps d only to half an ulp of 1 in absolute
-    # terms, a relative error near 5.6e-17/d, and the following two states
-    # inherit that error in every component ratio.  The audit window for
-    # ratio and spread claims therefore ends at the first state with a
-    # component within RELIABLE_GAP of 1; everything before supports
+def _reliable_horizon(batch: _Batch) -> np.ndarray:
+    # Number of leading states of each row whose ratios carry working
+    # precision.  A component stored as 1 - d keeps d only to half an ulp of
+    # 1 in absolute terms, a relative error near 5.6e-17/d, and the following
+    # two states inherit that error in every component ratio.  The audit
+    # window for ratio and spread claims therefore ends at the first state
+    # with a component within RELIABLE_GAP of 1; everything before supports
     # comparisons at 1e-12 slack with two decades to spare.
-    for m, st in enumerate(traj.states):
-        if 1.0 - max(st.u) <= RELIABLE_GAP:
-            return m
-    return len(traj.states)
+    near_one = (1.0 - batch.U.max(axis=-1) <= RELIABLE_GAP) & batch.valid
+    return np.where(near_one.any(axis=-1), near_one.argmax(axis=-1), batch.length)
 
 
-def _traj_geometric_bound(traj: TrajectoryRecord) -> tuple[bool, dict]:
-    spread = traj.spread
-    horizon = _reliable_horizon(traj)
-    for q in range(1, (horizon + 1) // 2):
-        bound = 0.5**q * spread[0] + 1e-12
-        if spread[2 * q] > bound:
-            return False, {"q": q, "spread": spread[2 * q], "bound": bound}
-    return True, {}
+def _traj_geometric_bound(batch: _Batch) -> list[tuple[bool, dict]]:
+    # spread[2q] <= 0.5**q * spread[0] + 1e-12 for 1 <= 2q < the horizon
+    S = batch.spread
+    even = S[:, ::2]
+    q = np.arange(even.shape[1])
+    bound = np.array([0.5**i for i in q.tolist()]) * S[:, :1] + 1e-12
+    bad = (even > bound) & (q >= 1) & (q < (_reliable_horizon(batch)[:, None] + 1) // 2)
+    return [(True, {}) if i < 0 else
+            (False, {"q": i, "spread": float(even[r, i]), "bound": float(bound[r, i])})
+            for r, i in enumerate(_first(bad).tolist())]
 
 
 @functools.lru_cache(maxsize=16)
@@ -359,62 +411,71 @@ def _ratio_gap(lp_k, lp_l, u_k, u_l) -> np.ndarray:
     return np.abs(gap, gap)
 
 
-def _traj_t_ratio_transfer(traj: TrajectoryRecord) -> tuple[bool, dict]:
+def _traj_t_ratio_transfer(batch: _Batch) -> list[tuple[bool, dict]]:
     # Weight components of step m+1 are exp(log_products[m]); their ratios
     # must mirror the inverted conjugate ratios of step m: for every even m
     # and pair k < l, |exp(lp[l] - lp[k]) - u[k] / u[l]| <= 1e-12.
     #
-    # All even states are compared at once, in blocks of rows k0 <= k < k1.
-    # The pairs with both ends inside the block are gathered through the
-    # cached triangle indices; those with l >= k1 form a rectangle and are
-    # broadcast.  Small p is one block with no rectangle; at large p the
-    # block size bounds the temporaries.  The failure reported is the first
-    # in (step, k, l) order, whichever part of which block holds it.
-    lp = np.array(traj.log_products[::2])
-    u = np.array([st.u for st in traj.states[::2]])
+    # The recorded even states of all rows are gathered into one (states, p)
+    # array, ordered by row and then step, and compared at once in blocks of
+    # columns k0 <= k < k1.  The pairs with both ends inside the block are
+    # gathered through the cached triangle indices; those with l >= k1 form
+    # a rectangle and are broadcast.  Small p is one block with no
+    # rectangle; at large p the block size bounds the temporaries.  The
+    # failure reported for a row is its first in (step, k, l) order,
+    # whichever part of which block holds it.
+    row_of, m_of = np.nonzero(batch.valid[:, ::2])
+    lp, u = batch.log_products[row_of, 2 * m_of], batch.U[row_of, 2 * m_of]
     n, p = lp.shape
-    rows = max(1, min(p, _BLOCK_ELEMS // (n * p)))
-    found = []
-    for k0 in range(0, p, rows):
-        k1 = min(k0 + rows, p)
+    width = max(1, min(p, _BLOCK_ELEMS // max(1, n * p)))
+    found: list[list[tuple]] = [[] for _ in batch.length]
+
+    def note(gap, pair):
+        # gap is (states, pairs); pair maps a pair's index to its (k, l)
+        bad = gap > 1e-12
+        for s in np.flatnonzero(bad.any(axis=1)).tolist():
+            q = int(bad[s].argmax())
+            found[row_of[s]].append((int(m_of[s]), *pair(q), float(gap[s, q])))
+
+    for k0 in range(0, p, width):
+        k1 = min(k0 + width, p)
         i, j = _triangle_pairs(k1 - k0)
         lpb, ub = lp[:, k0:k1], u[:, k0:k1]
-        gap = _ratio_gap(lpb.take(i, 1), lpb.take(j, 1), ub.take(i, 1), ub.take(j, 1))
-        bad = gap > 1e-12
-        if np.count_nonzero(bad):
-            m, q = np.unravel_index(np.argmax(bad), bad.shape)
-            found.append((int(m), k0 + int(i[q]), k0 + int(j[q]), float(gap[m, q])))
+        note(_ratio_gap(lpb.take(i, 1), lpb.take(j, 1), ub.take(i, 1), ub.take(j, 1)),
+             lambda q: (k0 + int(i[q]), k0 + int(j[q])))
         if k1 < p:
             gap = _ratio_gap(lpb[:, :, None], lp[:, None, k1:], ub[:, :, None], u[:, None, k1:])
-            bad = gap > 1e-12
-            if np.count_nonzero(bad):
-                m, r, c = np.unravel_index(np.argmax(bad), bad.shape)
-                found.append((int(m), k0 + int(r), k1 + int(c), float(gap[m, r, c])))
-    if not found:
-        return True, {}
-    m, k, l, diff = min(found)
-    return False, {"step": 2 * m, "pair": [k, l], "diff": diff}
+            note(gap.reshape(n, -1), lambda q: (k0 + q // (p - k1), k1 + q % (p - k1)))
+    out = []
+    for first in found:
+        if not first:
+            out.append((True, {}))
+        else:
+            m, k, l, diff = min(first)
+            out.append((False, {"step": 2 * m, "pair": [k, l], "diff": diff}))
+    return out
 
 
-def _traj_phase_alternation(traj: TrajectoryRecord) -> tuple[bool, dict]:
+def _traj_phase_alternation(batch: _Batch) -> list[tuple[bool, dict]]:
     # From the first decided (non-MIXED) phase m0 on, the recorded phases
     # must alternate strictly between BELOW and ABOVE; a failure counts the
     # steps that break the alternation.
-    phases = traj.phase
-    m0 = next((i for i, ph in enumerate(phases) if ph is not Phase.MIXED), None)
-    if m0 is None:
-        return False, {"reason": "no decided phase before saturation"}
-    first = phases[m0]
-    other = Phase.ABOVE if first is Phase.BELOW else Phase.BELOW
-    violations = sum(
-        1 for i, ph in enumerate(phases[m0:]) if ph is not (first if i % 2 == 0 else other)
-    )
-    if violations:
-        return False, {"m0": m0, "violations": violations}
-    return True, {"m0": m0}
+    phase, valid = batch.phase, batch.valid
+    decided = (phase != 0) & valid
+    m0 = decided.argmax(axis=-1)
+    first = phase[np.arange(len(phase)), m0][:, None]
+    offset = np.arange(phase.shape[1]) - m0[:, None]
+    expected = np.where(offset % 2 == 0, first, -first)
+    violations = ((phase != expected) & valid & (offset >= 0)).sum(axis=-1)
+    return [
+        (False, {"reason": "no decided phase before saturation"}) if not has
+        else (False, {"m0": m, "violations": v}) if v
+        else (True, {"m0": m})
+        for has, m, v in zip(decided.any(axis=-1).tolist(), m0.tolist(), violations.tolist())
+    ]
 
 
-def _traj_even_odd_limits(traj: TrajectoryRecord) -> tuple[bool, dict]:
+def _traj_even_odd_limits(batch: _Batch) -> list[tuple[bool, dict]]:
     # Which parity of steps heads for which corner of [0, 1]^p, by global
     # step parity.  Saturation is decisive on its own: the saturating state
     # reached a corner at working precision, and its virtual index fixes
@@ -422,29 +483,26 @@ def _traj_even_odd_limits(traj: TrajectoryRecord) -> tuple[bool, dict]:
     # needs every component of the final recorded even state within
     # LIMIT_TOL of one corner and every component of the final odd state
     # within LIMIT_TOL of the other.
-    even_to_zero = None
-    if traj.saturation_step is not None and traj.saturation_values is not None:
-        vals = traj.saturation_values
-        hit_one = any(1.0 - v <= math.ulp(1.0) for v in vals)
-        hit_zero = any(v <= math.ulp(0.0) for v in vals)
-        if hit_one != hit_zero:
-            even_to_zero = hit_one == (traj.saturation_step % 2 == 1)
-    states = traj.states
-    if even_to_zero is None and len(states) >= 2:
-        last = len(states) - 1
-        even = states[last if last % 2 == 0 else last - 1].u
-        odd = states[last if last % 2 == 1 else last - 1].u
-        if max(even) < LIMIT_TOL and min(odd) > 1.0 - LIMIT_TOL:
-            even_to_zero = True
-        elif min(even) > 1.0 - LIMIT_TOL and max(odd) < LIMIT_TOL:
-            even_to_zero = False
-    if even_to_zero is None:
-        return False, {"reason": "undecided at the recorded horizon"}
-    verdict = "even_to_zero_odd_to_one" if even_to_zero else "even_to_one_odd_to_zero"
-    return True, {"verdict": verdict}
+    sat, vals = batch.saturation_step, batch.saturation_values
+    hit_one = (1.0 - vals <= math.ulp(1.0)).any(axis=-1)
+    by_saturation = (sat >= 0) & (hit_one != (vals <= math.ulp(0.0)).any(axis=-1))
+    last = batch.length - 1
+    rows = np.arange(len(last))
+    even = batch.U[rows, last - last % 2]
+    odd = batch.U[rows, np.maximum(last - (last + 1) % 2, 0)]
+    to_zero = (even.max(axis=-1) < LIMIT_TOL) & (odd.min(axis=-1) > 1.0 - LIMIT_TOL)
+    to_one = (even.min(axis=-1) > 1.0 - LIMIT_TOL) & (odd.max(axis=-1) < LIMIT_TOL)
+    # a one-state row compares its seed with itself, which decides nothing
+    decided = by_saturation | to_zero | to_one
+    even_to_zero = np.where(by_saturation, hit_one == (sat % 2 == 1), to_zero)
+    return [
+        (True, {"verdict": "even_to_zero_odd_to_one" if z else "even_to_one_odd_to_zero"}) if d
+        else (False, {"reason": "undecided at the recorded horizon"})
+        for d, z in zip(decided.tolist(), even_to_zero.tolist())
+    ]
 
 
-def _traj_comparison_domination(traj: TrajectoryRecord) -> tuple[bool, dict]:
+def _traj_comparison_domination(batch: _Batch) -> list[tuple[bool, dict]]:
     # The scalar comparison orbit brackets the extremes from the first
     # BELOW step b0.  The scalar seed is u_max^(b0) when u_min^(b0+1)
     # exceeds 1 - (u_max^(b0))**(p-1), and otherwise the preimage
@@ -453,28 +511,25 @@ def _traj_comparison_domination(traj: TrajectoryRecord) -> tuple[bool, dict]:
     # every recorded offset, to within DOMINATION_SLACK.  Records that never
     # reach a BELOW phase have nothing to check and pass vacuously; where
     # there is something to check, p < 3 raises ValueError, as
-    # comparison_sequence does.
-    states = traj.states
-    b0 = next((i for i, ph in enumerate(traj.phase) if ph is Phase.BELOW), None)
-    if b0 is None or b0 + 1 >= len(states):
-        return True, {}
-    p = traj.p
-    u_top = states[b0].u[-1]
-    u_low_next = states[b0 + 1].u[0]
-    if u_low_next > 1.0 - u_top ** (p - 1):
-        tau0 = u_top
-    else:
-        tau0 = (1.0 - u_low_next) ** (1.0 / (p - 1))
-    for offset, tau in enumerate(comparison_sequence(tau0, p, len(states) - b0 - 1)):
-        m = b0 + offset
-        u = states[m].u
-        if offset % 2 == 0:
-            if tau < u[-1] - DOMINATION_SLACK:
-                return False, {"step": m}
+    # comparison_sequence does.  The orbit is iterated in Python floats:
+    # numpy's power may differ from the C library's pow in the last bit.
+    U = batch.U
+    rows, n, p = U.shape
+    first_below = _first((batch.phase == -1) & batch.valid)
+    tau = np.full((rows, n), np.nan)
+    for r, (b0, length) in enumerate(zip(first_below.tolist(), batch.length.tolist())):
+        if b0 < 0 or b0 + 1 >= length:
+            continue
+        u_top, u_low_next = U[r, b0, -1].item(), U[r, b0 + 1, 0].item()
+        if u_low_next > 1.0 - u_top ** (p - 1):
+            tau0 = u_top
         else:
-            if tau > u[0] + DOMINATION_SLACK:
-                return False, {"step": m}
-    return True, {}
+            tau0 = (1.0 - u_low_next) ** (1.0 / (p - 1))
+        tau[r, b0:length] = comparison_sequence(tau0, p, length - b0 - 1)
+    offset = np.arange(n) - first_below[:, None]
+    # tau is NaN, and so compares false, wherever there is nothing to check
+    bad = np.where(offset % 2 == 0, tau < U[..., -1] - DOMINATION_SLACK, tau > U[..., 0] + DOMINATION_SLACK)
+    return [(True, {}) if m < 0 else (False, {"step": m}) for m in _first(bad).tolist()]
 
 
 def _check_stationary(p_values: Sequence[int]) -> tuple[bool, dict]:
@@ -499,8 +554,7 @@ def _check_fixed_point(p_values: Sequence[int]) -> tuple[bool, dict]:
     worst = 0.0
     for p in p_values:
         alpha = solve_alpha(p)
-        state = ConjugateTuple.of([alpha] * p)
-        diff = max(abs(v - alpha) for v in conjugate_step(state).u)
+        diff = float(np.max(np.abs(_step(np.full(p, alpha))[1] - alpha)))
         worst = max(worst, diff)
         if diff > 1e-14:
             return False, {"p": p, "diff": diff}
@@ -524,11 +578,11 @@ def _check_instability_growth(p_values: Sequence[int]) -> tuple[bool, dict]:
     for p in audited:
         cert = certificate(p)
         rho = abs(cert.lambda_repulsive)
-        state = ConjugateTuple.of([cert.alpha + eps] * p)
+        u = np.full(p, cert.alpha + eps)
         dist = eps
         for _ in range(5):
-            state = conjugate_step(state)
-            new_dist = max(abs(v - cert.alpha) for v in state.u)
+            u = _step(u)[1]
+            new_dist = float(np.max(np.abs(u - cert.alpha)))
             factor = new_dist / dist
             if abs(factor / rho - 1.0) > 0.1:
                 return False, {"p": p, "factor": factor, "expected": rho}
@@ -587,21 +641,32 @@ def _check_dual_convergence(rng: np.random.Generator) -> tuple[bool, dict]:
 
 
 def _check_polygon_collapse(rng: np.random.Generator) -> tuple[bool, dict]:
-    # The raw-array iterates are not validated per step, so a non-finite
+    # The polygons are drawn one after another and then iterated as one
+    # stack: each vertex's successor stays inside its own polygon, and the
+    # coordinates past a polygon's dim are zero, which the averaging keeps
+    # at zero.  Every vertex is averaged as in polygon_step, bitwise.  The
+    # raw-array iterates are not validated per step, so a non-finite
     # iterate or target shows up only as a NaN error: the comparisons are
-    # written so that NaN fails.
-    worst = 0.0
+    # written so that NaN fails.  The report names the first failing draw.
+    draws = []
     for _ in range(_COLLAPSE_DRAWS):
         p = int(rng.integers(3, 8))
         dim = int(rng.integers(1, 4))
         pts = PointSet.of(rng.uniform(-1.0, 1.0, size=(p, dim))).require_distinct()
         t = WeightTuple.of(rng.uniform(0.1, 0.9, size=p))
-        target = limit_point(pts, t)
-        w = np.asarray(t.t)[:, None]
-        B = pts.points
-        for _ in range(500):
-            B = _polygon_average(B, w)
-        err = float(np.max(np.linalg.norm(B - target, axis=1)))
+        draws.append((p, dim, pts.points, t.t, limit_point(pts, t)))
+    offsets = np.cumsum([0] + [p for p, *_ in draws])
+    B = np.zeros((offsets[-1], max(dim for _, dim, *_ in draws)))
+    succ = np.concatenate([off + (np.arange(1, p + 1) % p) for off, (p, *_) in zip(offsets, draws)])
+    for off, (p, dim, points, _, _) in zip(offsets, draws):
+        B[off : off + p, :dim] = points
+    w = np.concatenate([t for *_, t, _ in draws])[:, None]
+    v = 1.0 - w
+    for _ in range(500):
+        B = w * B + v * B[succ]
+    worst = 0.0
+    for off, (p, dim, _, _, target) in zip(offsets, draws):
+        err = float(np.max(np.linalg.norm(B[off : off + p, :dim] - target, axis=1)))
         if not err <= 1e-8:
             return False, {"p": p, "dim": dim, "err": err}
         worst = max(worst, err)
@@ -617,7 +682,7 @@ _STATIC_CHECKS: dict[str, Callable[[Sequence[int]], tuple[bool, dict]]] = {
     "unique_fixed_point_grid": _check_unique_fixed_point_grid,
 }
 
-_TRAJ_CHECKS: dict[str, Callable[[TrajectoryRecord], tuple[bool, dict]]] = {
+_TRAJ_CHECKS: dict[str, Callable[[_Batch], list[tuple[bool, dict]]]] = {
     "order_preserved": _traj_order_preserved,
     "ratio_monotone": _traj_ratio_monotone,
     "spread_contraction": _traj_spread_contraction,
@@ -644,7 +709,8 @@ def trajectory_checks(traj: TrajectoryRecord) -> list[CheckResult]:
     """Run every per-trajectory verifier against one record of p >= 3."""
     if traj.p < 3:
         raise ValueError(_P_BELOW_3)
-    return [CheckResult(name, *fn(traj)) for name, fn in _TRAJ_CHECKS.items()]
+    batch = _Batch.of_records([traj])
+    return [CheckResult(name, *fn(batch)[0]) for name, fn in _TRAJ_CHECKS.items()]
 
 
 def _perturbed_record(traj: TrajectoryRecord) -> TrajectoryRecord:
@@ -695,12 +761,16 @@ def default_suite(
     for p in p_values if traj_names else ():
         # one draw takes the same numbers from the RNG as one draw per seed
         seeds = rng.uniform(1e-3, 1.0 - 1e-3, size=(seeds_per_p, p))
-        for s, traj in enumerate(_run_batch(seeds, max_steps, solve_alpha(p))):
-            if inject_fault and swept == 0:
-                traj = _perturbed_record(traj)
-            swept += 1
-            for name in traj_names:
-                ok, info = _TRAJ_CHECKS[name](traj)
+        batch = _run_batch(seeds, max_steps, solve_alpha(p))
+        fault = None
+        if inject_fault and swept == 0:
+            fault = _Batch.of_records([_perturbed_record(batch.record(0))])
+        swept += seeds_per_p
+        for name in traj_names:
+            verdicts = _TRAJ_CHECKS[name](batch)
+            if fault is not None:
+                verdicts[0] = _TRAJ_CHECKS[name](fault)[0]
+            for s, (ok, info) in enumerate(verdicts):
                 if not ok:
                     violations[name] += 1
                     first_failure.setdefault(name, {"p": p, "seed_index": s, **info})

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -160,6 +160,21 @@ def conjugate_step(u: ConjugateTuple) -> ConjugateTuple:
     return ConjugateTuple._from_checked(out)
 
 
+# Phase codes of the array rule: the sign of every component's offset from
+# alpha when they all agree, 0 (MIXED) otherwise.
+_PHASES = {-1: Phase.BELOW, 0: Phase.MIXED, 1: Phase.ABOVE}
+_PHASE_CODES = {ph: code for code, ph in _PHASES.items()}
+
+
+def _phase_codes(u: np.ndarray, alpha: float) -> np.ndarray:
+    # Phase code of every state on the last axis of u.  NaN components, as in
+    # the padding of a batch, give MIXED.
+    tie = (np.abs(u - alpha) <= PHASE_TIE_TOL).any(axis=-1)
+    code = (u > alpha).all(axis=-1).astype(np.int8) - (u < alpha).all(axis=-1)
+    code[tie] = 0
+    return code
+
+
 def classify_phase(u: ConjugateTuple, alpha: float) -> Phase:
     """BELOW / ABOVE / MIXED position of the state against the threshold.
 
@@ -168,13 +183,7 @@ def classify_phase(u: ConjugateTuple, alpha: float) -> Phase:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie inside (0, 1), got {alpha!r}")
-    if any(abs(v - alpha) <= PHASE_TIE_TOL for v in u.u):
-        return Phase.MIXED
-    if all(v < alpha for v in u.u):
-        return Phase.BELOW
-    if all(v > alpha for v in u.u):
-        return Phase.ABOVE
-    return Phase.MIXED
+    return _PHASES[int(_phase_codes(np.array([u.u]), alpha)[0])]
 
 
 @dataclass(frozen=True)
@@ -214,10 +223,66 @@ def run_trajectory(u0: ConjugateTuple, max_steps: int, alpha: float) -> Trajecto
     saturates first.  The seed is sorted once, ascending and stably; later
     states stay sorted because the shared log sum preserves order exactly.
     """
-    return _run_batch(np.array([u0.u]), max_steps, alpha)[0]
+    return _run_batch(np.array([u0.u]), max_steps, alpha).record(0)
 
 
-def _run_batch(u0: np.ndarray, max_steps: int, alpha: float) -> list[TrajectoryRecord]:
+@dataclass(frozen=True)
+class _Batch:
+    # The trajectory records of a batch of rows with one p, as arrays.  U and
+    # log_products are (rows, n_max, p) and spread and phase (rows, n_max),
+    # each NaN (phase: 0, MIXED) past a row's length; saturation_step is -1
+    # and saturation_values NaN for a row that did not saturate.  Row r holds
+    # the fields of TrajectoryRecord r, bit for bit.
+    alpha: float
+    permutation: np.ndarray
+    U: np.ndarray
+    log_products: np.ndarray
+    spread: np.ndarray
+    phase: np.ndarray
+    length: np.ndarray
+    saturation_step: np.ndarray
+    saturation_values: np.ndarray
+
+    @property
+    def valid(self) -> np.ndarray:
+        # (rows, n_max): state m of row r is recorded
+        return np.arange(self.U.shape[1]) < self.length[:, None]
+
+    def record(self, r: int) -> TrajectoryRecord:
+        n = int(self.length[r])
+        sat = int(self.saturation_step[r])
+        return TrajectoryRecord(
+            tuple(self.permutation[r].tolist()),
+            self.alpha,
+            tuple(ConjugateTuple._from_checked(tuple(u)) for u in self.U[r, :n].tolist()),
+            tuple(tuple(lp) for lp in self.log_products[r, :n].tolist()),
+            tuple(self.spread[r, :n].tolist()),
+            tuple(_PHASES[c] for c in self.phase[r, :n].tolist()),
+            None if sat < 0 else sat,
+            None if sat < 0 else tuple(self.saturation_values[r].tolist()),
+        )
+
+    @classmethod
+    def of_records(cls, records: Sequence[TrajectoryRecord]) -> "_Batch":
+        # The records' own fields, none recomputed, so an edited record keeps
+        # its edit.  Every record has the same p and alpha.
+        rows, p = len(records), records[0].p
+        n_max = max(len(t) for t in records)
+        U, lp = np.full((rows, n_max, p), np.nan), np.full((rows, n_max, p), np.nan)
+        spread, phase = np.full((rows, n_max), np.nan), np.zeros((rows, n_max), np.int8)
+        sat_step, sat_values = np.full(rows, -1), np.full((rows, p), np.nan)
+        for r, t in enumerate(records):
+            U[r, : len(t)] = [st.u for st in t.states]
+            lp[r, : len(t.log_products)] = t.log_products
+            spread[r, : len(t.spread)] = t.spread
+            phase[r, : len(t.phase)] = [_PHASE_CODES[ph] for ph in t.phase]
+            if t.saturation_step is not None:
+                sat_step[r], sat_values[r] = t.saturation_step, t.saturation_values
+        return cls(records[0].alpha, np.array([t.permutation for t in records]), U, lp,
+                   spread, phase, np.array([len(t) for t in records]), sat_step, sat_values)
+
+
+def _run_batch(u0: np.ndarray, max_steps: int, alpha: float) -> _Batch:
     # run_trajectory of every row of a (rows, p) array of seeds strictly
     # inside (0, 1), stepped as one array.  A row leaves the batch at its own
     # saturation step.  The rows still stepping are copied into one
@@ -227,19 +292,14 @@ def _run_batch(u0: np.ndarray, max_steps: int, alpha: float) -> list[TrajectoryR
         raise ValueError(f"max_steps must be >= 0, got {max_steps}")
     order = np.argsort(u0, axis=-1, kind="stable")
     u = np.sort(u0, axis=-1)  # u0 in the stable order: tied entries are equal
-    n = len(u)
-    states, log_products, spread, phases = ([[] for _ in range(n)] for _ in range(4))
-    saturation = [(None, None)] * n
-    live = np.arange(n)
+    rows, p = u.shape
+    steps = []  # (live rows, states, log sums) of every step
+    sat_step, sat_values = np.full(rows, -1), np.full((rows, p), np.nan)
+    live = np.arange(rows)
     ulp_zero, ulp_one = math.ulp(0.0), math.ulp(1.0)
     for step in range(max_steps + 1):
         sums, nxt = _step(u)
-        for r, values, lp in zip(live.tolist(), u.tolist(), sums.tolist()):
-            state = ConjugateTuple._from_checked(tuple(values))
-            states[r].append(state)
-            log_products[r].append(tuple(lp))
-            spread[r].append(values[-1] / values[0] - 1.0)
-            phases[r].append(classify_phase(state, alpha))
+        steps.append((live, u, sums))
         if step == max_steps:
             break
         # a step that leaves (0, 1), or lands within one ulp of its bounds,
@@ -248,18 +308,19 @@ def _run_batch(u0: np.ndarray, max_steps: int, alpha: float) -> list[TrajectoryR
         at_bound = (nxt <= ulp_zero) | (1.0 - nxt <= ulp_one)
         if at_bound.any():
             hit = at_bound.any(axis=-1)
-            for r, values in zip(live[hit].tolist(), nxt[hit].tolist()):
-                saturation[r] = (step + 1, tuple(values))
+            sat_step[live[hit]], sat_values[live[hit]] = step + 1, nxt[hit]
             live, nxt = live[~hit], nxt[~hit]
             if not live.size:
                 break
         u = nxt
 
-    return [
-        TrajectoryRecord(tuple(perm), alpha, tuple(states[r]), tuple(log_products[r]),
-                         tuple(spread[r]), tuple(phases[r]), *saturation[r])
-        for r, perm in enumerate(order.tolist())
-    ]
+    U, lp = np.full((2, rows, len(steps), p), np.nan)
+    length = np.zeros(rows, dtype=int)
+    for m, (live, u, sums) in enumerate(steps):
+        U[live, m], lp[live, m] = u, sums
+        length[live] = m + 1
+    return _Batch(alpha, order, U, lp, U[..., -1] / U[..., 0] - 1.0, _phase_codes(U, alpha),
+                  length, sat_step, sat_values)
 
 
 def comparison_sequence(tau0: float, p: int, steps: int) -> list[float]:

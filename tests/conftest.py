@@ -9,7 +9,6 @@ from barypoly import (
     solve_alpha,
     trajectory_checks,
 )
-from barypoly.analysis import _linearized_update_matrix
 
 SWEEP_SEED = 20260819
 SWEEP_SIZE = 1000
@@ -50,7 +49,10 @@ def det_residuals():
 
     def residuals(p):
         cert = certificate(p)
-        A = _linearized_update_matrix(p, cert.beta)
+        # the Jacobian of the step at the stationary state: zero diagonal,
+        # -beta everywhere else
+        A = np.full((p, p), -cert.beta)
+        np.fill_diagonal(A, 0.0)
         eye = np.eye(p)
         return tuple(
             abs(float(np.linalg.det(lam * eye - A)))

@@ -1,6 +1,9 @@
 import dataclasses
+import functools
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,10 +32,10 @@ from barypoly import analysis, dynamics
 from barypoly.analysis import (
     _TRAJ_CHECKS,
     _elementary_symmetric,
-    _linearized_update_matrix,
+    _jacobian_action,
     _reliable_horizon,
-    _traj_t_ratio_transfer,
 )
+from barypoly.dynamics import _Batch
 from barypoly.geometry import _polygon_average
 
 
@@ -52,6 +55,12 @@ def test_elementary_symmetric_against_combinations(vals):
 def _traj(u, steps=2):
     u = tuple(u)
     return run_trajectory(ConjugateTuple.of(u), steps, solve_alpha(len(u)))
+
+
+def _check(name, traj):
+    # one registered check on the one-row batch of a record, as
+    # trajectory_checks runs it
+    return _TRAJ_CHECKS[name](_Batch.of_records([traj]))[0]
 
 
 def test_contraction_certificate_hand_case():
@@ -96,13 +105,13 @@ def test_contraction_certificate_errors():
 
 def test_reliable_horizon():
     traj = _traj((0.15, 0.5, 0.85), steps=400)
-    h = _reliable_horizon(traj)
+    h = _reliable_horizon(_Batch.of_records([traj]))[0]
     assert 0 < h <= len(traj.states)
     assert all(1.0 - max(st.u) > 1e-10 for st in traj.states[:h])
 
 
 def test_ratio_monotonicity_catches_corruption():
-    check = _TRAJ_CHECKS["ratio_monotone"]
+    check = functools.partial(_check, "ratio_monotone")
     traj = _traj((0.2, 0.3, 0.4, 0.5), steps=6)
     assert check(traj) == (True, {})
     states = list(traj.states)
@@ -121,7 +130,7 @@ def _fixed_point_traj():
 
 def test_detect_alternation_on_generic_seed():
     traj = _traj((0.2, 0.5, 0.8), steps=400)
-    ok, witness = _TRAJ_CHECKS["phase_alternation"](traj)
+    ok, witness = _check("phase_alternation", traj)
     assert ok
     m0 = witness["m0"]
     assert all(ph is Phase.MIXED for ph in traj.phase[:m0])
@@ -131,7 +140,7 @@ def test_detect_alternation_on_generic_seed():
 
 
 def test_detect_alternation_fixed_point_has_nothing_to_find():
-    ok, witness = _TRAJ_CHECKS["phase_alternation"](_fixed_point_traj())
+    ok, witness = _check("phase_alternation", _fixed_point_traj())
     assert not ok
     assert witness == {"reason": "no decided phase before saturation"}
 
@@ -139,12 +148,12 @@ def test_detect_alternation_fixed_point_has_nothing_to_find():
 def test_even_odd_limits_saturated_is_decided():
     traj = _traj((0.2, 0.5, 0.8), steps=400)
     assert traj.saturation_step is not None
-    ok, witness = _TRAJ_CHECKS["even_odd_limits"](traj)
+    ok, witness = _check("even_odd_limits", traj)
     assert ok and witness["verdict"] in ("even_to_zero_odd_to_one", "even_to_one_odd_to_zero")
 
 
 def test_even_odd_limits_fixed_point_is_undecided():
-    ok, witness = _TRAJ_CHECKS["even_odd_limits"](_fixed_point_traj())
+    ok, witness = _check("even_odd_limits", _fixed_point_traj())
     assert not ok and witness == {"reason": "undecided at the recorded horizon"}
 
 
@@ -152,8 +161,8 @@ def test_verdict_matches_alternation_parity(sweep):
     """The saturation-side verdict and the phase pattern tell the same story:
     whichever parity is BELOW heads to the zero corner."""
     for traj in sweep[::17]:
-        _, alternation = _TRAJ_CHECKS["phase_alternation"](traj)
-        decided, limits = _TRAJ_CHECKS["even_odd_limits"](traj)
+        _, alternation = _check("phase_alternation", traj)
+        decided, limits = _check("even_odd_limits", traj)
         if "m0" not in alternation or not decided:
             continue
         m0 = alternation["m0"]
@@ -163,7 +172,7 @@ def test_verdict_matches_alternation_parity(sweep):
 
 
 def test_comparison_domination():
-    check = _TRAJ_CHECKS["comparison_domination"]
+    check = functools.partial(_check, "comparison_domination")
     assert check(_traj((0.2, 0.5, 0.8), steps=400)) == (True, {})
     assert check(_fixed_point_traj()) == (True, {})  # vacuous: never BELOW
 
@@ -196,7 +205,7 @@ def _comparison_domination_inline(traj, slack=1e-12):
 
 
 def test_comparison_domination_matches_the_inline_orbit(sweep, monkeypatch):
-    check = _TRAJ_CHECKS["comparison_domination"]
+    check = functools.partial(_check, "comparison_domination")
     rng = np.random.default_rng(17)
     verdicts = set()
     for traj in sweep:
@@ -233,7 +242,7 @@ def test_comparison_domination_requires_p3():
     traj = _traj((0.2, 0.3), steps=4)
     assert traj.phase[0] is Phase.BELOW
     with pytest.raises(ValueError, match="p >= 3"):
-        _TRAJ_CHECKS["comparison_domination"](traj)
+        _check("comparison_domination", traj)
 
 
 def test_comparison_orbit_is_the_scalar_map():
@@ -244,12 +253,30 @@ def test_comparison_orbit_is_the_scalar_map():
         x = 1.0 - x ** 3
 
 
+def _dense_jacobian(p, beta):
+    # The Jacobian of the conjugate step at the stationary state as a dense
+    # matrix: zero diagonal, -beta everywhere else.
+    A = np.full((p, p), -beta)
+    np.fill_diagonal(A, 0.0)
+    return A
+
+
 def test_linearized_matrix_and_spectrum(det_residuals):
-    A = _linearized_update_matrix(4, 0.25)
+    A = _dense_jacobian(4, 0.25)
     assert A.shape == (4, 4)
     assert np.all(np.diag(A) == 0.0)
     off = A[~np.eye(4, dtype=bool)]
     assert np.all(off == -0.25)
+    # the matrix-free action is the matrix product, up to the order of the
+    # p - 1 summed terms
+    rng = np.random.default_rng(2)
+    for p in (3, 8, 257):
+        beta = certificate(p).beta
+        A = _dense_jacobian(p, beta)
+        for v in (np.ones(p), rng.uniform(-1.0, 1.0, size=p), rng.uniform(-1.0, 1.0, size=(p, 5))):
+            got = _jacobian_action(v, beta)
+            assert got.shape == v.shape
+            assert np.allclose(got, A @ v, rtol=0.0, atol=p * 2.0**-52 * beta * np.abs(v).sum(axis=0).max())
     assert all(spectral_check(p) for p in range(3, 33))
     with pytest.raises(ValueError):
         spectral_check(2)
@@ -258,10 +285,11 @@ def test_linearized_matrix_and_spectrum(det_residuals):
 
 
 def _spectral_by_products(p, atol=1e-13):
-    # The matrix-vector form spectral_check replaced: one product A @ w per
-    # basis vector of the sum-zero hyperplane.
+    # The matrix-vector form of spectral_check: one product A @ w per basis
+    # vector of the sum-zero hyperplane, with the matrix the Jacobian action
+    # applies.
     cert = certificate(p)
-    A = analysis._linearized_update_matrix(p, cert.beta)
+    A = analysis._jacobian_action(np.eye(p), cert.beta)
     ones = np.ones(p)
     if np.max(np.abs(A @ ones - cert.lambda_repulsive * ones)) > atol:
         return False
@@ -274,14 +302,15 @@ def _spectral_by_products(p, atol=1e-13):
 
 
 def _patch_matrix(monkeypatch, edits):
-    # edits: (row, col, delta) added to the true linearized matrix
-    def edited(p, beta):
-        A = _linearized_update_matrix(p, beta)
+    # edits: (row, col, delta) added to the true linearized matrix, which
+    # spectral_check then applies as a dense product
+    def edited(v, beta):
+        A = _dense_jacobian(len(v), beta)
         for r, c, delta in edits:
             A[r, c] += delta
-        return A
+        return A @ v
 
-    monkeypatch.setattr(analysis, "_linearized_update_matrix", edited)
+    monkeypatch.setattr(analysis, "_jacobian_action", edited)
 
 
 def test_spectral_check_agrees_with_matrix_vector_products(monkeypatch):
@@ -350,7 +379,7 @@ def _corrupt(traj, m, q, delta, where):
 
 
 def _assert_same_t_ratio_verdict(traj):
-    ok, info = _traj_t_ratio_transfer(traj)
+    ok, info = _check("t_ratio_transfer", traj)
     ref_ok, ref_info = _t_ratio_by_pair_loop(traj)
     assert ok == ref_ok
     if not ok:
@@ -388,13 +417,13 @@ def test_t_ratio_transfer_reports_the_first_failure_across_blocks():
     traj = _corrupt(clean, 0, q, 1e-11, "log_products")
     traj = _corrupt(traj, 2, 1, 1e-9, "log_products")
     assert not _assert_same_t_ratio_verdict(traj)
-    ok, info = _traj_t_ratio_transfer(traj)
+    ok, info = _check("t_ratio_transfer", traj)
     assert info["step"] == 0 and info["pair"][0] == q
     # a first failure (k, 200) with k in an early block lies in that block's
     # rectangle of far columns, not in its own triangle
     traj = _corrupt(clean, 2, 200, 1e-9, "log_products")
     assert not _assert_same_t_ratio_verdict(traj)
-    ok, info = _traj_t_ratio_transfer(traj)
+    ok, info = _check("t_ratio_transfer", traj)
     assert info["step"] == 2 and info["pair"][0] < 100 and info["pair"][1] == 200
 
 
@@ -419,6 +448,46 @@ def test_polygon_average_matches_polygon_step():
         rolled = w * rolled + (1.0 - w) * np.roll(rolled, -1, axis=0)
     assert np.array_equal(raw, B.points)
     assert np.array_equal(raw, rolled)
+
+
+def _polygon_collapse_by_loop(rng):
+    # The collapse check as it was before the polygons were stacked: each
+    # draw iterated on its own, straight after it is drawn.
+    worst = 0.0
+    for _ in range(8):
+        p = int(rng.integers(3, 8))
+        dim = int(rng.integers(1, 4))
+        pts = PointSet.of(rng.uniform(-1.0, 1.0, size=(p, dim))).require_distinct()
+        t = WeightTuple.of(rng.uniform(0.1, 0.9, size=p))
+        target = analysis.limit_point(pts, t)
+        w = np.asarray(t.t)[:, None]
+        B = pts.points
+        for _ in range(500):
+            B = _polygon_average(B, w)
+        err = float(np.max(np.linalg.norm(B - target, axis=1)))
+        if not err <= 1e-8:
+            return False, {"p": p, "dim": dim, "err": err}
+        worst = max(worst, err)
+    return True, {"draws": 8, "worst_err": worst}
+
+
+def test_polygon_collapse_matches_the_per_polygon_loop(monkeypatch):
+    for seed in range(16):
+        got = analysis._check_polygon_collapse(np.random.default_rng(seed))
+        assert got == _polygon_collapse_by_loop(np.random.default_rng(seed))
+    # a target moved off the limit point fails, in the draw that owns it
+    real = analysis.limit_point
+    calls = []
+
+    def moved(A, t):
+        calls.append(None)
+        return real(A, t) + (1e-6 if len(calls) == 5 else 0.0)
+
+    monkeypatch.setattr(analysis, "limit_point", moved)
+    got = analysis._check_polygon_collapse(np.random.default_rng(3))
+    calls.clear()
+    assert got == _polygon_collapse_by_loop(np.random.default_rng(3))
+    assert not got[0] and got[1]["err"] > 1e-8
 
 
 def test_polygon_collapse_fails_on_nan(monkeypatch):
@@ -564,7 +633,9 @@ def test_default_suite_draws_each_p_as_one_batch_of_per_seed_draws(monkeypatch):
 
     def recording(u0, max_steps, alpha):
         batches.append(u0.copy())
-        return real(u0, max_steps, alpha)
+        batch = real(u0, max_steps, alpha)
+        assert batch.U.shape[0] == batch.length.size == len(u0)
+        return batch
 
     monkeypatch.setattr(analysis, "_run_batch", recording)
     p_values = (5, 3, 8)
@@ -609,3 +680,76 @@ def test_sweep_is_fully_clean(sweep_results):
     for res in sweep_results:
         for name, r in res.items():
             assert r.passed, (name, r.witness)
+
+
+def test_each_row_of_a_batch_gets_the_verdict_of_its_own_batch():
+    # Rows of different lengths share one batch: saturated and unsaturated
+    # rows, the fixed tuple, which never saturates, and a corrupted record.
+    # Every check must give each row the verdict of that row's one-row batch,
+    # so nothing leaks between rows through the padding.
+    rng = np.random.default_rng(9)
+    for p in (3, 5, 8, 32, 256):
+        alpha = solve_alpha(p)
+        seeds = rng.uniform(1e-3, 1.0 - 1e-3, size=(6, p))
+        records = [run_trajectory(ConjugateTuple.of(u), steps, alpha)
+                   for u, steps in zip(seeds, (20, 20, 3, 20, 1, 0))]
+        records.insert(2, run_trajectory(ConjugateTuple.of([alpha] * p), 20, alpha))
+        records.insert(4, analysis._perturbed_record(records[0]))
+        assert records[2].saturation_step is None and len(records[2]) == 21
+        assert {r.saturation_step is None for r in records} == {True, False}
+        assert len({len(r) for r in records}) >= 2
+        batch = _Batch.of_records(records)
+        for name, check in _TRAJ_CHECKS.items():
+            alone = [check(_Batch.of_records([r]))[0] for r in records]
+            assert check(batch) == alone, (p, name)
+        verdicts = [r.passed for r in trajectory_checks(records[4])]
+        assert not all(verdicts)
+
+
+def _json_numbers(value):
+    # every number of a JSON-ready structure, keys excluded
+    if isinstance(value, dict):
+        return [x for v in value.values() for x in _json_numbers(v)]
+    if isinstance(value, list):
+        return [x for v in value for x in _json_numbers(v)]
+    return [value] if isinstance(value, (int, float)) else []
+
+
+def test_default_suite_reports_are_pinned():
+    # Reports captured before the sweep was checked as one array batch per
+    # p, byte for byte, failure witnesses and the contraction reason string
+    # included.  Their numbers are plain int and float: numpy scalars would
+    # serialize differently, or not at all.
+    golden = json.loads((Path(__file__).parent / "golden_default_suite.json").read_text())
+    reasons = []
+    for case in golden:
+        report = [r.as_json() for r in default_suite(**case["kwargs"])]
+        assert json.dumps(report, sort_keys=True) == json.dumps(case["report"], sort_keys=True)
+        assert {type(x) for x in _json_numbers(report)} <= {bool, int, float}
+        reasons += [r["witness"]["first_failure"]["reason"] for r in report
+                    if r["name"] == "contraction_certificates" and not r["passed"]]
+    assert reasons and all(r.startswith("recurrence identity residuals") for r in reasons)
+
+
+def test_default_suite_builds_no_conjugate_tuple(monkeypatch):
+    # The sweep is checked in arrays from stepping to verdict: no state of it
+    # becomes a ConjugateTuple, and no record is built.
+    built = []
+    post_init = ConjugateTuple.__post_init__
+    from_checked = ConjugateTuple._from_checked.__func__
+
+    def counted_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    def counted_from_checked(cls, u):
+        built.append(u)
+        return from_checked(cls, u)
+
+    monkeypatch.setattr(ConjugateTuple, "__post_init__", counted_post_init)
+    monkeypatch.setattr(ConjugateTuple, "_from_checked", classmethod(counted_from_checked))
+    results = default_suite(p_values=(3, 8), seeds_per_p=20)
+    assert all(r.passed for r in results)
+    assert built == []
+    # the counters see the states of a record
+    assert len(run_trajectory(ConjugateTuple.of((0.2, 0.5, 0.8)), 3, solve_alpha(3))) == len(built) - 1
