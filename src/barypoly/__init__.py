@@ -7,43 +7,46 @@ iterates the sorted conjugate state with saturation tracking, verifies the
 qualitative structure (order preservation, two-step contraction, phase
 alternation, even/odd boundary limits), and follows the dual sequence of
 polygon limit points.
+
+Only the stationary layer, which needs nothing but math, loads with the
+package; a name of the numpy-backed layers loads its module on first access
+(PEP 562), so importing the package does not import numpy.
 """
-from .analysis import (
-    KNOWN_CHECKS,
-    CheckResult,
-    ContractionCertificate,
-    VerificationError,
-    contraction_certificate,
-    default_suite,
-    spectral_check,
-    trajectory_checks,
-)
-from .dynamics import (
-    ConjugateTuple,
-    Phase,
-    SaturationError,
-    TrajectoryRecord,
-    WeightTuple,
-    classify_phase,
-    comparison_sequence,
-    conjugate_of,
-    conjugate_step,
-    derived_step,
-    run_trajectory,
-)
-from .geometry import (
-    DualSequenceRecord,
-    PointSet,
-    centroid,
-    dual_sequence,
-    dual_weight_trajectory,
-    limit_point,
-    polygon_step,
-    weight_orders,
-)
+from importlib import import_module
+
 from .stationary import StationaryCertificate, alpha_residual, certificate, solve_alpha, stationary_weights
 
 __version__ = "0.1.0"
+
+_HOME = {
+    name: module
+    for module, names in (
+        ("analysis", "KNOWN_CHECKS CheckResult ContractionCertificate VerificationError "
+                     "contraction_certificate default_suite spectral_check trajectory_checks"),
+        ("dynamics", "ConjugateTuple Phase SaturationError TrajectoryRecord WeightTuple classify_phase "
+                     "comparison_sequence conjugate_of conjugate_step derived_step run_trajectory"),
+        ("geometry", "DualSequenceRecord PointSet centroid dual_sequence dual_weight_trajectory "
+                     "limit_point polygon_step weight_orders"),
+    )
+    for name in names.split()
+}
+
+
+def __getattr__(name: str):
+    # a layer's own name stays a package attribute, as when every layer loaded eagerly
+    if name in _HOME:
+        value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _HOME.values():
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()).union(__all__))
+
 
 __all__ = [
     "__version__",

@@ -467,11 +467,13 @@ def _traj_phase_alternation(batch: _Batch) -> list[tuple[bool, dict]]:
     offset = np.arange(phase.shape[1]) - m0[:, None]
     expected = np.where(offset % 2 == 0, first, -first)
     violations = ((phase != expected) & valid & (offset >= 0)).sum(axis=-1)
+    undecided = np.where(batch.saturation_step >= 0, "no decided phase before saturation",
+                         "no decided phase within the recorded horizon").tolist()
     return [
-        (False, {"reason": "no decided phase before saturation"}) if not has
+        (False, {"reason": why}) if not has
         else (False, {"m0": m, "violations": v}) if v
         else (True, {"m0": m})
-        for has, m, v in zip(decided.any(axis=-1).tolist(), m0.tolist(), violations.tolist())
+        for has, m, v, why in zip(decided.any(axis=-1).tolist(), m0.tolist(), violations.tolist(), undecided)
     ]
 
 

@@ -9,6 +9,11 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error.
 Options may be loaded from a JSON config file; explicit flags win.
+
+Each subcommand imports the layers it uses when it runs, so that alpha, a
+usage error and --help load only the stationary layer and never numpy:
+trajectory loads dynamics, dual and figure load dynamics and geometry, and
+verify loads analysis and dynamics (and through them geometry).
 """
 from __future__ import annotations
 
@@ -17,21 +22,15 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .analysis import KNOWN_CHECKS, _perturbed_record, default_suite, trajectory_checks
-from .dynamics import SaturationError, WeightTuple, conjugate_of, run_trajectory
-from .geometry import (
-    PointSet,
-    _regular_polygon,
-    centroid,
-    dual_sequence,
-    limit_point,
-    polygon_step,
-    weight_orders,
-)
 from .stationary import certificate, solve_alpha
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .dynamics import WeightTuple
+    from .geometry import PointSet
 
 __all__ = ["main", "RunConfig", "figure_iterates"]
 
@@ -170,6 +169,8 @@ def cmd_alpha(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_trajectory(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    from .dynamics import WeightTuple, conjugate_of, run_trajectory
+
     cfg = _resolve_config(args)
     if cfg.weights is None:
         parser.error("trajectory needs --weights (comma separated, each in (0,1))")
@@ -208,12 +209,17 @@ def cmd_trajectory(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
 # ---------------------------------------------------------------------------
 
 def _points_from_config(cfg: RunConfig, p: int) -> PointSet:
+    from .geometry import PointSet, _regular_polygon
+
     if cfg.points is not None:
         return PointSet.of(cfg.points)
     return _regular_polygon(p)
 
 
 def cmd_dual(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    from .dynamics import WeightTuple
+    from .geometry import dual_sequence
+
     cfg = _resolve_config(args)
     if cfg.weights is None:
         parser.error("dual needs --weights (comma separated, each in (0,1))")
@@ -247,6 +253,9 @@ def cmd_dual(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    from .analysis import KNOWN_CHECKS, _perturbed_record, default_suite, trajectory_checks
+    from .dynamics import WeightTuple, conjugate_of, run_trajectory
+
     cfg = _resolve_config(args)
     checks = args.check or None
     if checks:
@@ -300,6 +309,9 @@ def figure_iterates(A: PointSet, t: WeightTuple) -> list[PointSet]:
     Iterates until at least 60 steps are drawn and the diameter has dropped
     below 1e-3 times the initial diameter, hard-capped at 20000 steps.
     """
+    import numpy as np
+
+    from .geometry import polygon_step
 
     def diameter(ps: PointSet) -> float:
         pts = ps.points
@@ -332,6 +344,8 @@ def _svg_poly(points: np.ndarray, to_px, color: str, width: float, opacity: floa
 
 def _render_svg(families: list[tuple[list[PointSet], str]], limits: list[tuple[np.ndarray, str]],
                 center_pt: np.ndarray) -> str:
+    import numpy as np
+
     all_pts = np.vstack([ps.points for fam, _ in families for ps in fam])
     lo = all_pts.min(axis=0)
     hi = all_pts.max(axis=0)
@@ -368,6 +382,9 @@ def _render_svg(families: list[tuple[list[PointSet], str]], limits: list[tuple[n
 
 
 def cmd_figure(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    from .dynamics import WeightTuple
+    from .geometry import centroid, limit_point, weight_orders
+
     cfg = _resolve_config(args)
     if cfg.weights is None:
         parser.error("figure needs --weights (comma separated, each in (0,1))")
@@ -470,10 +487,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     # Subcommands raise ValueError for bad input, OSError for unusable files
-    # and SaturationError for input whose iteration leaves (0, 1).
+    # and SaturationError for input whose iteration leaves (0, 1).  Other
+    # ArithmeticErrors propagate; only they make main load dynamics.
     try:
         return args.fn(args, parser)
-    except (OSError, ValueError, SaturationError) as exc:
+    except (OSError, ValueError, ArithmeticError) as exc:
+        if isinstance(exc, ArithmeticError):
+            from .dynamics import SaturationError
+
+            if not isinstance(exc, SaturationError):
+                raise
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -142,7 +142,22 @@ def test_detect_alternation_on_generic_seed():
 def test_detect_alternation_fixed_point_has_nothing_to_find():
     ok, witness = _check("phase_alternation", _fixed_point_traj())
     assert not ok
-    assert witness == {"reason": "no decided phase before saturation"}
+    assert witness == {"reason": "no decided phase within the recorded horizon"}
+
+
+def test_undecided_phase_blames_saturation_only_when_the_orbit_saturated():
+    # a MIXED seed at --steps 0 never took a step, let alone saturated
+    unstepped = _traj((0.2, 0.5, 0.8), steps=0)
+    assert unstepped.saturation_step is None
+    assert _check("phase_alternation", unstepped) == (
+        False, {"reason": "no decided phase within the recorded horizon"})
+    # at p = 256 a random seed saturates at its first step, so only the MIXED
+    # seed is recorded
+    rng = np.random.default_rng(0)
+    saturated = _traj(sorted(rng.uniform(1e-3, 1.0 - 1e-3, size=256)), steps=400)
+    assert saturated.saturation_step == 1 and len(saturated) == 1
+    assert _check("phase_alternation", saturated) == (
+        False, {"reason": "no decided phase before saturation"})
 
 
 def test_even_odd_limits_saturated_is_decided():
@@ -586,7 +601,7 @@ def test_trajectory_check_witnesses_are_pinned():
     assert [r.witness for r in trajectory_checks(readme_seed)] == list(expected.values())
     failed = {r.name: r.witness for r in trajectory_checks(_fixed_point_traj()) if not r.passed}
     assert failed == {
-        "phase_alternation": {"reason": "no decided phase before saturation"},
+        "phase_alternation": {"reason": "no decided phase within the recorded horizon"},
         "even_odd_limits": {"reason": "undecided at the recorded horizon"},
     }
 

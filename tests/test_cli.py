@@ -222,16 +222,17 @@ def test_verify_rejects_a_sweep_of_no_seeds(capsys):
 
 
 def test_verify_passes_explicit_steps_through(monkeypatch, capsys):
-    import barypoly.cli as cli
+    from barypoly import analysis
 
     seen = []
-    real_suite = cli.default_suite
+    real_suite = analysis.default_suite
 
     def recording_suite(**kwargs):
         seen.append(kwargs["max_steps"])
         return real_suite(**kwargs)
 
-    monkeypatch.setattr(cli, "default_suite", recording_suite)
+    # verify imports default_suite when it runs, so it reads the patched name
+    monkeypatch.setattr(analysis, "default_suite", recording_suite)
     base = ["verify", "--p", "3", "--seeds", "1", "--check", "fixed_point"]
     for steps in (199, 200, 201):
         assert main(base + ["--steps", str(steps)]) == 0
@@ -298,6 +299,77 @@ def test_module_entry_point():
         line for line in proc.stdout.splitlines() if line.startswith("alpha = ")
     )
     assert float(alpha_line.split("=")[1]) == pytest.approx(0.6180339887498949, abs=1e-15)
+
+
+def _run_fresh(code):
+    # a fresh interpreter on the package under test, installed or not, so
+    # that sys.modules shows exactly what the code imported
+    src = str(Path(barypoly.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_alpha_help_and_the_stationary_names_do_not_load_numpy():
+    _run_fresh("""
+import contextlib, io, sys
+from barypoly.cli import main
+
+def exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    assert exit_code(["alpha", "--p", "5", "--json"]) == 0
+    assert exit_code(["alpha", "--p", "5"]) == 0
+    assert exit_code(["--help"]) == 0
+    assert exit_code(["alpha"]) == 2
+import barypoly
+assert barypoly.certificate(4).p == 4 and 0.0 < barypoly.solve_alpha(9) < 1.0
+assert "numpy" not in sys.modules, sorted(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    assert main(["trajectory", "--weights", "0.2,0.5,0.8", "--steps", "3"]) == 0
+assert "numpy" in sys.modules
+""")
+
+
+def test_package_names_load_from_their_home_modules():
+    _run_fresh("""
+import importlib, sys
+import barypoly
+assert "barypoly.geometry" not in sys.modules
+assert barypoly.geometry is importlib.import_module("barypoly.geometry")
+from barypoly import analysis, cli, dynamics, geometry, stationary
+for mod in (analysis, cli, dynamics, geometry, stationary):
+    assert mod is sys.modules[mod.__name__]
+assert len(barypoly.__all__) == 33 and set(barypoly.__all__) <= set(dir(barypoly))
+for name in barypoly.__all__[1:]:
+    [home] = [m for m in (analysis, dynamics, geometry, stationary) if name in m.__all__]
+    assert getattr(barypoly, name) is getattr(home, name), name
+star = {}
+exec("from barypoly import *", star)
+assert set(barypoly.__all__) <= set(star)
+try:
+    barypoly.nonexistent
+except AttributeError:
+    pass
+else:
+    raise AssertionError("barypoly.nonexistent resolved")
+""")
+
+
+def test_arithmetic_errors_other_than_saturation_propagate(monkeypatch):
+    from barypoly import cli
+
+    def fault(args, parser):
+        raise ZeroDivisionError("a fault, not an input error")
+
+    monkeypatch.setattr(cli, "cmd_alpha", fault)
+    with pytest.raises(ZeroDivisionError):
+        main(["alpha", "--p", "3"])
 
 
 def _readme_blocks(lang):
