@@ -45,7 +45,6 @@ from .geometry import (
     PointSet,
     _regular_polygon,
     dual_sequence,
-    dual_weight_trajectory,
     limit_point,
 )
 from .stationary import certificate, solve_alpha
@@ -411,28 +410,92 @@ def _ratio_gap(lp_k, lp_l, u_k, u_l) -> np.ndarray:
     return np.abs(gap, gap)
 
 
+# Tolerance of every pair gap in t_ratio_transfer.
+_T_RATIO_TOL = 1e-12
+# From this p on, _traj_t_ratio_transfer screens each state in O(p) before
+# its pair scan; below it the pair scan alone is cheaper.
+_SCREEN_MIN_P = 16
+_EPS = 2.0**-53
+# Relative error allowed for numpy's exp, expm1 and log: 4 ulp.
+_LIBM_REL = 8 * _EPS
+
+
+def _t_ratio_bound(lp: np.ndarray, u: np.ndarray) -> np.ndarray:
+    # For each sorted state (row) of (states, p) arrays, an upper bound on
+    # every gap |exp(lp_l - lp_k) - u_k / u_l| that _ratio_gap computes, in
+    # O(p); non-finite data anywhere in a state makes its bound NaN.
+    #
+    # With exact logs, r_k = lp_k + log u_k and x = lp_l - lp_k give
+    # exp(x) = (u_k/u_l) exp(r_l - r_k): every gap is small when the r_k
+    # are nearly equal.  The computed b = log u carries a relative error of
+    # at most eta = 4 ulp <= 8 eps, and lp_k + b_k is kept exactly as the
+    # TwoSum pair (s_k, e_k).  d_k = (s_k - s_0) + e_k takes two roundings,
+    # so it is lp_k + b_k - s_0 to within 2 eps |d_k| + eps |e_k|.  With
+    # R = max d - min d, every pair then has
+    #     |r_l - r_k| <= R + 2 eta max|b| + 4 eps max|d| + 2 eps max|e|.
+    # Rounding x costs eps |x| <= eps (|r_l - r_k| + 2 max|b|), so the
+    # computed exp argument is x + t with |t| <= Delta, the sum of these
+    # terms, and exp(x + t) is within (u_k/u_l) expm1(Delta) of u_k/u_l.  A
+    # sorted state has u_k/u_l <= 1, so with exp's own error eta and the
+    # roundings of the quotient and the difference
+    #     gap <= (expm1(Delta) (1 + eta) + eta + eps) (1 + eps).
+    # Underflow adds at most a few 2^-1074, far inside the eps terms.  The
+    # bound holds to first order in eps; the terms of order eps^2 and the
+    # rounding of the bound's own evaluation move it by a relative ~30 eps,
+    # which the caller's factor 2 covers.  The temporaries are a few arrays
+    # of the shape of lp.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b = np.log(u)
+        # TwoSum: s + e == lp + b exactly
+        s = lp + b
+        z = s - lp
+        e = (lp - (s - z)) + (b - z)
+        d = (s - s[:, :1]) + e
+        spread = d.max(axis=1) - d.min(axis=1)
+        max_b = np.abs(b).max(axis=1)
+        delta = (spread + 2 * _LIBM_REL * max_b + _EPS * (spread + 2 * max_b)
+                 + 4 * _EPS * np.abs(d).max(axis=1) + 2 * _EPS * np.abs(e).max(axis=1))
+        return (np.expm1(delta) * (1 + _LIBM_REL) + _LIBM_REL + _EPS) * (1 + _EPS)
+
+
+def _t_ratio_cleared(lp: np.ndarray, u: np.ndarray) -> np.ndarray:
+    # The states whose pairs all pass at _T_RATIO_TOL by _t_ratio_bound, with
+    # a factor 2 to spare.  An unsorted state, or one with a NaN or an
+    # infinity, is not cleared.
+    in_order = (u[:, 1:] >= u[:, :-1]).all(axis=1)
+    return in_order & (2.0 * _t_ratio_bound(lp, u) <= _T_RATIO_TOL)
+
+
 def _traj_t_ratio_transfer(batch: _Batch) -> list[tuple[bool, dict]]:
     # Weight components of step m+1 are exp(log_products[m]); their ratios
     # must mirror the inverted conjugate ratios of step m: for every even m
-    # and pair k < l, |exp(lp[l] - lp[k]) - u[k] / u[l]| <= 1e-12.
+    # and pair k < l, |exp(lp[l] - lp[k]) - u[k] / u[l]| <= _T_RATIO_TOL.  A
+    # NaN gap fails.
     #
     # The recorded even states of all rows are gathered into one (states, p)
-    # array, ordered by row and then step, and compared at once in blocks of
-    # columns k0 <= k < k1.  The pairs with both ends inside the block are
-    # gathered through the cached triangle indices; those with l >= k1 form
-    # a rectangle and are broadcast.  Small p is one block with no
-    # rectangle; at large p the block size bounds the temporaries.  The
-    # failure reported for a row is its first in (step, k, l) order,
-    # whichever part of which block holds it.
+    # array, ordered by row and then step.  From _SCREEN_MIN_P on, the states
+    # that _t_ratio_cleared clears are dropped: all their pairs pass.  The
+    # rest are compared at once in blocks of columns k0 <= k < k1.  The
+    # pairs with both ends inside the block are gathered through the cached
+    # triangle indices; those with l >= k1 form a rectangle and are
+    # broadcast.  Small p is one block with no rectangle; at large p the
+    # block size bounds the temporaries.  The failure reported for a row is
+    # its first in (step, k, l) order, whichever part of which block holds
+    # it.
     row_of, m_of = np.nonzero(batch.valid[:, ::2])
     lp, u = batch.log_products[row_of, 2 * m_of], batch.U[row_of, 2 * m_of]
+    if lp.shape[1] >= _SCREEN_MIN_P:
+        scan = ~_t_ratio_cleared(lp, u)
+        row_of, m_of, lp, u = row_of[scan], m_of[scan], lp[scan], u[scan]
+    if not len(lp):
+        return [(True, {}) for _ in batch.length]
     n, p = lp.shape
-    width = max(1, min(p, _BLOCK_ELEMS // max(1, n * p)))
+    width = max(1, min(p, _BLOCK_ELEMS // (n * p)))
     found: list[list[tuple]] = [[] for _ in batch.length]
 
     def note(gap, pair):
         # gap is (states, pairs); pair maps a pair's index to its (k, l)
-        bad = gap > 1e-12
+        bad = ~(gap <= _T_RATIO_TOL)
         for s in np.flatnonzero(bad.any(axis=1)).tolist():
             q = int(bad[s].argmax())
             found[row_of[s]].append((int(m_of[s]), *pair(q), float(gap[s, q])))
@@ -622,8 +685,7 @@ def _check_dual_convergence(rng: np.random.Generator) -> tuple[bool, dict]:
         return False, {"reason": "reference seed distance floor", "min": float(record.distances_to_centroid.min())}
     if record.fitted_rate is None or not record.fitted_rate < 0.0:
         return False, {"reason": "fitted rate", "rate": record.fitted_rate}
-    rows = dual_weight_trajectory(seed, 60)
-    norm_err = float(np.max(np.abs(rows.sum(axis=1) - 1.0)))
+    norm_err = float(np.max(np.abs(record.weights.sum(axis=1) - 1.0)))
     if norm_err > 1e-14:
         return False, {"reason": "weight normalization", "err": norm_err}
 

@@ -97,12 +97,14 @@ class DualSequenceRecord:
 
     fitted_rate is the least-squares slope of log distance against m over the
     final half of the samples exceeding 1e-13, or None when fewer than five
-    such samples exist.
+    such samples exist.  weights holds the rows of dual_weight_trajectory
+    that give the points.
     """
 
     points: np.ndarray
     distances_to_centroid: np.ndarray
     fitted_rate: float | None
+    weights: np.ndarray
 
 
 def centroid(A: PointSet) -> np.ndarray:
@@ -190,6 +192,7 @@ def dual_sequence(A: PointSet, t0: WeightTuple, steps: int) -> DualSequenceRecor
         points=pts,
         distances_to_centroid=dists,
         fitted_rate=_fit_rate(dists),
+        weights=weights,
     )
 
 

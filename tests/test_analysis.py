@@ -365,7 +365,7 @@ def _t_ratio_by_pair_loop(traj):
             for l in range(k + 1, p):
                 lhs = math.exp(lp[l] - lp[k])
                 rhs = u[k] / u[l]
-                if abs(lhs - rhs) > 1e-12:
+                if not abs(lhs - rhs) <= 1e-12:
                     return False, {"step": m, "pair": [k, l], "diff": abs(lhs - rhs)}
     return True, {}
 
@@ -399,14 +399,33 @@ def _assert_same_t_ratio_verdict(traj):
     assert ok == ref_ok
     if not ok:
         assert (info["step"], info["pair"]) == (ref_info["step"], ref_info["pair"])
-        assert info["diff"] == pytest.approx(ref_info["diff"], rel=1e-6)
+        assert info["diff"] == pytest.approx(ref_info["diff"], rel=1e-6, nan_ok=True)
     return ok
+
+
+def _with_log_product(traj, m, q, value):
+    lps = [list(row) for row in traj.log_products]
+    lps[m][q] = value
+    return dataclasses.replace(traj, log_products=tuple(tuple(r) for r in lps))
+
+
+def _unsorted_record(rows, consistent):
+    # A record of the rows with their first two components swapped; the log
+    # products are those of the swapped rows if consistent, else of the
+    # sorted rows.
+    swapped = [(row[1], row[0], *row[2:]) for row in rows]
+    lps = dynamics._step(np.array(swapped if consistent else rows))[0]
+    return dataclasses.replace(
+        _record_of_states(rows),
+        states=tuple(ConjugateTuple.of(row) for row in swapped),
+        log_products=tuple(tuple(row) for row in lps.tolist()),
+    )
 
 
 def test_t_ratio_transfer_agrees_with_pair_loop():
     rng = np.random.default_rng(7)
     verdicts = []
-    for p, n_states in [(p, 7) for p in range(3, 9)] + [(64, 5), (256, 5)]:
+    for p, n_states in [(p, 7) for p in range(3, 9)] + [(16, 5), (64, 5), (256, 5)]:
         rows = [sorted(rng.uniform(1e-3, 1.0 - 1e-3, size=p)) for _ in range(n_states)]
         clean = _record_of_states(rows)
         verdicts.append(_assert_same_t_ratio_verdict(clean))
@@ -417,6 +436,121 @@ def test_t_ratio_transfer_agrees_with_pair_loop():
             where = ("log_products", "states")[int(rng.integers(0, 2))]
             verdicts.append(_assert_same_t_ratio_verdict(_corrupt(clean, m, q, delta, where)))
     assert True in verdicts and False in verdicts
+
+    # At p = 16 and 1024 every state meets the screen first: corruptions on
+    # both sides of the 1e-12 tolerance in either field, non-finite log
+    # products and unsorted states.  Components in (0.3, 0.7) keep every
+    # ratio u_k / u_l above 0.4, so a corrupted component moves the gaps of
+    # its pairs by about delta.
+    for p in (16, 1024):
+        rows = [sorted(rng.uniform(0.3, 0.7, size=p))]
+        clean = _record_of_states(rows)
+        assert _assert_same_t_ratio_verdict(clean)
+        passed = {}
+        for delta in (1e-13, 3e-13, 1e-12, 3e-12, 1e-11):
+            for where in ("log_products", "states"):
+                traj = _corrupt(clean, 0, int(rng.integers(1, p - 1)), delta, where)
+                passed[delta, where] = _assert_same_t_ratio_verdict(traj)
+        assert passed[1e-13, "log_products"] and passed[1e-13, "states"]
+        assert not passed[1e-11, "log_products"] and not passed[1e-11, "states"]
+        for value in (math.nan, math.inf, -math.inf):
+            assert not _assert_same_t_ratio_verdict(_with_log_product(clean, 0, p // 2, value))
+        assert not _assert_same_t_ratio_verdict(_unsorted_record(rows, consistent=False))
+        _assert_same_t_ratio_verdict(_unsorted_record(rows, consistent=True))
+
+
+def test_t_ratio_transfer_fails_on_a_nan_gap():
+    traj = _with_log_product(_traj((0.2, 0.5, 0.8), steps=400), 0, 2, math.nan)
+    assert not _assert_same_t_ratio_verdict(traj)
+    ok, info = _check("t_ratio_transfer", traj)
+    assert (info["step"], info["pair"]) == (0, [0, 2]) and math.isnan(info["diff"])
+
+
+def _largest_pair_gaps(lp, u):
+    # The largest gap of every state by the pair scan's own arithmetic,
+    # one k at a time.
+    out = np.zeros(len(lp))
+    for k in range(lp.shape[1] - 1):
+        gap = analysis._ratio_gap(lp[:, k : k + 1], lp[:, k + 1 :], u[:, k : k + 1], u[:, k + 1 :])
+        out = np.maximum(out, gap.max(axis=1))
+    return out
+
+
+def _screen_families(p, n, rng):
+    # (name, sorted states) of the orbit states of 2n seeds and n states of
+    # each adversarial family at p
+    batch = dynamics._run_batch(rng.uniform(1e-3, 1.0 - 1e-3, size=(2 * n, p)), 400, solve_alpha(p))
+    uniform = np.sort(rng.uniform(1e-3, 1.0 - 1e-3, size=(n, p)), axis=1)
+    some = rng.random((n, p)) < 0.3
+    # as in test_t_ratio_transfer_reports_the_first_failure_across_blocks
+    lead = int(0.6 * p)
+    middle = np.sort(rng.uniform(0.3, 0.7, size=(n, p - lead)), axis=1)
+    return [
+        ("orbit", batch.U[batch.valid]),
+        ("all tied", np.repeat(np.geomspace(0.37, 1e-9, n)[:, None], p, axis=1)),
+        ("tied groups", np.sort(rng.choice([0.1, 0.4, 0.9], size=(n, p)), axis=1)),
+        ("near 0", np.sort(np.where(some, rng.uniform(1e-14, 1e-12, (n, p)), uniform), axis=1)),
+        ("near 1", np.sort(np.where(some, 1.0 - rng.uniform(1e-13, 1e-12, (n, p)), uniform), axis=1)),
+        ("small leading", np.concatenate((np.full((n, lead), 0.01), middle), axis=1)),
+    ]
+
+
+@pytest.mark.parametrize("p", [16, 17, 64, 1024, 4096])
+def test_t_ratio_screen_bounds_every_pair_gap(p):
+    # The screen's bound is at least the largest gap the pair scan computes,
+    # on program-made log products, on log products moved by noise on both
+    # sides of the tolerance, and on exactly consistent ties.
+    rng = np.random.default_rng(p)
+    for name, u in _screen_families(p, 1 if p > 1024 else 2, rng):
+        lp = dynamics._step(u)[0]
+        for noise in (0.0, 1e-13, 1e-12):
+            moved = lp + noise * rng.uniform(-1.0, 1.0, size=lp.shape) * np.abs(lp)
+            bound, gaps = analysis._t_ratio_bound(moved, u), _largest_pair_gaps(moved, u)
+            assert (gaps <= bound).all(), (name, noise, gaps.max(), bound.min())
+        if name == "orbit" and p <= 1024:
+            # every clean orbit state below p = 4096 is cleared
+            assert analysis._t_ratio_cleared(lp, u).all()
+
+
+def test_t_ratio_screen_clears_no_unsorted_or_non_finite_state():
+    u = np.linspace(0.4, 0.5, 32)[None]
+    lp = dynamics._step(u)[0]
+    assert analysis._t_ratio_cleared(lp, u).all()
+    swapped = u[:, ::-1].copy()
+    assert not analysis._t_ratio_cleared(dynamics._step(swapped)[0], swapped).any()
+    for value in (math.nan, math.inf, -math.inf):
+        bad = lp.copy()
+        bad[0, 5] = value
+        assert not analysis._t_ratio_cleared(bad, u).any()
+        bad_u = u.copy()
+        bad_u[0, -1] = value
+        assert not analysis._t_ratio_cleared(lp, bad_u).any()
+    zero = u.copy()
+    zero[0, 0] = 0.0
+    assert not analysis._t_ratio_cleared(lp, zero).any()
+
+
+def test_t_ratio_transfer_scans_only_the_states_the_screen_cannot_clear(monkeypatch):
+    scanned = []
+    ratio_gap = analysis._ratio_gap
+
+    def counting(lp_k, *rest):
+        # the first axis of every operand of the pair scan runs over states
+        scanned.append(np.shape(lp_k)[0])
+        return ratio_gap(lp_k, *rest)
+
+    monkeypatch.setattr(analysis, "_ratio_gap", counting)
+    for p_values in ((16, 64), (1024,)):
+        (clean,) = default_suite(p_values=p_values, seeds_per_p=4, checks=["t_ratio_transfer"])
+        assert clean.passed and scanned == []
+    (faulty,) = default_suite(p_values=(1024,), seeds_per_p=4, checks=["t_ratio_transfer"], inject_fault=True)
+    assert not faulty.passed and set(scanned) == {1}
+    # below the screen's p every even state is scanned
+    seeds = np.random.default_rng(0).uniform(1e-3, 1.0 - 1e-3, size=(4, 8))
+    batch = dynamics._run_batch(seeds, 400, solve_alpha(8))
+    scanned.clear()
+    analysis._traj_t_ratio_transfer(batch)
+    assert scanned == [int(batch.valid[:, ::2].sum())]
 
 
 def test_t_ratio_transfer_reports_the_first_failure_across_blocks():
