@@ -83,13 +83,18 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_numbers(value) -> bool:
+    # a JSON array of numbers; true and false are not numbers
+    return isinstance(value, list) and all(_is_int(v) or isinstance(v, float) for v in value)
+
+
 def _config_value(key: str, value):
     # Each key's JSON type is checked here, so that a malformed value is an
     # input error (exit 2) instead of a TypeError deep in a subcommand.
     if key == "weights":
-        ok = isinstance(value, list) and all(_is_int(v) or isinstance(v, float) for v in value)
+        ok = _is_numbers(value)
     elif key == "points":
-        ok = isinstance(value, list) and all(isinstance(row, list) for row in value)
+        ok = isinstance(value, list) and all(_is_numbers(row) for row in value)
     elif key == "output_dir":
         ok = isinstance(value, str)
     else:

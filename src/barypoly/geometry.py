@@ -121,13 +121,15 @@ def _regular_polygon(p: int) -> PointSet:
 
 
 def _normalized_weights(log_w: np.ndarray) -> np.ndarray:
-    shift = np.max(log_w)
-    if not np.isfinite(shift):
-        # every log weight is -inf: the mass ratios are degenerate and the
-        # mathematical limit of the normalized weights is uniform
-        return np.full(log_w.size, 1.0 / log_w.size)
-    w = np.exp(log_w - shift)
-    return w / w.sum()
+    # The weights of every row of log weights on the last axis, normalized
+    # with max-subtraction.  A row whose maximum is not finite (every log
+    # weight -inf) has degenerate mass ratios, and the mathematical limit of
+    # its normalized weights is uniform: it takes ones, which normalize to
+    # exactly 1 / p.
+    shift = log_w.max(axis=-1, keepdims=True)
+    finite = np.isfinite(shift)
+    w = np.where(finite, np.exp(log_w - np.where(finite, shift, 0.0)), 1.0)
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def limit_point(A: PointSet, t: WeightTuple) -> np.ndarray:
@@ -166,16 +168,15 @@ def dual_weight_trajectory(t0: WeightTuple, steps: int) -> np.ndarray:
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     b = np.log1p(-np.asarray(t0.t, dtype=float))  # log u = log(1 - t)
-    rows = np.empty((steps + 1, t0.p))
+    log_w = np.empty((steps + 1, t0.p))
     for m in range(steps + 1):
-        log_w = _excluded_sums(b)
-        rows[m] = _normalized_weights(log_w)
+        log_w[m] = _excluded_sums(b)
         if m < steps:
-            # log_w[k] = log t'_k <= 0; the new log u_k is log(1 - t'_k),
+            # log_w[m, k] = log t'_k <= 0; the new log u_k is log(1 - t'_k),
             # -inf once t'_k reaches 1 in working precision
             with np.errstate(divide="ignore"):
-                b = np.log(-np.expm1(log_w))
-    return rows
+                b = np.log(-np.expm1(log_w[m]))
+    return _normalized_weights(log_w)
 
 
 def dual_sequence(A: PointSet, t0: WeightTuple, steps: int) -> DualSequenceRecord:

@@ -867,8 +867,10 @@ def _json_numbers(value):
 def test_default_suite_reports_are_pinned():
     # Reports captured before the sweep was checked as one array batch per
     # p, byte for byte, failure witnesses and the contraction reason string
-    # included.  Their numbers are plain int and float: numpy scalars would
-    # serialize differently, or not at all.
+    # included; the (16, 64) case, whose batches reduce over the components
+    # with numpy's reduce instead of folding columns, was captured before
+    # the column folds.  Their numbers are plain int and float: numpy
+    # scalars would serialize differently, or not at all.
     golden = json.loads((Path(__file__).parent / "golden_default_suite.json").read_text())
     reasons = []
     for case in golden:

@@ -80,11 +80,15 @@ def test_config_file_errors(tmp_path, capsys):
         ("trajectory", {"weights": [0.3, 0.2], "max_steps": "7"}, "max_steps"),
         ("trajectory", {"weights": [0.3, 0.2], "max_steps": True}, "max_steps"),
         ("dual", {"weights": [0.3, 0.2, 0.1], "points": 3}, "points"),
+        ("figure", {"weights": [0.3, 0.4, 0.5], "points": [[True, 0], [0, 1], [1, 1]]}, "points"),
+        ("figure", {"weights": [0.3, 0.4, 0.5], "points": [["a", 0], [0, 1], [1, 1]]}, "points"),
+        ("dual", {"weights": [0.3, 0.4, 0.5], "points": [[0, 0], [0, None], [1, 1]]}, "points"),
         ("alpha", {"p": 5, "bogus": 1}, "bogus"),
         ("alpha", {"p": 5, "dim": 2}, "dim"),
     ],
     ids=["p_string", "weights_number", "weights_null_entry", "max_steps_string",
-         "max_steps_bool", "points_number", "unknown_key", "dim_key"],
+         "max_steps_bool", "points_number", "points_bool_coordinate", "points_string_coordinate",
+         "points_null_coordinate", "unknown_key", "dim_key"],
 )
 def test_malformed_config_is_an_input_error(tmp_path, capsys, command, config, key):
     cfg = tmp_path / "run.json"

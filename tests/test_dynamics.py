@@ -326,3 +326,48 @@ def test_batched_records_equal_one_row_records():
     with pytest.raises(ValueError):
         _run_batch(u0, -1, alpha)
 
+
+class _ReduceSpy:
+    # Stands in for a ufunc and records which path _reduce_components took.
+    def __init__(self, ufunc):
+        self.ufunc, self.paths = ufunc, set()
+
+    def reduce(self, a, axis):
+        self.paths.add("reduce")
+        return self.ufunc.reduce(a, axis=axis)
+
+    def __call__(self, *args, **kwargs):
+        self.paths.add("fold")
+        return self.ufunc(*args, **kwargs)
+
+
+def test_reduce_components_matches_numpy_reduce_bit_for_bit():
+    from barypoly.dynamics import _reduce_components
+
+    rng = np.random.default_rng(7)
+    paths = {}
+    for p in (2, 3, 8, 32, 64, 1024):
+        # a few rows per component, then more than enough for the fold
+        for rows in (2, 5 * p * p if p <= 32 else 20):
+            u = rng.uniform(size=(rows, 3, p))
+            u[::3, 2] = np.nan  # NaN padding past a row's length
+            u[1::4, 1, rng.integers(0, p)] = np.nan
+            bits = u < 0.5
+            bits[::5] = True  # rows whose logical_and holds
+            for ufunc, a in ((np.maximum, u), (np.minimum, u), (np.logical_or, bits), (np.logical_and, bits)):
+                for arr in (a, a[..., 1:], a[..., :1]):  # last: a one-column slice
+                    spy = _ReduceSpy(ufunc)
+                    got, ref = _reduce_components(spy, arr), ufunc.reduce(arr, axis=-1)
+                    assert got.dtype == ref.dtype and got.shape == ref.shape
+                    assert got.tobytes() == ref.tobytes()
+                    paths.setdefault(arr.shape[-1], set()).update(spy.paths)
+    # both sides of the crossover are covered, and large p stays with numpy
+    assert paths[3] == paths[8] == paths[32] == {"reduce", "fold"}
+    assert paths[64] == paths[1024] == {"reduce"}
+    # an empty state axis behaves as numpy's reduce
+    empty = np.zeros((400, 3, 0))
+    assert _reduce_components(np.logical_or, empty > 0).tobytes() == np.zeros((400, 3), bool).tobytes()
+    assert _reduce_components(np.logical_and, empty > 0).tobytes() == np.ones((400, 3), bool).tobytes()
+    for ufunc in (np.maximum, np.minimum):
+        with pytest.raises(ValueError):
+            _reduce_components(ufunc, empty)

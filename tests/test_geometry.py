@@ -140,6 +140,42 @@ def test_dual_weight_trajectory_rows():
     assert np.max(np.abs(rows[60] - 0.2)) <= 1e-12
 
 
+def _dual_weights_by_loop(t0, steps):
+    # dual_weight_trajectory as it was when it normalized one row at a time,
+    # on the one-row kernel
+    def normalized(log_w):
+        shift = np.max(log_w)
+        if not np.isfinite(shift):
+            return np.full(log_w.size, 1.0 / log_w.size)
+        w = np.exp(log_w - shift)
+        return w / w.sum()
+
+    b = np.log1p(-np.asarray(t0.t, dtype=float))
+    rows, log_ws = np.empty((steps + 1, t0.p)), []
+    for m in range(steps + 1):
+        log_w = _excluded_sums_1d(b)
+        rows[m] = normalized(log_w)
+        log_ws.append(log_w)
+        with np.errstate(divide="ignore"):
+            b = np.log(-np.expm1(log_w))
+    return rows, np.array(log_ws)
+
+
+def test_dual_weight_trajectory_matches_the_row_loop():
+    rng = np.random.default_rng(5)
+    for p in (3, 9, 64):
+        for lo, hi in ((0.05, 0.95), (1e-3, 1.0 - 1e-3)):
+            t0 = WeightTuple.of(rng.uniform(lo, hi, size=p))
+            ref, log_w = _dual_weights_by_loop(t0, 80)
+            assert dual_weight_trajectory(t0, 80).tobytes() == ref.tobytes()
+            # the orbit runs past its first infinite log weight, through
+            # rows whose log weights are all -inf and rows after them
+            inf_rows = np.flatnonzero(np.isinf(log_w).any(axis=1))
+            assert inf_rows.size and inf_rows[0] < 80 - 2
+            assert np.isinf(log_w).all(axis=1).any()
+            assert np.isfinite(log_w[inf_rows[0] + 1 :]).all(axis=1).any()
+
+
 def _excluded_sums_1d(b):
     # The kernel before it took batches: one row, summed whole.
     if np.all(np.isfinite(b)):
@@ -163,6 +199,17 @@ def test_excluded_sums_rows_match_the_one_row_kernel():
                 ref = _excluded_sums_1d(row).tobytes()
                 assert _excluded_sums(row).tobytes() == ref
                 assert out.tobytes() == ref
+    # a (rows, n, p) batch with an infinity in every row: summing its gather
+    # b[..., others] as it stands, rows not contiguous, differs in the last
+    # bit here
+    for p in (9, 64, 1024):
+        batch = np.log(rng.uniform(1e-3, 1.0, size=(3, 4, p)))
+        batch[:, np.arange(4), rng.integers(0, p, size=4)] = -np.inf
+        batch[2, :, :3] = -np.inf
+        got = _excluded_sums(batch)
+        assert got.shape == batch.shape
+        for row, out in zip(batch.reshape(-1, p), got.reshape(-1, p)):
+            assert out.tobytes() == _excluded_sums_1d(row).tobytes()
 
 
 def test_dual_sequence_reference_seed():
