@@ -10,11 +10,11 @@ aggregates the outcomes into CheckResult rows that serialize directly to a
 JSON report.
 
 The check registry is the one place a check is added: _STATIC_CHECKS (run
-once on the swept p values), _TRAJ_CHECKS (run on every swept trajectory) and
-_GEOMETRY_CHECKS (run on the suite's RNG after the sweep has drawn its
-seeds) map each name to a function that returns (passed, witness), a fresh
-dict per call.  Each function is the only implementation of its claim.
-Their order, KNOWN_CHECKS, is the report order.
+once on the distinct swept p, ascending), _TRAJ_CHECKS (run on every swept
+trajectory) and _GEOMETRY_CHECKS (run on the suite's RNG after the sweep has
+drawn its seeds) map each name to a function that returns (passed,
+witness), a fresh dict per call.  Each function is the only implementation
+of its claim.  Their order, KNOWN_CHECKS, is the report order.
 
 A sweep is checked one p at a time, as one array batch from stepping to
 verdict: dynamics._run_batch steps the p's seeds into a dynamics._Batch, and
@@ -49,7 +49,7 @@ from .geometry import (
     dual_sequence,
     limit_point,
 )
-from .stationary import certificate, solve_alpha
+from .stationary import StationaryCertificate, _index, certificate, solve_alpha
 
 __all__ = [
     "IDENTITY_RTOL",
@@ -72,7 +72,7 @@ IDENTITY_RTOL = 1e-10
 # _reliable_horizon.
 RELIABLE_GAP = 1e-10
 
-# Entrywise tolerance of the eigen-action residuals in spectral_check.
+# Entrywise tolerance of the complex-step residuals in spectral_check.
 SPECTRAL_ATOL = 1e-13
 
 
@@ -201,46 +201,36 @@ def contraction_certificate(traj: TrajectoryRecord, m: int) -> ContractionCertif
     return ContractionCertificate(m, *map(float, fields))
 
 
-def _jacobian_action(v: np.ndarray, beta: float) -> np.ndarray:
-    # The Jacobian of the conjugate step at the stationary state, zero on the
-    # diagonal and -beta everywhere else, applied to every column of v
-    # without forming the p x p matrix.
-    out = v.sum(axis=0) - v
-    out *= -beta
-    return out
+def _spectral_residual(cert: StationaryCertificate) -> float:
+    # Largest entry of J V - lambda V at the certificate's p, with J V the
+    # complex-step derivative Im step(alpha + i h V) / h of the production
+    # step at the stationary state (Squire and Trapp, SIAM Rev. 40, 1998):
+    # at h = 1e-20 it has no truncation error, only the step's own rounding.
+    # The rows of V are 1 (lambda_repulsive), e_0 - e_1 and a sum-zero w with
+    # distinct entries (lambda_contractive).  A NaN anywhere gives NaN.
+    V = np.zeros((3, cert.p))
+    V[0], V[1, :2], V[2] = 1.0, (1.0, -1.0), (2.0 * np.arange(cert.p) - (cert.p - 1)) / cert.p
+    JV = _step(cert.alpha + 1e-20j * V)[1].imag / 1e-20
+    lam = np.array([cert.lambda_repulsive, cert.lambda_contractive, cert.lambda_contractive])
+    return float(np.max(np.abs(JV - lam[:, None] * V)))
 
 
 def spectral_check(p: int) -> bool:
-    """Eigen-action check of the linearized step.
+    """Spectrum of the real step linearized at the stationary state.
 
-    The all-ones vector must carry eigenvalue (1-p) * beta with modulus
-    above 1, and the basis e_0 - e_i (i = 1 .. p-1) of the sum-zero
-    hyperplane must carry beta, each entry to within SPECTRAL_ATOL.  The
-    Jacobian is applied as an action, O(p) per vector, so the whole check is
-    O(p^2); the basis vectors are taken in blocks of columns, so no p x p
-    array is made.
+    The step is differentiated at the all-alpha state by the complex step,
+    in O(p), along the all-ones vector 1 and the sum-zero directions
+    e_0 - e_1 and w_i = (2i - p + 1)/p.  1 must carry (1-p) * beta, with
+    modulus above 1, and both sum-zero directions beta, each entry to
+    within SPECTRAL_ATOL.  The step commutes with permutations of the
+    components, so its Jacobian there is a I + b 1 1^T and the actions on 1
+    and e_0 - e_1 fix the whole spectrum; the entries of w are distinct, so
+    a defect that breaks the symmetry in any column moves J w as well.
     """
     if p < 3:
         raise ValueError(f"spectral_check requires p >= 3, got {p}")
     cert = certificate(p)
-    ones = np.ones(p)
-    if np.max(np.abs(_jacobian_action(ones, cert.beta) - cert.lambda_repulsive * ones)) > SPECTRAL_ATOL:
-        return False
-    lam = cert.lambda_contractive
-    width = max(1, _BLOCK_ELEMS // p)
-    for i0 in range(1, p, width):
-        # column j is e_0 - e_i for i = i0 + j, and of the residual
-        # (J - lam I)(e_0 - e_i) only rows 0 and i take lam, the rest 0
-        v = np.zeros((p, min(width, p - i0)))
-        j = np.arange(v.shape[1])
-        v[0] = 1.0
-        v[i0 + j, j] = -1.0
-        r = _jacobian_action(v, cert.beta)
-        r[0] -= lam
-        r[i0 + j, j] += lam
-        if np.max(np.abs(r, out=r)) > SPECTRAL_ATOL:
-            return False
-    return abs(cert.lambda_repulsive) > 1.0
+    return _spectral_residual(cert) <= SPECTRAL_ATOL and abs(cert.lambda_repulsive) > 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -596,11 +586,10 @@ def _traj_comparison_domination(batch: _Batch) -> list[tuple[bool, dict]]:
 
 
 def _check_stationary(p_values: Sequence[int]) -> tuple[bool, dict]:
-    # alpha_p must grow with p: the distinct p are taken in ascending order
-    distinct = sorted(set(p_values))
+    # alpha_p must grow with p, over the distinct p in ascending order
     worst = 0.0
     prev_alpha = None
-    for p in distinct:
+    for p in p_values:
         cert = certificate(p)
         worst = max(worst, abs(cert.alpha ** (p - 1) + cert.alpha - 1.0))
         if not cert.alpha < 1.0 - 1.0 / p:
@@ -610,7 +599,7 @@ def _check_stationary(p_values: Sequence[int]) -> tuple[bool, dict]:
         if prev_alpha is not None and not cert.alpha > prev_alpha:
             return False, {"p": p, "reason": "monotonicity in p"}
         prev_alpha = cert.alpha
-    return True, {"p_count": len(distinct), "worst_residual": worst}
+    return True, {"p_count": len(p_values), "worst_residual": worst}
 
 
 def _check_fixed_point(p_values: Sequence[int]) -> tuple[bool, dict]:
@@ -625,8 +614,6 @@ def _check_fixed_point(p_values: Sequence[int]) -> tuple[bool, dict]:
 
 
 def _check_spectral(p_values: Sequence[int]) -> tuple[bool, dict]:
-    # The eigen-action on the ones vector and the p - 1 hyperplane vectors
-    # covers a full eigenbasis, which fixes the characteristic polynomial.
     for p in p_values:
         if not spectral_check(p):
             return False, {"p": p, "reason": "eigen action"}
@@ -799,13 +786,15 @@ def default_suite(
 ) -> list[CheckResult]:
     """Randomized verification sweep across every registered check.
 
-    Unknown check names, an empty p_values, a p below 3 and seeds_per_p < 1
-    raise ValueError: a sweep over no trajectories would pass on no
-    evidence.  inject_fault corrupts the first swept trajectory so the
+    Unknown check names, an empty p_values, a non-integer p or one below 3,
+    and seeds_per_p < 1 raise ValueError: a sweep over no trajectories would
+    pass on no evidence.  The static checks take each distinct p once,
+    ascending.  inject_fault corrupts the first swept trajectory so the
     harness itself can be shown to catch failures.
     """
     if len(p_values) == 0:
         raise ValueError("p_values must name at least one p")
+    p_values = [_index(p) for p in p_values]
     if any(p < 3 for p in p_values):
         raise ValueError(_P_BELOW_3)
     if seeds_per_p < 1:
@@ -843,7 +832,7 @@ def default_suite(
     results = []
     for name in names:
         if name in _STATIC_CHECKS:
-            passed, witness = _STATIC_CHECKS[name](p_values)
+            passed, witness = _STATIC_CHECKS[name](sorted(set(p_values)))
         elif name in _TRAJ_CHECKS:
             passed = violations[name] == 0
             witness = {"trajectories": swept, "violations": violations[name]}

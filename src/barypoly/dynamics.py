@@ -122,9 +122,9 @@ def conjugate_of(t: WeightTuple) -> ConjugateTuple:
     return ConjugateTuple.of(1.0 - v for v in t.t)
 
 
-# Elements per temporary array of the direct sums here and of spectral_check
-# and the t-ratio check in analysis: about 0.25 MB each at large p, while
-# small p takes a single block.
+# Elements per temporary array of the direct sums here and of the t-ratio
+# check in analysis: about 0.25 MB each at large p, while small p takes a
+# single block.
 _BLOCK_ELEMS = 1 << 15
 
 

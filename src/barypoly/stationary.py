@@ -10,6 +10,7 @@ unstable for every p >= 3.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 __all__ = [
@@ -37,6 +38,14 @@ class StationaryCertificate:
     lambda_repulsive: float
     lambda_contractive: float
     instability_margin: float
+
+
+def _index(p) -> int:
+    # p as an int; a float p, even an integral one, is a ValueError
+    try:
+        return operator.index(p)
+    except TypeError:
+        raise ValueError(f"p must be an integer, got {p!r}") from None
 
 
 def alpha_residual(p: int, x: float) -> float:
@@ -68,6 +77,7 @@ def solve_alpha(p: int) -> float:
     polish the midpoint.  Raises ArithmeticError if the final residual
     exceeds 1e-14, so a successful return certifies |residual| <= 1e-14.
     """
+    p = _index(p)
     if p < 2:
         raise ValueError(f"p must be >= 2, got {p}")
     lo, hi = 0.0, 1.0
@@ -93,6 +103,7 @@ def certificate(p: int) -> StationaryCertificate:
     For p = 2 the repulsive eigenvalue has modulus exactly 1 and the
     certificate would be vacuous, hence the rejection.
     """
+    p = _index(p)
     if p < 3:
         raise ValueError(f"the instability certificate requires p >= 3, got {p}")
     alpha = solve_alpha(p)
@@ -112,6 +123,7 @@ def stationary_weights(p: int):
     """The unique interior fixed tuple of the weight map: all 1 - alpha_p."""
     from .dynamics import WeightTuple
 
+    p = _index(p)
     if p < 3:
         raise ValueError(f"stationary_weights requires p >= 3, got {p}")
     alpha = solve_alpha(p)

@@ -42,9 +42,11 @@ def sweep_results(sweep):
 def det_residuals():
     """|det(lambda I - A)| at both claimed eigenvalues, by LU determinant.
 
-    An oracle independent of spectral_check's eigen-action test; at machine
-    precision the determinant of a dense p x p matrix is a meaningful
-    residual only for p <= 8 or so.
+    The Jacobian here is the closed form, zero diagonal and -beta elsewhere,
+    not the step: an oracle for the certificate's eigenvalues that shares
+    nothing with spectral_check, which differentiates the step itself.  At
+    machine precision the determinant of a dense p x p matrix is a
+    meaningful residual only for p <= 8 or so.
     """
 
     def residuals(p):

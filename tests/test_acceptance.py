@@ -72,12 +72,12 @@ def test_criterion_2_instability_inequalities():
 def test_criterion_3_spectral_certificate(det_residuals):
     t0 = time.perf_counter()
     eigen_ok = bp.analysis.SPECTRAL_ATOL <= 1e-13 and all(
-        bp.spectral_check(p) for p in range(3, 33)
+        bp.spectral_check(p) for p in (*range(3, 33), 64, 256, 1024, 8192)
     )
     det_worst = max(max(det_residuals(p)) for p in range(3, 9))
     elapsed = time.perf_counter() - t0
     ok = eigen_ok and det_worst < 1e-9 and elapsed < 1.0
-    _criterion(3, "eigen-action p in [3,32] and determinants p <= 8", ok,
+    _criterion(3, "eigen-action p in [3,32] + 64, 256, 1024, 8192 and determinants p <= 8", ok,
                f"worst det {det_worst:.1e}, {elapsed * 1e3:.0f}ms")
 
 

@@ -32,7 +32,6 @@ from barypoly import analysis, dynamics
 from barypoly.analysis import (
     _TRAJ_CHECKS,
     _elementary_symmetric,
-    _jacobian_action,
     _reliable_horizon,
 )
 from barypoly.dynamics import _Batch
@@ -282,16 +281,6 @@ def test_linearized_matrix_and_spectrum(det_residuals):
     assert np.all(np.diag(A) == 0.0)
     off = A[~np.eye(4, dtype=bool)]
     assert np.all(off == -0.25)
-    # the matrix-free action is the matrix product, up to the order of the
-    # p - 1 summed terms
-    rng = np.random.default_rng(2)
-    for p in (3, 8, 257):
-        beta = certificate(p).beta
-        A = _dense_jacobian(p, beta)
-        for v in (np.ones(p), rng.uniform(-1.0, 1.0, size=p), rng.uniform(-1.0, 1.0, size=(p, 5))):
-            got = _jacobian_action(v, beta)
-            assert got.shape == v.shape
-            assert np.allclose(got, A @ v, rtol=0.0, atol=p * 2.0**-52 * beta * np.abs(v).sum(axis=0).max())
     assert all(spectral_check(p) for p in range(3, 33))
     with pytest.raises(ValueError):
         spectral_check(2)
@@ -299,60 +288,39 @@ def test_linearized_matrix_and_spectrum(det_residuals):
         assert max(det_residuals(p)) < 1e-9
 
 
-def _spectral_by_products(p, atol=1e-13):
-    # The matrix-vector form of spectral_check: one product A @ w per basis
-    # vector of the sum-zero hyperplane, with the matrix the Jacobian action
-    # applies.
+def test_spectral_residual_keeps_a_margin():
+    # The complex-step residual of the production step, which only rounding
+    # sets, stays well inside the tolerance.
+    for p in (*range(3, 65), 256, 1024, 4096, 8192):
+        assert analysis._spectral_residual(certificate(p)) <= analysis.SPECTRAL_ATOL / 5, p
+
+
+@pytest.mark.parametrize("p", [8, 1024])
+def test_spectral_check_fails_on_a_faulty_step_or_certificate(monkeypatch, p):
+    # Each fault moves some eigen-action by far more than the tolerance;
+    # spectral_check must see it through the step it differentiates or the
+    # certificate it compares with.
+    sums = dynamics._excluded_sums
+
+    def hyperplane_defect(b):
+        # adds 1e-9 (b_0 - b_1) to the sum of row 3: its Jacobian row keeps
+        # its sum, so the all-ones vector does not see the defect
+        out = sums(b)
+        out[..., 3] += 1e-9 * (b[..., 0] - b[..., 1])
+        return out
+
     cert = certificate(p)
-    A = analysis._jacobian_action(np.eye(p), cert.beta)
-    ones = np.ones(p)
-    if np.max(np.abs(A @ ones - cert.lambda_repulsive * ones)) > atol:
-        return False
-    for i in range(1, p):
-        w = np.zeros(p)
-        w[0], w[i] = 1.0, -1.0
-        if np.max(np.abs(A @ w - cert.lambda_contractive * w)) > atol:
-            return False
-    return abs(cert.lambda_repulsive) > 1.0
-
-
-def _patch_matrix(monkeypatch, edits):
-    # edits: (row, col, delta) added to the true linearized matrix, which
-    # spectral_check then applies as a dense product
-    def edited(v, beta):
-        A = _dense_jacobian(len(v), beta)
-        for r, c, delta in edits:
-            A[r, c] += delta
-        return A @ v
-
-    monkeypatch.setattr(analysis, "_jacobian_action", edited)
-
-
-def test_spectral_check_agrees_with_matrix_vector_products(monkeypatch):
-    for p in range(3, 65):
-        assert spectral_check(p) is _spectral_by_products(p) is True
-    # edited matrices, with entries moved by amounts on both sides of atol
-    rng = np.random.default_rng(11)
-    for p in (3, 4, 8, 17, 64):
-        for delta in (5e-14, 2e-13, 1e-9):
-            r, c = (int(v) for v in rng.integers(0, p, size=2))
-            _patch_matrix(monkeypatch, [(r, c, delta)])
-            assert spectral_check(p) is _spectral_by_products(p)
-            # a pair of edits that keeps the row sum, so only the hyperplane
-            # vectors can notice it
-            c2 = (c + 1) % p
-            _patch_matrix(monkeypatch, [(r, c, delta), (r, c2, -delta)])
-            assert spectral_check(p) is _spectral_by_products(p)
-
-
-def test_spectral_check_notices_one_changed_entry(monkeypatch):
-    _patch_matrix(monkeypatch, [(3, 5, 1e-9)])
-    assert not spectral_check(8)
-    # same row sum, so the all-ones vector still sees the true eigenvalue
-    _patch_matrix(monkeypatch, [(3, 5, 1e-9), (3, 6, -1e-9)])
-    assert not spectral_check(8)
-    _patch_matrix(monkeypatch, [(3, 0, 1e-9), (3, 6, -1e-9)])
-    assert not spectral_check(1024)
+    faults = [
+        (dynamics, "_excluded_sums", lambda b: sums(b) * (1.0 + 1e-9)),
+        (dynamics, "_excluded_sums", hyperplane_defect),
+        (analysis, "certificate",
+         lambda q: dataclasses.replace(cert, lambda_contractive=cert.beta * (1.0 + 1e-9))),
+    ]
+    for module, name, fault in faults:
+        monkeypatch.setattr(module, name, fault)
+        assert not spectral_check(p), name
+        monkeypatch.undo()
+        assert spectral_check(p)
 
 
 def _t_ratio_by_pair_loop(traj):
@@ -806,6 +774,25 @@ def test_stationary_certificate_takes_p_in_any_order():
     assert run((8, 3)).passed and run((8, 3)) == run((3, 8))
     assert run((4, 4)).passed and run((4, 4)) == run((4,))
     assert run((8, 3, 5, 3)) == run((3, 5, 8))
+
+
+def test_default_suite_runs_static_checks_once_per_distinct_p():
+    static = ["stationary_certificate", "fixed_point", "spectral", "instability_growth"]
+
+    def witnesses(p_values):
+        return [r.witness for r in default_suite(p_values=p_values, seeds_per_p=1, checks=static)]
+
+    assert witnesses((4, 4)) == witnesses((4,))
+    assert witnesses((5, 3, 4, 3)) == witnesses((3, 4, 5))
+    assert witnesses((5, 3, 4, 3))[2:] == [{"p_count": 3}, {"p_audited": [3, 4, 5]}]
+
+
+def test_default_suite_rejects_a_non_integer_p():
+    for p_values in ((4.0,), (3, 4.5)):
+        with pytest.raises(ValueError, match="integer"):
+            default_suite(p_values=p_values, seeds_per_p=1)
+    (res,) = default_suite(p_values=(np.int64(4),), seeds_per_p=1, checks=["spectral"])
+    assert res.passed and res.witness == {"p_count": 1}
 
 
 def test_default_suite_rejects_p_below_3():

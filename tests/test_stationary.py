@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -55,6 +56,18 @@ def test_solve_alpha_validation():
         solve_alpha(1)
     with pytest.raises(ValueError):
         alpha_residual(1, 0.5)
+
+
+def test_non_integer_p_is_a_value_error():
+    for fn in (solve_alpha, certificate, stationary_weights):
+        for p in (3.5, 4.0, "4"):
+            with pytest.raises(ValueError, match="integer"):
+                fn(p)
+    # integers of other types pass, and the certificate holds a Python int
+    assert certificate(np.int64(5)) == certificate(5)
+    assert type(certificate(np.int64(5)).p) is int
+    assert solve_alpha(np.int32(4)) == solve_alpha(4)
+    assert stationary_weights(np.int64(4)) == stationary_weights(4)
 
 
 def test_residual_is_certified():
