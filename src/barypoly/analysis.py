@@ -19,9 +19,9 @@ of its claim.  Their order, KNOWN_CHECKS, is the report order.
 A sweep is checked one p at a time, as one array batch from stepping to
 verdict: dynamics._run_batch steps the p's seeds into a dynamics._Batch, and
 every trajectory check reduces that batch to one (passed, witness) per row,
-reading only the row's recorded states.  trajectory_checks runs the same
-functions on the one-row batch of a TrajectoryRecord, built from the
-record's own fields.
+reading only the row's recorded states.  A TrajectoryRecord holds the same
+arrays as one row of a batch, and trajectory_checks runs the same functions
+on its one-row view.
 """
 from __future__ import annotations
 
@@ -33,7 +33,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dynamics import (
-    ConjugateTuple,
     TrajectoryRecord,
     WeightTuple,
     _BLOCK_ELEMS,
@@ -187,14 +186,14 @@ def contraction_certificate(traj: TrajectoryRecord, m: int) -> ContractionCertif
     p = traj.p
     if p < 3:
         raise ValueError(f"the contraction certificate requires p >= 3, got {p}")
-    if m < 0 or m + 2 >= len(traj.states):
+    if m < 0 or m + 2 >= len(traj):
         raise ValueError(f"states at m={m} and m+2 must both be recorded")
-    u = traj.states[m].u
-    if not all(a <= b for a, b in zip(u, u[1:])):
+    u = traj.states[m]
+    if not (u[:-1] <= u[1:]).all():
         raise ValueError(f"state at m={m} is not sorted ascending")
     if not u[0] < u[-1]:
         raise ValueError("regular state: extreme components coincide")
-    fields = _certificate_fields(np.array(u), np.array(traj.states[m + 2].u))
+    fields = _certificate_fields(u, traj.states[m + 2])
     failures = _certificate_failures(fields)
     if failures.any():
         raise VerificationError(_certificate_error(fields, failures, (), m))
@@ -280,7 +279,7 @@ def _first(bad: np.ndarray) -> np.ndarray:
 
 
 def _traj_order_preserved(batch: _Batch) -> list[tuple[bool, dict]]:
-    U = batch.U
+    U = batch.states
     bad = _reduce_components(np.logical_or, U[..., 1:] < U[..., :-1] - SORTED_SLACK) & batch.valid
     return [(True, {}) if m < 0 else (False, {"step": m}) for m in _first(bad).tolist()]
 
@@ -290,7 +289,7 @@ def _pair_quantization_noise(batch: _Batch) -> np.ndarray:
     # storing state m+1, where a component 1 - d keeps d only to half an ulp
     # of 1.  The 1e-14 term covers the log/exp round-off of the two steps
     # themselves.
-    return 5.6e-17 / (1.0 - _reduce_components(np.maximum, batch.U[:, 1:-1])) + 1e-14
+    return 5.6e-17 / (1.0 - _reduce_components(np.maximum, batch.states[:, 1:-1])) + 1e-14
 
 
 def _traj_ratio_monotone(batch: _Batch) -> list[tuple[bool, dict]]:
@@ -300,7 +299,7 @@ def _traj_ratio_monotone(batch: _Batch) -> list[tuple[bool, dict]]:
     # from RATIO_SLACK to ten times the quantization noise the pair inherits
     # from storage, so deep-corner states degrade to vacuous comparisons
     # instead of spurious failures.  A failure names the first violating m.
-    U = batch.U
+    U = batch.states
     a, b = U[:, :-2], U[:, 2:]
     tol = np.maximum(RATIO_SLACK, 10.0 * _pair_quantization_noise(batch))[..., None]
     bad = np.zeros(b.shape[:-1], dtype=bool)
@@ -331,7 +330,7 @@ def _traj_contraction_certificates(batch: _Batch) -> list[tuple[bool, dict]]:
     # CERT_WINDOW and whose state m has a spread above 1e-9.  A row fails at
     # its first m whose certificate fails; an unsorted state there raises
     # contraction_certificate's ValueError.
-    U = batch.U
+    U = batch.states
     p = U.shape[-1]
     lo, hi = CERT_WINDOW
     inside = ~((U[..., 0] < lo) | (U[..., -1] > hi))
@@ -364,7 +363,7 @@ def _reliable_horizon(batch: _Batch) -> np.ndarray:
     # window for ratio and spread claims therefore ends at the first state
     # with a component within RELIABLE_GAP of 1; everything before supports
     # comparisons at 1e-12 slack with two decades to spare.
-    near_one = (1.0 - _reduce_components(np.maximum, batch.U) <= RELIABLE_GAP) & batch.valid
+    near_one = (1.0 - _reduce_components(np.maximum, batch.states) <= RELIABLE_GAP) & batch.valid
     return np.where(near_one.any(axis=-1), near_one.argmax(axis=-1), batch.length)
 
 
@@ -471,7 +470,7 @@ def _traj_t_ratio_transfer(batch: _Batch) -> list[tuple[bool, dict]]:
     # its first in (step, k, l) order, whichever part of which block holds
     # it.
     row_of, m_of = np.nonzero(batch.valid[:, ::2])
-    lp, u = batch.log_products[row_of, 2 * m_of], batch.U[row_of, 2 * m_of]
+    lp, u = batch.log_products[row_of, 2 * m_of], batch.states[row_of, 2 * m_of]
     if lp.shape[1] >= _SCREEN_MIN_P:
         scan = ~_t_ratio_cleared(lp, u)
         row_of, m_of, lp, u = row_of[scan], m_of[scan], lp[scan], u[scan]
@@ -541,8 +540,8 @@ def _traj_even_odd_limits(batch: _Batch) -> list[tuple[bool, dict]]:
     by_saturation = (sat >= 0) & (hit_one != (vals <= math.ulp(0.0)).any(axis=-1))
     last = batch.length - 1
     rows = np.arange(len(last))
-    even = batch.U[rows, last - last % 2]
-    odd = batch.U[rows, np.maximum(last - (last + 1) % 2, 0)]
+    even = batch.states[rows, last - last % 2]
+    odd = batch.states[rows, np.maximum(last - (last + 1) % 2, 0)]
     to_zero = (even.max(axis=-1) < LIMIT_TOL) & (odd.min(axis=-1) > 1.0 - LIMIT_TOL)
     to_one = (even.min(axis=-1) > 1.0 - LIMIT_TOL) & (odd.max(axis=-1) < LIMIT_TOL)
     # a one-state row compares its seed with itself, which decides nothing
@@ -566,7 +565,7 @@ def _traj_comparison_domination(batch: _Batch) -> list[tuple[bool, dict]]:
     # there is something to check, p < 3 raises ValueError, as
     # comparison_sequence does.  The orbit is iterated in Python floats:
     # numpy's power may differ from the C library's pow in the last bit.
-    U = batch.U
+    U = batch.states
     rows, n, p = U.shape
     first_below = _first((batch.phase == -1) & batch.valid)
     tau = np.full((rows, n), np.nan)
@@ -761,19 +760,17 @@ def trajectory_checks(traj: TrajectoryRecord) -> list[CheckResult]:
     """Run every per-trajectory verifier against one record of p >= 3."""
     if traj.p < 3:
         raise ValueError(_P_BELOW_3)
-    batch = _Batch.of_records([traj])
+    batch = _Batch.of(traj)
     return [CheckResult(name, *fn(batch)[0]) for name, fn in _TRAJ_CHECKS.items()]
 
 
 def _perturbed_record(traj: TrajectoryRecord) -> TrajectoryRecord:
-    # Harness sanity fixture: bump one component of a middle state so that
-    # order and recurrence checks must notice.
-    states = list(traj.states)
+    # Harness sanity fixture: bump one component of a middle state, in a
+    # copy of the states, so that order and recurrence checks must notice.
+    states = traj.states.copy()
     idx = min(2, len(states) - 1)
-    u = list(states[idx].u)
-    u[0] = min(u[0] + 0.07, 1.0 - 1e-9)
-    states[idx] = ConjugateTuple.of(u)
-    return replace(traj, states=tuple(states))
+    states[idx, 0] = min(states[idx, 0] + 0.07, 1.0 - 1e-9)
+    return replace(traj, states=states)
 
 
 def default_suite(
@@ -818,7 +815,7 @@ def default_suite(
         batch = _run_batch(seeds, max_steps, solve_alpha(p))
         fault = None
         if inject_fault and swept == 0:
-            fault = _Batch.of_records([_perturbed_record(batch.record(0))])
+            fault = _Batch.of(_perturbed_record(batch.row(0)))
         swept += seeds_per_p
         for name in traj_names:
             verdicts = _TRAJ_CHECKS[name](batch)

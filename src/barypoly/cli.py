@@ -174,7 +174,7 @@ def cmd_alpha(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_trajectory(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    from .dynamics import WeightTuple, conjugate_of, run_trajectory
+    from .dynamics import _PHASES, WeightTuple, conjugate_of, run_trajectory
 
     cfg = _resolve_config(args)
     if cfg.weights is None:
@@ -187,11 +187,9 @@ def cmd_trajectory(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
     try:
         header = ["m"] + [f"u_{k + 1}" for k in range(traj.p)] + ["spread", "phase"]
         out.write(",".join(header) + "\n")
-        for m, state in enumerate(traj.states):
-            row = [str(m)]
-            row.extend(_fmt(v) for v in state.u)
-            row.append(_fmt(traj.spread[m]))
-            row.append(traj.phase[m].value)
+        for m, (u, spread, code) in enumerate(zip(traj.states.tolist(), traj.spread.tolist(),
+                                                  traj.phase.tolist())):
+            row = [str(m), *map(_fmt, u), _fmt(spread), _PHASES[code].value]
             out.write(",".join(row) + "\n")
     finally:
         if close:
@@ -201,11 +199,11 @@ def cmd_trajectory(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
     if traj.saturation_step is not None:
         print(
             f"saturated at step {traj.saturation_step}: a component left (0, 1); "
-            f"{len(traj.states)} states recorded",
+            f"{len(traj)} states recorded",
             file=note,
         )
     else:
-        print(f"recorded {len(traj.states)} states (no saturation)", file=note)
+        print(f"recorded {len(traj)} states (no saturation)", file=note)
     return 0
 
 

@@ -19,7 +19,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -107,15 +107,6 @@ class ConjugateTuple:
         vals = tuple(values)
         return cls(len(vals), vals)
 
-    @classmethod
-    def _from_checked(cls, u: tuple[float, ...]) -> "ConjugateTuple":
-        # Step output of at least 2 floats that the caller has just checked
-        # to lie inside (0, 1): _validated would only repeat that check.
-        state = object.__new__(cls)
-        object.__setattr__(state, "p", len(u))
-        object.__setattr__(state, "u", u)
-        return state
-
 
 def conjugate_of(t: WeightTuple) -> ConjugateTuple:
     """Coordinate change t -> u = 1 - t."""
@@ -192,26 +183,29 @@ def _reduce_components(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _stepped(cls, p: int, out: tuple[float, ...], what: str):
+    # cls(p, out), the step's output validated once: a component outside
+    # (0, 1) is the step's saturation.
+    try:
+        return cls(p, out)
+    except ValueError:
+        raise SaturationError(f"{what} step left (0, 1) in working precision", out) from None
+
+
 def derived_step(t: WeightTuple) -> WeightTuple:
     """One application of the weight map t'_k = prod_{i != k} (1 - t_i)."""
-    out = tuple(np.exp(_excluded_sums(np.log1p(-np.array(t.t)))).tolist())
-    if any(not 0.0 < v < 1.0 for v in out):
-        raise SaturationError("derived step left (0, 1) in working precision", out)
-    return WeightTuple(t.p, out)
+    return _stepped(WeightTuple, t.p, tuple(np.exp(_excluded_sums(np.log1p(-np.array(t.t)))).tolist()),
+                    "derived")
 
 
 def conjugate_step(u: ConjugateTuple) -> ConjugateTuple:
     """One application of the conjugate map u'_k = 1 - prod_{i != k} u_i."""
-    out = tuple(_step(np.array(u.u))[1].tolist())
-    if any(not 0.0 < v < 1.0 for v in out):
-        raise SaturationError("conjugate step left (0, 1) in working precision", out)
-    return ConjugateTuple._from_checked(out)
+    return _stepped(ConjugateTuple, u.p, tuple(_step(np.array(u.u))[1].tolist()), "conjugate")
 
 
 # Phase codes of the array rule: the sign of every component's offset from
 # alpha when they all agree, 0 (MIXED) otherwise.
 _PHASES = {-1: Phase.BELOW, 0: Phase.MIXED, 1: Phase.ABOVE}
-_PHASE_CODES = {ph: code for code, ph in _PHASES.items()}
 
 
 def _phase_codes(u: np.ndarray, alpha: float) -> np.ndarray:
@@ -235,31 +229,39 @@ def classify_phase(u: ConjugateTuple, alpha: float) -> Phase:
     return _PHASES[int(_phase_codes(np.array([u.u]), alpha)[0])]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrajectoryRecord:
-    """Conjugate orbit with per-step diagnostics.
+    """Conjugate orbit with per-step diagnostics, as read-only arrays.
 
-    states[0] is the seed sorted ascending (permutation holds the sort order
-    applied to the caller's components).  log_products[m][k] is the log of
-    the next weight component prod_{i != k} u_i^(m); spread[m] is
-    u_max/u_min - 1 of state m.  Only states more than one ulp inside [0,1]^p
-    are recorded: if a step saturates, saturation_step is the index the
-    offending state would have had, saturation_values keeps that state's
-    components as evidence of which bound was reached, and iteration stops.
+    states is (n, p): states[0] is the seed sorted ascending (permutation,
+    (p,), holds the sort order applied to the caller's components).
+    log_products[m, k] is the log of the next weight component
+    prod_{i != k} u_i^(m); spread[m] is u_max/u_min - 1 of state m, and
+    phase[m] its int8 phase code: -1 BELOW, 0 MIXED, 1 ABOVE.  Only states
+    more than one ulp inside [0,1]^p are recorded: if a step saturates,
+    saturation_step is the index the offending state would have had,
+    saturation_values, (p,), keeps that state's components as evidence of
+    which bound was reached, and iteration stops.
     """
 
-    permutation: tuple[int, ...]
+    permutation: np.ndarray
     alpha: float
-    states: tuple[ConjugateTuple, ...]
-    log_products: tuple[tuple[float, ...], ...]
-    spread: tuple[float, ...]
-    phase: tuple[Phase, ...]
+    states: np.ndarray
+    log_products: np.ndarray
+    spread: np.ndarray
+    phase: np.ndarray
     saturation_step: int | None
-    saturation_values: tuple[float, ...] | None
+    saturation_values: np.ndarray | None
+
+    def __post_init__(self):
+        for a in (self.permutation, self.states, self.log_products, self.spread, self.phase,
+                  self.saturation_values):
+            if a is not None:
+                a.flags.writeable = False
 
     @property
     def p(self) -> int:
-        return self.states[0].p
+        return self.states.shape[1]
 
     def __len__(self) -> int:
         return len(self.states)
@@ -272,63 +274,47 @@ def run_trajectory(u0: ConjugateTuple, max_steps: int, alpha: float) -> Trajecto
     saturates first.  The seed is sorted once, ascending and stably; later
     states stay sorted because the shared log sum preserves order exactly.
     """
-    return _run_batch(np.array([u0.u]), max_steps, alpha).record(0)
+    return _run_batch(np.array([u0.u]), max_steps, alpha).row(0)
 
 
 @dataclass(frozen=True)
 class _Batch:
-    # The trajectory records of a batch of rows with one p, as arrays.  U and
-    # log_products are (rows, n_max, p) and spread and phase (rows, n_max),
-    # each NaN (phase: 0, MIXED) past a row's length; saturation_step is -1
-    # and saturation_values NaN for a row that did not saturate.  Row r holds
-    # the fields of TrajectoryRecord r, bit for bit.
-    alpha: float
+    # The trajectory records of a batch of rows with one p: the fields of
+    # TrajectoryRecord with a leading row axis, and each row's length.
+    # states and log_products are (rows, n_max, p) and spread and phase
+    # (rows, n_max), each NaN (phase: 0, MIXED) past a row's length;
+    # saturation_step is -1 and saturation_values NaN for a row that did not
+    # saturate.
     permutation: np.ndarray
-    U: np.ndarray
+    alpha: float
+    states: np.ndarray
     log_products: np.ndarray
     spread: np.ndarray
     phase: np.ndarray
-    length: np.ndarray
     saturation_step: np.ndarray
     saturation_values: np.ndarray
+    length: np.ndarray
 
     @property
     def valid(self) -> np.ndarray:
         # (rows, n_max): state m of row r is recorded
-        return np.arange(self.U.shape[1]) < self.length[:, None]
+        return np.arange(self.states.shape[1]) < self.length[:, None]
 
-    def record(self, r: int) -> TrajectoryRecord:
-        n = int(self.length[r])
-        sat = int(self.saturation_step[r])
-        return TrajectoryRecord(
-            tuple(self.permutation[r].tolist()),
-            self.alpha,
-            tuple(ConjugateTuple._from_checked(tuple(u)) for u in self.U[r, :n].tolist()),
-            tuple(tuple(lp) for lp in self.log_products[r, :n].tolist()),
-            tuple(self.spread[r, :n].tolist()),
-            tuple(_PHASES[c] for c in self.phase[r, :n].tolist()),
-            None if sat < 0 else sat,
-            None if sat < 0 else tuple(self.saturation_values[r].tolist()),
-        )
+    def row(self, r: int) -> TrajectoryRecord:
+        # The record of row r, as views of the batch's arrays.
+        n, sat = int(self.length[r]), int(self.saturation_step[r])
+        return TrajectoryRecord(self.permutation[r], self.alpha, self.states[r, :n], self.log_products[r, :n],
+                                self.spread[r, :n], self.phase[r, :n], None if sat < 0 else sat,
+                                None if sat < 0 else self.saturation_values[r])
 
     @classmethod
-    def of_records(cls, records: Sequence[TrajectoryRecord]) -> "_Batch":
-        # The records' own fields, none recomputed, so an edited record keeps
-        # its edit.  Every record has the same p and alpha.
-        rows, p = len(records), records[0].p
-        n_max = max(len(t) for t in records)
-        U, lp = np.full((rows, n_max, p), np.nan), np.full((rows, n_max, p), np.nan)
-        spread, phase = np.full((rows, n_max), np.nan), np.zeros((rows, n_max), np.int8)
-        sat_step, sat_values = np.full(rows, -1), np.full((rows, p), np.nan)
-        for r, t in enumerate(records):
-            U[r, : len(t)] = [st.u for st in t.states]
-            lp[r, : len(t.log_products)] = t.log_products
-            spread[r, : len(t.spread)] = t.spread
-            phase[r, : len(t.phase)] = [_PHASE_CODES[ph] for ph in t.phase]
-            if t.saturation_step is not None:
-                sat_step[r], sat_values[r] = t.saturation_step, t.saturation_values
-        return cls(records[0].alpha, np.array([t.permutation for t in records]), U, lp,
-                   spread, phase, np.array([len(t) for t in records]), sat_step, sat_values)
+    def of(cls, traj: TrajectoryRecord) -> "_Batch":
+        # The one-row batch of a record: its arrays with a leading axis.
+        sat = traj.saturation_step
+        return cls(traj.permutation[None], traj.alpha, traj.states[None], traj.log_products[None],
+                   traj.spread[None], traj.phase[None], np.array([-1 if sat is None else sat]),
+                   np.full((1, traj.p), np.nan) if sat is None else traj.saturation_values[None],
+                   np.array([len(traj)]))
 
 
 def _run_batch(u0: np.ndarray, max_steps: int, alpha: float) -> _Batch:
@@ -363,13 +349,13 @@ def _run_batch(u0: np.ndarray, max_steps: int, alpha: float) -> _Batch:
                 break
         u = nxt
 
-    U, lp = np.full((2, rows, len(steps), p), np.nan)
+    states, lp = np.full((2, rows, len(steps), p), np.nan)
     length = np.zeros(rows, dtype=int)
     for m, (live, u, sums) in enumerate(steps):
-        U[live, m], lp[live, m] = u, sums
+        states[live, m], lp[live, m] = u, sums
         length[live] = m + 1
-    return _Batch(alpha, order, U, lp, U[..., -1] / U[..., 0] - 1.0, _phase_codes(U, alpha),
-                  length, sat_step, sat_values)
+    return _Batch(order, alpha, states, lp, states[..., -1] / states[..., 0] - 1.0,
+                  _phase_codes(states, alpha), sat_step, sat_values, length)
 
 
 def comparison_sequence(tau0: float, p: int, steps: int) -> list[float]:

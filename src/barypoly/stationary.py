@@ -54,6 +54,7 @@ def alpha_residual(p: int, x: float) -> float:
     The power is evaluated as exp((p-1) * log(x)) so that large p does not
     lose precision to repeated multiplication.
     """
+    p = _index(p)
     if p < 2:
         raise ValueError(f"p must be >= 2, got {p}")
     if x == 0.0:

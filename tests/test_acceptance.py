@@ -96,8 +96,8 @@ def test_criterion_5_sortedness(sweep):
     bad = sum(
         1
         for traj in sweep
-        for st in traj.states
-        for a, b in zip(st.u, st.u[1:])
+        for u in traj.states.tolist()
+        for a, b in zip(u, u[1:])
         if b < a - 1e-14
     )
     ok = bad == 0 and len(sweep) == 1000

@@ -34,7 +34,7 @@ from barypoly.analysis import (
     _elementary_symmetric,
     _reliable_horizon,
 )
-from barypoly.dynamics import _Batch
+from barypoly.dynamics import _PHASES, _Batch, _run_batch
 from barypoly.geometry import _polygon_average
 
 
@@ -59,7 +59,19 @@ def _traj(u, steps=2):
 def _check(name, traj):
     # one registered check on the one-row batch of a record, as
     # trajectory_checks runs it
-    return _TRAJ_CHECKS[name](_Batch.of_records([traj]))[0]
+    return _TRAJ_CHECKS[name](_Batch.of(traj))[0]
+
+
+def _phases(traj):
+    # the record's phase codes as Phase members
+    return [_PHASES[code] for code in traj.phase.tolist()]
+
+
+def _with_state(traj, m, q, value):
+    # the record with component q of state m set to value, in a copy
+    states = traj.states.copy()
+    states[m, q] = value
+    return dataclasses.replace(traj, states=states)
 
 
 def test_contraction_certificate_hand_case():
@@ -70,7 +82,7 @@ def test_contraction_certificate_hand_case():
     assert cert.intercept == pytest.approx(0.2 * 0.5 * 0.688, rel=1e-15)
     assert cert.ratio_bound == pytest.approx(cert.slope * 0.2 / cert.intercept, rel=1e-15)
     assert cert.residual_low <= 1e-12 and cert.residual_high <= 1e-12
-    u2 = traj.states[2].u
+    u2 = traj.states[2]
     assert cert.slope * 0.2 + cert.intercept == pytest.approx(u2[0], rel=1e-12)
     assert cert.slope * 0.5 + cert.intercept == pytest.approx(u2[-1], rel=1e-12)
 
@@ -95,29 +107,23 @@ def test_contraction_certificate_errors():
     with pytest.raises(ValueError):
         contraction_certificate(_traj((0.4, 0.6)), 0)  # p too small
     good = _traj((0.2, 0.3, 0.4, 0.5))
-    shuffled = dataclasses.replace(
-        good, states=(ConjugateTuple.of((0.2, 0.4, 0.3, 0.5)),) + good.states[1:]
-    )
+    shuffled = _with_state(_with_state(good, 0, 1, 0.4), 0, 2, 0.3)
     with pytest.raises(ValueError, match="not sorted"):
         contraction_certificate(shuffled, 0)
 
 
 def test_reliable_horizon():
     traj = _traj((0.15, 0.5, 0.85), steps=400)
-    h = _reliable_horizon(_Batch.of_records([traj]))[0]
-    assert 0 < h <= len(traj.states)
-    assert all(1.0 - max(st.u) > 1e-10 for st in traj.states[:h])
+    h = _reliable_horizon(_Batch.of(traj))[0]
+    assert 0 < h <= len(traj)
+    assert all(1.0 - max(u) > 1e-10 for u in traj.states[:h].tolist())
 
 
 def test_ratio_monotonicity_catches_corruption():
     check = functools.partial(_check, "ratio_monotone")
     traj = _traj((0.2, 0.3, 0.4, 0.5), steps=6)
     assert check(traj) == (True, {})
-    states = list(traj.states)
-    u = list(states[2].u)
-    u[-1] = min(u[-1] + 0.2, 0.999)
-    states[2] = ConjugateTuple.of(u)
-    bad = dataclasses.replace(traj, states=tuple(states))
+    bad = _with_state(traj, 2, -1, min(traj.states[2, -1] + 0.2, 0.999))
     ok, witness = check(bad)
     assert not ok and witness["step"] in (0, 2)
 
@@ -132,8 +138,8 @@ def test_detect_alternation_on_generic_seed():
     ok, witness = _check("phase_alternation", traj)
     assert ok
     m0 = witness["m0"]
-    assert all(ph is Phase.MIXED for ph in traj.phase[:m0])
-    decided = traj.phase[m0:]
+    assert all(ph is Phase.MIXED for ph in _phases(traj)[:m0])
+    decided = _phases(traj)[m0:]
     assert Phase.MIXED not in decided
     assert all(a is not b for a, b in zip(decided, decided[1:]))
 
@@ -180,7 +186,7 @@ def test_verdict_matches_alternation_parity(sweep):
         if "m0" not in alternation or not decided:
             continue
         m0 = alternation["m0"]
-        below_on_even = (traj.phase[m0] is Phase.BELOW) == (m0 % 2 == 0)
+        below_on_even = (_phases(traj)[m0] is Phase.BELOW) == (m0 % 2 == 0)
         expected = "even_to_zero_odd_to_one" if below_on_even else "even_to_one_odd_to_zero"
         assert limits["verdict"] == expected
 
@@ -194,20 +200,20 @@ def test_comparison_domination():
 def _comparison_domination_inline(traj, slack=1e-12):
     # The check as it was with the scalar orbit written inline, kept as the
     # oracle for the version that iterates comparison_sequence.
-    states = traj.states
-    b0 = next((i for i, ph in enumerate(traj.phase) if ph is Phase.BELOW), None)
+    states = traj.states.tolist()
+    b0 = next((i for i, ph in enumerate(_phases(traj)) if ph is Phase.BELOW), None)
     if b0 is None or b0 + 1 >= len(states):
         return True, {}
     p = traj.p
-    u_top = states[b0].u[-1]
-    u_low_next = states[b0 + 1].u[0]
+    u_top = states[b0][-1]
+    u_low_next = states[b0 + 1][0]
     if u_low_next > 1.0 - u_top ** (p - 1):
         tau = u_top
     else:
         tau = (1.0 - u_low_next) ** (1.0 / (p - 1))
     for offset in range(len(states) - b0):
         m = b0 + offset
-        u = states[m].u
+        u = states[m]
         if offset % 2 == 0:
             if tau < u[-1] - slack:
                 return False, {"step": m}
@@ -225,17 +231,13 @@ def test_comparison_domination_matches_the_inline_orbit(sweep, monkeypatch):
     for traj in sweep:
         assert check(traj) == _comparison_domination_inline(traj)
     for traj in sweep[::5]:
-        if len(traj.states) < 2:
+        if len(traj) < 2:
             continue
         # move one component of one state, leaving the phases as recorded
-        states = list(traj.states)
-        m = int(rng.integers(0, len(states)))
-        u = list(states[m].u)
-        q = int(rng.integers(0, len(u)))
+        m = int(rng.integers(0, len(traj)))
+        q = int(rng.integers(0, traj.p))
         step = rng.choice([-1.0, 1.0]) * rng.choice([1e-13, 1e-11, 1e-3, 0.1])
-        u[q] = min(max(u[q] + float(step), 1e-9), 1.0 - 1e-9)
-        states[m] = ConjugateTuple.of(u)
-        bad = dataclasses.replace(traj, states=tuple(states))
+        bad = _with_state(traj, m, q, min(max(traj.states[m, q].item() + float(step), 1e-9), 1.0 - 1e-9))
         got = check(bad)
         assert got == _comparison_domination_inline(bad)
         verdicts.add(got[0])
@@ -254,7 +256,7 @@ def test_comparison_domination_requires_p3():
     # p = 2 alternates between BELOW and ABOVE forever; the scalar orbit, like
     # the contraction certificate, is defined from p = 3 on
     traj = _traj((0.2, 0.3), steps=4)
-    assert traj.phase[0] is Phase.BELOW
+    assert _phases(traj)[0] is Phase.BELOW
     with pytest.raises(ValueError, match="p >= 3"):
         _check("comparison_domination", traj)
 
@@ -326,9 +328,9 @@ def test_spectral_check_fails_on_a_faulty_step_or_certificate(monkeypatch, p):
 def _t_ratio_by_pair_loop(traj):
     # The scalar pair loop the array kernel replaced, kept as its oracle.
     p = traj.p
-    for m in range(0, len(traj.states), 2):
-        lp = traj.log_products[m]
-        u = traj.states[m].u
+    for m in range(0, len(traj), 2):
+        lp = traj.log_products[m].tolist()
+        u = traj.states[m].tolist()
         for k in range(p - 1):
             for l in range(k + 1, p):
                 lhs = math.exp(lp[l] - lp[k])
@@ -339,26 +341,18 @@ def _t_ratio_by_pair_loop(traj):
 
 
 def _record_of_states(rows):
-    # A record whose states are the given sorted rows; the log products come
-    # from the record builder itself.
+    # A record whose states are the given sorted rows; their log products,
+    # spreads and phases come from the record builder itself.
     recs = [_traj(u, steps=0) for u in rows]
-    return dataclasses.replace(
-        recs[0],
-        states=tuple(r.states[0] for r in recs),
-        log_products=tuple(r.log_products[0] for r in recs),
-    )
+    return dataclasses.replace(recs[0], **{
+        field: np.concatenate([getattr(r, field) for r in recs])
+        for field in ("states", "log_products", "spread", "phase")})
 
 
 def _corrupt(traj, m, q, delta, where):
     if where == "log_products":
-        lps = [list(row) for row in traj.log_products]
-        lps[m][q] += delta
-        return dataclasses.replace(traj, log_products=tuple(tuple(r) for r in lps))
-    states = list(traj.states)
-    u = list(states[m].u)
-    u[q] *= 1.0 + delta
-    states[m] = ConjugateTuple.of(u)
-    return dataclasses.replace(traj, states=tuple(states))
+        return _with_log_product(traj, m, q, traj.log_products[m, q] + delta)
+    return _with_state(traj, m, q, traj.states[m, q] * (1.0 + delta))
 
 
 def _assert_same_t_ratio_verdict(traj):
@@ -372,22 +366,18 @@ def _assert_same_t_ratio_verdict(traj):
 
 
 def _with_log_product(traj, m, q, value):
-    lps = [list(row) for row in traj.log_products]
-    lps[m][q] = value
-    return dataclasses.replace(traj, log_products=tuple(tuple(r) for r in lps))
+    lps = traj.log_products.copy()
+    lps[m, q] = value
+    return dataclasses.replace(traj, log_products=lps)
 
 
 def _unsorted_record(rows, consistent):
     # A record of the rows with their first two components swapped; the log
     # products are those of the swapped rows if consistent, else of the
     # sorted rows.
-    swapped = [(row[1], row[0], *row[2:]) for row in rows]
-    lps = dynamics._step(np.array(swapped if consistent else rows))[0]
-    return dataclasses.replace(
-        _record_of_states(rows),
-        states=tuple(ConjugateTuple.of(row) for row in swapped),
-        log_products=tuple(tuple(row) for row in lps.tolist()),
-    )
+    swapped = np.array([(row[1], row[0], *row[2:]) for row in rows])
+    lps = dynamics._step(swapped if consistent else np.array(rows))[0]
+    return dataclasses.replace(_record_of_states(rows), states=swapped, log_products=lps)
 
 
 def test_t_ratio_transfer_agrees_with_pair_loop():
@@ -454,7 +444,7 @@ def _screen_families(p, n, rng):
     lead = int(0.6 * p)
     middle = np.sort(rng.uniform(0.3, 0.7, size=(n, p - lead)), axis=1)
     return [
-        ("orbit", batch.U[batch.valid]),
+        ("orbit", batch.states[batch.valid]),
         ("all tied", np.repeat(np.geomspace(0.37, 1e-9, n)[:, None], p, axis=1)),
         ("tied groups", np.sort(rng.choice([0.1, 0.4, 0.9], size=(n, p)), axis=1)),
         ("near 0", np.sort(np.where(some, rng.uniform(1e-14, 1e-12, (n, p)), uniform), axis=1)),
@@ -672,11 +662,7 @@ def test_trajectory_checks_pass_and_catch_faults():
     results = trajectory_checks(traj)
     assert len(results) == 9
     assert all(r.passed for r in results)
-    states = list(traj.states)
-    u = list(states[2].u)
-    u[0] = min(u[0] + 0.07, 0.99)
-    states[2] = ConjugateTuple.of(u)
-    corrupted = dataclasses.replace(traj, states=tuple(states))
+    corrupted = _with_state(traj, 2, 0, min(traj.states[2, 0] + 0.07, 0.99))
     assert any(not r.passed for r in trajectory_checks(corrupted))
 
 
@@ -751,7 +737,7 @@ def test_default_suite_draws_each_p_as_one_batch_of_per_seed_draws(monkeypatch):
     def recording(u0, max_steps, alpha):
         batches.append(u0.copy())
         batch = real(u0, max_steps, alpha)
-        assert batch.U.shape[0] == batch.length.size == len(u0)
+        assert batch.states.shape[0] == batch.length.size == len(u0)
         return batch
 
     monkeypatch.setattr(analysis, "_run_batch", recording)
@@ -819,26 +805,27 @@ def test_sweep_is_fully_clean(sweep_results):
 
 
 def test_each_row_of_a_batch_gets_the_verdict_of_its_own_batch():
-    # Rows of different lengths share one batch: saturated and unsaturated
-    # rows, the fixed tuple, which never saturates, and a corrupted record.
-    # Every check must give each row the verdict of that row's one-row batch,
-    # so nothing leaks between rows through the padding.
+    # Rows of different lengths share one batch: random seeds, seeds ever
+    # closer to the fixed tuple, which saturate ever later, the fixed tuple,
+    # which never saturates, and a row corrupted in a copy of the batch's
+    # states.  Every check must give each row the verdict of that row's
+    # one-row view, so nothing leaks between rows through the padding.
     rng = np.random.default_rng(9)
     for p in (3, 5, 8, 32, 256):
         alpha = solve_alpha(p)
-        seeds = rng.uniform(1e-3, 1.0 - 1e-3, size=(6, p))
-        records = [run_trajectory(ConjugateTuple.of(u), steps, alpha)
-                   for u, steps in zip(seeds, (20, 20, 3, 20, 1, 0))]
-        records.insert(2, run_trajectory(ConjugateTuple.of([alpha] * p), 20, alpha))
-        records.insert(4, analysis._perturbed_record(records[0]))
-        assert records[2].saturation_step is None and len(records[2]) == 21
-        assert {r.saturation_step is None for r in records} == {True, False}
-        assert len({len(r) for r in records}) >= 2
-        batch = _Batch.of_records(records)
+        near = alpha * (1.0 + np.geomspace(1e-2, 1e-8, 3)[:, None] * rng.uniform(-1.0, 1.0, size=(3, p)))
+        seeds = np.concatenate([rng.uniform(1e-3, 1.0 - 1e-3, size=(3, p)), near, np.full((1, p), alpha)])
+        batch = _run_batch(seeds, 20, alpha)
+        assert batch.saturation_step[-1] == -1 and batch.length[-1] == 21
+        assert len(set(batch.saturation_step.tolist()) - {-1}) >= 2
+        states = batch.states.copy()
+        m = min(2, batch.length[0] - 1)
+        states[0, m, 0] = min(states[0, m, 0] + 0.07, 1.0 - 1e-9)
+        batch = dataclasses.replace(batch, states=states)
         for name, check in _TRAJ_CHECKS.items():
-            alone = [check(_Batch.of_records([r]))[0] for r in records]
+            alone = [check(_Batch.of(batch.row(r)))[0] for r in range(len(seeds))]
             assert check(batch) == alone, (p, name)
-        verdicts = [r.passed for r in trajectory_checks(records[4])]
+        verdicts = [r.passed for r in trajectory_checks(batch.row(0))]
         assert not all(verdicts)
 
 
@@ -870,24 +857,24 @@ def test_default_suite_reports_are_pinned():
 
 
 def test_default_suite_builds_no_conjugate_tuple(monkeypatch):
-    # The sweep is checked in arrays from stepping to verdict: no state of it
-    # becomes a ConjugateTuple, and no record is built.
+    # A sweep, run_trajectory and trajectory_checks work in arrays from
+    # stepping to verdict: none of them builds a ConjugateTuple, not even
+    # for an injected fault.
     built = []
     post_init = ConjugateTuple.__post_init__
-    from_checked = ConjugateTuple._from_checked.__func__
 
     def counted_post_init(self):
         built.append(self)
         post_init(self)
 
-    def counted_from_checked(cls, u):
-        built.append(u)
-        return from_checked(cls, u)
-
+    u0 = ConjugateTuple.of((0.2, 0.5, 0.8))
     monkeypatch.setattr(ConjugateTuple, "__post_init__", counted_post_init)
-    monkeypatch.setattr(ConjugateTuple, "_from_checked", classmethod(counted_from_checked))
     results = default_suite(p_values=(3, 8), seeds_per_p=20)
     assert all(r.passed for r in results)
+    assert not all(r.passed for r in default_suite(p_values=(4,), seeds_per_p=2, inject_fault=True))
+    traj = run_trajectory(u0, 400, solve_alpha(3))
+    assert all(r.passed for r in trajectory_checks(traj))
     assert built == []
-    # the counters see the states of a record
-    assert len(run_trajectory(ConjugateTuple.of((0.2, 0.5, 0.8)), 3, solve_alpha(3))) == len(built) - 1
+    # the counter sees a ConjugateTuple that is built
+    stepped = conjugate_step(u0)
+    assert built == [stepped]

@@ -125,6 +125,17 @@ def test_trajectory_csv_roundtrip(tmp_path, capsys):
         assert [v.hex() for v in stepped.u] == [float(v).hex() for v in nxt[1:6]]
 
 
+def test_trajectory_and_verify_weights_output_is_pinned(capsys):
+    # stdout, stderr and exit code of trajectory and verify --weights runs,
+    # byte for byte, as captured before the trajectory record held arrays
+    golden = json.loads((Path(__file__).parent / "golden_cli.json").read_text(encoding="utf-8"))
+    assert {case["argv"][0] for case in golden} == {"trajectory", "verify"}
+    for case in golden:
+        code = main(case["argv"])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (case["exit_code"], case["stdout"], case["stderr"]), case["argv"]
+
+
 def test_trajectory_to_stdout(capsys):
     assert main(["trajectory", "--weights", "0.4,0.5,0.6", "--steps", "3"]) == 0
     captured = capsys.readouterr()

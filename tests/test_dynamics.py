@@ -17,6 +17,7 @@ from barypoly import (
     run_trajectory,
     solve_alpha,
 )
+from barypoly.dynamics import _PHASES
 
 
 def weight_lists(lo=0.05, hi=0.95, min_p=3, max_p=8):
@@ -87,7 +88,8 @@ def test_stepped_states_equal_validated_states():
     unsorted = 0
     for u0 in seeds:
         u0 = ConjugateTuple.of(u0)
-        stepped = list(run_trajectory(u0, 50, solve_alpha(max(u0.p, 3))).states)
+        record = run_trajectory(u0, 50, solve_alpha(max(u0.p, 3)))
+        stepped = [ConjugateTuple.of(u) for u in record.states.tolist()]
         state = u0
         for _ in range(50):
             try:
@@ -136,10 +138,23 @@ def test_classify_phase():
 
 def test_run_trajectory_sorts_and_permutes():
     traj = run_trajectory(ConjugateTuple.of((0.8, 0.2, 0.5)), 3, solve_alpha(3))
-    assert traj.states[0].u == (0.2, 0.5, 0.8)
-    assert traj.permutation == (1, 2, 0)
+    assert traj.states[0].tolist() == [0.2, 0.5, 0.8]
+    assert traj.permutation.tolist() == [1, 2, 0]
     original = (0.8, 0.2, 0.5)
-    assert tuple(original[i] for i in traj.permutation) == traj.states[0].u
+    assert [original[i] for i in traj.permutation] == traj.states[0].tolist()
+
+
+def test_trajectory_record_is_read_only():
+    for traj in (run_trajectory(ConjugateTuple.of((0.8, 0.2, 0.5)), 3, solve_alpha(3)),
+                 run_trajectory(ConjugateTuple.of((0.15, 0.5, 0.85)), 400, solve_alpha(3))):
+        with pytest.raises(ValueError):
+            traj.states[0, 0] = 0.5
+        for field in ("permutation", "log_products", "spread", "phase", "saturation_values"):
+            values = getattr(traj, field)
+            if values is not None:
+                with pytest.raises(ValueError):
+                    values[0] = values[-1]
+    assert traj.saturation_values is not None
 
 
 def test_run_trajectory_fixed_seed_never_saturates():
@@ -148,30 +163,30 @@ def test_run_trajectory_fixed_seed_never_saturates():
     assert traj.saturation_step is None
     assert traj.saturation_values is None
     assert len(traj) == 13
-    assert all(ph is Phase.MIXED for ph in traj.phase)
+    assert all(_PHASES[code] is Phase.MIXED for code in traj.phase.tolist())
 
 
 def test_run_trajectory_saturation_record():
     traj = run_trajectory(ConjugateTuple.of((0.15, 0.5, 0.85)), 400, solve_alpha(3))
     assert traj.saturation_step is not None
-    assert traj.saturation_step == len(traj.states)
+    assert traj.saturation_step == len(traj)
     assert traj.saturation_values is not None
     assert any(
         v <= math.ulp(0.0) or 1.0 - v <= math.ulp(1.0) for v in traj.saturation_values
     )
     ulp0, ulp1 = math.ulp(0.0), math.ulp(1.0)
-    for state in traj.states:
-        assert all(v > ulp0 and 1.0 - v > ulp1 for v in state.u)
+    for state in traj.states.tolist():
+        assert all(v > ulp0 and 1.0 - v > ulp1 for v in state)
 
 
 def test_trajectory_diagnostic_fields():
     traj = run_trajectory(ConjugateTuple.of((0.3, 0.5, 0.6, 0.7)), 6, solve_alpha(4))
-    for m, state in enumerate(traj.states):
-        assert traj.spread[m] == state.u[-1] / state.u[0] - 1.0
-        assert traj.phase[m] is classify_phase(state, traj.alpha)
+    for m, state in enumerate(traj.states.tolist()):
+        assert traj.spread[m] == state[-1] / state[0] - 1.0
+        assert _PHASES[traj.phase[m].item()] is classify_phase(ConjugateTuple.of(state), traj.alpha)
         for k in range(traj.p):
-            direct = math.prod(v for i, v in enumerate(state.u) if i != k)
-            assert math.exp(traj.log_products[m][k]) == pytest.approx(direct, rel=1e-12)
+            direct = math.prod(v for i, v in enumerate(state) if i != k)
+            assert math.exp(traj.log_products[m, k]) == pytest.approx(direct, rel=1e-12)
 
 
 def test_comparison_sequence_recurrence():
@@ -269,14 +284,14 @@ def test_run_trajectory_matches_stepping_then_summing():
         alpha = solve_alpha(u0.p)
         got = run_trajectory(u0, steps, alpha)
         ref = _run_trajectory_stepping_then_summing(u0, steps, alpha)
-        assert got.permutation == ref["permutation"]
-        assert [_bits(st.u) for st in got.states] == [_bits(u) for u in ref["states"]]
+        assert got.permutation.tolist() == list(ref["permutation"])
+        assert [_bits(u) for u in got.states] == [_bits(u) for u in ref["states"]]
         assert len(got.log_products) == len(ref["log_products"])
-        for lp, ref_lp, bound in zip(got.log_products, ref["log_products"], ref["log_bounds"]):
-            assert all(type(v) is float for v in lp)
+        assert got.log_products.dtype == np.float64
+        for lp, ref_lp, bound in zip(got.log_products.tolist(), ref["log_products"], ref["log_bounds"]):
             assert max(abs(a - b) for a, b in zip(lp, ref_lp)) <= bound
         assert _bits(got.spread) == _bits(ref["spread"])
-        assert list(got.phase) == ref["phase"]
+        assert [_PHASES[code] for code in got.phase.tolist()] == ref["phase"]
         assert got.saturation_step == ref["saturation_step"]
         if ref["saturation_values"] is None:
             assert got.saturation_values is None
@@ -289,12 +304,12 @@ def test_run_trajectory_matches_stepping_then_summing():
 def _record_bits(traj):
     # every field of a record, floats by their bits
     return (
-        traj.permutation,
+        traj.permutation.tolist(),
         traj.alpha.hex(),
-        [_bits(st.u) for st in traj.states],
+        [_bits(u) for u in traj.states],
         [_bits(lp) for lp in traj.log_products],
         _bits(traj.spread),
-        traj.phase,
+        traj.phase.tolist(),
         traj.saturation_step,
         None if traj.saturation_values is None else _bits(traj.saturation_values),
     )
@@ -312,8 +327,8 @@ def test_batched_records_equal_one_row_records():
         u0[3] = alpha  # the fixed tuple saturates late, if at all
         for steps in (0, 1, 3, 400):
             batch = _run_batch(u0, steps, alpha)
-            records = [batch.record(r) for r in range(len(u0))]
-            assert batch.U.shape[:2] == (len(u0), max(len(rec) for rec in records))
+            records = [batch.row(r) for r in range(len(u0))]
+            assert batch.states.shape[:2] == (len(u0), max(len(rec) for rec in records))
             for row, rec in zip(u0, records):
                 one = run_trajectory(ConjugateTuple.of(row), steps, alpha)
                 assert _record_bits(rec) == _record_bits(one)

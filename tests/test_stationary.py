@@ -59,7 +59,7 @@ def test_solve_alpha_validation():
 
 
 def test_non_integer_p_is_a_value_error():
-    for fn in (solve_alpha, certificate, stationary_weights):
+    for fn in (solve_alpha, certificate, stationary_weights, lambda p: alpha_residual(p, 0.5)):
         for p in (3.5, 4.0, "4"):
             with pytest.raises(ValueError, match="integer"):
                 fn(p)
