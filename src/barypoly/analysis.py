@@ -25,7 +25,6 @@ on its one-row view.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -35,7 +34,6 @@ import numpy as np
 from .dynamics import (
     TrajectoryRecord,
     WeightTuple,
-    _BLOCK_ELEMS,
     _Batch,
     _reduce_components,
     _run_batch,
@@ -379,131 +377,44 @@ def _traj_geometric_bound(batch: _Batch) -> list[tuple[bool, dict]]:
             for r, i in enumerate(_first(bad).tolist())]
 
 
-@functools.lru_cache(maxsize=16)
-def _triangle_pairs(r: int) -> tuple[np.ndarray, np.ndarray]:
-    # Pairs i < j < r in row-major order (i ascending, then j).
-    i, j = np.triu_indices(r, 1)
-    i.setflags(write=False)
-    j.setflags(write=False)
-    return i, j
-
-
-def _ratio_gap(lp_k, lp_l, u_k, u_l) -> np.ndarray:
-    # |exp(lp_l - lp_k) - u_k / u_l| elementwise, on gathered or broadcast
-    # operands alike.
-    gap = lp_l - lp_k
-    np.exp(gap, gap)
-    gap -= u_k / u_l
-    return np.abs(gap, gap)
-
-
-# Tolerance of every pair gap in t_ratio_transfer.
-_T_RATIO_TOL = 1e-12
-# From this p on, _traj_t_ratio_transfer screens each state in O(p) before
-# its pair scan; below it the pair scan alone is cheaper.
-_SCREEN_MIN_P = 16
+# Unit roundoff, and the relative error allowed for numpy's log and expm1:
+# 4 ulp.
 _EPS = 2.0**-53
-# Relative error allowed for numpy's exp, expm1 and log: 4 ulp.
 _LIBM_REL = 8 * _EPS
 
 
-def _t_ratio_bound(lp: np.ndarray, u: np.ndarray) -> np.ndarray:
-    # For each sorted state (row) of (states, p) arrays, an upper bound on
-    # every gap |exp(lp_l - lp_k) - u_k / u_l| that _ratio_gap computes, in
-    # O(p); non-finite data anywhere in a state makes its bound NaN.
-    #
-    # With exact logs, r_k = lp_k + log u_k and x = lp_l - lp_k give
-    # exp(x) = (u_k/u_l) exp(r_l - r_k): every gap is small when the r_k
-    # are nearly equal.  The computed b = log u carries a relative error of
-    # at most eta = 4 ulp <= 8 eps, and lp_k + b_k is kept exactly as the
-    # TwoSum pair (s_k, e_k).  d_k = (s_k - s_0) + e_k takes two roundings,
-    # so it is lp_k + b_k - s_0 to within 2 eps |d_k| + eps |e_k|.  With
-    # R = max d - min d, every pair then has
-    #     |r_l - r_k| <= R + 2 eta max|b| + 4 eps max|d| + 2 eps max|e|.
-    # Rounding x costs eps |x| <= eps (|r_l - r_k| + 2 max|b|), so the
-    # computed exp argument is x + t with |t| <= Delta, the sum of these
-    # terms, and exp(x + t) is within (u_k/u_l) expm1(Delta) of u_k/u_l.  A
-    # sorted state has u_k/u_l <= 1, so with exp's own error eta and the
-    # roundings of the quotient and the difference
-    #     gap <= (expm1(Delta) (1 + eta) + eta + eps) (1 + eps).
-    # Underflow adds at most a few 2^-1074, far inside the eps terms.  The
-    # bound holds to first order in eps; the terms of order eps^2 and the
-    # rounding of the bound's own evaluation move it by a relative ~30 eps,
-    # which the caller's factor 2 covers.  The temporaries are a few arrays
-    # of the shape of lp.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        b = np.log(u)
-        # TwoSum: s + e == lp + b exactly
-        s = lp + b
-        z = s - lp
-        e = (lp - (s - z)) + (b - z)
-        d = (s - s[:, :1]) + e
-        spread = d.max(axis=1) - d.min(axis=1)
-        max_b = np.abs(b).max(axis=1)
-        delta = (spread + 2 * _LIBM_REL * max_b + _EPS * (spread + 2 * max_b)
-                 + 4 * _EPS * np.abs(d).max(axis=1) + 2 * _EPS * np.abs(e).max(axis=1))
-        return (np.expm1(delta) * (1 + _LIBM_REL) + _LIBM_REL + _EPS) * (1 + _EPS)
-
-
-def _t_ratio_cleared(lp: np.ndarray, u: np.ndarray) -> np.ndarray:
-    # The states whose pairs all pass at _T_RATIO_TOL by _t_ratio_bound, with
-    # a factor 2 to spare.  An unsorted state, or one with a NaN or an
-    # infinity, is not cleared.
-    in_order = (u[:, 1:] >= u[:, :-1]).all(axis=1)
-    return in_order & (2.0 * _t_ratio_bound(lp, u) <= _T_RATIO_TOL)
-
-
 def _traj_t_ratio_transfer(batch: _Batch) -> list[tuple[bool, dict]]:
-    # Weight components of step m+1 are exp(log_products[m]); their ratios
-    # must mirror the inverted conjugate ratios of step m: for every even m
-    # and pair k < l, |exp(lp[l] - lp[k]) - u[k] / u[l]| <= _T_RATIO_TOL.  A
-    # NaN gap fails.
+    # The weights of step m+1 are t'_k = 1 - u_k^(m+1) = P / u_k^(m), with P
+    # the product of the components of state m, so t'_l / t'_k = u_k / u_l
+    # for every pair exactly when w_k = t'_k u_k^(m) is one number for every
+    # k.  Every recorded state m whose successor is recorded is audited, in
+    # O(p), by the relative spread max w / min w - 1 against twice a
+    # forward-error bound B of the computed spread; a NaN spread fails.
     #
-    # The recorded even states of all rows are gathered into one (states, p)
-    # array, ordered by row and then step.  From _SCREEN_MIN_P on, the states
-    # that _t_ratio_cleared clears are dropped: all their pairs pass.  The
-    # rest are compared at once in blocks of columns k0 <= k < k1.  The
-    # pairs with both ends inside the block are gathered through the cached
-    # triangle indices; those with l >= k1 form a rectangle and are
-    # broadcast.  Small p is one block with no rectangle; at large p the
-    # block size bounds the temporaries.  The failure reported for a row is
-    # its first in (step, k, l) order, whichever part of which block holds
-    # it.
-    row_of, m_of = np.nonzero(batch.valid[:, ::2])
-    lp, u = batch.log_products[row_of, 2 * m_of], batch.states[row_of, 2 * m_of]
-    if lp.shape[1] >= _SCREEN_MIN_P:
-        scan = ~_t_ratio_cleared(lp, u)
-        row_of, m_of, lp, u = row_of[scan], m_of[scan], lp[scan], u[scan]
-    if not len(lp):
-        return [(True, {}) for _ in batch.length]
-    n, p = lp.shape
-    width = max(1, min(p, _BLOCK_ELEMS // (n * p)))
-    found: list[list[tuple]] = [[] for _ in batch.length]
-
-    def note(gap, pair):
-        # gap is (states, pairs); pair maps a pair's index to its (k, l)
-        bad = ~(gap <= _T_RATIO_TOL)
-        for s in np.flatnonzero(bad.any(axis=1)).tolist():
-            q = int(bad[s].argmax())
-            found[row_of[s]].append((int(m_of[s]), *pair(q), float(gap[s, q])))
-
-    for k0 in range(0, p, width):
-        k1 = min(k0 + width, p)
-        i, j = _triangle_pairs(k1 - k0)
-        lpb, ub = lp[:, k0:k1], u[:, k0:k1]
-        note(_ratio_gap(lpb.take(i, 1), lpb.take(j, 1), ub.take(i, 1), ub.take(j, 1)),
-             lambda q: (k0 + int(i[q]), k0 + int(j[q])))
-        if k1 < p:
-            gap = _ratio_gap(lpb[:, :, None], lp[:, None, k1:], ub[:, :, None], u[:, None, k1:])
-            note(gap.reshape(n, -1), lambda q: (k0 + q // (p - k1), k1 + q % (p - k1)))
-    out = []
-    for first in found:
-        if not first:
-            out.append((True, {}))
-        else:
-            m, k, l, diff = min(first)
-            out.append((False, {"step": 2 * m, "pair": [k, l], "diff": diff}))
-    return out
+    # The step takes log t'_k as the shared log total T less b_k = log u_k.
+    # T's error is the same in every component and cancels from every ratio
+    # of the w_k, which leaves per component: eta |log u_k| from log (eta = 4
+    # ulp); eps |log t'_k| from rounding T - b_k; (eta + eps) / t'_k from
+    # expm1 and from storing u' = 1 - t' as a double; and eps each from
+    # rounding 1 - u' and the product.  A sorted state has its largest
+    # |log u_k| at k = 0 and its smallest t'_k at k = p - 1, so the spread of
+    # two components, with the rounding of their quotient, is within
+    #     B = 2 (eta |log u_0| + eps |log t'_{p-1}| + (eta + eps) / t'_{p-1}) + 5 eps
+    # to first order; the factor 2 of the test covers the rest.  An unsorted
+    # state can only get a smaller B.
+    U = batch.states
+    t = 1.0 - U[:, 1:]
+    w = t * U[:, :-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diff = _reduce_components(np.maximum, w) / _reduce_components(np.minimum, w) - 1.0
+        t_min = t[..., -1]
+        bound = (2.0 * (_LIBM_REL * np.abs(np.log(U[:, :-1, 0])) + _EPS * np.abs(np.log(t_min))
+                        + (_LIBM_REL + _EPS) / t_min) + 5 * _EPS)
+    bad = ~(diff <= 2.0 * bound) & batch.valid[:, 1:]
+    return [(True, {}) if m < 0 else
+            (False, {"step": m, "pair": sorted((int(w[r, m].argmin()), int(w[r, m].argmax()))),
+                     "diff": float(diff[r, m])})
+            for r, m in enumerate(_first(bad).tolist())]
 
 
 def _traj_phase_alternation(batch: _Batch) -> list[tuple[bool, dict]]:
@@ -620,13 +531,15 @@ def _check_spectral(p_values: Sequence[int]) -> tuple[bool, dict]:
 
 
 def _check_instability_growth(p_values: Sequence[int]) -> tuple[bool, dict]:
-    # Only p = 3, 4, 5 are audited; the witness names them, so a sweep that
-    # audits none of them shows an empty list.
-    eps = 1e-8
-    audited = [p for p in p_values if p in (3, 4, 5)]
-    for p in audited:
+    # Every p is audited: five steps from alpha + eps must each grow the
+    # offset by |lambda_repulsive| to within 10 %.  With eps = 1e-8 /
+    # |lambda|^4 the fifth step starts 1e-8 from alpha, inside the linear
+    # range at every p; from a fixed 1e-8 it would start at 1e-8 |lambda|^4
+    # and miss by 0.108 at p = 8192.
+    for p in p_values:
         cert = certificate(p)
         rho = abs(cert.lambda_repulsive)
+        eps = 1e-8 / rho**4
         u = np.full(p, cert.alpha + eps)
         dist = eps
         for _ in range(5):
@@ -636,7 +549,7 @@ def _check_instability_growth(p_values: Sequence[int]) -> tuple[bool, dict]:
             if abs(factor / rho - 1.0) > 0.1:
                 return False, {"p": p, "factor": factor, "expected": rho}
             dist = new_dist
-    return True, {"p_audited": audited}
+    return True, {"p_audited": list(p_values)}
 
 
 def _check_unique_fixed_point_grid(p_values: Sequence[int]) -> tuple[bool, dict]:

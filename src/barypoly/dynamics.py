@@ -113,9 +113,8 @@ def conjugate_of(t: WeightTuple) -> ConjugateTuple:
     return ConjugateTuple.of(1.0 - v for v in t.t)
 
 
-# Elements per temporary array of the direct sums here and of the t-ratio
-# check in analysis: about 0.25 MB each at large p, while small p takes a
-# single block.
+# Elements per temporary array of the direct sums: about 0.25 MB each at
+# large p, while small p takes a single block.
 _BLOCK_ELEMS = 1 << 15
 
 
@@ -235,27 +234,24 @@ class TrajectoryRecord:
 
     states is (n, p): states[0] is the seed sorted ascending (permutation,
     (p,), holds the sort order applied to the caller's components).
-    log_products[m, k] is the log of the next weight component
-    prod_{i != k} u_i^(m); spread[m] is u_max/u_min - 1 of state m, and
-    phase[m] its int8 phase code: -1 BELOW, 0 MIXED, 1 ABOVE.  Only states
-    more than one ulp inside [0,1]^p are recorded: if a step saturates,
-    saturation_step is the index the offending state would have had,
-    saturation_values, (p,), keeps that state's components as evidence of
-    which bound was reached, and iteration stops.
+    spread[m] is u_max/u_min - 1 of state m, and phase[m] its int8 phase
+    code: -1 BELOW, 0 MIXED, 1 ABOVE.  Only states more than one ulp inside
+    [0,1]^p are recorded: if a step saturates, saturation_step is the index
+    the offending state would have had, saturation_values, (p,), keeps that
+    state's components as evidence of which bound was reached, and
+    iteration stops.
     """
 
     permutation: np.ndarray
     alpha: float
     states: np.ndarray
-    log_products: np.ndarray
     spread: np.ndarray
     phase: np.ndarray
     saturation_step: int | None
     saturation_values: np.ndarray | None
 
     def __post_init__(self):
-        for a in (self.permutation, self.states, self.log_products, self.spread, self.phase,
-                  self.saturation_values):
+        for a in (self.permutation, self.states, self.spread, self.phase, self.saturation_values):
             if a is not None:
                 a.flags.writeable = False
 
@@ -281,14 +277,12 @@ def run_trajectory(u0: ConjugateTuple, max_steps: int, alpha: float) -> Trajecto
 class _Batch:
     # The trajectory records of a batch of rows with one p: the fields of
     # TrajectoryRecord with a leading row axis, and each row's length.
-    # states and log_products are (rows, n_max, p) and spread and phase
-    # (rows, n_max), each NaN (phase: 0, MIXED) past a row's length;
-    # saturation_step is -1 and saturation_values NaN for a row that did not
-    # saturate.
+    # states is (rows, n_max, p) and spread and phase (rows, n_max), each NaN
+    # (phase: 0, MIXED) past a row's length; saturation_step is -1 and
+    # saturation_values NaN for a row that did not saturate.
     permutation: np.ndarray
     alpha: float
     states: np.ndarray
-    log_products: np.ndarray
     spread: np.ndarray
     phase: np.ndarray
     saturation_step: np.ndarray
@@ -303,16 +297,16 @@ class _Batch:
     def row(self, r: int) -> TrajectoryRecord:
         # The record of row r, as views of the batch's arrays.
         n, sat = int(self.length[r]), int(self.saturation_step[r])
-        return TrajectoryRecord(self.permutation[r], self.alpha, self.states[r, :n], self.log_products[r, :n],
-                                self.spread[r, :n], self.phase[r, :n], None if sat < 0 else sat,
+        return TrajectoryRecord(self.permutation[r], self.alpha, self.states[r, :n], self.spread[r, :n],
+                                self.phase[r, :n], None if sat < 0 else sat,
                                 None if sat < 0 else self.saturation_values[r])
 
     @classmethod
     def of(cls, traj: TrajectoryRecord) -> "_Batch":
         # The one-row batch of a record: its arrays with a leading axis.
         sat = traj.saturation_step
-        return cls(traj.permutation[None], traj.alpha, traj.states[None], traj.log_products[None],
-                   traj.spread[None], traj.phase[None], np.array([-1 if sat is None else sat]),
+        return cls(traj.permutation[None], traj.alpha, traj.states[None], traj.spread[None],
+                   traj.phase[None], np.array([-1 if sat is None else sat]),
                    np.full((1, traj.p), np.nan) if sat is None else traj.saturation_values[None],
                    np.array([len(traj)]))
 
@@ -328,15 +322,12 @@ def _run_batch(u0: np.ndarray, max_steps: int, alpha: float) -> _Batch:
     order = np.argsort(u0, axis=-1, kind="stable")
     u = np.sort(u0, axis=-1)  # u0 in the stable order: tied entries are equal
     rows, p = u.shape
-    steps = []  # (live rows, states, log sums) of every step
     sat_step, sat_values = np.full(rows, -1), np.full((rows, p), np.nan)
     live = np.arange(rows)
+    steps = [(live, u)]  # (live rows, states) of every recorded step
     ulp_zero, ulp_one = math.ulp(0.0), math.ulp(1.0)
-    for step in range(max_steps + 1):
-        sums, nxt = _step(u)
-        steps.append((live, u, sums))
-        if step == max_steps:
-            break
+    for step in range(max_steps):
+        nxt = _step(u)[1]
         # a step that leaves (0, 1), or lands within one ulp of its bounds,
         # saturates: the next products would no longer be trustworthy at
         # working precision
@@ -348,13 +339,14 @@ def _run_batch(u0: np.ndarray, max_steps: int, alpha: float) -> _Batch:
             if not live.size:
                 break
         u = nxt
+        steps.append((live, u))
 
-    states, lp = np.full((2, rows, len(steps), p), np.nan)
+    states = np.full((rows, len(steps), p), np.nan)
     length = np.zeros(rows, dtype=int)
-    for m, (live, u, sums) in enumerate(steps):
-        states[live, m], lp[live, m] = u, sums
+    for m, (live, u) in enumerate(steps):
+        states[live, m] = u
         length[live] = m + 1
-    return _Batch(order, alpha, states, lp, states[..., -1] / states[..., 0] - 1.0,
+    return _Batch(order, alpha, states, states[..., -1] / states[..., 0] - 1.0,
                   _phase_codes(states, alpha), sat_step, sat_values, length)
 
 

@@ -9,6 +9,7 @@ unstable for every p >= 3.
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -81,6 +82,13 @@ def solve_alpha(p: int) -> float:
     p = _index(p)
     if p < 2:
         raise ValueError(f"p must be >= 2, got {p}")
+    return _root(p)
+
+
+@functools.lru_cache(maxsize=256)
+def _root(p: int) -> float:
+    # solve_alpha of a validated int p, computed once per p: a sweep asks for
+    # the same few roots many times.
     lo, hi = 0.0, 1.0
     while hi - lo > _BISECT_WIDTH:
         mid = 0.5 * (lo + hi)

@@ -326,33 +326,28 @@ def test_spectral_check_fails_on_a_faulty_step_or_certificate(monkeypatch, p):
 
 
 def _t_ratio_by_pair_loop(traj):
-    # The scalar pair loop the array kernel replaced, kept as its oracle.
-    p = traj.p
-    for m in range(0, len(traj), 2):
-        lp = traj.log_products[m].tolist()
-        u = traj.states[m].tolist()
-        for k in range(p - 1):
-            for l in range(k + 1, p):
-                lhs = math.exp(lp[l] - lp[k])
-                rhs = u[k] / u[l]
-                if not abs(lhs - rhs) <= 1e-12:
-                    return False, {"step": m, "pair": [k, l], "diff": abs(lhs - rhs)}
+    # The t-ratio identity checked pair by pair in Python floats, as its
+    # oracle: with w_k = (1 - u_k^(m+1)) u_k^(m), the largest pair ratio
+    # w_l / w_k - 1 against twice the forward-error bound of state m.  A
+    # rounded quotient is monotone in both operands, so the largest pair
+    # ratio is bitwise the ratio of the extremes.
+    eps, eta = 2.0**-53, 8 * 2.0**-53
+    for m in range(len(traj) - 1):
+        u, t = traj.states[m].tolist(), (1.0 - traj.states[m + 1]).tolist()
+        w = [tk * uk for tk, uk in zip(t, u)]
+        diff = max(wl / wk - 1.0 for wk in w for wl in w)
+        bound = 2 * (eta * abs(math.log(u[0])) + eps * abs(math.log(t[-1])) + (eta + eps) / t[-1]) + 5 * eps
+        if not diff <= 2 * bound:
+            return False, {"step": m, "diff": diff}
     return True, {}
 
 
 def _record_of_states(rows):
-    # A record whose states are the given sorted rows; their log products,
-    # spreads and phases come from the record builder itself.
+    # A record of the given sorted rows as its states; spreads and phases
+    # come from the record builder itself.
     recs = [_traj(u, steps=0) for u in rows]
     return dataclasses.replace(recs[0], **{
-        field: np.concatenate([getattr(r, field) for r in recs])
-        for field in ("states", "log_products", "spread", "phase")})
-
-
-def _corrupt(traj, m, q, delta, where):
-    if where == "log_products":
-        return _with_log_product(traj, m, q, traj.log_products[m, q] + delta)
-    return _with_state(traj, m, q, traj.states[m, q] * (1.0 + delta))
+        field: np.concatenate([getattr(r, field) for r in recs]) for field in ("states", "spread", "phase")})
 
 
 def _assert_same_t_ratio_verdict(traj):
@@ -360,186 +355,93 @@ def _assert_same_t_ratio_verdict(traj):
     ref_ok, ref_info = _t_ratio_by_pair_loop(traj)
     assert ok == ref_ok
     if not ok:
-        assert (info["step"], info["pair"]) == (ref_info["step"], ref_info["pair"])
-        assert info["diff"] == pytest.approx(ref_info["diff"], rel=1e-6, nan_ok=True)
+        assert (info["step"], info["diff"]) == (ref_info["step"], ref_info["diff"])
     return ok
 
 
-def _with_log_product(traj, m, q, value):
-    lps = traj.log_products.copy()
-    lps[m, q] = value
-    return dataclasses.replace(traj, log_products=lps)
-
-
-def _unsorted_record(rows, consistent):
-    # A record of the rows with their first two components swapped; the log
-    # products are those of the swapped rows if consistent, else of the
-    # sorted rows.
-    swapped = np.array([(row[1], row[0], *row[2:]) for row in rows])
-    lps = dynamics._step(swapped if consistent else np.array(rows))[0]
-    return dataclasses.replace(_record_of_states(rows), states=swapped, log_products=lps)
+def _near_alpha_record(p, steps=400, seed=0):
+    # The orbit from alpha (1 + 1e-6 noise), which records several states
+    # at any p, where a uniform seed records one from p = 64 on.
+    alpha = solve_alpha(p)
+    noise = np.random.default_rng(seed).uniform(-1.0, 1.0, size=p)
+    return _traj(alpha * (1.0 + 1e-6 * noise), steps=steps)
 
 
 def test_t_ratio_transfer_agrees_with_pair_loop():
+    # Orbits at p = 3..8, 16, 64 and 256 with one component of a successor
+    # state moved.  One ulp, the error of storing it, passes; a move of its
+    # weight by 1e3 times the state's bound B fails at that step.  B is at
+    # least 2 eta |log u_0| + 18 eps / t'_{p-1}, and moving u'_q by one ulp
+    # moves t'_q by at most eps / t'_q, which is below B / 18.
     rng = np.random.default_rng(7)
-    verdicts = []
-    for p, n_states in [(p, 7) for p in range(3, 9)] + [(16, 5), (64, 5), (256, 5)]:
-        rows = [sorted(rng.uniform(1e-3, 1.0 - 1e-3, size=p)) for _ in range(n_states)]
-        clean = _record_of_states(rows)
-        verdicts.append(_assert_same_t_ratio_verdict(clean))
-        for _ in range(6):
-            m = int(rng.integers(0, n_states))  # may be odd: odd steps are not audited
+    for p in (3, 4, 5, 6, 7, 8, 16, 64, 256):
+        clean = _near_alpha_record(p, steps=6, seed=p)
+        assert len(clean) == 7 and _assert_same_t_ratio_verdict(clean)
+        for m in range(len(clean) - 1):
+            u, t = clean.states[m], 1.0 - clean.states[m + 1]
+            bound = 2 * (8 * 2.0**-53 * abs(math.log(u[0])) + 9 * 2.0**-53 / t[-1])
             q = int(rng.integers(0, p))
-            delta = float(rng.choice([1e-6, 1e-9, 1e-11, 1e-13]))
-            where = ("log_products", "states")[int(rng.integers(0, 2))]
-            verdicts.append(_assert_same_t_ratio_verdict(_corrupt(clean, m, q, delta, where)))
-    assert True in verdicts and False in verdicts
+            v = clean.states[m + 1, q]
+            for moved in (np.nextafter(v, 0.0), np.nextafter(v, 1.0)):
+                assert _assert_same_t_ratio_verdict(_with_state(clean, m + 1, q, moved)), (p, m)
+            traj = _with_state(clean, m + 1, q, v - 1e3 * bound * t[q])
+            assert not _assert_same_t_ratio_verdict(traj), (p, m)
+            ok, info = _check("t_ratio_transfer", traj)
+            assert info["step"] == m and q in info["pair"]
 
-    # At p = 16 and 1024 every state meets the screen first: corruptions on
-    # both sides of the 1e-12 tolerance in either field, non-finite log
-    # products and unsorted states.  Components in (0.3, 0.7) keep every
-    # ratio u_k / u_l above 0.4, so a corrupted component moves the gaps of
-    # its pairs by about delta.
-    for p in (16, 1024):
-        rows = [sorted(rng.uniform(0.3, 0.7, size=p))]
-        clean = _record_of_states(rows)
-        assert _assert_same_t_ratio_verdict(clean)
-        passed = {}
-        for delta in (1e-13, 3e-13, 1e-12, 3e-12, 1e-11):
-            for where in ("log_products", "states"):
-                traj = _corrupt(clean, 0, int(rng.integers(1, p - 1)), delta, where)
-                passed[delta, where] = _assert_same_t_ratio_verdict(traj)
-        assert passed[1e-13, "log_products"] and passed[1e-13, "states"]
-        assert not passed[1e-11, "log_products"] and not passed[1e-11, "states"]
-        for value in (math.nan, math.inf, -math.inf):
-            assert not _assert_same_t_ratio_verdict(_with_log_product(clean, 0, p // 2, value))
-        assert not _assert_same_t_ratio_verdict(_unsorted_record(rows, consistent=False))
-        _assert_same_t_ratio_verdict(_unsorted_record(rows, consistent=True))
+    # An unsorted state takes its bound from the wrong ends, a smaller one,
+    # so it cannot pass on a looser bound than its sorted twin.  Here 2B is
+    # about 7400 eps sorted and 86 eps reversed, and the successor's first
+    # weight is moved by 860 eps relative.
+    u = np.array([0.01, 0.5, 0.99])
+    nxt = dynamics._step(u)[1]
+    nxt[0] -= 860 * 2.0**-53 * (1.0 - nxt[0])
+    in_order = _record_of_states([u, nxt])
+    assert _assert_same_t_ratio_verdict(in_order)
+    reversed_ = _with_state(_with_state(in_order, 0, slice(None), u[::-1]), 1, slice(None), nxt[::-1])
+    assert not _assert_same_t_ratio_verdict(reversed_)
 
 
 def test_t_ratio_transfer_fails_on_a_nan_gap():
-    traj = _with_log_product(_traj((0.2, 0.5, 0.8), steps=400), 0, 2, math.nan)
-    assert not _assert_same_t_ratio_verdict(traj)
-    ok, info = _check("t_ratio_transfer", traj)
-    assert (info["step"], info["pair"]) == (0, [0, 2]) and math.isnan(info["diff"])
+    # a NaN in a state fails the step it belongs to, as either end
+    clean = _traj((0.2, 0.5, 0.8), steps=400)
+    for m in (0, 1):
+        ok, info = _check("t_ratio_transfer", _with_state(clean, m, 2, math.nan))
+        assert not ok and info["step"] == 0 and info["pair"] == [2, 2] and math.isnan(info["diff"])
 
 
-def _largest_pair_gaps(lp, u):
-    # The largest gap of every state by the pair scan's own arithmetic,
-    # one k at a time.
-    out = np.zeros(len(lp))
-    for k in range(lp.shape[1] - 1):
-        gap = analysis._ratio_gap(lp[:, k : k + 1], lp[:, k + 1 :], u[:, k : k + 1], u[:, k + 1 :])
-        out = np.maximum(out, gap.max(axis=1))
-    return out
+def test_t_ratio_transfer_fails_on_a_step_that_breaks_the_identity(monkeypatch):
+    # One component of every step's output off by 1e-12 relative, with the
+    # log sums of the products untouched.
+    real = dynamics._step
 
+    def faulty(u):
+        sums, nxt = real(u)
+        nxt = nxt.copy()
+        nxt[..., 1] *= 1.0 + 1e-12
+        return sums, nxt
 
-def _screen_families(p, n, rng):
-    # (name, sorted states) of the orbit states of 2n seeds and n states of
-    # each adversarial family at p
-    batch = dynamics._run_batch(rng.uniform(1e-3, 1.0 - 1e-3, size=(2 * n, p)), 400, solve_alpha(p))
-    uniform = np.sort(rng.uniform(1e-3, 1.0 - 1e-3, size=(n, p)), axis=1)
-    some = rng.random((n, p)) < 0.3
-    # as in test_t_ratio_transfer_reports_the_first_failure_across_blocks
-    lead = int(0.6 * p)
-    middle = np.sort(rng.uniform(0.3, 0.7, size=(n, p - lead)), axis=1)
-    return [
-        ("orbit", batch.states[batch.valid]),
-        ("all tied", np.repeat(np.geomspace(0.37, 1e-9, n)[:, None], p, axis=1)),
-        ("tied groups", np.sort(rng.choice([0.1, 0.4, 0.9], size=(n, p)), axis=1)),
-        ("near 0", np.sort(np.where(some, rng.uniform(1e-14, 1e-12, (n, p)), uniform), axis=1)),
-        ("near 1", np.sort(np.where(some, 1.0 - rng.uniform(1e-13, 1e-12, (n, p)), uniform), axis=1)),
-        ("small leading", np.concatenate((np.full((n, lead), 0.01), middle), axis=1)),
-    ]
-
-
-@pytest.mark.parametrize("p", [16, 17, 64, 1024, 4096])
-def test_t_ratio_screen_bounds_every_pair_gap(p):
-    # The screen's bound is at least the largest gap the pair scan computes,
-    # on program-made log products, on log products moved by noise on both
-    # sides of the tolerance, and on exactly consistent ties.
-    rng = np.random.default_rng(p)
-    for name, u in _screen_families(p, 1 if p > 1024 else 2, rng):
-        lp = dynamics._step(u)[0]
-        for noise in (0.0, 1e-13, 1e-12):
-            moved = lp + noise * rng.uniform(-1.0, 1.0, size=lp.shape) * np.abs(lp)
-            bound, gaps = analysis._t_ratio_bound(moved, u), _largest_pair_gaps(moved, u)
-            assert (gaps <= bound).all(), (name, noise, gaps.max(), bound.min())
-        if name == "orbit" and p <= 1024:
-            # every clean orbit state below p = 4096 is cleared
-            assert analysis._t_ratio_cleared(lp, u).all()
-
-
-def test_t_ratio_screen_clears_no_unsorted_or_non_finite_state():
-    u = np.linspace(0.4, 0.5, 32)[None]
-    lp = dynamics._step(u)[0]
-    assert analysis._t_ratio_cleared(lp, u).all()
-    swapped = u[:, ::-1].copy()
-    assert not analysis._t_ratio_cleared(dynamics._step(swapped)[0], swapped).any()
-    for value in (math.nan, math.inf, -math.inf):
-        bad = lp.copy()
-        bad[0, 5] = value
-        assert not analysis._t_ratio_cleared(bad, u).any()
-        bad_u = u.copy()
-        bad_u[0, -1] = value
-        assert not analysis._t_ratio_cleared(lp, bad_u).any()
-    zero = u.copy()
-    zero[0, 0] = 0.0
-    assert not analysis._t_ratio_cleared(lp, zero).any()
-
-
-def test_t_ratio_transfer_scans_only_the_states_the_screen_cannot_clear(monkeypatch):
-    scanned = []
-    ratio_gap = analysis._ratio_gap
-
-    def counting(lp_k, *rest):
-        # the first axis of every operand of the pair scan runs over states
-        scanned.append(np.shape(lp_k)[0])
-        return ratio_gap(lp_k, *rest)
-
-    monkeypatch.setattr(analysis, "_ratio_gap", counting)
-    for p_values in ((16, 64), (1024,)):
-        (clean,) = default_suite(p_values=p_values, seeds_per_p=4, checks=["t_ratio_transfer"])
-        assert clean.passed and scanned == []
-    (faulty,) = default_suite(p_values=(1024,), seeds_per_p=4, checks=["t_ratio_transfer"], inject_fault=True)
-    assert not faulty.passed and set(scanned) == {1}
-    # below the screen's p every even state is scanned
-    seeds = np.random.default_rng(0).uniform(1e-3, 1.0 - 1e-3, size=(4, 8))
-    batch = dynamics._run_batch(seeds, 400, solve_alpha(8))
-    scanned.clear()
-    analysis._traj_t_ratio_transfer(batch)
-    assert scanned == [int(batch.valid[:, ::2].sum())]
-
-
-def test_t_ratio_transfer_reports_the_first_failure_across_blocks():
-    # p = 256 with three audited states spans several blocks of rows.
-    # Step 0 fails only from row 150 on (the small leading components hide
-    # the error in the earlier rows), step 2 fails in row 0; the report must
-    # name step 0, as the pair loop does.
-    p, q = 256, 150
-    rng = np.random.default_rng(3)
-    lead = [0.01] * q + sorted(rng.uniform(0.3, 0.7, size=p - q))
-    rows = [lead] + [sorted(rng.uniform(1e-3, 1.0 - 1e-3, size=p)) for _ in range(4)]
-    clean = _record_of_states(rows)
-    traj = _corrupt(clean, 0, q, 1e-11, "log_products")
-    traj = _corrupt(traj, 2, 1, 1e-9, "log_products")
-    assert not _assert_same_t_ratio_verdict(traj)
-    ok, info = _check("t_ratio_transfer", traj)
-    assert info["step"] == 0 and info["pair"][0] == q
-    # a first failure (k, 200) with k in an early block lies in that block's
-    # rectangle of far columns, not in its own triangle
-    traj = _corrupt(clean, 2, 200, 1e-9, "log_products")
-    assert not _assert_same_t_ratio_verdict(traj)
-    ok, info = _check("t_ratio_transfer", traj)
-    assert info["step"] == 2 and info["pair"][0] < 100 and info["pair"][1] == 200
+    kwargs = dict(p_values=(3, 5, 8), seeds_per_p=20, checks=["t_ratio_transfer"])
+    (clean,) = default_suite(**kwargs)
+    assert clean.passed
+    monkeypatch.setattr(dynamics, "_step", faulty)
+    (res,) = default_suite(**kwargs)
+    assert not res.passed
+    assert res.witness["first_failure"]["step"] == 0 and 1 in res.witness["first_failure"]["pair"]
 
 
 def test_default_suite_large_p_t_ratio_negative_control():
-    kwargs = dict(p_values=(1024,), seeds_per_p=1, checks=["t_ratio_transfer"])
-    (clean,) = default_suite(**kwargs)
-    assert clean.passed, clean.witness
-    (faulty,) = default_suite(inject_fault=True, **kwargs)
-    assert not faulty.passed
+    # At p = 1024 and 8192 a uniform seed records one state and so no step;
+    # the near-alpha records have 9 and 8 steps to audit.  The bound holds
+    # at any p, as the rounding of the shared log total cancels from every
+    # ratio.
+    for p, steps in ((1024, 9), (8192, 8)):
+        (clean,) = default_suite(p_values=(p,), seeds_per_p=4, checks=["t_ratio_transfer"])
+        assert clean.passed, clean.witness
+        traj = _near_alpha_record(p)
+        assert len(traj) - 1 >= steps and _check("t_ratio_transfer", traj) == (True, {})
+        ok, info = _check("t_ratio_transfer", analysis._perturbed_record(traj))
+        assert not ok and info["step"] == 1
 
 
 def test_polygon_average_matches_polygon_step():
@@ -651,7 +553,8 @@ def test_unique_fixed_point_grid_notices_a_spurious_fixed_point(monkeypatch):
 
 
 def test_instability_growth_names_the_audited_p():
-    for p_values, audited in (((3, 4, 5, 6), [3, 4, 5]), ((8,), []), ((6, 4), [4])):
+    for p_values, audited in (((3, 4, 5, 6), [3, 4, 5, 6]), ((8,), [8]), ((6, 4), [4, 6]),
+                              ((1024, 8192), [1024, 8192])):
         (res,) = default_suite(p_values=p_values, seeds_per_p=1, checks=["instability_growth"])
         assert res.passed
         assert res.witness == {"p_audited": audited}

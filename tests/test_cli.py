@@ -210,7 +210,7 @@ def test_verify_weights_with_only_static_checks_is_an_input_error(capsys):
 def test_verify_instability_growth_shows_what_it_audited(capsys):
     assert main(["verify", "--p", "8", "--check", "instability_growth", "--json"]) == 0
     (check,) = json.loads(capsys.readouterr().out)["checks"]
-    assert check["witness"] == {"p_audited": []}
+    assert check["witness"] == {"p_audited": [8]}
 
 
 def test_verify_inject_fault_fails(capsys):

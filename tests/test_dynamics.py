@@ -17,7 +17,7 @@ from barypoly import (
     run_trajectory,
     solve_alpha,
 )
-from barypoly.dynamics import _PHASES
+from barypoly.dynamics import _PHASES, _step
 
 
 def weight_lists(lo=0.05, hi=0.95, min_p=3, max_p=8):
@@ -149,7 +149,7 @@ def test_trajectory_record_is_read_only():
                  run_trajectory(ConjugateTuple.of((0.15, 0.5, 0.85)), 400, solve_alpha(3))):
         with pytest.raises(ValueError):
             traj.states[0, 0] = 0.5
-        for field in ("permutation", "log_products", "spread", "phase", "saturation_values"):
+        for field in ("permutation", "spread", "phase", "saturation_values"):
             values = getattr(traj, field)
             if values is not None:
                 with pytest.raises(ValueError):
@@ -181,12 +181,13 @@ def test_run_trajectory_saturation_record():
 
 def test_trajectory_diagnostic_fields():
     traj = run_trajectory(ConjugateTuple.of((0.3, 0.5, 0.6, 0.7)), 6, solve_alpha(4))
+    log_products = _step(traj.states)[0]
     for m, state in enumerate(traj.states.tolist()):
         assert traj.spread[m] == state[-1] / state[0] - 1.0
         assert _PHASES[traj.phase[m].item()] is classify_phase(ConjugateTuple.of(state), traj.alpha)
         for k in range(traj.p):
             direct = math.prod(v for i, v in enumerate(state) if i != k)
-            assert math.exp(traj.log_products[m, k]) == pytest.approx(direct, rel=1e-12)
+            assert math.exp(log_products[m, k]) == pytest.approx(direct, rel=1e-12)
 
 
 def test_comparison_sequence_recurrence():
@@ -286,9 +287,10 @@ def test_run_trajectory_matches_stepping_then_summing():
         ref = _run_trajectory_stepping_then_summing(u0, steps, alpha)
         assert got.permutation.tolist() == list(ref["permutation"])
         assert [_bits(u) for u in got.states] == [_bits(u) for u in ref["states"]]
-        assert len(got.log_products) == len(ref["log_products"])
-        assert got.log_products.dtype == np.float64
-        for lp, ref_lp, bound in zip(got.log_products.tolist(), ref["log_products"], ref["log_bounds"]):
+        log_products = _step(got.states)[0]
+        assert len(log_products) == len(ref["log_products"])
+        assert log_products.dtype == np.float64
+        for lp, ref_lp, bound in zip(log_products.tolist(), ref["log_products"], ref["log_bounds"]):
             assert max(abs(a - b) for a, b in zip(lp, ref_lp)) <= bound
         assert _bits(got.spread) == _bits(ref["spread"])
         assert [_PHASES[code] for code in got.phase.tolist()] == ref["phase"]
@@ -302,12 +304,12 @@ def test_run_trajectory_matches_stepping_then_summing():
 
 
 def _record_bits(traj):
-    # every field of a record, floats by their bits
+    # every field of a record and the log sums of its states, floats by their bits
     return (
         traj.permutation.tolist(),
         traj.alpha.hex(),
         [_bits(u) for u in traj.states],
-        [_bits(lp) for lp in traj.log_products],
+        [_bits(lp) for lp in _step(traj.states)[0]],
         _bits(traj.spread),
         traj.phase.tolist(),
         traj.saturation_step,

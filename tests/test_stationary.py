@@ -59,6 +59,8 @@ def test_solve_alpha_validation():
 
 
 def test_non_integer_p_is_a_value_error():
+    # 4.0 follows a call with 4: a root kept for 4 must not answer 4.0
+    solve_alpha(4)
     for fn in (solve_alpha, certificate, stationary_weights, lambda p: alpha_residual(p, 0.5)):
         for p in (3.5, 4.0, "4"):
             with pytest.raises(ValueError, match="integer"):
