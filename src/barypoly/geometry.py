@@ -35,6 +35,8 @@ __all__ = [
 
 # Pairwise separation required of caller-provided point families.
 DISTINCT_TOL = 1e-12
+# Pairs per block of require_distinct's distance test.
+_DISTINCT_BLOCK = 1 << 16
 
 # Distances at or below _FIT_FLOOR are noise to the decay fit, which needs
 # at least _FIT_MIN_POINTS samples above it.
@@ -79,14 +81,26 @@ class PointSet:
         return cls(arr.shape[0], arr.shape[1], arr)
 
     def require_distinct(self) -> "PointSet":
-        """Raise unless all pairwise distances exceed DISTINCT_TOL; returns self."""
-        for i in range(self.p):
-            d = np.linalg.norm(self.points[i + 1 :] - self.points[i], axis=1)
-            if d.size and d.min() <= DISTINCT_TOL:
-                j = i + 1 + int(d.argmin())
+        """Raise unless all pairwise distances exceed DISTINCT_TOL; returns self.
+
+        The error names the first point i, in index order, with a later point
+        too close, and the closest such later point j.
+        """
+        # d[r, c] = |B_j - B_i| for i = i0 + r and j = i0 + 1 + c, over
+        # blocks of i that keep d within _DISTINCT_BLOCK pairs; the pairs
+        # with j <= i are set to inf
+        pts = self.points
+        rows = max(1, _DISTINCT_BLOCK // self.p)
+        for i0 in range(0, self.p, rows):
+            i = np.arange(i0, min(i0 + rows, self.p))[:, None]
+            d = np.linalg.norm(pts[None, i0 + 1 :] - pts[i], axis=-1)
+            d[np.arange(i0 + 1, self.p) <= i] = np.inf
+            close = (d <= DISTINCT_TOL).any(axis=1)
+            if close.any():
+                r = int(close.argmax())
                 raise ValueError(
-                    f"points {i} and {j} are closer than {DISTINCT_TOL}; "
-                    "input families must be pairwise distinct"
+                    f"points {i0 + r} and {i0 + 1 + int(d[r].argmin())} are closer than "
+                    f"{DISTINCT_TOL}; input families must be pairwise distinct"
                 )
         return self
 
@@ -169,12 +183,12 @@ def dual_weight_trajectory(t0: WeightTuple, steps: int) -> np.ndarray:
         raise ValueError(f"steps must be >= 0, got {steps}")
     b = np.log1p(-np.asarray(t0.t, dtype=float))  # log u = log(1 - t)
     log_w = np.empty((steps + 1, t0.p))
-    for m in range(steps + 1):
-        log_w[m] = _excluded_sums(b)
-        if m < steps:
-            # log_w[m, k] = log t'_k <= 0; the new log u_k is log(1 - t'_k),
-            # -inf once t'_k reaches 1 in working precision
-            with np.errstate(divide="ignore"):
+    # log_w[m, k] = log t'_k <= 0; the new log u_k is log(1 - t'_k), -inf
+    # once t'_k reaches 1 in working precision
+    with np.errstate(divide="ignore"):
+        for m in range(steps + 1):
+            log_w[m] = _excluded_sums(b)
+            if m < steps:
                 b = np.log(-np.expm1(log_w[m]))
     return _normalized_weights(log_w)
 

@@ -459,32 +459,54 @@ def test_polygon_average_matches_polygon_step():
     assert np.array_equal(raw, rolled)
 
 
-def _polygon_collapse_by_loop(rng):
-    # The collapse check as it was before the polygons were stacked: each
-    # draw iterated on its own, straight after it is drawn.
-    worst = 0.0
-    for _ in range(8):
-        p = int(rng.integers(3, 8))
-        dim = int(rng.integers(1, 4))
-        pts = PointSet.of(rng.uniform(-1.0, 1.0, size=(p, dim))).require_distinct()
-        t = WeightTuple.of(rng.uniform(0.1, 0.9, size=p))
-        target = analysis.limit_point(pts, t)
-        w = np.asarray(t.t)[:, None]
-        B = pts.points
-        for _ in range(500):
-            B = _polygon_average(B, w)
-        err = float(np.max(np.linalg.norm(B - target, axis=1)))
+def _collapse_errors_by_loop(seeds):
+    # The collapse check as a plain loop: the 8 draws of each seed, each
+    # averaged as its own polygon for 500 passes with the arithmetic of
+    # polygon_step; the draws of one (p, dim) are iterated side by side.
+    # Returns the (p, dim) of every draw, (seeds, 8), and the largest vertex
+    # error of every draw after every pass, (seeds, 8, 501).
+    draws = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        for _ in range(8):
+            p = int(rng.integers(3, 8))
+            dim = int(rng.integers(1, 4))
+            pts = PointSet.of(rng.uniform(-1.0, 1.0, size=(p, dim))).require_distinct()
+            t = WeightTuple.of(rng.uniform(0.1, 0.9, size=p))
+            draws.append(((p, dim), pts.points, np.asarray(t.t)[:, None], analysis.limit_point(pts, t)))
+    errs = np.empty((len(draws), 501))
+    for shape in {shape for shape, *_ in draws}:
+        idx = [i for i, (s, *_) in enumerate(draws) if s == shape]
+        B, w, target = (np.stack([draws[i][j] for i in idx]) for j in (1, 2, 3))
+        for n in range(501):
+            if n:
+                B = w * B + (1.0 - w) * np.roll(B, -1, axis=1)
+            errs[idx, n] = np.linalg.norm(B - target[:, None], axis=-1).max(axis=-1)
+    return [shape for shape, *_ in draws], errs.reshape(len(seeds), 8, 501)
+
+
+def _polygon_collapse_by_loop(shapes, errs):
+    # the verdict after 500 passes, with the first failing draw's witness
+    for (p, dim), err in zip(shapes, errs[:, 500].tolist()):
         if not err <= 1e-8:
             return False, {"p": p, "dim": dim, "err": err}
-        worst = max(worst, err)
-    return True, {"draws": 8, "worst_err": worst}
+    return True, {"draws": 8, "worst_err": float(errs[:, 500].max())}
+
+
+@functools.cache
+def _collapse_by_check_and_by_loop():
+    shapes, errs = _collapse_errors_by_loop(range(64))
+    return [(analysis._check_polygon_collapse(np.random.default_rng(seed)), errs[seed],
+             _polygon_collapse_by_loop(shapes[8 * seed : 8 * seed + 8], errs[seed]))
+            for seed in range(64)]
 
 
 def test_polygon_collapse_matches_the_per_polygon_loop(monkeypatch):
-    for seed in range(16):
-        got = analysis._check_polygon_collapse(np.random.default_rng(seed))
-        assert got == _polygon_collapse_by_loop(np.random.default_rng(seed))
-    # a target moved off the limit point fails, in the draw that owns it
+    for got, _, loop in _collapse_by_check_and_by_loop():
+        assert got[0] == loop[0]
+        assert list(got[1]) == ["draws", "passes", "worst_err"] and got[1]["draws"] == 8
+    # a target moved off the limit point never stops the loop, and fails at
+    # pass 500 in the draw that owns it
     real = analysis.limit_point
     calls = []
 
@@ -495,8 +517,22 @@ def test_polygon_collapse_matches_the_per_polygon_loop(monkeypatch):
     monkeypatch.setattr(analysis, "limit_point", moved)
     got = analysis._check_polygon_collapse(np.random.default_rng(3))
     calls.clear()
-    assert got == _polygon_collapse_by_loop(np.random.default_rng(3))
-    assert not got[0] and got[1]["err"] > 1e-8
+    shapes, errs = _collapse_errors_by_loop([3])
+    assert got == _polygon_collapse_by_loop(shapes, errs[0])
+    assert not got[0] and got[1]["err"] > 1e-8 and list(got[1]) == ["p", "dim", "err"]
+
+
+def test_polygon_collapse_stops_where_the_lemma_bounds_the_500th_pass():
+    # The witness's worst_err is the loop's largest error at the stop pass,
+    # the first multiple of 8 where it is within 1e-8 - _COLLAPSE_DRIFT, and
+    # by the drift lemma the 500th pass is within _COLLAPSE_DRIFT of it.
+    stop = 1e-8 - analysis._COLLAPSE_DRIFT
+    for got, errs, loop in _collapse_by_check_and_by_loop():
+        n, worst = got[1]["passes"], got[1]["worst_err"]
+        tested = errs[:, 8:500:8].max(axis=0)
+        assert n % 8 == 0 and 8 <= n < 500
+        assert worst == tested[n // 8 - 1] <= stop < tested[: n // 8 - 1].min(initial=np.inf)
+        assert loop[1]["worst_err"] <= worst + analysis._COLLAPSE_DRIFT
 
 
 def test_polygon_collapse_fails_on_nan(monkeypatch):

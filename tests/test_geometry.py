@@ -38,6 +38,27 @@ def test_pointset_validation():
     assert ps.points.flags.writeable is False
 
 
+def test_require_distinct_names_the_first_close_pair():
+    # pairs (1, 3) and (0, 4) are too close: the first point with a close
+    # later point is 0
+    far, near = 1e-3, 1e-13
+    ps = PointSet.of([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, near), (near, 0.0)])
+    with pytest.raises(ValueError, match=r"^points 0 and 4 are closer than 1e-12; "
+                       "input families must be pairwise distinct$"):
+        ps.require_distinct()
+    # of the later points too close to it, the closest is named
+    ps = PointSet.of([(0.0, 0.0), (5e-13, 0.0), (1.0, 1.0), (1e-13, 0.0)])
+    with pytest.raises(ValueError, match=r"^points 0 and 3 are closer"):
+        ps.require_distinct()
+    # blocks of rows find a pair past the first block
+    pts = np.column_stack((np.arange(300.0), np.zeros(300)))
+    pts[299] = (250.0, near)
+    with pytest.raises(ValueError, match=r"^points 250 and 299 are closer"):
+        PointSet(300, 2, pts).require_distinct()
+    assert PointSet(299, 2, pts[:299]).require_distinct().p == 299
+    assert PointSet.of([(0.0,), (far,)]).require_distinct().p == 2
+
+
 def test_pointset_of_one_dimensional_rows():
     ps = PointSet.of([[0.0], [1.0], [3.0]])
     assert ps.p == 3 and ps.dim == 1
