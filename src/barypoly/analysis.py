@@ -580,11 +580,18 @@ def _check_unique_fixed_point_grid(p_values: Sequence[int]) -> tuple[bool, dict]
     return spurious == 0, {"spurious": spurious}
 
 
+# Fixed inputs of dual_convergence: the reference seed on the regular
+# pentagon and the regular weights on the unit square.
+_DUAL_SEED = WeightTuple.of((0.3, 0.08, 0.06, 0.04, 0.01))
+_DUAL_PENTAGON = _regular_polygon(5)
+_DUAL_REGULAR = WeightTuple.of([0.25] * 4)
+_DUAL_SQUARE = PointSet.of([(0, 0), (1, 0), (1, 1), (0, 1)])
+
+
 def _check_dual_convergence(rng: np.random.Generator) -> tuple[bool, dict]:
     # Slowly spreading reference seed on the regular pentagon, one randomized
     # family, and the regular-weight degenerate case.
-    seed = WeightTuple.of((0.3, 0.08, 0.06, 0.04, 0.01))
-    record = dual_sequence(_regular_polygon(5), seed, 60)
+    record = dual_sequence(_DUAL_PENTAGON, _DUAL_SEED, 60)
     if not record.distances_to_centroid.min() < 1e-8:
         return False, {"reason": "reference seed distance floor", "min": float(record.distances_to_centroid.min())}
     if record.fitted_rate is None or not record.fitted_rate < 0.0:
@@ -593,14 +600,12 @@ def _check_dual_convergence(rng: np.random.Generator) -> tuple[bool, dict]:
     if norm_err > 1e-14:
         return False, {"reason": "weight normalization", "err": norm_err}
 
-    regular = WeightTuple.of([0.25] * 4)
-    square = PointSet.of([(0, 0), (1, 0), (1, 1), (0, 1)])
-    reg_record = dual_sequence(square, regular, 20)
+    reg_record = dual_sequence(_DUAL_SQUARE, _DUAL_REGULAR, 20)
     if not float(reg_record.distances_to_centroid.max()) <= 1e-14:
         return False, {"reason": "regular weights not centered", "max": float(reg_record.distances_to_centroid.max())}
 
     p = int(rng.integers(3, 8))
-    pts = PointSet.of(rng.uniform(-1.0, 1.0, size=(p, 3)))
+    pts = PointSet(p, 3, rng.uniform(-1.0, 1.0, size=(p, 3)))
     t0 = WeightTuple.of(rng.uniform(0.05, 0.95, size=p))
     rec = dual_sequence(pts, t0, 80)
     if not rec.distances_to_centroid.min() < 1e-8:

@@ -177,16 +177,31 @@ def dual_weight_trajectory(t0: WeightTuple, steps: int) -> np.ndarray:
 
     Row m holds the weights of G_m.  The iteration itself runs on log(u)
     coordinates, so rows remain meaningful far past the step at which the raw
-    tuple components would round to 0 or 1.
+    tuple components would round to 0 or 1.  The float orbit of log(u)
+    enters a cycle once it saturates; the rows past the first repeated state
+    are copies of the cycle's rows, the same bits the iteration would give.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     b = np.log1p(-np.asarray(t0.t, dtype=float))  # log u = log(1 - t)
     log_w = np.empty((steps + 1, t0.p))
     # log_w[m, k] = log t'_k <= 0; the new log u_k is log(1 - t'_k), -inf
-    # once t'_k reaches 1 in working precision
+    # once t'_k reaches 1 in working precision.  Row m is a function of the
+    # bits of the state b_m alone, so once b_m has the bytes of an earlier
+    # b_j (equal bytes are equal bits, -inf, -0.0 and NaN included) every
+    # later row repeats the cycle log_w[j:m].  first_seen holds one key of p
+    # floats per computed row, no more memory than log_w.  The orbits
+    # saturate and then alternate: 1560 random seeds at p = 3..1024 all
+    # repeated a state with period 2, by step 33 at the latest.  A state
+    # update that keeps more precision cycles later, and the stop then
+    # saves less.
+    first_seen: dict[bytes, int] = {}
     with np.errstate(divide="ignore"):
         for m in range(steps + 1):
+            j = first_seen.setdefault(b.tobytes(), m)
+            if j < m:
+                log_w[m:] = np.resize(log_w[j:m], (steps + 1 - m, t0.p))
+                break
             log_w[m] = _excluded_sums(b)
             if m < steps:
                 b = np.log(-np.expm1(log_w[m]))

@@ -125,12 +125,17 @@ def test_trajectory_csv_roundtrip(tmp_path, capsys):
         assert [v.hex() for v in stepped.u] == [float(v).hex() for v in nxt[1:6]]
 
 
-def test_trajectory_and_verify_weights_output_is_pinned(capsys):
+def test_trajectory_and_verify_weights_output_is_pinned(capsys, tmp_path, monkeypatch):
     # stdout, stderr and exit code of trajectory and verify --weights runs,
-    # byte for byte, as captured before the trajectory record held arrays
+    # byte for byte, as captured before the trajectory record held arrays,
+    # and of dual runs as captured before the dual stopped at a repeated
+    # state; a case's files are written to the working directory first
     golden = json.loads((Path(__file__).parent / "golden_cli.json").read_text(encoding="utf-8"))
-    assert {case["argv"][0] for case in golden} == {"trajectory", "verify"}
+    assert {case["argv"][0] for case in golden} == {"trajectory", "verify", "dual"}
+    monkeypatch.chdir(tmp_path)
     for case in golden:
+        for name, text in case.get("files", {}).items():
+            Path(name).write_text(text, encoding="utf-8")
         code = main(case["argv"])
         out, err = capsys.readouterr()
         assert (code, out, err) == (case["exit_code"], case["stdout"], case["stderr"]), case["argv"]

@@ -163,7 +163,9 @@ def test_dual_weight_trajectory_rows():
 
 def _dual_weights_by_loop(t0, steps):
     # dual_weight_trajectory as it was when it normalized one row at a time,
-    # on the one-row kernel
+    # on the one-row kernel, and with no stop at a repeated state.  It also
+    # returns (start, repeat), where repeat is the first step whose state has
+    # the bits of an earlier one and start is the step of that state, or None
     def normalized(log_w):
         shift = np.max(log_w)
         if not np.isfinite(shift):
@@ -172,29 +174,66 @@ def _dual_weights_by_loop(t0, steps):
         return w / w.sum()
 
     b = np.log1p(-np.asarray(t0.t, dtype=float))
-    rows, log_ws = np.empty((steps + 1, t0.p)), []
+    rows, log_ws, first, cycle = np.empty((steps + 1, t0.p)), [], {}, None
     for m in range(steps + 1):
+        j = first.setdefault(b.tobytes(), m)
+        if cycle is None and j < m:
+            cycle = j, m
         log_w = _excluded_sums_1d(b)
         rows[m] = normalized(log_w)
         log_ws.append(log_w)
         with np.errstate(divide="ignore"):
             b = np.log(-np.expm1(log_w))
-    return rows, np.array(log_ws)
+    return rows, np.array(log_ws), cycle
 
 
 def test_dual_weight_trajectory_matches_the_row_loop():
     rng = np.random.default_rng(5)
-    for p in (3, 9, 64):
-        for lo, hi in ((0.05, 0.95), (1e-3, 1.0 - 1e-3)):
-            t0 = WeightTuple.of(rng.uniform(lo, hi, size=p))
-            ref, log_w = _dual_weights_by_loop(t0, 80)
-            assert dual_weight_trajectory(t0, 80).tobytes() == ref.tobytes()
-            # the orbit runs past its first infinite log weight, through
-            # rows whose log weights are all -inf and rows after them
-            inf_rows = np.flatnonzero(np.isinf(log_w).any(axis=1))
-            assert inf_rows.size and inf_rows[0] < 80 - 2
-            assert np.isinf(log_w).all(axis=1).any()
-            assert np.isfinite(log_w[inf_rows[0] + 1 :]).all(axis=1).any()
+    random_seeds = [
+        WeightTuple.of(rng.uniform(lo, hi, size=p))
+        for p in (3, 4, 5, 9, 64)
+        for lo, hi in ((0.05, 0.95), (1e-3, 1.0 - 1e-3))
+    ]
+    # one seed at p = 1024, where the loop's kernel takes ~5 ms per step
+    random_seeds.append(WeightTuple.of(rng.uniform(0.05, 0.95, size=1024)))
+    uniform_seeds = [WeightTuple.of([1.0 / 3.0] * 3), WeightTuple.of([0.5] * 4)]
+    for t0 in random_seeds + uniform_seeds:
+        ref, log_w, cycle = _dual_weights_by_loop(t0, 400)
+        # every orbit here cycles, and the stop copies rows from `repeat` on
+        assert cycle is not None
+        start, repeat = cycle
+        for steps in {0, 1, 2, max(start - 1, 0), start, start + 1, repeat - 1, repeat, repeat + 1, 80, 400}:
+            assert dual_weight_trajectory(t0, steps).tobytes() == ref[: steps + 1].tobytes(), (t0.p, steps)
+        if t0 in uniform_seeds:
+            continue
+        # within 80 steps the orbit runs past its first infinite log weight,
+        # through rows whose log weights are all -inf and rows after them
+        log_w = log_w[:81]
+        inf_rows = np.flatnonzero(np.isinf(log_w).any(axis=1))
+        assert inf_rows.size and inf_rows[0] < 80 - 2
+        assert np.isinf(log_w).all(axis=1).any()
+        assert np.isfinite(log_w[inf_rows[0] + 1 :]).all(axis=1).any()
+
+
+def test_dual_weight_trajectory_stops_at_the_first_repeated_state(monkeypatch):
+    from barypoly import geometry
+
+    calls = []
+
+    def counted(b):
+        calls.append(1)
+        return _excluded_sums(b)
+
+    monkeypatch.setattr(geometry, "_excluded_sums", counted)
+    seed = WeightTuple.of((0.3, 0.08, 0.06, 0.04, 0.01))
+    # the README seed's state 8 repeats state 6: rows 8..200 are copies
+    long = dual_weight_trajectory(seed, 200)
+    assert len(calls) <= 10
+    # a run that ends before the repeat computes every row
+    calls.clear()
+    short = dual_weight_trajectory(seed, 5)
+    assert len(calls) == 6
+    assert long[:6].tobytes() == short.tobytes()
 
 
 def _excluded_sums_1d(b):
