@@ -260,12 +260,14 @@ LIMIT_TOL = 1e-6
 # Certificates are only emitted on states whose components sit far enough
 # inside (0, 1) that the 1e-10 identity tolerance is numerically meaningful.
 CERT_WINDOW = (1e-3, 1.0 - 1e-3)
-# Random polygons drawn by polygon_collapse, the distance from its limit
-# point that every vertex must reach within 500 passes, and the bound on how
-# far rounding can move a vertex away again over those passes.
+# Random polygons drawn by polygon_collapse, the passes after which every
+# vertex must be within _COLLAPSE_TOL of its limit point, and the bound D on
+# how far rounding can move the computed pass from the exact one (derived at
+# _check_polygon_collapse).
 _COLLAPSE_DRAWS = 8
+_COLLAPSE_PASSES = 500
 _COLLAPSE_TOL = 1e-8
-_COLLAPSE_DRIFT = 1e-12
+_COLLAPSE_ROUNDING = 1e-12
 
 # Every trajectory check takes a _Batch and returns one (passed, witness) per
 # row.  A row's verdict reads only that row's recorded states: the padding
@@ -480,20 +482,25 @@ def _traj_comparison_domination(batch: _Batch) -> list[tuple[bool, dict]]:
     # there is something to check, p < 3 raises ValueError, as
     # comparison_sequence does.  The orbit is iterated in Python floats:
     # numpy's power may differ from the C library's pow in the last bit.
+    # Every row's orbit goes into one list, which one scatter writes into
+    # tau: a boolean mask fills its entries row by row, in order.
     U = batch.states
     rows, n, p = U.shape
     first_below = _first((batch.phase == -1) & batch.valid)
-    tau = np.full((rows, n), np.nan)
-    for r, (b0, length) in enumerate(zip(first_below.tolist(), batch.length.tolist())):
-        if b0 < 0 or b0 + 1 >= length:
-            continue
-        u_top, u_low_next = U[r, b0, -1].item(), U[r, b0 + 1, 0].item()
+    offset = np.arange(n) - first_below[:, None]
+    has_orbit = (first_below >= 0) & (first_below + 1 < batch.length)
+    r = np.flatnonzero(has_orbit)
+    b0 = first_below[r]
+    orbits = []
+    for start, length, u_top, u_low_next in zip(b0.tolist(), batch.length[r].tolist(),
+                                                U[r, b0, -1].tolist(), U[r, b0 + 1, 0].tolist()):
         if u_low_next > 1.0 - u_top ** (p - 1):
             tau0 = u_top
         else:
             tau0 = (1.0 - u_low_next) ** (1.0 / (p - 1))
-        tau[r, b0:length] = comparison_sequence(tau0, p, length - b0 - 1)
-    offset = np.arange(n) - first_below[:, None]
+        orbits += comparison_sequence(tau0, p, length - start - 1)
+    tau = np.full((rows, n), np.nan)
+    tau[has_orbit[:, None] & (offset >= 0) & (np.arange(n) < batch.length[:, None])] = orbits
     # tau is NaN, and so compares false, wherever there is nothing to check
     bad = np.where(offset % 2 == 0, tau < U[..., -1] - DOMINATION_SLACK, tau > U[..., 0] + DOMINATION_SLACK)
     return [(True, {}) if m < 0 else (False, {"step": m}) for m in _first(bad).tolist()]
@@ -613,65 +620,72 @@ def _check_dual_convergence(rng: np.random.Generator) -> tuple[bool, dict]:
     return True, {"reference_rate": record.fitted_rate}
 
 
+def _stacked_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    # A @ B for every matrix of a stack, as a broadcast product summed over
+    # the shared axis of length 7: each entry adds its terms in index order
+    # with plain float adds, the same bits on every CPU, where a BLAS kernel
+    # may round differently.
+    return (A[..., :, :, None] * B[..., None, :, :]).sum(axis=-2)
+
+
 def _check_polygon_collapse(rng: np.random.Generator) -> tuple[bool, dict]:
-    # The polygons are drawn one after another and then iterated as one
-    # stack: each vertex's successor stays inside its own polygon, and the
-    # coordinates past a polygon's dim are zero, in the iterates and in the
-    # stacked targets T, which the averaging keeps at zero.  Every vertex is
-    # averaged as in polygon_step, bitwise.  The raw-array iterates are not
-    # validated per step, so a non-finite iterate or target shows up only as
-    # a NaN error: the comparisons are written so that NaN fails, and a NaN
-    # never stops the loop early.  The report names the first failing draw.
+    # A pass is linear: B_{n+1} = M B_n, where M is the draw's p x p
+    # row-stochastic matrix with M[k, k] = t_k and M[k, k+1 mod p] =
+    # fl(1 - t_k), the weights of polygon_step.  The draws are stacked as
+    # zero-padded 7 x 7 matrices, 7 x 3 polygons B_0 and 7 x 3 targets T;
+    # the padding stays zero through every product.  M^500 is formed by
+    # binary powering, 500 = 256 + 128 + 64 + 32 + 16 + 4: 8 squarings and 5
+    # products.  A draw passes when every vertex of M^500 B_0 is within
+    # _COLLAPSE_TOL - D of its limit point G.  A non-finite entry gives a NaN
+    # error, which the comparison fails.  The report names the first failing
+    # draw.
     #
-    # The claim is that every vertex is within _COLLAPSE_TOL of its limit
-    # point G after 500 passes.  Every 8 passes the loop tests the largest
-    # error M of the stack, and it stops at the first tested pass with
-    # M <= _COLLAPSE_TOL - _COLLAPSE_DRIFT, which proves the claim:
-    # - A pass replaces B_k by w_k B_k + v_k B_{k+1}, with w_k in [0.1, 0.9]
-    #   and v_k = fl(1 - w_k), so that
-    #   B'_k - G = w_k (B_k - G) + v_k (B_{k+1} - G) + (w_k + v_k - 1) G.
-    #   The convex combination cannot make max_k |B_k - G| grow, for any
-    #   fixed G; only rounding can.
-    # - With u = 2^-53, coordinates in [-1, 1] up to rounding and dim <= 3,
-    #   |G| <= sqrt 3 and M <= 2 sqrt 3.  Per pass and vertex, |w + v - 1|
-    #   <= u adds u sqrt 3; (w + v) M adds at most u M <= 2 sqrt 3 u; and
-    #   rounding the two products and their sum adds at most 2 u (w + v)
-    #   per coordinate, 2 sqrt 3 u per vertex.  One pass thus grows M by at
-    #   most 5 sqrt 3 u < 9.7e-16, and 500 passes by less than 4.9e-13.
-    # - The computed norms are within a relative 4 u of the true ones, which
-    #   at 1e-8 is below 1e-23.
-    # So err_500 <= M + 4.9e-13 < _COLLAPSE_TOL: _COLLAPSE_DRIFT covers the
-    # drift twice.  A stack that never stops is tested draw by draw at pass
-    # 500, as the claim reads.
-    draws = []
-    for _ in range(_COLLAPSE_DRAWS):
+    # D bounds the rounding against the exact pass 500 (Higham, Accuracy and
+    # Stability of Numerical Algorithms, 2nd ed., SIAM 2002, section 3.5).
+    # With u = 2^-53, g = 7u / (1 - 7u) and |.| the largest row sum:
+    # - The exact pass matrix M* holds 1 - t_k where M holds fl(1 - t_k), so
+    #   |M - M*| <= u.
+    # - A computed product of nonnegative X, Y with at most 7 terms per entry
+    #   is off from XY by at most g XY entrywise.  With e_j = |fl(M^j) - M*^j|
+    #   and |M*^j| = 1, e_{a+b} <= e_a + e_b + g up to second-order terms,
+    #   which add less than 1e-23 in all: a squaring doubles the error it
+    #   inherits.  From e_1 <= u, every power the powering forms has
+    #   e_j <= j (u + g) - g, so e_500 < 500 (u + g) < 4.45e-13.
+    # - Applying fl(M^500) to B_0, whose coordinates lie in [-1, 1], adds at
+    #   most g (1 + e_500) per coordinate, so each coordinate is within
+    #   4.46e-13 of the exact pass 500 and each vertex, of dim <= 3, within
+    #   sqrt 3 times that, 7.8e-13.  The computed norm is within a relative
+    #   4u of the true one, below 1e-23 at 1e-8.
+    # So D = _COLLAPSE_ROUNDING = 1e-12 covers the rounding, and a draw that
+    # passes has every vertex of the exact pass 500 within _COLLAPSE_TOL of G.
+    M = np.zeros((_COLLAPSE_DRAWS, 7, 7))
+    B = np.zeros((_COLLAPSE_DRAWS, 7, 3))
+    T = np.zeros_like(B)
+    shapes = []
+    for i in range(_COLLAPSE_DRAWS):
         p = int(rng.integers(3, 8))
         dim = int(rng.integers(1, 4))
         pts = PointSet(p, dim, rng.uniform(-1.0, 1.0, size=(p, dim))).require_distinct()
         t = WeightTuple.of(rng.uniform(0.1, 0.9, size=p))
-        draws.append((p, dim, pts.points, t.t, limit_point(pts, t)))
-    offsets = np.cumsum([0] + [p for p, *_ in draws])
-    B = np.zeros((offsets[-1], max(dim for _, dim, *_ in draws)))
-    T = np.zeros_like(B)
-    succ = np.concatenate([off + (np.arange(1, p + 1) % p) for off, (p, *_) in zip(offsets, draws)])
-    for off, (p, dim, points, _, target) in zip(offsets, draws):
-        B[off : off + p, :dim] = points
-        T[off : off + p, :dim] = target
-    w = np.concatenate([t for *_, t, _ in draws])[:, None]
-    v = 1.0 - w
-    for n in range(1, 501):
-        B = w * B + v * B[succ]
-        if n % 8 == 0:
-            err = float(np.max(np.linalg.norm(B - T, axis=1)))
-            if err <= _COLLAPSE_TOL - _COLLAPSE_DRIFT:
-                return True, {"draws": _COLLAPSE_DRAWS, "passes": n, "worst_err": err}
-    worst = 0.0
-    for off, (p, dim, _, _, target) in zip(offsets, draws):
-        err = float(np.max(np.linalg.norm(B[off : off + p, :dim] - target, axis=1)))
-        if not err <= _COLLAPSE_TOL:
+        k = np.arange(p)
+        M[i, k, k] = t.t
+        M[i, k, (k + 1) % p] = [1.0 - w for w in t.t]
+        B[i, :p, :dim] = pts.points
+        T[i, :p, :dim] = limit_point(pts, t)
+        shapes.append((p, dim))
+    power, square, n = None, M, _COLLAPSE_PASSES
+    while True:
+        if n & 1:
+            power = square if power is None else _stacked_product(power, square)
+        n >>= 1
+        if not n:
+            break
+        square = _stacked_product(square, square)
+    errs = np.linalg.norm(_stacked_product(power, B) - T, axis=-1).max(axis=-1).tolist()
+    for (p, dim), err in zip(shapes, errs):
+        if not err <= _COLLAPSE_TOL - _COLLAPSE_ROUNDING:
             return False, {"p": p, "dim": dim, "err": err}
-        worst = max(worst, err)
-    return True, {"draws": _COLLAPSE_DRAWS, "passes": 500, "worst_err": worst}
+    return True, {"draws": _COLLAPSE_DRAWS, "passes": _COLLAPSE_PASSES, "worst_err": max(errs)}
 
 
 # The check registry; see the module docstring.

@@ -109,8 +109,15 @@ class ConjugateTuple:
 
 
 def conjugate_of(t: WeightTuple) -> ConjugateTuple:
-    """Coordinate change t -> u = 1 - t."""
-    return ConjugateTuple.of(1.0 - v for v in t.t)
+    """Coordinate change t -> u = 1 - t.
+
+    A weight of at most 2**-54 has no conjugate inside (0, 1), as 1 - t
+    rounds to 1: the ValueError names that weight.
+    """
+    u = [1.0 - v for v in t.t]
+    if 1.0 in u:
+        raise ValueError(f"weight {t.t[u.index(1.0)]!r}: 1 - t rounds to 1, outside (0, 1)")
+    return ConjugateTuple.of(u)
 
 
 # Elements per temporary array of the direct sums: about 0.25 MB each at

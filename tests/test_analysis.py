@@ -464,7 +464,7 @@ def _collapse_errors_by_loop(seeds):
     # averaged as its own polygon for 500 passes with the arithmetic of
     # polygon_step; the draws of one (p, dim) are iterated side by side.
     # Returns the (p, dim) of every draw, (seeds, 8), and the largest vertex
-    # error of every draw after every pass, (seeds, 8, 501).
+    # error of every draw after pass 500, (seeds, 8).
     draws = []
     for seed in seeds:
         rng = np.random.default_rng(seed)
@@ -474,39 +474,60 @@ def _collapse_errors_by_loop(seeds):
             pts = PointSet.of(rng.uniform(-1.0, 1.0, size=(p, dim))).require_distinct()
             t = WeightTuple.of(rng.uniform(0.1, 0.9, size=p))
             draws.append(((p, dim), pts.points, np.asarray(t.t)[:, None], analysis.limit_point(pts, t)))
-    errs = np.empty((len(draws), 501))
+    errs = np.empty(len(draws))
     for shape in {shape for shape, *_ in draws}:
         idx = [i for i, (s, *_) in enumerate(draws) if s == shape]
         B, w, target = (np.stack([draws[i][j] for i in idx]) for j in (1, 2, 3))
-        for n in range(501):
-            if n:
-                B = w * B + (1.0 - w) * np.roll(B, -1, axis=1)
-            errs[idx, n] = np.linalg.norm(B - target[:, None], axis=-1).max(axis=-1)
-    return [shape for shape, *_ in draws], errs.reshape(len(seeds), 8, 501)
+        for _ in range(500):
+            B = w * B + (1.0 - w) * np.roll(B, -1, axis=1)
+        errs[idx] = np.linalg.norm(B - target[:, None], axis=-1).max(axis=-1)
+    return [shape for shape, *_ in draws], errs.reshape(len(seeds), 8)
 
 
 def _polygon_collapse_by_loop(shapes, errs):
     # the verdict after 500 passes, with the first failing draw's witness
-    for (p, dim), err in zip(shapes, errs[:, 500].tolist()):
+    for (p, dim), err in zip(shapes, errs.tolist()):
         if not err <= 1e-8:
             return False, {"p": p, "dim": dim, "err": err}
-    return True, {"draws": 8, "worst_err": float(errs[:, 500].max())}
+    return True, {"draws": 8, "passes": 500, "worst_err": float(errs.max())}
+
+
+def _collapse_by_power(seed):
+    # The check's verdict and the largest vertex error of every draw, read
+    # from its last product, M^500 B_0, and the limit points it computed.
+    products, targets = [], []
+    real_product, real_limit = analysis._stacked_product, analysis.limit_point
+
+    def product(A, B):
+        products.append(real_product(A, B))
+        return products[-1]
+
+    def limit(A, t):
+        targets.append((A.p, real_limit(A, t)))
+        return targets[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_stacked_product", product)
+        mp.setattr(analysis, "limit_point", limit)
+        got = analysis._check_polygon_collapse(np.random.default_rng(seed))
+    errs = [float(np.linalg.norm(products[-1][i, :p, : g.size] - g, axis=1).max())
+            for i, (p, g) in enumerate(targets)]
+    return got, errs
 
 
 @functools.cache
 def _collapse_by_check_and_by_loop():
     shapes, errs = _collapse_errors_by_loop(range(64))
-    return [(analysis._check_polygon_collapse(np.random.default_rng(seed)), errs[seed],
+    return [(*_collapse_by_power(seed), errs[seed],
              _polygon_collapse_by_loop(shapes[8 * seed : 8 * seed + 8], errs[seed]))
             for seed in range(64)]
 
 
 def test_polygon_collapse_matches_the_per_polygon_loop(monkeypatch):
-    for got, _, loop in _collapse_by_check_and_by_loop():
-        assert got[0] == loop[0]
-        assert list(got[1]) == ["draws", "passes", "worst_err"] and got[1]["draws"] == 8
-    # a target moved off the limit point never stops the loop, and fails at
-    # pass 500 in the draw that owns it
+    for got, _, _, loop in _collapse_by_check_and_by_loop():
+        assert got[0] == loop[0] and list(got[1]) == list(loop[1])
+        assert got[1]["draws"] == 8 and got[1]["passes"] == 500
+    # a target moved off the limit point fails in the draw that owns it
     real = analysis.limit_point
     calls = []
 
@@ -518,21 +539,41 @@ def test_polygon_collapse_matches_the_per_polygon_loop(monkeypatch):
     got = analysis._check_polygon_collapse(np.random.default_rng(3))
     calls.clear()
     shapes, errs = _collapse_errors_by_loop([3])
-    assert got == _polygon_collapse_by_loop(shapes, errs[0])
-    assert not got[0] and got[1]["err"] > 1e-8 and list(got[1]) == ["p", "dim", "err"]
+    ok, loop = _polygon_collapse_by_loop(shapes, errs[0])
+    assert not got[0] and not ok and list(got[1]) == ["p", "dim", "err"]
+    assert (got[1]["p"], got[1]["dim"]) == (loop["p"], loop["dim"])
+    assert got[1]["err"] > 1e-8 and abs(got[1]["err"] - loop["err"]) <= analysis._COLLAPSE_ROUNDING
 
 
-def test_polygon_collapse_stops_where_the_lemma_bounds_the_500th_pass():
-    # The witness's worst_err is the loop's largest error at the stop pass,
-    # the first multiple of 8 where it is within 1e-8 - _COLLAPSE_DRIFT, and
-    # by the drift lemma the 500th pass is within _COLLAPSE_DRIFT of it.
-    stop = 1e-8 - analysis._COLLAPSE_DRIFT
-    for got, errs, loop in _collapse_by_check_and_by_loop():
-        n, worst = got[1]["passes"], got[1]["worst_err"]
-        tested = errs[:, 8:500:8].max(axis=0)
-        assert n % 8 == 0 and 8 <= n < 500
-        assert worst == tested[n // 8 - 1] <= stop < tested[: n // 8 - 1].min(initial=np.inf)
-        assert loop[1]["worst_err"] <= worst + analysis._COLLAPSE_DRIFT
+def test_polygon_collapse_power_is_within_rounding_of_the_500_pass_loop():
+    # Every draw's error at M^500 B_0 is within D of the loop's at pass 500,
+    # and the witness reports the largest of them.
+    for got, errs, loop_errs, _ in _collapse_by_check_and_by_loop():
+        assert np.max(np.abs(np.array(errs) - loop_errs)) <= analysis._COLLAPSE_ROUNDING
+        assert got[1]["worst_err"] == max(errs)
+
+
+def test_polygon_collapse_forms_the_power_with_13_products(monkeypatch):
+    # 500 = 256 + 128 + 64 + 32 + 16 + 4: 8 squarings and 5 products of the
+    # (8, 7, 7) stack, then one product applies M^500 to the polygons.
+    shapes = []
+    real = analysis._stacked_product
+
+    def counted(A, B):
+        shapes.append((A.shape, B.shape))
+        return real(A, B)
+
+    monkeypatch.setattr(analysis, "_stacked_product", counted)
+    assert analysis._check_polygon_collapse(np.random.default_rng(0))[0]
+    assert shapes == [((8, 7, 7), (8, 7, 7))] * 13 + [((8, 7, 7), (8, 7, 3))]
+
+
+def test_polygon_collapse_fails_on_the_limit_point_of_the_reversed_weights(monkeypatch):
+    real = analysis.limit_point
+    monkeypatch.setattr(analysis, "limit_point", lambda A, t: real(A, WeightTuple.of(t.t[::-1])))
+    for seed in range(8):
+        ok, witness = analysis._check_polygon_collapse(np.random.default_rng(seed))
+        assert not ok and list(witness) == ["p", "dim", "err"] and witness["err"] > 1e-8
 
 
 def test_polygon_collapse_fails_on_nan(monkeypatch):

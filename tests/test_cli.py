@@ -153,6 +153,15 @@ def test_trajectory_rejects_bad_weights(capsys):
     assert "inside (0, 1)" in capsys.readouterr().err
 
 
+def test_a_weight_whose_conjugate_rounds_to_1_is_named(capsys):
+    # 1 - 1e-300 rounds to 1: the error names the weight the user typed
+    for command in ("trajectory", "verify"):
+        assert main([command, "--weights", "1e-300,0.5,0.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: weight 1e-300: 1 - t rounds to 1, outside (0, 1)\n"
+
+
 def test_dual_csv(tmp_path, capsys):
     out = tmp_path / "dual.csv"
     assert main(["dual", "--weights", REF_WEIGHTS, "--steps", "60",
