@@ -48,38 +48,6 @@ def __dir__() -> list[str]:
     return sorted(set(globals()).union(__all__))
 
 
-__all__ = [
-    "__version__",
-    "KNOWN_CHECKS",
-    "CheckResult",
-    "ConjugateTuple",
-    "ContractionCertificate",
-    "DualSequenceRecord",
-    "Phase",
-    "PointSet",
-    "SaturationError",
-    "StationaryCertificate",
-    "TrajectoryRecord",
-    "VerificationError",
-    "WeightTuple",
-    "alpha_residual",
-    "centroid",
-    "certificate",
-    "classify_phase",
-    "comparison_sequence",
-    "conjugate_of",
-    "conjugate_step",
-    "contraction_certificate",
-    "default_suite",
-    "derived_step",
-    "dual_sequence",
-    "dual_weight_trajectory",
-    "limit_point",
-    "polygon_step",
-    "run_trajectory",
-    "solve_alpha",
-    "spectral_check",
-    "stationary_weights",
-    "trajectory_checks",
-    "weight_orders",
-]
+# the stationary layer's names and every lazily loaded name
+__all__ = ["__version__", *sorted(("StationaryCertificate", "alpha_residual", "certificate", "solve_alpha",
+                                   "stationary_weights", *_HOME))]

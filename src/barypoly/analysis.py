@@ -11,10 +11,11 @@ JSON report.
 
 The check registry is the one place a check is added: _STATIC_CHECKS (run
 once on the distinct swept p, ascending), _TRAJ_CHECKS (run on every swept
-trajectory) and _GEOMETRY_CHECKS (run on the suite's RNG after the sweep has
-drawn its seeds) map each name to a function that returns (passed,
-witness), a fresh dict per call.  Each function is the only implementation
-of its claim.  Their order, KNOWN_CHECKS, is the report order.
+trajectory), _GEOMETRY_CHECKS (run on the suite's RNG after the sweep has
+drawn its seeds) and _SEED_CHECKS (run on every swept p's seeds) map each
+name to a function that returns (passed, witness), a fresh dict per call.
+Each function is the only implementation of its claim.  Their order,
+KNOWN_CHECKS, is the report order.
 
 A sweep is checked one p at a time, as one array batch from stepping to
 verdict: dynamics._run_batch steps the p's seeds into a dynamics._Batch, and
@@ -40,12 +41,7 @@ from .dynamics import (
     _step,
     comparison_sequence,
 )
-from .geometry import (
-    PointSet,
-    _regular_polygon,
-    dual_sequence,
-    limit_point,
-)
+from .geometry import PointSet, _limit_weights, _regular_polygon, dual_sequence
 from .stationary import StationaryCertificate, _index, certificate, solve_alpha
 
 __all__ = [
@@ -260,14 +256,6 @@ LIMIT_TOL = 1e-6
 # Certificates are only emitted on states whose components sit far enough
 # inside (0, 1) that the 1e-10 identity tolerance is numerically meaningful.
 CERT_WINDOW = (1e-3, 1.0 - 1e-3)
-# Random polygons drawn by polygon_collapse, the passes after which every
-# vertex must be within _COLLAPSE_TOL of its limit point, and the bound D on
-# how far rounding can move the computed pass from the exact one (derived at
-# _check_polygon_collapse).
-_COLLAPSE_DRAWS = 8
-_COLLAPSE_PASSES = 500
-_COLLAPSE_TOL = 1e-8
-_COLLAPSE_ROUNDING = 1e-12
 
 # Every trajectory check takes a _Batch and returns one (passed, witness) per
 # row.  A row's verdict reads only that row's recorded states: the padding
@@ -316,15 +304,21 @@ def _traj_ratio_monotone(batch: _Batch) -> list[tuple[bool, dict]]:
     return [(True, {}) if m < 0 else (False, {"step": m}) for m in _first(bad).tolist()]
 
 
+def _spread_allowance(batch: _Batch) -> np.ndarray:
+    # (rows, n_max - 2): the allowance of the claim spread[m+2] < spread[m]
+    # / 2, ten times the hard bound on the noise the pair inherits from
+    # storage.
+    return 10.0 * _pair_quantization_noise(batch) * (1.0 + batch.spread[:, :-2])
+
+
 def _traj_spread_contraction(batch: _Batch) -> list[tuple[bool, dict]]:
     # The exact two-step factor is strictly below 1/2, but its margin can be
     # any size (near-ties in the upper components), so the comparison gets
-    # an allowance of ten times the hard bound on the inherited noise
-    # instead of a skip rule: a real violation always exceeds it.
+    # _spread_allowance instead of a skip rule: a real violation always
+    # exceeds it.
     S = batch.spread
     now, later = S[:, :-2], S[:, 2:]
-    allowance = 10.0 * _pair_quantization_noise(batch) * (1.0 + now)
-    bad = (now > SPREAD_FLOOR) & ~(later < 0.5 * now + allowance) & batch.valid[:, 2:]
+    bad = (now > SPREAD_FLOOR) & ~(later < 0.5 * now + _spread_allowance(batch)) & batch.valid[:, 2:]
     return [(True, {}) if m < 0 else (False, {"step": m, "ratio": float(S[r, m + 2] / S[r, m])})
             for r, m in enumerate(_first(bad).tolist())]
 
@@ -360,23 +354,28 @@ def _traj_contraction_certificates(batch: _Batch) -> list[tuple[bool, dict]]:
 
 
 def _reliable_horizon(batch: _Batch) -> np.ndarray:
-    # Number of leading states of each row whose ratios carry working
-    # precision.  A component stored as 1 - d keeps d only to half an ulp of
-    # 1 in absolute terms, a relative error near 5.6e-17/d, and the following
-    # two states inherit that error in every component ratio.  The audit
-    # window for ratio and spread claims therefore ends at the first state
-    # with a component within RELIABLE_GAP of 1; everything before supports
-    # comparisons at 1e-12 slack with two decades to spare.
+    # Number of leading states of each row before the first with a component
+    # within RELIABLE_GAP of 1, where spread_geometric_bound stops.  A
+    # component stored as 1 - d keeps d only to half an ulp of 1, and the
+    # next two states inherit that error.  States before the horizon can
+    # still carry more than 1e-12 of it: 1e-10 to 3.6e-10 below 1, a p = 3
+    # spread of ~1e-7 is noise, which the allowances of the spread claims
+    # cover.
     near_one = (1.0 - _reduce_components(np.maximum, batch.states) <= RELIABLE_GAP) & batch.valid
     return np.where(near_one.any(axis=-1), near_one.argmax(axis=-1), batch.length)
 
 
 def _traj_geometric_bound(batch: _Batch) -> list[tuple[bool, dict]]:
-    # spread[2q] <= 0.5**q * spread[0] + 1e-12 for 1 <= 2q < the horizon
+    # spread[2q] <= B_q + 1e-12 for 1 <= 2q < the horizon, with B_0 =
+    # spread[0] and B_q = B_{q-1} / 2 + a_q, a_q the allowance that
+    # spread_contraction grants the pair (2q - 2, 2q), whose claim carries
+    # spread[2q - 2] <= B_{q-1} to spread[2q] < B_q.  2**q B_q is the
+    # running sum of spread[0] and the 2**j a_j, bit for bit.
     S = batch.spread
     even = S[:, ::2]
     q = np.arange(even.shape[1])
-    bound = np.array([0.5**i for i in q.tolist()]) * S[:, :1] + 1e-12
+    scaled = np.concatenate((S[:, :1], _spread_allowance(batch)[:, ::2] * 2.0 ** q[1:]), axis=1)
+    bound = np.cumsum(scaled, axis=1) * 2.0 ** -q + 1e-12
     bad = (even > bound) & (q >= 1) & (q < (_reliable_horizon(batch)[:, None] + 1) // 2)
     return [(True, {}) if i < 0 else
             (False, {"q": i, "spread": float(even[r, i]), "bound": float(bound[r, i])})
@@ -620,72 +619,48 @@ def _check_dual_convergence(rng: np.random.Generator) -> tuple[bool, dict]:
     return True, {"reference_rate": record.fitted_rate}
 
 
-def _stacked_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    # A @ B for every matrix of a stack, as a broadcast product summed over
-    # the shared axis of length 7: each entry adds its terms in index order
-    # with plain float adds, the same bits on every CPU, where a BLAS kernel
-    # may round differently.
-    return (A[..., :, :, None] * B[..., None, :, :]).sum(axis=-2)
+def _collapse_bound(t: np.ndarray) -> np.ndarray:
+    # B of every weight tuple on the last axis of t, derived at
+    # _check_polygon_collapse.
+    a = np.abs(np.log1p(-t))
+    return 2.0 * ((_LIBM_REL + _EPS) * a.max(axis=-1) + _EPS * a.sum(axis=-1) + _LIBM_REL + 3 * _EPS) + _EPS
 
 
-def _check_polygon_collapse(rng: np.random.Generator) -> tuple[bool, dict]:
-    # A pass is linear: B_{n+1} = M B_n, where M is the draw's p x p
-    # row-stochastic matrix with M[k, k] = t_k and M[k, k+1 mod p] =
-    # fl(1 - t_k), the weights of polygon_step.  The draws are stacked as
-    # zero-padded 7 x 7 matrices, 7 x 3 polygons B_0 and 7 x 3 targets T;
-    # the padding stays zero through every product.  M^500 is formed by
-    # binary powering, 500 = 256 + 128 + 64 + 32 + 16 + 4: 8 squarings and 5
-    # products.  A draw passes when every vertex of M^500 B_0 is within
-    # _COLLAPSE_TOL - D of its limit point G.  A non-finite entry gives a NaN
-    # error, which the comparison fails.  The report names the first failing
-    # draw.
+def _check_polygon_collapse(seeds: Sequence[tuple[int, np.ndarray]]) -> tuple[bool, dict]:
+    # A pass is B_{n+1} = M B_n with the row-stochastic M[k, k] = t_k,
+    # M[k, k+1 mod p] = 1 - t_k.  Every t_k lies in (0, 1), so M is a cycle
+    # with a self-loop at every vertex, hence primitive, and M^n B_0 tends to
+    # 1 pi B_0 for the pi with pi M = pi (Seneta, Non-negative Matrices and
+    # Markov Chains, 2nd ed., Springer 2006, ch. 1).  Entry k of pi M = pi
+    # reads pi_k t_k + pi_{k-1} (1 - t_{k-1}) = pi_k, so limit_point's
+    # weights pi_k ~ prod_{i != k} (1 - t_i) are pi exactly when v_k =
+    # pi_k (1 - t_k) is one number for every k.  The tuples are every swept
+    # p's seeds, t = 1 - u.  A row passes when max v / min v - 1 <= B, so a
+    # NaN fails; the report names the first row that does not.
     #
-    # D bounds the rounding against the exact pass 500 (Higham, Accuracy and
-    # Stability of Numerical Algorithms, 2nd ed., SIAM 2002, section 3.5).
-    # With u = 2^-53, g = 7u / (1 - 7u) and |.| the largest row sum:
-    # - The exact pass matrix M* holds 1 - t_k where M holds fl(1 - t_k), so
-    #   |M - M*| <= u.
-    # - A computed product of nonnegative X, Y with at most 7 terms per entry
-    #   is off from XY by at most g XY entrywise.  With e_j = |fl(M^j) - M*^j|
-    #   and |M*^j| = 1, e_{a+b} <= e_a + e_b + g up to second-order terms,
-    #   which add less than 1e-23 in all: a squaring doubles the error it
-    #   inherits.  From e_1 <= u, every power the powering forms has
-    #   e_j <= j (u + g) - g, so e_500 < 500 (u + g) < 4.45e-13.
-    # - Applying fl(M^500) to B_0, whose coordinates lie in [-1, 1], adds at
-    #   most g (1 + e_500) per coordinate, so each coordinate is within
-    #   4.46e-13 of the exact pass 500 and each vertex, of dim <= 3, within
-    #   sqrt 3 times that, 7.8e-13.  The computed norm is within a relative
-    #   4u of the true one, below 1e-23 at 1e-8.
-    # So D = _COLLAPSE_ROUNDING = 1e-12 covers the rounding, and a draw that
-    # passes has every vertex of the exact pass 500 within _COLLAPSE_TOL of G.
-    M = np.zeros((_COLLAPSE_DRAWS, 7, 7))
-    B = np.zeros((_COLLAPSE_DRAWS, 7, 3))
-    T = np.zeros_like(B)
-    shapes = []
-    for i in range(_COLLAPSE_DRAWS):
-        p = int(rng.integers(3, 8))
-        dim = int(rng.integers(1, 4))
-        pts = PointSet(p, dim, rng.uniform(-1.0, 1.0, size=(p, dim))).require_distinct()
-        t = WeightTuple.of(rng.uniform(0.1, 0.9, size=p))
-        k = np.arange(p)
-        M[i, k, k] = t.t
-        M[i, k, (k + 1) % p] = [1.0 - w for w in t.t]
-        B[i, :p, :dim] = pts.points
-        T[i, :p, :dim] = limit_point(pts, t)
-        shapes.append((p, dim))
-    power, square, n = None, M, _COLLAPSE_PASSES
-    while True:
-        if n & 1:
-            power = square if power is None else _stacked_product(power, square)
-        n >>= 1
-        if not n:
-            break
-        square = _stacked_product(square, square)
-    errs = np.linalg.norm(_stacked_product(power, B) - T, axis=-1).max(axis=-1).tolist()
-    for (p, dim), err in zip(shapes, errs):
-        if not err <= _COLLAPSE_TOL - _COLLAPSE_ROUNDING:
-            return False, {"p": p, "dim": dim, "err": err}
-    return True, {"draws": _COLLAPSE_DRAWS, "passes": _COLLAPSE_PASSES, "worst_err": max(errs)}
+    # B bounds that spread for the computed v, in log terms per component,
+    # with eps = 2^-53 and eta = 4 ulp for numpy's log1p and exp.
+    # _limit_weights takes a_k = log1p(-t_k), L_k = T - a_k with T the row
+    # total, and exp(L_k - max L) over their sum; the errors of T and of the
+    # sum are shared and cancel.  Left are eta |a_k|, eps |L_k|, eps |L_k -
+    # max L| and eta, and eps each for the division, 1 - t_k and the product.
+    # As a <= 0, |L_k| <= sum |a| and |L_k - max L| <= max |a|, so to first
+    # order two components and their quotient differ by at most
+    #     B = 2 ((eta + eps) max |a| + eps sum |a| + eta + 3 eps) + eps,
+    # which grows like p eps.
+    worst = 0.0
+    for p, u in seeds:
+        t = 1.0 - u
+        v = _limit_weights(t) * (1.0 - t)
+        spread = _reduce_components(np.maximum, v) / _reduce_components(np.minimum, v) - 1.0
+        bound = _collapse_bound(t)
+        bad = ~(spread <= bound)
+        if bad.any():
+            s = int(bad.argmax())
+            return False, {"p": p, "seed_index": s, "spread": float(spread[s]), "bound": float(bound[s])}
+        worst = max(worst, float((spread / bound).max()))
+    return True, {"p_audited": [p for p, _ in seeds], "tuples": sum(len(u) for _, u in seeds),
+                  "worst_spread_over_bound": worst}
 
 
 # The check registry; see the module docstring.
@@ -711,10 +686,13 @@ _TRAJ_CHECKS: dict[str, Callable[[_Batch], list[tuple[bool, dict]]]] = {
 
 _GEOMETRY_CHECKS: dict[str, Callable[[np.random.Generator], tuple[bool, dict]]] = {
     "dual_convergence": _check_dual_convergence,
+}
+
+_SEED_CHECKS: dict[str, Callable[[Sequence[tuple[int, np.ndarray]]], tuple[bool, dict]]] = {
     "polygon_collapse": _check_polygon_collapse,
 }
 
-KNOWN_CHECKS = (*_STATIC_CHECKS, *_TRAJ_CHECKS, *_GEOMETRY_CHECKS)
+KNOWN_CHECKS = (*_STATIC_CHECKS, *_TRAJ_CHECKS, *_GEOMETRY_CHECKS, *_SEED_CHECKS)
 
 
 _P_BELOW_3 = "verification sweeps require p >= 3"
@@ -768,14 +746,19 @@ def default_suite(
         wanted.discard("unique_fixed_point_grid")
     names = [n for n in KNOWN_CHECKS if n in wanted]
 
-    # The seeds are drawn only when a trajectory check runs, and before the
-    # geometry checks draw theirs.
+    # The seeds are drawn only when a trajectory or seed check runs, and
+    # before the geometry checks draw theirs; they are stepped only when a
+    # trajectory check runs.
     rng = np.random.default_rng(rng_seed)
     traj_names = [n for n in names if n in _TRAJ_CHECKS]
     swept, violations, first_failure = 0, dict.fromkeys(traj_names, 0), {}
-    for p in p_values if traj_names else ():
+    drawn = []
+    for p in p_values if traj_names or wanted.intersection(_SEED_CHECKS) else ():
         # one draw takes the same numbers from the RNG as one draw per seed
         seeds = rng.uniform(1e-3, 1.0 - 1e-3, size=(seeds_per_p, p))
+        drawn.append((p, seeds))
+        if not traj_names:
+            continue
         batch = _run_batch(seeds, max_steps, solve_alpha(p))
         fault = None
         if inject_fault and swept == 0:
@@ -799,6 +782,8 @@ def default_suite(
             witness = {"trajectories": swept, "violations": violations[name]}
             if name in first_failure:
                 witness["first_failure"] = first_failure[name]
+        elif name in _SEED_CHECKS:
+            passed, witness = _SEED_CHECKS[name](drawn)
         else:
             passed, witness = _GEOMETRY_CHECKS[name](rng)
         results.append(CheckResult(name, passed, witness))

@@ -146,6 +146,12 @@ def _normalized_weights(log_w: np.ndarray) -> np.ndarray:
     return w / w.sum(axis=-1, keepdims=True)
 
 
+def _limit_weights(t: np.ndarray) -> np.ndarray:
+    # The normalized limit-point weights prod_{i != k} (1 - t_i) of every
+    # weight tuple on the last axis of t, from log sums.
+    return _normalized_weights(_excluded_sums(np.log1p(-t)))
+
+
 def limit_point(A: PointSet, t: WeightTuple) -> np.ndarray:
     """Common limit of the averaging iteration started from A with weights t.
 
@@ -154,8 +160,7 @@ def limit_point(A: PointSet, t: WeightTuple) -> np.ndarray:
     """
     if A.p != t.p:
         raise ValueError(f"point count {A.p} does not match weight count {t.p}")
-    log_w = _excluded_sums(np.log1p(-np.asarray(t.t)))
-    return _normalized_weights(log_w) @ A.points
+    return _limit_weights(np.asarray(t.t)) @ A.points
 
 
 def _polygon_average(points: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -227,14 +232,16 @@ def dual_sequence(A: PointSet, t0: WeightTuple, steps: int) -> DualSequenceRecor
 
 
 def _fit_rate(dists: np.ndarray) -> float | None:
-    # fit over the final half of the samples still above the noise floor,
-    # widened to _FIT_MIN_POINTS when the decay leaves fewer than twice that
+    # least-squares slope from centred sums, over the final half of the
+    # samples still above the noise floor, widened to _FIT_MIN_POINTS when
+    # the decay leaves fewer than twice that
     idx = np.nonzero(dists > _FIT_FLOOR)[0]
     if idx.size < _FIT_MIN_POINTS:
         return None
     tail = idx[-max(_FIT_MIN_POINTS, idx.size // 2) :]
-    slope = np.polyfit(tail.astype(float), np.log(dists[tail]), 1)[0]
-    return float(slope)
+    x = tail - tail.mean()
+    y = np.log(dists[tail])
+    return float(np.sum(x * (y - y.mean())) / np.sum(x * x))
 
 
 def weight_orders(t0: WeightTuple, max_order: int) -> list[WeightTuple]:

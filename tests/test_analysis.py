@@ -28,7 +28,7 @@ from barypoly import (
     spectral_check,
     trajectory_checks,
 )
-from barypoly import analysis, dynamics
+from barypoly import analysis, dynamics, geometry
 from barypoly.analysis import (
     _TRAJ_CHECKS,
     _elementary_symmetric,
@@ -117,6 +117,32 @@ def test_reliable_horizon():
     h = _reliable_horizon(_Batch.of(traj))[0]
     assert 0 < h <= len(traj)
     assert all(1.0 - max(u) > 1e-10 for u in traj.states[:h].tolist())
+
+
+def test_spread_geometric_bound_passes_on_the_seeds_of_its_false_failures():
+    # Each sweep failed one p = 3 row against the closed form 0.5**q
+    # spread[0] + 1e-12, at q = 22, 19 and 21, where an 80-digit orbit from
+    # the same seed stays under it: the float spread there is storage noise.
+    for rng_seed in (3880892050, 2194672933, 3463478872):
+        (res,) = default_suite(rng_seed=rng_seed, checks=["spread_geometric_bound"])
+        assert res.passed, res.witness
+
+
+def test_spread_geometric_bound_fails_on_a_clean_state_at_twice_its_bound():
+    traj = _traj((0.2, 0.5, 0.8), steps=400)
+    S = traj.spread
+    # B_q = B_{q-1} / 2 + a_q from B_0 = spread[0], a_q the allowance of
+    # spread_contraction for the pair (2q - 2, 2q)
+    bound = [S[0]]
+    for q in (1, 2):
+        a_q = 10.0 * (5.6e-17 / (1.0 - traj.states[2 * q - 1].max()) + 1e-14) * (1.0 + S[2 * q - 2])
+        bound.append(0.5 * bound[-1] + a_q)
+    assert traj.states[:5].max() < 0.99 and _check("spread_geometric_bound", traj) == (True, {})
+    for q in (1, 2):
+        spread = S.copy()
+        spread[2 * q] = 2.0 * (bound[q] + 1e-12)
+        ok, witness = _check("spread_geometric_bound", dataclasses.replace(traj, spread=spread))
+        assert not ok and witness == {"q": q, "spread": spread[2 * q], "bound": bound[q] + 1e-12}
 
 
 def test_ratio_monotonicity_catches_corruption():
@@ -459,128 +485,64 @@ def test_polygon_average_matches_polygon_step():
     assert np.array_equal(raw, rolled)
 
 
-def _collapse_errors_by_loop(seeds):
-    # The collapse check as a plain loop: the 8 draws of each seed, each
-    # averaged as its own polygon for 500 passes with the arithmetic of
-    # polygon_step; the draws of one (p, dim) are iterated side by side.
-    # Returns the (p, dim) of every draw, (seeds, 8), and the largest vertex
-    # error of every draw after pass 500, (seeds, 8).
-    draws = []
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        for _ in range(8):
-            p = int(rng.integers(3, 8))
-            dim = int(rng.integers(1, 4))
-            pts = PointSet.of(rng.uniform(-1.0, 1.0, size=(p, dim))).require_distinct()
-            t = WeightTuple.of(rng.uniform(0.1, 0.9, size=p))
-            draws.append(((p, dim), pts.points, np.asarray(t.t)[:, None], analysis.limit_point(pts, t)))
-    errs = np.empty(len(draws))
-    for shape in {shape for shape, *_ in draws}:
-        idx = [i for i, (s, *_) in enumerate(draws) if s == shape]
-        B, w, target = (np.stack([draws[i][j] for i in idx]) for j in (1, 2, 3))
-        for _ in range(500):
-            B = w * B + (1.0 - w) * np.roll(B, -1, axis=1)
-        errs[idx] = np.linalg.norm(B - target[:, None], axis=-1).max(axis=-1)
-    return [shape for shape, *_ in draws], errs.reshape(len(seeds), 8)
+def _collapse(p_values, seeds_per_p=4, **kwargs):
+    (res,) = default_suite(p_values=p_values, seeds_per_p=seeds_per_p, checks=["polygon_collapse"], **kwargs)
+    return res
 
 
-def _polygon_collapse_by_loop(shapes, errs):
-    # the verdict after 500 passes, with the first failing draw's witness
-    for (p, dim), err in zip(shapes, errs.tolist()):
-        if not err <= 1e-8:
-            return False, {"p": p, "dim": dim, "err": err}
-    return True, {"draws": 8, "passes": 500, "worst_err": float(errs.max())}
+def test_polygon_collapse_passes_at_every_swept_p():
+    p_values = (3, 4, 5, 6, 7, 8, 256, 1024, 8192)
+    res = _collapse(p_values)
+    assert res.passed, res.witness
+    assert res.witness["p_audited"] == list(p_values) and res.witness["tuples"] == 4 * len(p_values)
+    assert 0.0 <= res.witness["worst_spread_over_bound"] <= 1.0
 
 
-def _collapse_by_power(seed):
-    # The check's verdict and the largest vertex error of every draw, read
-    # from its last product, M^500 B_0, and the limit points it computed.
-    products, targets = [], []
-    real_product, real_limit = analysis._stacked_product, analysis.limit_point
-
-    def product(A, B):
-        products.append(real_product(A, B))
-        return products[-1]
-
-    def limit(A, t):
-        targets.append((A.p, real_limit(A, t)))
-        return targets[-1][1]
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analysis, "_stacked_product", product)
-        mp.setattr(analysis, "limit_point", limit)
-        got = analysis._check_polygon_collapse(np.random.default_rng(seed))
-    errs = [float(np.linalg.norm(products[-1][i, :p, : g.size] - g, axis=1).max())
-            for i, (p, g) in enumerate(targets)]
-    return got, errs
-
-
-@functools.cache
-def _collapse_by_check_and_by_loop():
-    shapes, errs = _collapse_errors_by_loop(range(64))
-    return [(*_collapse_by_power(seed), errs[seed],
-             _polygon_collapse_by_loop(shapes[8 * seed : 8 * seed + 8], errs[seed]))
-            for seed in range(64)]
-
-
-def test_polygon_collapse_matches_the_per_polygon_loop(monkeypatch):
-    for got, _, _, loop in _collapse_by_check_and_by_loop():
-        assert got[0] == loop[0] and list(got[1]) == list(loop[1])
-        assert got[1]["draws"] == 8 and got[1]["passes"] == 500
-    # a target moved off the limit point fails in the draw that owns it
-    real = analysis.limit_point
-    calls = []
-
-    def moved(A, t):
-        calls.append(None)
-        return real(A, t) + (1e-6 if len(calls) == 5 else 0.0)
-
-    monkeypatch.setattr(analysis, "limit_point", moved)
-    got = analysis._check_polygon_collapse(np.random.default_rng(3))
-    calls.clear()
-    shapes, errs = _collapse_errors_by_loop([3])
-    ok, loop = _polygon_collapse_by_loop(shapes, errs[0])
-    assert not got[0] and not ok and list(got[1]) == ["p", "dim", "err"]
-    assert (got[1]["p"], got[1]["dim"]) == (loop["p"], loop["dim"])
-    assert got[1]["err"] > 1e-8 and abs(got[1]["err"] - loop["err"]) <= analysis._COLLAPSE_ROUNDING
-
-
-def test_polygon_collapse_power_is_within_rounding_of_the_500_pass_loop():
-    # Every draw's error at M^500 B_0 is within D of the loop's at pass 500,
-    # and the witness reports the largest of them.
-    for got, errs, loop_errs, _ in _collapse_by_check_and_by_loop():
-        assert np.max(np.abs(np.array(errs) - loop_errs)) <= analysis._COLLAPSE_ROUNDING
-        assert got[1]["worst_err"] == max(errs)
-
-
-def test_polygon_collapse_forms_the_power_with_13_products(monkeypatch):
-    # 500 = 256 + 128 + 64 + 32 + 16 + 4: 8 squarings and 5 products of the
-    # (8, 7, 7) stack, then one product applies M^500 to the polygons.
-    shapes = []
-    real = analysis._stacked_product
-
-    def counted(A, B):
-        shapes.append((A.shape, B.shape))
-        return real(A, B)
-
-    monkeypatch.setattr(analysis, "_stacked_product", counted)
-    assert analysis._check_polygon_collapse(np.random.default_rng(0))[0]
-    assert shapes == [((8, 7, 7), (8, 7, 7))] * 13 + [((8, 7, 7), (8, 7, 3))]
+def _moved_weights(monkeypatch, move):
+    # polygon_collapse with its limit weights passed through move(w, t)
+    monkeypatch.setattr(analysis, "_limit_weights", lambda t: move(geometry._limit_weights(t), t))
 
 
 def test_polygon_collapse_fails_on_the_limit_point_of_the_reversed_weights(monkeypatch):
-    real = analysis.limit_point
-    monkeypatch.setattr(analysis, "limit_point", lambda A, t: real(A, WeightTuple.of(t.t[::-1])))
-    for seed in range(8):
-        ok, witness = analysis._check_polygon_collapse(np.random.default_rng(seed))
-        assert not ok and list(witness) == ["p", "dim", "err"] and witness["err"] > 1e-8
+    _moved_weights(monkeypatch, lambda w, t: w[..., ::-1])
+    for p in (3, 5, 8, 1024):
+        res = _collapse((p,))
+        assert not res.passed and list(res.witness) == ["p", "seed_index", "spread", "bound"]
+        assert res.witness["p"] == p and res.witness["spread"] > 1.0
+
+
+def test_polygon_collapse_fails_on_one_weight_moved_past_its_bound(monkeypatch):
+    def moved(by):
+        def move(w, t):
+            w = w.copy()
+            w[..., 0] *= 1.0 + by(t)
+            return w
+        return move
+
+    assert _collapse((1024,)).passed
+    # 1e-12 relative is far above the bound at p <= 8
+    _moved_weights(monkeypatch, moved(lambda t: 1e-12))
+    for p in range(3, 9):
+        res = _collapse((p,))
+        assert not res.passed and res.witness["seed_index"] == 0
+        assert res.witness["bound"] < 1e-13 < res.witness["spread"]
+    # at p = 1024 a move of twice the bound fails
+    _moved_weights(monkeypatch, moved(lambda t: 2.0 * analysis._collapse_bound(t)))
+    res = _collapse((1024,))
+    assert not res.passed and res.witness["p"] == 1024
+    assert res.witness["spread"] > res.witness["bound"]
 
 
 def test_polygon_collapse_fails_on_nan(monkeypatch):
-    monkeypatch.setattr(analysis, "limit_point", lambda A, t: np.full(A.dim, np.nan))
-    (res,) = default_suite(p_values=(3,), seeds_per_p=1, checks=["polygon_collapse"])
+    def with_nan(w, t):
+        w = w.copy()
+        w[..., 1] = np.nan
+        return w
+
+    _moved_weights(monkeypatch, with_nan)
+    res = _collapse((3,), seeds_per_p=1)
     assert not res.passed
-    assert math.isnan(res.witness["err"])
+    assert res.witness["seed_index"] == 0 and math.isnan(res.witness["spread"])
 
 
 def _grid_by_scalar_loop():
@@ -695,17 +657,30 @@ def test_default_suite_runs_each_registered_check_alone(name):
     assert [r.name for r in results] == [name]
 
 
-def test_default_suite_draws_seeds_only_for_trajectory_checks():
-    # The geometry checks draw from the suite's RNG after the sweep's seeds,
-    # and no seeds are drawn when no trajectory check runs.
-    def worst(seeds_per_p, checks):
-        res = default_suite(p_values=(3,), seeds_per_p=seeds_per_p, checks=checks)
-        return res[-1].witness["worst_err"]
+def test_default_suite_draws_seeds_only_for_trajectory_checks(monkeypatch):
+    # The sweep's seeds are drawn when a trajectory check or polygon_collapse
+    # runs, and stepped only when a trajectory check runs; dual_convergence
+    # draws from the suite's RNG after them.
+    stepped = []
+    real = analysis._run_batch
+    monkeypatch.setattr(analysis, "_run_batch", lambda *args: stepped.append(None) or real(*args))
+    monkeypatch.setitem(analysis._GEOMETRY_CHECKS, "dual_convergence", lambda rng: (True, {"next": rng.uniform()}))
 
-    alone = ["polygon_collapse"]
-    assert worst(1, alone) == worst(4, alone)
-    swept = ["order_preserved", "polygon_collapse"]
-    assert worst(1, swept) != worst(4, swept)
+    def run(checks):
+        stepped.clear()
+        res = default_suite(p_values=(3, 5), seeds_per_p=4, rng_seed=2, checks=checks)
+        return {r.name: r.witness for r in res}, len(stepped)
+
+    rng = np.random.default_rng(2)
+    collapse = analysis._check_polygon_collapse(
+        [(p, rng.uniform(1e-3, 1.0 - 1e-3, size=(4, p))) for p in (3, 5)])[1]
+    after_seeds = {"next": rng.uniform()}
+    assert run(["dual_convergence"]) == ({"dual_convergence": {"next": np.random.default_rng(2).uniform()}}, 0)
+    assert run(["polygon_collapse"]) == ({"polygon_collapse": collapse}, 0)
+    assert run(["dual_convergence", "polygon_collapse"]) == (
+        {"dual_convergence": after_seeds, "polygon_collapse": collapse}, 0)
+    witnesses, steps = run(["order_preserved", "dual_convergence", "polygon_collapse"])
+    assert steps == 2 and witnesses["dual_convergence"] == after_seeds and witnesses["polygon_collapse"] == collapse
 
 
 def test_default_suite_draws_each_p_as_one_batch_of_per_seed_draws(monkeypatch):
@@ -726,10 +701,12 @@ def test_default_suite_draws_each_p_as_one_batch_of_per_seed_draws(monkeypatch):
                         checks=["order_preserved", "polygon_collapse"])
     rng = np.random.default_rng(4)
     assert len(batches) == len(p_values)
+    drawn = []
     for u0, p in zip(batches, p_values):
         per_seed = np.array([rng.uniform(1e-3, 1.0 - 1e-3, size=p) for _ in range(7)])
         assert u0.tobytes() == per_seed.tobytes()
-    assert (res[-1].passed, res[-1].witness) == analysis._check_polygon_collapse(rng)
+        drawn.append((p, per_seed))
+    assert (res[-1].passed, res[-1].witness) == analysis._check_polygon_collapse(drawn)
 
 
 def test_stationary_certificate_takes_p_in_any_order():

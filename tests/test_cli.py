@@ -194,6 +194,13 @@ def test_verify_sweep_json_report(tmp_path, capsys):
     assert "order_preserved" in names and "polygon_collapse" in names
 
 
+def test_verify_polygon_collapse_at_p_1024(capsys):
+    assert main(["verify", "--p", "1024", "--seeds", "4", "--check", "polygon_collapse", "--json"]) == 0
+    (check,) = json.loads(capsys.readouterr().out)["checks"]
+    assert check["name"] == "polygon_collapse" and check["passed"]
+    assert check["witness"]["p_audited"] == [1024] and check["witness"]["tuples"] == 4
+
+
 def test_verify_check_filter(capsys):
     assert main(["verify", "--p", "3", "--seeds", "2", "--check", "fixed_point"]) == 0
     out = capsys.readouterr().out

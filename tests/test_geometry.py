@@ -16,6 +16,7 @@ from barypoly import (
     weight_orders,
 )
 from barypoly.dynamics import _excluded_sums
+from barypoly.geometry import _limit_weights
 
 
 def regular_polygon(p):
@@ -100,6 +101,16 @@ def test_limit_point_matches_direct_formula():
         ])
         expected = (w / w.sum()) @ A.points
         assert limit_point(A, t) == pytest.approx(expected, abs=1e-14)
+
+
+def test_limit_weights_rows_are_the_weights_of_limit_point():
+    # limit_point of the identity family returns its weights, bit for bit
+    rng = np.random.default_rng(8)
+    for p in (3, 8, 1024):
+        t = rng.uniform(1e-3, 1.0 - 1e-3, size=(5, p))
+        eye = PointSet(p, p, np.eye(p))
+        for row, w in zip(t, _limit_weights(t)):
+            assert limit_point(eye, WeightTuple.of(row)).tobytes() == w.tobytes()
 
 
 def test_limit_point_regular_weights_is_centroid():
