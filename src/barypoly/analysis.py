@@ -73,29 +73,17 @@ class VerificationError(AssertionError):
     """A verifier postcondition failed on the supplied data."""
 
 
-def _elementary_symmetric(values) -> list:
-    # All elementary symmetric functions e_0 .. e_n of the n values on the
-    # last axis of an array, each e_j an array over the leading axes, by the
-    # incremental coefficient recurrence: after absorbing each value v the
-    # partial coefficients update as e_j += v * e_{j-1}, descending j.
-    values = np.asarray(values, dtype=float)
-    n = values.shape[-1]
-    e = [np.ones(values.shape[:-1])] + [np.zeros(values.shape[:-1]) for _ in range(n)]
-    for idx in range(1, n + 1):
-        v = values[..., idx - 1]
-        for j in range(idx, 0, -1):
-            e[j] = e[j] + v * e[j - 1]
-    return e
-
-
 @dataclass(frozen=True)
 class ContractionCertificate:
     """Witness of the two-step affine recurrence on the extreme components.
 
     Both extremes of a sorted state satisfy u^(m+2) = slope * u^(m) +
     intercept with positive slope and intercept, so the sorted spread
-    contracts by factor `contraction` < 1/2 every two steps.  ratio_bound is
-    slope * u_min / intercept and must sit strictly inside (0, 1).
+    contracts by factor `contraction` < 1/2 every two steps.  With pi the
+    product of the components of u^(m) and the products over its middle
+    components (all but the extremes), slope = prod_mid (u_j - pi) and
+    intercept = 1 - prod_mid (1 - pi / u_j).  ratio_bound is slope * u_min /
+    intercept and must sit strictly inside (0, 1).
     """
 
     m: int
@@ -110,24 +98,23 @@ class ContractionCertificate:
 def _certificate_fields(u: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, ...]:
     # slope, intercept, ratio_bound, contraction, residual_low and
     # residual_high of the certificate for every state on the last axis of u
-    # (at m) and u2 (at m + 2).  Each state takes the operations of the
-    # scalar formulas in their order: sequential products, the e_j
-    # recurrence, then Horner.
+    # (at m) and u2 (at m + 2), in O(p) column operations, the same
+    # operations for a state alone as in a batch.  With pi = prod_i u_i and
+    # u'_j = 1 - pi / u_j, u''_0 = 1 - u'_{p-1} prod_mid u'_j and u'_{p-1} =
+    # 1 - u_0 prod_mid u_j, so u''_0 = intercept + slope u_0, and likewise
+    # u''_{p-1}.  The intercept is the running union c <- c + x_j (1 - c) of
+    # x_j = pi / u_j, whose terms are all non-negative, so nothing cancels
+    # (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., SIAM
+    # 2002).
     p = u.shape[-1]
     pi = np.ones(u.shape[:-1])
     for j in range(p):
         pi = pi * u[..., j]
-    mids = u[..., 1:-1]
     slope = np.ones(u.shape[:-1])
-    for j in range(p - 2):
-        slope = slope * (mids[..., j] - pi)
-    # intercept = u_min * u_max * sum_{j=0}^{p-3} (-pi)^j e_{p-3-j}(mids),
-    # evaluated by Horner; for small pi the series is dominated by its first
-    # term, which keeps the sum cancellation-free.
-    s = np.zeros(u.shape[:-1])
-    for coeff in _elementary_symmetric(mids)[: p - 2]:  # e_0 .. e_{p-3}, highest power of -pi first
-        s = s * -pi + coeff
-    intercept = u[..., 0] * u[..., -1] * s
+    intercept = np.zeros(u.shape[:-1])
+    for j in range(1, p - 1):
+        slope = slope * (u[..., j] - pi)
+        intercept = intercept + pi / u[..., j] * (1.0 - intercept)
     low = slope * u[..., 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         return (
@@ -279,9 +266,10 @@ def _traj_order_preserved(batch: _Batch) -> list[tuple[bool, dict]]:
 def _pair_quantization_noise(batch: _Batch) -> np.ndarray:
     # (rows, n_max - 2): the relative error inherited by state m+2 from
     # storing state m+1, where a component 1 - d keeps d only to half an ulp
-    # of 1.  The 1e-14 term covers the log/exp round-off of the two steps
-    # themselves.
-    return 5.6e-17 / (1.0 - _reduce_components(np.maximum, batch.states[:, 1:-1])) + 1e-14
+    # of 1, read at the last component, the largest of a sorted state (an
+    # unsorted state can only get a smaller noise).  The 1e-14 term covers
+    # the log/exp round-off of the two steps themselves.
+    return 5.6e-17 / (1.0 - batch.states[:, 1:-1, -1]) + 1e-14
 
 
 def _traj_ratio_monotone(batch: _Batch) -> list[tuple[bool, dict]]:
@@ -360,8 +348,8 @@ def _reliable_horizon(batch: _Batch) -> np.ndarray:
     # next two states inherit that error.  States before the horizon can
     # still carry more than 1e-12 of it: 1e-10 to 3.6e-10 below 1, a p = 3
     # spread of ~1e-7 is noise, which the allowances of the spread claims
-    # cover.
-    near_one = (1.0 - _reduce_components(np.maximum, batch.states) <= RELIABLE_GAP) & batch.valid
+    # cover.  The largest component of a sorted state is its last.
+    near_one = (1.0 - batch.states[..., -1] <= RELIABLE_GAP) & batch.valid
     return np.where(near_one.any(axis=-1), near_one.argmax(axis=-1), batch.length)
 
 

@@ -279,10 +279,11 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     else:
         p_values = [cfg.p] if cfg.p is not None else [3, 4, 5, 6, 7, 8]
         seeds = args.seeds if args.seeds is not None else 100
-        results = default_suite(p_values=p_values, seeds_per_p=seeds, max_steps=_max_steps(cfg, 400),
+        max_steps = _max_steps(cfg, 400)
+        results = default_suite(p_values=p_values, seeds_per_p=seeds, max_steps=max_steps,
                                 rng_seed=cfg.seed, checks=checks, inject_fault=args.inject_fault)
-        config = {"p_values": p_values, "seeds_per_p": seeds, "rng_seed": cfg.seed,
-                  "inject_fault": args.inject_fault}
+        config = {"p_values": p_values, "seeds_per_p": seeds, "max_steps": max_steps,
+                  "rng_seed": cfg.seed, "inject_fault": args.inject_fault}
         why = f"unique_fixed_point_grid runs only when the swept p values {p_values} include 3"
     if not results:
         raise ValueError(f"checks {sorted(checks)} ran nothing: {why}")
@@ -434,33 +435,35 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
+    # Each subcommand takes only the flags it reads (--p only alpha and
+    # verify, --seed only verify; the config keys stay shared), spelled out:
+    # an abbreviation would read `figure --p 5` as --points-file 5.
+    def subcommand(name: str, help: str) -> argparse.ArgumentParser:
+        sp = sub.add_parser(name, help=help, allow_abbrev=False)
         sp.add_argument("--config", help="JSON config file; explicit flags override it")
-        sp.add_argument("--p", type=int, help="number of components")
-        sp.add_argument("--seed", type=int, help="RNG seed for randomized draws")
+        return sp
 
-    sp = sub.add_parser("alpha", help="stationary value and instability certificate")
-    add_common(sp)
+    sp = subcommand("alpha", "stationary value and instability certificate")
+    sp.add_argument("--p", type=int, help="number of components")
     sp.add_argument("--json", action="store_true", help="emit a JSON object")
     sp.set_defaults(fn=cmd_alpha)
 
-    sp = sub.add_parser("trajectory", help="iterate the sorted conjugate state, CSV output")
-    add_common(sp)
+    sp = subcommand("trajectory", "iterate the sorted conjugate state, CSV output")
     sp.add_argument("--weights", type=_parse_weights, help="initial weights, comma separated")
     sp.add_argument("--steps", type=int, help="iteration count (default 200)")
     sp.add_argument("--out", help="CSV path ('-' for stdout, the default)")
     sp.set_defaults(fn=cmd_trajectory)
 
-    sp = sub.add_parser("dual", help="dual limit-point sequence, CSV output")
-    add_common(sp)
+    sp = subcommand("dual", "dual limit-point sequence, CSV output")
     sp.add_argument("--weights", type=_parse_weights, help="initial weights, comma separated")
     sp.add_argument("--steps", type=int, help="sequence length (default 200)")
     sp.add_argument("--points-file", help="JSON array of base points (default: regular polygon)")
     sp.add_argument("--out", help="CSV path ('-' for stdout, the default)")
     sp.set_defaults(fn=cmd_dual)
 
-    sp = sub.add_parser("verify", help="randomized verification sweep")
-    add_common(sp)
+    sp = subcommand("verify", "randomized verification sweep")
+    sp.add_argument("--p", type=int, help="number of components (default: sweep p = 3..8)")
+    sp.add_argument("--seed", type=int, help="RNG seed of the sweep")
     sp.add_argument("--check", action="append", help="restrict to this check (repeatable)")
     sp.add_argument("--weights", type=_parse_weights, help="verify one trajectory instead of sweeping")
     sp.add_argument("--steps", type=int,
@@ -473,8 +476,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", help="write the JSON report to this path")
     sp.set_defaults(fn=cmd_verify)
 
-    sp = sub.add_parser("figure", help="SVG of the collapsing averaging polygon")
-    add_common(sp)
+    sp = subcommand("figure", "SVG of the collapsing averaging polygon")
     sp.add_argument("--weights", type=_parse_weights, help="initial weights, comma separated")
     sp.add_argument("--order", type=int, default=0,
                     help="weight order: 0 uses the seed weights, n the n-th derived weights")

@@ -1,10 +1,10 @@
 import dataclasses
 import functools
-import itertools
 import json
 import math
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -31,24 +31,56 @@ from barypoly import (
 from barypoly import analysis, dynamics, geometry
 from barypoly.analysis import (
     _TRAJ_CHECKS,
-    _elementary_symmetric,
     _reliable_horizon,
 )
 from barypoly.dynamics import _PHASES, _Batch, _run_batch
 from barypoly.geometry import _polygon_average
 
 
-def test_elementary_symmetric_hand_case():
-    assert _elementary_symmetric((2.0, 3.0, 4.0)) == [1.0, 9.0, 26.0, 24.0]
+def _oracle_slope_intercept(u):
+    # slope = prod_mid (u_j - pi) and intercept = 1 - prod_mid (1 - pi / u_j)
+    # of the double state u, in 60-digit arithmetic
+    with mpmath.workdps(60):
+        v = [mpmath.mpf(float(x)) for x in u]
+        pi = mpmath.fprod(v)
+        return mpmath.fprod(x - pi for x in v[1:-1]), 1 - mpmath.fprod(1 - pi / x for x in v[1:-1])
 
 
-@given(st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=0, max_size=7))
-def test_elementary_symmetric_against_combinations(vals):
-    got = _elementary_symmetric(vals)
-    for i in range(len(vals) + 1):
-        brute = sum(math.prod(c) for c in itertools.combinations(vals, i))
-        # both sides cancel internally, so the agreement is semantic, not ulp
-        assert got[i] == pytest.approx(brute, rel=1e-9, abs=1e-9)
+def _window_states():
+    # Sorted states in CERT_WINDOW at p = 3 to 1024, in ranges that keep pi a
+    # normal double; the p = 64 states have pi < 1e-20, where every 1 - x_j
+    # rounds to 1 and 1 - prod_mid (1 - x_j) would round to 0.
+    rng = np.random.default_rng(22)
+    states = [np.array((0.9, 0.95, 0.99)), np.array((0.9, 0.93, 0.95, 0.97, 0.99))]
+    for p, lo, hi in ((3, 1e-3, 0.999), (4, 1e-3, 0.999), (5, 1e-3, 0.999), (8, 1e-3, 0.999),
+                      (64, 0.3, 0.6), (256, 0.8, 0.99), (1024, 0.95, 0.999)):
+        states += [np.sort(rng.uniform(lo, hi, size=p)) for _ in range(4)]
+    return states
+
+
+def test_certificate_slope_and_intercept_against_an_oracle():
+    # First-order forward error bounds, eps = 2^-53: pi takes p - 1
+    # roundings and x_j = pi / u_j one more.  Each factor u_j - pi adds eps
+    # and inherits pi's error scaled by x_j / (1 - x_j), and the slope
+    # multiplies p - 2 of them.  The intercept c = 1 - prod_mid (1 - x_j) has
+    # relative condition number at most 1 in the x_j (their weighted
+    # derivatives sum to the probability of exactly one of independent events
+    # of probabilities x_j, c that of at least one), so it inherits p eps;
+    # the running union's first step is exact and each later one adds at most
+    # eps, (p - 1) eps in all.  4 eps more covers the second-order terms.
+    eps = 2.0**-53
+    tiny = 0
+    for u in _window_states():
+        p = len(u)
+        slope, intercept = (float(f) for f in analysis._certificate_fields(u, u)[:2])
+        exact_slope, exact_intercept = _oracle_slope_intercept(u)
+        pi = math.prod(u.tolist())
+        tiny += pi < 1e-20
+        x = pi / u[1:-1]
+        slope_bound = (2 * p + 4 + (p - 1) * float(np.sum(x / (1.0 - x)))) * eps
+        assert abs((slope - exact_slope) / exact_slope) <= slope_bound, (p, u)
+        assert abs((intercept - exact_intercept) / exact_intercept) <= (2 * p + 4) * eps, (p, u)
+    assert tiny
 
 
 def _traj(u, steps=2):
@@ -75,7 +107,7 @@ def _with_state(traj, m, q, value):
 
 
 def test_contraction_certificate_hand_case():
-    # pi = 0.012, mid factors (0.3 - pi)(0.4 - pi), series 0.7 - pi
+    # pi = 0.012, mid factors (0.3 - pi)(0.4 - pi), intercept 1 - (1 - pi/0.3)(1 - pi/0.4)
     traj = _traj((0.2, 0.3, 0.4, 0.5))
     cert = contraction_certificate(traj, 0)
     assert cert.slope == pytest.approx(0.288 * 0.388, rel=1e-15)
@@ -800,8 +832,10 @@ def test_default_suite_reports_are_pinned():
     # p, byte for byte, failure witnesses and the contraction reason string
     # included; the (16, 64) case, whose batches reduce over the components
     # with numpy's reduce instead of folding columns, was captured before
-    # the column folds.  Their numbers are plain int and float: numpy
-    # scalars would serialize differently, or not at all.
+    # the column folds.  The residual_high of the inject_fault (3, 8) seed 9
+    # reason reads 0.000e+00 since the certificate's intercept took its
+    # closed form (1.726e-16 with the series).  Their numbers are plain int
+    # and float: numpy scalars would serialize differently, or not at all.
     golden = json.loads((Path(__file__).parent / "golden_default_suite.json").read_text())
     reasons = []
     for case in golden:

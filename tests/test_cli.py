@@ -269,15 +269,33 @@ def test_verify_passes_explicit_steps_through(monkeypatch, capsys):
 
     # verify imports default_suite when it runs, so it reads the patched name
     monkeypatch.setattr(analysis, "default_suite", recording_suite)
-    base = ["verify", "--p", "3", "--seeds", "1", "--check", "fixed_point"]
-    for steps in (199, 200, 201):
-        assert main(base + ["--steps", str(steps)]) == 0
-    assert main(base) == 0
-    assert seen == [199, 200, 201, 400]
-    capsys.readouterr()
+    base = ["verify", "--p", "3", "--seeds", "1", "--check", "fixed_point", "--json"]
+    recorded = []
+    for steps in ("199", "200", "201", None):
+        assert main(base + (["--steps", steps] if steps else [])) == 0
+        recorded.append(json.loads(capsys.readouterr().out)["config"]["max_steps"])
+    # the sweep runs the steps its JSON config records
+    assert seen == recorded == [199, 200, 201, 400]
     # a single trajectory keeps its own default of 200 steps
     assert main(["verify", "--weights", "0.2,0.5,0.8", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["config"]["max_steps"] == 200
+
+
+@pytest.mark.parametrize("argv", [
+    ["alpha", "--p", "5", "--seed", "3"],
+    ["trajectory", "--weights", "0.3,0.2,0.1", "--seed", "3"],
+    ["trajectory", "--weights", "0.3,0.2,0.1", "--p", "17"],
+    ["dual", "--weights", "0.3,0.2,0.1", "--p", "5"],
+    ["figure", "--weights", "0.3,0.2,0.1", "--p", "5"],
+    ["figure", "--weights", "0.3,0.2,0.1", "--seed", "3"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_a_flag_the_subcommand_never_reads_is_a_usage_error(argv, capsys):
+    # only alpha and verify read --p, and only verify --seed; no flag is
+    # abbreviated, so dual and figure do not read --p as --points-file
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_figure_single_order(tmp_path, capsys):
