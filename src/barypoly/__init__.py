@@ -14,7 +14,7 @@ package; a name of the numpy-backed layers loads its module on first access
 """
 from importlib import import_module
 
-from .stationary import StationaryCertificate, alpha_residual, certificate, solve_alpha, stationary_weights
+from .stationary import StationaryCertificate, certificate, solve_alpha
 
 __version__ = "0.1.0"
 
@@ -23,10 +23,10 @@ _HOME = {
     for module, names in (
         ("analysis", "KNOWN_CHECKS CheckResult ContractionCertificate VerificationError "
                      "contraction_certificate default_suite spectral_check trajectory_checks"),
-        ("dynamics", "ConjugateTuple Phase SaturationError TrajectoryRecord WeightTuple classify_phase "
-                     "comparison_sequence conjugate_of conjugate_step derived_step run_trajectory"),
-        ("geometry", "DualSequenceRecord PointSet centroid dual_sequence dual_weight_trajectory "
-                     "limit_point polygon_step weight_orders"),
+        ("dynamics", "ConjugateTuple SaturationError TrajectoryRecord WeightTuple comparison_sequence "
+                     "conjugate_of conjugate_step derived_step run_trajectory"),
+        ("geometry", "DualSequenceRecord PointSet centroid dual_sequence limit_point polygon_step "
+                     "weight_orders"),
     )
     for name in names.split()
 }
@@ -49,5 +49,4 @@ def __dir__() -> list[str]:
 
 
 # the stationary layer's names and every lazily loaded name
-__all__ = ["__version__", *sorted(("StationaryCertificate", "alpha_residual", "certificate", "solve_alpha",
-                                   "stationary_weights", *_HOME))]
+__all__ = ["__version__", *sorted(("StationaryCertificate", "certificate", "solve_alpha", *_HOME))]

@@ -144,8 +144,6 @@ def cmd_alpha(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     cfg = _resolve_config(args)
     if cfg.p is None:
         parser.error("alpha needs --p")
-    if cfg.p < 3:
-        raise ValueError(f"the instability certificate requires p >= 3, got {cfg.p}")
     cert = certificate(cfg.p)
     if args.json:
         payload = {
@@ -174,7 +172,7 @@ def cmd_alpha(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_trajectory(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    from .dynamics import _PHASES, WeightTuple, conjugate_of, run_trajectory
+    from .dynamics import _PHASE_NAMES, WeightTuple, conjugate_of, run_trajectory
 
     cfg = _resolve_config(args)
     if cfg.weights is None:
@@ -189,7 +187,7 @@ def cmd_trajectory(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
         out.write(",".join(header) + "\n")
         for m, (u, spread, code) in enumerate(zip(traj.states.tolist(), traj.spread.tolist(),
                                                   traj.phase.tolist())):
-            row = [str(m), *map(_fmt, u), _fmt(spread), _PHASES[code].value]
+            row = [str(m), *map(_fmt, u), _fmt(spread), _PHASE_NAMES[code + 1]]
             out.write(",".join(row) + "\n")
     finally:
         if close:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable
 
 import numpy as np
@@ -26,14 +25,12 @@ import numpy as np
 __all__ = [
     "PHASE_TIE_TOL",
     "SaturationError",
-    "Phase",
     "WeightTuple",
     "ConjugateTuple",
     "TrajectoryRecord",
     "conjugate_of",
     "derived_step",
     "conjugate_step",
-    "classify_phase",
     "run_trajectory",
     "comparison_sequence",
 ]
@@ -48,14 +45,6 @@ class SaturationError(ArithmeticError):
     def __init__(self, message: str, values: tuple[float, ...] | None = None):
         super().__init__(message)
         self.values = values
-
-
-class Phase(Enum):
-    """Position of a conjugate state relative to the threshold alpha_p."""
-
-    BELOW = "below"   # every component < alpha
-    ABOVE = "above"   # every component > alpha
-    MIXED = "mixed"   # anything else, including components at the threshold
 
 
 def _validated(values: Iterable[float], what: str) -> tuple[float, ...]:
@@ -209,30 +198,21 @@ def conjugate_step(u: ConjugateTuple) -> ConjugateTuple:
     return _stepped(ConjugateTuple, u.p, tuple(_step(np.array(u.u))[1].tolist()), "conjugate")
 
 
-# Phase codes of the array rule: the sign of every component's offset from
-# alpha when they all agree, 0 (MIXED) otherwise.
-_PHASES = {-1: Phase.BELOW, 0: Phase.MIXED, 1: Phase.ABOVE}
+# Name of phase code c in the trajectory CSV: _PHASE_NAMES[c + 1].
+_PHASE_NAMES = ("below", "mixed", "above")
 
 
 def _phase_codes(u: np.ndarray, alpha: float) -> np.ndarray:
-    # Phase code of every state on the last axis of u.  NaN components, as in
-    # the padding of a batch, give MIXED.
+    # Phase code of every state on the last axis of u, its position against
+    # the threshold alpha: -1 (BELOW) when every component is < alpha, 1
+    # (ABOVE) when every component is > alpha, 0 (MIXED) otherwise.  A
+    # component within PHASE_TIE_TOL of alpha is undecidable and gives MIXED,
+    # and so do NaN components, as in the padding of a batch.
     tie = _reduce_components(np.logical_or, np.abs(u - alpha) <= PHASE_TIE_TOL)
     code = (_reduce_components(np.logical_and, u > alpha).astype(np.int8)
             - _reduce_components(np.logical_and, u < alpha))
     code[tie] = 0
     return code
-
-
-def classify_phase(u: ConjugateTuple, alpha: float) -> Phase:
-    """BELOW / ABOVE / MIXED position of the state against the threshold.
-
-    Components within PHASE_TIE_TOL of alpha are treated as undecidable and
-    force MIXED.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie inside (0, 1), got {alpha!r}")
-    return _PHASES[int(_phase_codes(np.array([u.u]), alpha)[0])]
 
 
 @dataclass(frozen=True, eq=False)

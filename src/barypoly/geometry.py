@@ -28,7 +28,6 @@ __all__ = [
     "centroid",
     "limit_point",
     "polygon_step",
-    "dual_weight_trajectory",
     "dual_sequence",
     "weight_orders",
 ]
@@ -111,8 +110,8 @@ class DualSequenceRecord:
 
     fitted_rate is the least-squares slope of log distance against m over the
     final half of the samples exceeding 1e-13, or None when fewer than five
-    such samples exist.  weights holds the rows of dual_weight_trajectory
-    that give the points.
+    such samples exist.  weights holds the normalized limit-point weights
+    along the weight iteration: row m gives G_m as weights @ A.points.
     """
 
     points: np.ndarray
@@ -163,21 +162,16 @@ def limit_point(A: PointSet, t: WeightTuple) -> np.ndarray:
     return _limit_weights(np.asarray(t.t)) @ A.points
 
 
-def _polygon_average(points: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # One averaging pass on a raw (p, dim) array with the weights as a (p, 1)
-    # column; no validation, so iterating callers check the final result.
-    shifted = np.concatenate((points[1:], points[:1]))
-    return w * points + (1.0 - w) * shifted
-
-
 def polygon_step(B: PointSet, t: WeightTuple) -> PointSet:
     """One averaging pass: vertex k moves to t_k * B_k + (1 - t_k) * B_{k+1}."""
     if B.p != t.p:
         raise ValueError(f"point count {B.p} does not match weight count {t.p}")
-    return PointSet(B.p, B.dim, _polygon_average(B.points, np.asarray(t.t)[:, None]))
+    w = np.asarray(t.t)[:, None]
+    shifted = np.concatenate((B.points[1:], B.points[:1]))
+    return PointSet(B.p, B.dim, w * B.points + (1.0 - w) * shifted)
 
 
-def dual_weight_trajectory(t0: WeightTuple, steps: int) -> np.ndarray:
+def _dual_weight_trajectory(t0: WeightTuple, steps: int) -> np.ndarray:
     """Normalized limit-point weights along the weight iteration.
 
     Row m holds the weights of G_m.  The iteration itself runs on log(u)
@@ -220,7 +214,7 @@ def dual_sequence(A: PointSet, t0: WeightTuple, steps: int) -> DualSequenceRecor
     if t0.p < 3:
         raise ValueError(f"the dual sequence requires p >= 3, got {t0.p}")
     A.require_distinct()
-    weights = dual_weight_trajectory(t0, steps)
+    weights = _dual_weight_trajectory(t0, steps)
     pts = weights @ A.points
     dists = np.linalg.norm(pts - centroid(A), axis=1)
     return DualSequenceRecord(

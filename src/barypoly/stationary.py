@@ -16,10 +16,8 @@ from dataclasses import dataclass
 
 __all__ = [
     "StationaryCertificate",
-    "alpha_residual",
     "solve_alpha",
     "certificate",
-    "stationary_weights",
 ]
 
 # Bracket width reached by bisection before Newton polishing takes over.
@@ -49,15 +47,12 @@ def _index(p) -> int:
         raise ValueError(f"p must be an integer, got {p!r}") from None
 
 
-def alpha_residual(p: int, x: float) -> float:
+def _alpha_residual(p: int, x: float) -> float:
     """Residual x**(p-1) + x - 1 of the defining equation for alpha_p.
 
     The power is evaluated as exp((p-1) * log(x)) so that large p does not
-    lose precision to repeated multiplication.
+    lose precision to repeated multiplication.  solve_alpha validates p.
     """
-    p = _index(p)
-    if p < 2:
-        raise ValueError(f"p must be >= 2, got {p}")
     if x == 0.0:
         return -1.0
     return math.exp((p - 1) * math.log(x)) + x - 1.0
@@ -92,14 +87,14 @@ def _root(p: int) -> float:
     lo, hi = 0.0, 1.0
     while hi - lo > _BISECT_WIDTH:
         mid = 0.5 * (lo + hi)
-        if alpha_residual(p, mid) < 0.0:
+        if _alpha_residual(p, mid) < 0.0:
             lo = mid
         else:
             hi = mid
     x = 0.5 * (lo + hi)
     for _ in range(_NEWTON_STEPS):
-        x -= alpha_residual(p, x) / _residual_slope(p, x)
-    if not 0.0 < x < 1.0 or abs(alpha_residual(p, x)) > _RESIDUAL_TOL:
+        x -= _alpha_residual(p, x) / _residual_slope(p, x)
+    if not 0.0 < x < 1.0 or abs(_alpha_residual(p, x)) > _RESIDUAL_TOL:
         raise ArithmeticError(
             f"root refinement for p={p} missed the tolerance {_RESIDUAL_TOL}"
         )
@@ -126,14 +121,3 @@ def certificate(p: int) -> StationaryCertificate:
         lambda_contractive=beta,
         instability_margin=abs(lam) - 1.0,
     )
-
-
-def stationary_weights(p: int):
-    """The unique interior fixed tuple of the weight map: all 1 - alpha_p."""
-    from .dynamics import WeightTuple
-
-    p = _index(p)
-    if p < 3:
-        raise ValueError(f"stationary_weights requires p >= 3, got {p}")
-    alpha = solve_alpha(p)
-    return WeightTuple.of([1.0 - alpha] * p)

@@ -13,7 +13,6 @@ from barypoly import (
     KNOWN_CHECKS,
     CheckResult,
     ConjugateTuple,
-    Phase,
     PointSet,
     VerificationError,
     WeightTuple,
@@ -33,8 +32,10 @@ from barypoly.analysis import (
     _TRAJ_CHECKS,
     _reliable_horizon,
 )
-from barypoly.dynamics import _PHASES, _Batch, _run_batch
-from barypoly.geometry import _polygon_average
+from barypoly.dynamics import _Batch, _run_batch
+
+# phase codes of a record
+BELOW, MIXED = -1, 0
 
 
 def _oracle_slope_intercept(u):
@@ -92,11 +93,6 @@ def _check(name, traj):
     # one registered check on the one-row batch of a record, as
     # trajectory_checks runs it
     return _TRAJ_CHECKS[name](_Batch.of(traj))[0]
-
-
-def _phases(traj):
-    # the record's phase codes as Phase members
-    return [_PHASES[code] for code in traj.phase.tolist()]
 
 
 def _with_state(traj, m, q, value):
@@ -196,10 +192,10 @@ def test_detect_alternation_on_generic_seed():
     ok, witness = _check("phase_alternation", traj)
     assert ok
     m0 = witness["m0"]
-    assert all(ph is Phase.MIXED for ph in _phases(traj)[:m0])
-    decided = _phases(traj)[m0:]
-    assert Phase.MIXED not in decided
-    assert all(a is not b for a, b in zip(decided, decided[1:]))
+    assert all(ph == MIXED for ph in traj.phase[:m0].tolist())
+    decided = traj.phase[m0:].tolist()
+    assert MIXED not in decided
+    assert all(a != b for a, b in zip(decided, decided[1:]))
 
 
 def test_detect_alternation_fixed_point_has_nothing_to_find():
@@ -244,7 +240,7 @@ def test_verdict_matches_alternation_parity(sweep):
         if "m0" not in alternation or not decided:
             continue
         m0 = alternation["m0"]
-        below_on_even = (_phases(traj)[m0] is Phase.BELOW) == (m0 % 2 == 0)
+        below_on_even = (traj.phase[m0] == BELOW) == (m0 % 2 == 0)
         expected = "even_to_zero_odd_to_one" if below_on_even else "even_to_one_odd_to_zero"
         assert limits["verdict"] == expected
 
@@ -259,7 +255,7 @@ def _comparison_domination_inline(traj, slack=1e-12):
     # The check as it was with the scalar orbit written inline, kept as the
     # oracle for the version that iterates comparison_sequence.
     states = traj.states.tolist()
-    b0 = next((i for i, ph in enumerate(_phases(traj)) if ph is Phase.BELOW), None)
+    b0 = next((i for i, ph in enumerate(traj.phase.tolist()) if ph == BELOW), None)
     if b0 is None or b0 + 1 >= len(states):
         return True, {}
     p = traj.p
@@ -314,7 +310,7 @@ def test_comparison_domination_requires_p3():
     # p = 2 alternates between BELOW and ABOVE forever; the scalar orbit, like
     # the contraction certificate, is defined from p = 3 on
     traj = _traj((0.2, 0.3), steps=4)
-    assert _phases(traj)[0] is Phase.BELOW
+    assert traj.phase[0] == BELOW
     with pytest.raises(ValueError, match="p >= 3"):
         _check("comparison_domination", traj)
 
@@ -507,14 +503,12 @@ def test_polygon_average_matches_polygon_step():
     A = PointSet.of(rng.uniform(-1.0, 1.0, size=(6, 3)))
     t = WeightTuple.of(rng.uniform(0.1, 0.9, size=6))
     w = np.asarray(t.t)[:, None]
-    raw, B, rolled = A.points, A, A.points
+    B, rolled = A, A.points
     for _ in range(500):
-        raw = _polygon_average(raw, w)
         B = polygon_step(B, t)
         # the np.roll form of the step, bitwise the same data movement
         rolled = w * rolled + (1.0 - w) * np.roll(rolled, -1, axis=0)
-    assert np.array_equal(raw, B.points)
-    assert np.array_equal(raw, rolled)
+    assert np.array_equal(B.points, rolled)
 
 
 def _collapse(p_values, seeds_per_p=4, **kwargs):

@@ -1,4 +1,5 @@
 import doctest
+import importlib
 import json
 import os
 import re
@@ -40,7 +41,7 @@ def test_alpha_json_output(capsys):
 
 def test_alpha_rejects_small_p(capsys):
     assert main(["alpha", "--p", "2"]) == 2
-    assert "requires p >= 3" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: the instability certificate requires p >= 3, got 2\n"
 
 
 def test_alpha_requires_p():
@@ -391,6 +392,16 @@ assert "numpy" in sys.modules
 
 
 def test_package_names_load_from_their_home_modules():
+    assert barypoly.__all__ == [
+        "__version__",
+        "CheckResult", "ConjugateTuple", "ContractionCertificate", "DualSequenceRecord",
+        "KNOWN_CHECKS", "PointSet", "SaturationError", "StationaryCertificate",
+        "TrajectoryRecord", "VerificationError", "WeightTuple",
+        "centroid", "certificate", "comparison_sequence", "conjugate_of", "conjugate_step",
+        "contraction_certificate", "default_suite", "derived_step", "dual_sequence",
+        "limit_point", "polygon_step", "run_trajectory", "solve_alpha", "spectral_check",
+        "trajectory_checks", "weight_orders",
+    ]
     _run_fresh("""
 import importlib, sys
 import barypoly
@@ -399,7 +410,7 @@ assert barypoly.geometry is importlib.import_module("barypoly.geometry")
 from barypoly import analysis, cli, dynamics, geometry, stationary
 for mod in (analysis, cli, dynamics, geometry, stationary):
     assert mod is sys.modules[mod.__name__]
-assert len(barypoly.__all__) == 33 and set(barypoly.__all__) <= set(dir(barypoly))
+assert set(barypoly.__all__) <= set(dir(barypoly))
 for name in barypoly.__all__[1:]:
     [home] = [m for m in (analysis, dynamics, geometry, stationary) if name in m.__all__]
     assert getattr(barypoly, name) is getattr(home, name), name
@@ -426,9 +437,28 @@ def test_arithmetic_errors_other_than_saturation_propagate(monkeypatch):
         main(["alpha", "--p", "3"])
 
 
+def _readme():
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
 def _readme_blocks(lang):
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    return re.findall(rf"```{lang}\n(.*?)```", text, flags=re.S)
+    return re.findall(rf"```{lang}\n(.*?)```", _readme(), flags=re.S)
+
+
+def test_readme_entry_points_are_exported():
+    # README's "Main entry points" list: one bullet per module, each name in
+    # backticks after the module's own
+    section = _readme().split("Main entry points:\n\n", 1)[1].split("\n\n", 1)[0]
+    listed = {
+        module: re.findall(r"`(\w+)`", names)
+        for module, names in re.findall(r"^- `(\w+)`:(.*?)(?=^- |\Z)", section, flags=re.M | re.S)
+    }
+    assert sorted(listed) == ["analysis", "dynamics", "geometry", "stationary"]
+    for module, names in listed.items():
+        home = importlib.import_module(f"barypoly.{module}")
+        for name in names:
+            assert name in barypoly.__all__, name
+            assert getattr(barypoly, name) is getattr(home, name), name
 
 
 def _readme_commands():

@@ -6,10 +6,8 @@ from hypothesis import given, strategies as st
 
 from barypoly import (
     ConjugateTuple,
-    Phase,
     SaturationError,
     WeightTuple,
-    classify_phase,
     comparison_sequence,
     conjugate_of,
     conjugate_step,
@@ -17,7 +15,7 @@ from barypoly import (
     run_trajectory,
     solve_alpha,
 )
-from barypoly.dynamics import _PHASES, _step
+from barypoly.dynamics import PHASE_TIE_TOL, _phase_codes, _step
 
 
 def weight_lists(lo=0.05, hi=0.95, min_p=3, max_p=8):
@@ -124,16 +122,34 @@ def test_validation():
         run_trajectory(ConjugateTuple.of((0.2, 0.5, 0.8)), -1, solve_alpha(3))
 
 
-def test_classify_phase():
+def _phase_by_definition(state, alpha):
+    # The phase code from its definition, one component at a time: a
+    # component within PHASE_TIE_TOL of alpha is undecidable and gives MIXED
+    # (0), else all below alpha is BELOW (-1), all above is ABOVE (1), and
+    # anything else MIXED.
+    if any(abs(v - alpha) <= PHASE_TIE_TOL for v in state):
+        return 0
+    if all(v < alpha for v in state):
+        return -1
+    return 1 if all(v > alpha for v in state) else 0
+
+
+def test_phase_codes():
     alpha = solve_alpha(3)
-    assert classify_phase(ConjugateTuple.of((0.1, 0.2, 0.3)), alpha) is Phase.BELOW
-    assert classify_phase(ConjugateTuple.of((0.7, 0.8, 0.9)), alpha) is Phase.ABOVE
-    assert classify_phase(ConjugateTuple.of((0.1, 0.8, 0.9)), alpha) is Phase.MIXED
-    # a component sitting on the threshold is undecidable, hence MIXED
-    assert classify_phase(ConjugateTuple.of((0.2, alpha, 0.9)), alpha) is Phase.MIXED
-    assert classify_phase(ConjugateTuple.of((0.2, alpha + 5e-16, 0.9)), alpha) is Phase.MIXED
-    with pytest.raises(ValueError):
-        classify_phase(ConjugateTuple.of((0.2, 0.5, 0.9)), 1.5)
+    states = np.array([
+        (0.1, 0.2, 0.3),
+        (0.7, 0.8, 0.9),
+        (0.1, 0.8, 0.9),
+        # a component sitting on the threshold is undecidable, hence MIXED
+        (0.2, alpha, 0.9),
+        (0.2, alpha + 5e-16, 0.9),
+        # the tie alone decides these: without it they would be ABOVE, BELOW
+        (alpha + 5e-16, 0.8, 0.9),
+        (0.1, 0.2, alpha - 5e-16),
+        # NaN, as in the padding of a batch
+        (np.nan, 0.8, 0.9),
+    ])
+    assert _phase_codes(states, alpha).tolist() == [-1, 1, 0, 0, 0, 0, 0, 0]
 
 
 def test_run_trajectory_sorts_and_permutes():
@@ -163,7 +179,7 @@ def test_run_trajectory_fixed_seed_never_saturates():
     assert traj.saturation_step is None
     assert traj.saturation_values is None
     assert len(traj) == 13
-    assert all(_PHASES[code] is Phase.MIXED for code in traj.phase.tolist())
+    assert traj.phase.tolist() == [0] * 13
 
 
 def test_run_trajectory_saturation_record():
@@ -184,7 +200,7 @@ def test_trajectory_diagnostic_fields():
     log_products = _step(traj.states)[0]
     for m, state in enumerate(traj.states.tolist()):
         assert traj.spread[m] == state[-1] / state[0] - 1.0
-        assert _PHASES[traj.phase[m].item()] is classify_phase(ConjugateTuple.of(state), traj.alpha)
+        assert traj.phase[m] == _phase_by_definition(state, traj.alpha)
         for k in range(traj.p):
             direct = math.prod(v for i, v in enumerate(state) if i != k)
             assert math.exp(log_products[m, k]) == pytest.approx(direct, rel=1e-12)
@@ -243,7 +259,7 @@ def _run_trajectory_stepping_then_summing(u0, max_steps, alpha):
         log_products=log_products,
         log_bounds=log_bounds,
         spread=[st.u[-1] / st.u[0] - 1.0 for st in states],
-        phase=[classify_phase(st, alpha) for st in states],
+        phase=[_phase_by_definition(st.u, alpha) for st in states],
         saturation_step=sat_step,
         saturation_values=sat_values,
     )
@@ -293,7 +309,7 @@ def test_run_trajectory_matches_stepping_then_summing():
         for lp, ref_lp, bound in zip(log_products.tolist(), ref["log_products"], ref["log_bounds"]):
             assert max(abs(a - b) for a, b in zip(lp, ref_lp)) <= bound
         assert _bits(got.spread) == _bits(ref["spread"])
-        assert [_PHASES[code] for code in got.phase.tolist()] == ref["phase"]
+        assert got.phase.tolist() == ref["phase"]
         assert got.saturation_step == ref["saturation_step"]
         if ref["saturation_values"] is None:
             assert got.saturation_values is None

@@ -10,13 +10,12 @@ from barypoly import (
     centroid,
     derived_step,
     dual_sequence,
-    dual_weight_trajectory,
     limit_point,
     polygon_step,
     weight_orders,
 )
 from barypoly.dynamics import _excluded_sums
-from barypoly.geometry import _limit_weights
+from barypoly.geometry import _dual_weight_trajectory, _limit_weights
 
 
 def regular_polygon(p):
@@ -161,7 +160,7 @@ def test_limit_point_stays_in_bounding_box(vals):
 
 def test_dual_weight_trajectory_rows():
     t0 = WeightTuple.of((0.3, 0.08, 0.06, 0.04, 0.01))
-    rows = dual_weight_trajectory(t0, 60)
+    rows = _dual_weight_trajectory(t0, 60)
     assert rows.shape == (61, 5)
     assert np.max(np.abs(rows.sum(axis=1) - 1.0)) <= 1e-14
     w = np.array([
@@ -173,7 +172,7 @@ def test_dual_weight_trajectory_rows():
 
 
 def _dual_weights_by_loop(t0, steps):
-    # dual_weight_trajectory as it was when it normalized one row at a time,
+    # _dual_weight_trajectory as it was when it normalized one row at a time,
     # on the one-row kernel, and with no stop at a repeated state.  It also
     # returns (start, repeat), where repeat is the first step whose state has
     # the bits of an earlier one and start is the step of that state, or None
@@ -214,7 +213,7 @@ def test_dual_weight_trajectory_matches_the_row_loop():
         assert cycle is not None
         start, repeat = cycle
         for steps in {0, 1, 2, max(start - 1, 0), start, start + 1, repeat - 1, repeat, repeat + 1, 80, 400}:
-            assert dual_weight_trajectory(t0, steps).tobytes() == ref[: steps + 1].tobytes(), (t0.p, steps)
+            assert _dual_weight_trajectory(t0, steps).tobytes() == ref[: steps + 1].tobytes(), (t0.p, steps)
         if t0 in uniform_seeds:
             continue
         # within 80 steps the orbit runs past its first infinite log weight,
@@ -238,11 +237,11 @@ def test_dual_weight_trajectory_stops_at_the_first_repeated_state(monkeypatch):
     monkeypatch.setattr(geometry, "_excluded_sums", counted)
     seed = WeightTuple.of((0.3, 0.08, 0.06, 0.04, 0.01))
     # the README seed's state 8 repeats state 6: rows 8..200 are copies
-    long = dual_weight_trajectory(seed, 200)
+    long = _dual_weight_trajectory(seed, 200)
     assert len(calls) <= 10
     # a run that ends before the repeat computes every row
     calls.clear()
-    short = dual_weight_trajectory(seed, 5)
+    short = _dual_weight_trajectory(seed, 5)
     assert len(calls) == 6
     assert long[:6].tobytes() == short.tobytes()
 
@@ -308,7 +307,7 @@ def test_dual_sequence_validation():
     with pytest.raises(ValueError):
         dual_sequence(degenerate, WeightTuple.of((0.3, 0.3, 0.3)), 10)
     with pytest.raises(ValueError):
-        dual_weight_trajectory(WeightTuple.of((0.3, 0.3, 0.3)), -1)
+        _dual_weight_trajectory(WeightTuple.of((0.3, 0.3, 0.3)), -1)
 
 
 def test_weight_orders():

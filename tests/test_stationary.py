@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from barypoly import (
-    alpha_residual,
-    certificate,
-    derived_step,
-    solve_alpha,
-    stationary_weights,
-)
+from barypoly import WeightTuple, certificate, derived_step, solve_alpha
+from barypoly.stationary import _alpha_residual
 
 # independently computed digits: bisection of x**(p-1) + x - 1 to a 1e-15
 # bracket, double checked against the closed form for p = 3
@@ -54,14 +49,12 @@ def test_degenerate_linear_case():
 def test_solve_alpha_validation():
     with pytest.raises(ValueError):
         solve_alpha(1)
-    with pytest.raises(ValueError):
-        alpha_residual(1, 0.5)
 
 
 def test_non_integer_p_is_a_value_error():
     # 4.0 follows a call with 4: a root kept for 4 must not answer 4.0
     solve_alpha(4)
-    for fn in (solve_alpha, certificate, stationary_weights, lambda p: alpha_residual(p, 0.5)):
+    for fn in (solve_alpha, certificate):
         for p in (3.5, 4.0, "4"):
             with pytest.raises(ValueError, match="integer"):
                 fn(p)
@@ -69,12 +62,11 @@ def test_non_integer_p_is_a_value_error():
     assert certificate(np.int64(5)) == certificate(5)
     assert type(certificate(np.int64(5)).p) is int
     assert solve_alpha(np.int32(4)) == solve_alpha(4)
-    assert stationary_weights(np.int64(4)) == stationary_weights(4)
 
 
 def test_residual_is_certified():
     for p in (3, 10, 50, 200):
-        assert abs(alpha_residual(p, solve_alpha(p))) <= 1e-14
+        assert abs(_alpha_residual(p, solve_alpha(p))) <= 1e-14
 
 
 def test_certificate_fields():
@@ -90,8 +82,6 @@ def test_certificate_fields():
 def test_certificate_rejects_small_p():
     with pytest.raises(ValueError):
         certificate(2)
-    with pytest.raises(ValueError):
-        stationary_weights(2)
 
 
 def test_alpha_monotone_in_p():
@@ -103,7 +93,7 @@ def test_alpha_monotone_in_p():
 def test_root_and_spectrum_properties(p):
     cert = certificate(p)
     assert 0.0 < cert.alpha < 1.0
-    assert abs(alpha_residual(p, cert.alpha)) <= 1e-14
+    assert abs(_alpha_residual(p, cert.alpha)) <= 1e-14
     assert cert.alpha < 1.0 - 1.0 / p
     assert cert.lambda_repulsive < -1.0
     assert 0.0 < cert.lambda_contractive < 1.0
@@ -111,7 +101,7 @@ def test_root_and_spectrum_properties(p):
 
 def test_stationary_weights_are_fixed():
     for p in (3, 5, 9):
-        t = stationary_weights(p)
+        t = WeightTuple.of([1.0 - solve_alpha(p)] * p)
         stepped = derived_step(t)
         for a, b in zip(stepped.t, t.t):
             assert a == pytest.approx(b, rel=1e-14)
