@@ -19,10 +19,10 @@ KNOWN_CHECKS, is the report order.
 
 A sweep is checked one p at a time, as one array batch from stepping to
 verdict: dynamics._run_batch steps the p's seeds into a dynamics._Batch, and
-every trajectory check reduces that batch to one (passed, witness) per row,
-reading only the row's recorded states.  A TrajectoryRecord holds the same
-arrays as one row of a batch, and trajectory_checks runs the same functions
-on its one-row view.
+every trajectory check reduces that batch to a verdict per row, reading only
+the row's recorded states, with no Python per row.  A TrajectoryRecord holds
+the same arrays as one row of a batch, and trajectory_checks runs the same
+functions on its one-row view.
 """
 from __future__ import annotations
 
@@ -97,33 +97,33 @@ class ContractionCertificate:
 
 def _certificate_fields(u: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, ...]:
     # slope, intercept, ratio_bound, contraction, residual_low and
-    # residual_high of the certificate for every state on the last axis of u
-    # (at m) and u2 (at m + 2), in O(p) column operations, the same
-    # operations for a state alone as in a batch.  With pi = prod_i u_i and
+    # residual_high of the certificate for every state of u (at m) and u2
+    # (at m + 2), components on the first axis, in O(p) array operations,
+    # the same for a (p,) state alone as in a batch.  With pi = prod_i u_i and
     # u'_j = 1 - pi / u_j, u''_0 = 1 - u'_{p-1} prod_mid u'_j and u'_{p-1} =
     # 1 - u_0 prod_mid u_j, so u''_0 = intercept + slope u_0, and likewise
     # u''_{p-1}.  The intercept is the running union c <- c + x_j (1 - c) of
     # x_j = pi / u_j, whose terms are all non-negative, so nothing cancels
     # (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., SIAM
     # 2002).
-    p = u.shape[-1]
-    pi = np.ones(u.shape[:-1])
+    p = len(u)
+    pi = np.ones(u.shape[1:])
     for j in range(p):
-        pi = pi * u[..., j]
-    slope = np.ones(u.shape[:-1])
-    intercept = np.zeros(u.shape[:-1])
+        pi = pi * u[j]
+    slope = np.ones(u.shape[1:])
+    intercept = np.zeros(u.shape[1:])
     for j in range(1, p - 1):
-        slope = slope * (u[..., j] - pi)
-        intercept = intercept + pi / u[..., j] * (1.0 - intercept)
-    low = slope * u[..., 0]
+        slope = slope * (u[j] - pi)
+        intercept = intercept + pi / u[j] * (1.0 - intercept)
+    low = slope * u[0]
     with np.errstate(divide="ignore", invalid="ignore"):
         return (
             slope,
             intercept,
             low / intercept,
             low / (low + intercept),
-            np.abs(low + intercept - u2[..., 0]) / np.abs(u2[..., 0]),
-            np.abs(slope * u[..., -1] + intercept - u2[..., -1]) / np.abs(u2[..., -1]),
+            np.abs(low + intercept - u2[0]) / np.abs(u2[0]),
+            np.abs(slope * u[-1] + intercept - u2[-1]) / np.abs(u2[-1]),
         )
 
 
@@ -244,9 +244,11 @@ LIMIT_TOL = 1e-6
 # inside (0, 1) that the 1e-10 identity tolerance is numerically meaningful.
 CERT_WINDOW = (1e-3, 1.0 - 1e-3)
 
-# Every trajectory check takes a _Batch and returns one (passed, witness) per
-# row.  A row's verdict reads only that row's recorded states: the padding
-# past its length is masked out with batch.valid.
+# Every trajectory check takes a _Batch and returns (passed, witness):
+# passed is a (rows,) bool array and witness(r) builds row r's witness dict.
+# A row's verdict reads only that row's recorded states: the padding past
+# its length is masked out with batch.valid.
+_Verdicts = tuple[np.ndarray, Callable[[int], dict]]
 
 
 def _first(bad: np.ndarray) -> np.ndarray:
@@ -257,49 +259,45 @@ def _first(bad: np.ndarray) -> np.ndarray:
     return np.where(bad.any(axis=-1), bad.argmax(axis=-1), -1)
 
 
-def _traj_order_preserved(batch: _Batch) -> list[tuple[bool, dict]]:
+def _verdicts(bad: np.ndarray, more=lambda r, m: {}, key: str = "step") -> _Verdicts:
+    # The verdicts of a check that fails row r at the first True of bad[r]:
+    # a failure's witness names that index m, and more(r, m) adds to it.
+    first = _first(bad)
+    return first < 0, lambda r: {} if first[r] < 0 else {key: int(first[r]), **more(r, first[r])}
+
+
+def _traj_order_preserved(batch: _Batch) -> _Verdicts:
     U = batch.states
-    bad = _reduce_components(np.logical_or, U[..., 1:] < U[..., :-1] - SORTED_SLACK) & batch.valid
-    return [(True, {}) if m < 0 else (False, {"step": m}) for m in _first(bad).tolist()]
+    return _verdicts((U[1:] < U[:-1] - SORTED_SLACK).any(axis=0) & batch.valid)
 
 
-def _pair_quantization_noise(batch: _Batch) -> np.ndarray:
-    # (rows, n_max - 2): the relative error inherited by state m+2 from
-    # storing state m+1, where a component 1 - d keeps d only to half an ulp
-    # of 1, read at the last component, the largest of a sorted state (an
-    # unsorted state can only get a smaller noise).  The 1e-14 term covers
-    # the log/exp round-off of the two steps themselves.
-    return 5.6e-17 / (1.0 - batch.states[:, 1:-1, -1]) + 1e-14
-
-
-def _traj_ratio_monotone(batch: _Batch) -> list[tuple[bool, dict]]:
+def _traj_ratio_monotone(batch: _Batch) -> _Verdicts:
     # Sorted component ratios never increase across two steps: for every
     # sorted pair k < l and every pair of states two steps apart,
     # 1 <= u_l^(m+2)/u_k^(m+2) <= u_l^(m)/u_k^(m) + slack.  The slack widens
     # from RATIO_SLACK to ten times the quantization noise the pair inherits
-    # from storage, so deep-corner states degrade to vacuous comparisons
-    # instead of spurious failures.  A failure names the first violating m.
+    # from storage (batch.pair_noise), so deep-corner states degrade to
+    # vacuous comparisons instead of spurious failures.  A failure names the
+    # first violating m.
     U = batch.states
-    a, b = U[:, :-2], U[:, 2:]
-    tol = np.maximum(RATIO_SLACK, 10.0 * _pair_quantization_noise(batch))[..., None]
-    bad = np.zeros(b.shape[:-1], dtype=bool)
-    for k in range(U.shape[-1] - 1) if bad.size else ():
+    a, b = U[:, :, :-2], U[:, :, 2:]
+    tol = np.maximum(RATIO_SLACK, 10.0 * batch.pair_noise)
+    bad = np.zeros(b.shape[1:], dtype=bool)
+    for k in range(len(U) - 1) if bad.size else ():
         # the pairs (k, l) for every l > k
-        r_now = b[..., k + 1 :] / b[..., k : k + 1]
-        bad |= _reduce_components(
-            np.logical_or, (r_now < 1.0 - tol) | (r_now > a[..., k + 1 :] / a[..., k : k + 1] + tol))
-    bad &= batch.valid[:, 2:]
-    return [(True, {}) if m < 0 else (False, {"step": m}) for m in _first(bad).tolist()]
+        r_now = b[k + 1 :] / b[k]
+        bad |= ((r_now < 1.0 - tol) | (r_now > a[k + 1 :] / a[k] + tol)).any(axis=0)
+    return _verdicts(bad & batch.valid[:, 2:])
 
 
 def _spread_allowance(batch: _Batch) -> np.ndarray:
     # (rows, n_max - 2): the allowance of the claim spread[m+2] < spread[m]
     # / 2, ten times the hard bound on the noise the pair inherits from
     # storage.
-    return 10.0 * _pair_quantization_noise(batch) * (1.0 + batch.spread[:, :-2])
+    return 10.0 * batch.pair_noise * (1.0 + batch.spread[:, :-2])
 
 
-def _traj_spread_contraction(batch: _Batch) -> list[tuple[bool, dict]]:
+def _traj_spread_contraction(batch: _Batch) -> _Verdicts:
     # The exact two-step factor is strictly below 1/2, but its margin can be
     # any size (near-ties in the upper components), so the comparison gets
     # _spread_allowance instead of a skip rule: a real violation always
@@ -307,38 +305,39 @@ def _traj_spread_contraction(batch: _Batch) -> list[tuple[bool, dict]]:
     S = batch.spread
     now, later = S[:, :-2], S[:, 2:]
     bad = (now > SPREAD_FLOOR) & ~(later < 0.5 * now + _spread_allowance(batch)) & batch.valid[:, 2:]
-    return [(True, {}) if m < 0 else (False, {"step": m, "ratio": float(S[r, m + 2] / S[r, m])})
-            for r, m in enumerate(_first(bad).tolist())]
+    return _verdicts(bad, lambda r, m: {"ratio": float(S[r, m + 2] / S[r, m])})
 
 
-def _traj_contraction_certificates(batch: _Batch) -> list[tuple[bool, dict]]:
+def _traj_contraction_certificates(batch: _Batch) -> _Verdicts:
     # A certificate is emitted at every m whose states m, m+1 and m+2 lie in
     # CERT_WINDOW and whose state m has a spread above 1e-9.  A row fails at
     # its first m whose certificate fails; an unsorted state there raises
     # contraction_certificate's ValueError.
     U = batch.states
-    p = U.shape[-1]
+    p, rows = U.shape[:2]
     lo, hi = CERT_WINDOW
-    inside = ~((U[..., 0] < lo) | (U[..., -1] > hi))
+    inside = ~((U[0] < lo) | (U[-1] > hi))
     window = (inside[:, :-2] & inside[:, 1:-1] & inside[:, 2:] & (batch.spread[:, :-2] > 1e-9)
-              & (U[:, :-2, 0] < U[:, :-2, -1]) & batch.valid[:, 2:])
-    out = [(True, {"certificates": c}) for c in window.sum(axis=-1).tolist()]
+              & (U[0, :, :-2] < U[-1, :, :-2]) & batch.valid[:, 2:])
+    counts = window.sum(axis=-1)
     if not window.any():
-        return out
+        return np.ones(rows, dtype=bool), lambda r: {"certificates": int(counts[r])}
     if p < 3:
         raise ValueError(f"the contraction certificate requires p >= 3, got {p}")
     # every m is evaluated and then masked: the temporaries keep the batch's
-    # shape instead of one that varies with the number of certificates
-    fields = _certificate_fields(U[:, :-2], U[:, 2:])
+    # shape instead of one that varies with the number of certificates.
+    # Gathering only the window's states took ~0.3 ms less per default sweep
+    # but grew a process's peak RSS by ~1 MB over 1200 sweeps, against ~0.1
+    # MB this way (allocator fragmentation; numpy 2.4, glibc 2.36).
+    fields = _certificate_fields(U[:, :, :-2], U[:, :, 2:])
     failures = _certificate_failures(fields) & window
-    unsorted = ~_reduce_components(np.logical_and, U[:, :-2, :-1] <= U[:, :-2, 1:]) & window
-    for r, m in enumerate(_first(failures.any(axis=0) | unsorted).tolist()):
-        if m < 0:
-            continue
-        if unsorted[r, m]:
-            raise ValueError(f"state at m={m} is not sorted ascending")
-        out[r] = (False, {"step": m, "reason": _certificate_error(fields, failures, (r, m), m)})
-    return out
+    unsorted = ~(U[:-1, :, :-2] <= U[1:, :, :-2]).all(axis=0) & window
+    first = _first(failures.any(axis=0) | unsorted)
+    failed = np.flatnonzero(first >= 0)
+    if unsorted[failed, first[failed]].any():
+        raise ValueError(f"state at m={first[failed][unsorted[failed, first[failed]]][0]} is not sorted ascending")
+    return first < 0, lambda r: {"certificates": int(counts[r])} if first[r] < 0 else {
+        "step": int(first[r]), "reason": _certificate_error(fields, failures, (r, first[r]), int(first[r]))}
 
 
 def _reliable_horizon(batch: _Batch) -> np.ndarray:
@@ -349,11 +348,11 @@ def _reliable_horizon(batch: _Batch) -> np.ndarray:
     # still carry more than 1e-12 of it: 1e-10 to 3.6e-10 below 1, a p = 3
     # spread of ~1e-7 is noise, which the allowances of the spread claims
     # cover.  The largest component of a sorted state is its last.
-    near_one = (1.0 - batch.states[..., -1] <= RELIABLE_GAP) & batch.valid
+    near_one = (1.0 - batch.states[-1] <= RELIABLE_GAP) & batch.valid
     return np.where(near_one.any(axis=-1), near_one.argmax(axis=-1), batch.length)
 
 
-def _traj_geometric_bound(batch: _Batch) -> list[tuple[bool, dict]]:
+def _traj_geometric_bound(batch: _Batch) -> _Verdicts:
     # spread[2q] <= B_q + 1e-12 for 1 <= 2q < the horizon, with B_0 =
     # spread[0] and B_q = B_{q-1} / 2 + a_q, a_q the allowance that
     # spread_contraction grants the pair (2q - 2, 2q), whose claim carries
@@ -365,9 +364,7 @@ def _traj_geometric_bound(batch: _Batch) -> list[tuple[bool, dict]]:
     scaled = np.concatenate((S[:, :1], _spread_allowance(batch)[:, ::2] * 2.0 ** q[1:]), axis=1)
     bound = np.cumsum(scaled, axis=1) * 2.0 ** -q + 1e-12
     bad = (even > bound) & (q >= 1) & (q < (_reliable_horizon(batch)[:, None] + 1) // 2)
-    return [(True, {}) if i < 0 else
-            (False, {"q": i, "spread": float(even[r, i]), "bound": float(bound[r, i])})
-            for r, i in enumerate(_first(bad).tolist())]
+    return _verdicts(bad, lambda r, i: {"spread": float(even[r, i]), "bound": float(bound[r, i])}, "q")
 
 
 # Unit roundoff, and the relative error allowed for numpy's log and expm1:
@@ -376,7 +373,7 @@ _EPS = 2.0**-53
 _LIBM_REL = 8 * _EPS
 
 
-def _traj_t_ratio_transfer(batch: _Batch) -> list[tuple[bool, dict]]:
+def _traj_t_ratio_transfer(batch: _Batch) -> _Verdicts:
     # The weights of step m+1 are t'_k = 1 - u_k^(m+1) = P / u_k^(m), with P
     # the product of the components of state m, so t'_l / t'_k = u_k / u_l
     # for every pair exactly when w_k = t'_k u_k^(m) is one number for every
@@ -396,21 +393,18 @@ def _traj_t_ratio_transfer(batch: _Batch) -> list[tuple[bool, dict]]:
     # to first order; the factor 2 of the test covers the rest.  An unsorted
     # state can only get a smaller B.
     U = batch.states
-    t = 1.0 - U[:, 1:]
-    w = t * U[:, :-1]
+    t = 1.0 - U[:, :, 1:]
+    w = t * U[:, :, :-1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        diff = _reduce_components(np.maximum, w) / _reduce_components(np.minimum, w) - 1.0
-        t_min = t[..., -1]
-        bound = (2.0 * (_LIBM_REL * np.abs(np.log(U[:, :-1, 0])) + _EPS * np.abs(np.log(t_min))
+        diff = w.max(axis=0) / w.min(axis=0) - 1.0
+        t_min = t[-1]
+        bound = (2.0 * (_LIBM_REL * np.abs(np.log(U[0, :, :-1])) + _EPS * np.abs(np.log(t_min))
                         + (_LIBM_REL + _EPS) / t_min) + 5 * _EPS)
-    bad = ~(diff <= 2.0 * bound) & batch.valid[:, 1:]
-    return [(True, {}) if m < 0 else
-            (False, {"step": m, "pair": sorted((int(w[r, m].argmin()), int(w[r, m].argmax()))),
-                     "diff": float(diff[r, m])})
-            for r, m in enumerate(_first(bad).tolist())]
+    return _verdicts(~(diff <= 2.0 * bound) & batch.valid[:, 1:], lambda r, m: {
+        "pair": sorted((int(w[:, r, m].argmin()), int(w[:, r, m].argmax()))), "diff": float(diff[r, m])})
 
 
-def _traj_phase_alternation(batch: _Batch) -> list[tuple[bool, dict]]:
+def _traj_phase_alternation(batch: _Batch) -> _Verdicts:
     # From the first decided (non-MIXED) phase m0 on, the recorded phases
     # must alternate strictly between BELOW and ABOVE; a failure counts the
     # steps that break the alternation.
@@ -421,17 +415,20 @@ def _traj_phase_alternation(batch: _Batch) -> list[tuple[bool, dict]]:
     offset = np.arange(phase.shape[1]) - m0[:, None]
     expected = np.where(offset % 2 == 0, first, -first)
     violations = ((phase != expected) & valid & (offset >= 0)).sum(axis=-1)
-    undecided = np.where(batch.saturation_step >= 0, "no decided phase before saturation",
-                         "no decided phase within the recorded horizon").tolist()
-    return [
-        (False, {"reason": why}) if not has
-        else (False, {"m0": m, "violations": v}) if v
-        else (True, {"m0": m})
-        for has, m, v, why in zip(decided.any(axis=-1).tolist(), m0.tolist(), violations.tolist(), undecided)
-    ]
+    has = decided.any(axis=-1)
+
+    def witness(r: int) -> dict:
+        if not has[r]:
+            return {"reason": "no decided phase before saturation" if batch.saturation_step[r] >= 0
+                    else "no decided phase within the recorded horizon"}
+        if violations[r]:
+            return {"m0": int(m0[r]), "violations": int(violations[r])}
+        return {"m0": int(m0[r])}
+
+    return has & (violations == 0), witness
 
 
-def _traj_even_odd_limits(batch: _Batch) -> list[tuple[bool, dict]]:
+def _traj_even_odd_limits(batch: _Batch) -> _Verdicts:
     # Which parity of steps heads for which corner of [0, 1]^p, by global
     # step parity.  Saturation is decisive on its own: the saturating state
     # reached a corner at working precision, and its virtual index fixes
@@ -444,21 +441,19 @@ def _traj_even_odd_limits(batch: _Batch) -> list[tuple[bool, dict]]:
     by_saturation = (sat >= 0) & (hit_one != (vals <= math.ulp(0.0)).any(axis=-1))
     last = batch.length - 1
     rows = np.arange(len(last))
-    even = batch.states[rows, last - last % 2]
-    odd = batch.states[rows, np.maximum(last - (last + 1) % 2, 0)]
-    to_zero = (even.max(axis=-1) < LIMIT_TOL) & (odd.min(axis=-1) > 1.0 - LIMIT_TOL)
-    to_one = (even.min(axis=-1) > 1.0 - LIMIT_TOL) & (odd.max(axis=-1) < LIMIT_TOL)
+    even = batch.states[:, rows, last - last % 2]
+    odd = batch.states[:, rows, np.maximum(last - (last + 1) % 2, 0)]
+    to_zero = (even.max(axis=0) < LIMIT_TOL) & (odd.min(axis=0) > 1.0 - LIMIT_TOL)
+    to_one = (even.min(axis=0) > 1.0 - LIMIT_TOL) & (odd.max(axis=0) < LIMIT_TOL)
     # a one-state row compares its seed with itself, which decides nothing
     decided = by_saturation | to_zero | to_one
     even_to_zero = np.where(by_saturation, hit_one == (sat % 2 == 1), to_zero)
-    return [
-        (True, {"verdict": "even_to_zero_odd_to_one" if z else "even_to_one_odd_to_zero"}) if d
-        else (False, {"reason": "undecided at the recorded horizon"})
-        for d, z in zip(decided.tolist(), even_to_zero.tolist())
-    ]
+    return decided, lambda r: (
+        {"verdict": "even_to_zero_odd_to_one" if even_to_zero[r] else "even_to_one_odd_to_zero"} if decided[r]
+        else {"reason": "undecided at the recorded horizon"})
 
 
-def _traj_comparison_domination(batch: _Batch) -> list[tuple[bool, dict]]:
+def _traj_comparison_domination(batch: _Batch) -> _Verdicts:
     # The scalar comparison orbit brackets the extremes from the first
     # BELOW step b0.  The scalar seed is u_max^(b0) when u_min^(b0+1)
     # exceeds 1 - (u_max^(b0))**(p-1), and otherwise the preimage
@@ -472,7 +467,7 @@ def _traj_comparison_domination(batch: _Batch) -> list[tuple[bool, dict]]:
     # Every row's orbit goes into one list, which one scatter writes into
     # tau: a boolean mask fills its entries row by row, in order.
     U = batch.states
-    rows, n, p = U.shape
+    p, rows, n = U.shape
     first_below = _first((batch.phase == -1) & batch.valid)
     offset = np.arange(n) - first_below[:, None]
     has_orbit = (first_below >= 0) & (first_below + 1 < batch.length)
@@ -480,7 +475,7 @@ def _traj_comparison_domination(batch: _Batch) -> list[tuple[bool, dict]]:
     b0 = first_below[r]
     orbits = []
     for start, length, u_top, u_low_next in zip(b0.tolist(), batch.length[r].tolist(),
-                                                U[r, b0, -1].tolist(), U[r, b0 + 1, 0].tolist()):
+                                                U[-1, r, b0].tolist(), U[0, r, b0 + 1].tolist()):
         if u_low_next > 1.0 - u_top ** (p - 1):
             tau0 = u_top
         else:
@@ -489,8 +484,7 @@ def _traj_comparison_domination(batch: _Batch) -> list[tuple[bool, dict]]:
     tau = np.full((rows, n), np.nan)
     tau[has_orbit[:, None] & (offset >= 0) & (np.arange(n) < batch.length[:, None])] = orbits
     # tau is NaN, and so compares false, wherever there is nothing to check
-    bad = np.where(offset % 2 == 0, tau < U[..., -1] - DOMINATION_SLACK, tau > U[..., 0] + DOMINATION_SLACK)
-    return [(True, {}) if m < 0 else (False, {"step": m}) for m in _first(bad).tolist()]
+    return _verdicts(np.where(offset % 2 == 0, tau < U[-1] - DOMINATION_SLACK, tau > U[0] + DOMINATION_SLACK))
 
 
 def _check_stationary(p_values: Sequence[int]) -> tuple[bool, dict]:
@@ -660,7 +654,7 @@ _STATIC_CHECKS: dict[str, Callable[[Sequence[int]], tuple[bool, dict]]] = {
     "unique_fixed_point_grid": _check_unique_fixed_point_grid,
 }
 
-_TRAJ_CHECKS: dict[str, Callable[[_Batch], list[tuple[bool, dict]]]] = {
+_TRAJ_CHECKS: dict[str, Callable[[_Batch], _Verdicts]] = {
     "order_preserved": _traj_order_preserved,
     "ratio_monotone": _traj_ratio_monotone,
     "spread_contraction": _traj_spread_contraction,
@@ -690,8 +684,8 @@ def trajectory_checks(traj: TrajectoryRecord) -> list[CheckResult]:
     """Run every per-trajectory verifier against one record of p >= 3."""
     if traj.p < 3:
         raise ValueError(_P_BELOW_3)
-    batch = _Batch.of(traj)
-    return [CheckResult(name, *fn(batch)[0]) for name, fn in _TRAJ_CHECKS.items()]
+    verdicts = {name: fn(_Batch.of(traj)) for name, fn in _TRAJ_CHECKS.items()}
+    return [CheckResult(name, bool(passed[0]), witness(0)) for name, (passed, witness) in verdicts.items()]
 
 
 def _perturbed_record(traj: TrajectoryRecord) -> TrajectoryRecord:
@@ -753,13 +747,14 @@ def default_suite(
             fault = _Batch.of(_perturbed_record(batch.row(0)))
         swept += seeds_per_p
         for name in traj_names:
-            verdicts = _TRAJ_CHECKS[name](batch)
-            if fault is not None:
-                verdicts[0] = _TRAJ_CHECKS[name](fault)[0]
-            for s, (ok, info) in enumerate(verdicts):
-                if not ok:
-                    violations[name] += 1
-                    first_failure.setdefault(name, {"p": p, "seed_index": s, **info})
+            passed, witness = _TRAJ_CHECKS[name](batch)
+            # row 0 takes the verdict of the fault's one-row batch, if any
+            passed0, witness0 = (passed, witness) if fault is None else _TRAJ_CHECKS[name](fault)
+            failed = np.flatnonzero(~np.concatenate((passed0[:1], passed[1:])))
+            violations[name] += failed.size
+            if failed.size and name not in first_failure:
+                s = int(failed[0])
+                first_failure[name] = {"p": p, "seed_index": s, **(witness0 if s == 0 else witness)(s)}
 
     results = []
     for name in names:

@@ -48,15 +48,16 @@ class SaturationError(ArithmeticError):
 
 
 def _validated(values: Iterable[float], what: str) -> tuple[float, ...]:
-    out = tuple(float(v) for v in values)
-    if len(out) < 2:
-        raise ValueError(f"{what} needs at least 2 components, got {len(out)}")
-    for v in out:
-        if not 0.0 < v < 1.0:
-            raise ValueError(
-                f"{what} components must lie strictly inside (0, 1), got {v!r}"
-            )
-    return out
+    # The components as floats, bounds-checked as an array: min and max
+    # propagate NaN, which fails.  The error names the first component
+    # outside (0, 1).
+    a = np.asarray(values, dtype=float) if isinstance(values, np.ndarray) else np.fromiter(values, dtype=float)
+    if len(a) < 2:
+        raise ValueError(f"{what} needs at least 2 components, got {len(a)}")
+    if not (0.0 < a.min() and a.max() < 1.0):
+        v = float(a[~((a > 0.0) & (a < 1.0))][0])
+        raise ValueError(f"{what} components must lie strictly inside (0, 1), got {v!r}")
+    return tuple(a.tolist())
 
 
 @dataclass(frozen=True)
@@ -126,16 +127,21 @@ def _others(p: int) -> np.ndarray:
 def _excluded_sums(b: np.ndarray) -> np.ndarray:
     # sum_{i != k} b[..., i] for every k, over the last axis, so a (rows, p)
     # batch gives each row its own sums.  The shared-total shortcut needs
-    # finite entries; with infinities the direct sums avoid inf - inf.  One
-    # non-finite entry sends the whole batch to the direct sums, which gather
-    # every row's p - 1 other entries through _others, in blocks of k that
-    # keep the gather within _BLOCK_ELEMS elements.  Each gathered row is
-    # summed as a row of a C-contiguous 2-D (N, p - 1) array, in the order
-    # of the contiguous row on its own (measured bitwise at p = 2..1024).  A
-    # gather of another layout, such as b[..., _others(p)] on a 3-D batch,
-    # sums in another order and differs in the last bit from p = 9 on.
-    if np.isfinite(b).all():
-        return b.sum(axis=-1, keepdims=True) - b
+    # finite entries; with infinities the direct sums avoid inf - inf.  As
+    # logs of values in (0, 1] are <= 0, a row total is finite exactly when
+    # its entries are, and one non-finite total sends the whole batch to the
+    # direct sums, which gather every row's p - 1 other entries through
+    # _others, in blocks of k that keep the gather within _BLOCK_ELEMS
+    # elements.  Each gathered row is summed as a row of a C-contiguous 2-D
+    # (N, p - 1) array, in the order of the contiguous row on its own
+    # (measured bitwise at p = 2..1024).  A gather of another layout, such as
+    # b[..., _others(p)] on a 3-D batch, sums in another order and differs in
+    # the last bit from p = 9 on; so does the total of a strided row, such as
+    # a record's states, which are a transposed view of its batch.
+    b = np.ascontiguousarray(b)
+    total = b.sum(axis=-1, keepdims=True)
+    if np.isfinite(total).all():
+        return total - b
     p = b.shape[-1]
     flat = b.reshape(-1, p)
     n = len(flat)
@@ -158,17 +164,18 @@ def _step(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _reduce_components(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
     # ufunc.reduce(a, axis=-1) for an order-free ufunc: maximum, minimum,
-    # logical_or or logical_and.  Each is exact, so folding the p columns
-    # one by one gives the same bits and propagates NaN the same way (which
-    # of two different NaN payloads survives may differ; the batches hold
-    # one).  numpy's reduce over a short last axis pays per row, the fold
-    # per column and in strided reads.  Measured on (rows, p) arrays (numpy
-    # 2.4, 2 vCPU; numpy -> fold), the fold wins from about 4 p^2 rows up to
-    # p = 32, for NaN-padded maximum ((3400, 3) 245 -> 3.4 us, (1024, 16) 87
-    # -> 15 us, (4096, 32) 364 -> 126 us) and logical_or ((1024, 16) 17 ->
-    # 14 us, (4096, 32) 81 -> 77 us); with fewer rows, or from p = 64, numpy
-    # wins ((100, 8) logical_or 1.9 -> 3.0 us, (16384, 64) maximum 1.6 ->
-    # 5.0 ms).
+    # logical_or or logical_and, on the row-major arrays of the saturation
+    # test, the fixed-point grid and polygon_collapse.  Each is exact, so
+    # folding the p columns one by one gives the same bits and propagates
+    # NaN the same way (which of two different NaN payloads survives may
+    # differ; the batches hold one).  numpy's reduce over a short last axis
+    # pays per row, the fold per column and in strided reads.  Measured on
+    # (rows, p) arrays (numpy 2.4, 2 vCPU; numpy -> fold), the fold wins from
+    # about 4 p^2 rows up to p = 32, for NaN-padded maximum ((3400, 3) 245 ->
+    # 3.4 us, (1024, 16) 87 -> 15 us, (4096, 32) 364 -> 126 us) and
+    # logical_or ((1024, 16) 17 -> 14 us, (4096, 32) 81 -> 77 us); with fewer
+    # rows, or from p = 64, numpy wins ((100, 8) logical_or 1.9 -> 3.0 us,
+    # (16384, 64) maximum 1.6 -> 5.0 ms).
     p = a.shape[-1]
     if not 2 <= p <= 32 or a.size < 4 * p**3:
         return ufunc.reduce(a, axis=-1)
@@ -178,24 +185,23 @@ def _reduce_components(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _stepped(cls, p: int, out: tuple[float, ...], what: str):
+def _stepped(cls, p: int, out: np.ndarray, what: str):
     # cls(p, out), the step's output validated once: a component outside
     # (0, 1) is the step's saturation.
     try:
         return cls(p, out)
     except ValueError:
-        raise SaturationError(f"{what} step left (0, 1) in working precision", out) from None
+        raise SaturationError(f"{what} step left (0, 1) in working precision", tuple(out.tolist())) from None
 
 
 def derived_step(t: WeightTuple) -> WeightTuple:
     """One application of the weight map t'_k = prod_{i != k} (1 - t_i)."""
-    return _stepped(WeightTuple, t.p, tuple(np.exp(_excluded_sums(np.log1p(-np.array(t.t)))).tolist()),
-                    "derived")
+    return _stepped(WeightTuple, t.p, np.exp(_excluded_sums(np.log1p(-np.array(t.t)))), "derived")
 
 
 def conjugate_step(u: ConjugateTuple) -> ConjugateTuple:
     """One application of the conjugate map u'_k = 1 - prod_{i != k} u_i."""
-    return _stepped(ConjugateTuple, u.p, tuple(_step(np.array(u.u))[1].tolist()), "conjugate")
+    return _stepped(ConjugateTuple, u.p, _step(np.array(u.u))[1], "conjugate")
 
 
 # Name of phase code c in the trajectory CSV: _PHASE_NAMES[c + 1].
@@ -203,16 +209,14 @@ _PHASE_NAMES = ("below", "mixed", "above")
 
 
 def _phase_codes(u: np.ndarray, alpha: float) -> np.ndarray:
-    # Phase code of every state on the last axis of u, its position against
-    # the threshold alpha: -1 (BELOW) when every component is < alpha, 1
-    # (ABOVE) when every component is > alpha, 0 (MIXED) otherwise.  A
-    # component within PHASE_TIE_TOL of alpha is undecidable and gives MIXED,
-    # and so do NaN components, as in the padding of a batch.
-    tie = _reduce_components(np.logical_or, np.abs(u - alpha) <= PHASE_TIE_TOL)
-    code = (_reduce_components(np.logical_and, u > alpha).astype(np.int8)
-            - _reduce_components(np.logical_and, u < alpha))
-    code[tie] = 0
-    return code
+    # Phase code of every state of u (components on the first axis) against
+    # alpha: -1 (BELOW) when every component is < alpha, 1 (ABOVE) when
+    # every component is > alpha, 0 (MIXED) otherwise.  A component within
+    # PHASE_TIE_TOL of alpha is undecidable and gives MIXED, and so do NaN
+    # components, as in the padding of a batch.  Rounded subtraction is
+    # monotone and odd, so the extremes decide; NaN propagates to them.
+    return ((u.min(axis=0) - alpha > PHASE_TIE_TOL).astype(np.int8)
+            - (alpha - u.max(axis=0) > PHASE_TIE_TOL))
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,10 +266,10 @@ def run_trajectory(u0: ConjugateTuple, max_steps: int, alpha: float) -> Trajecto
 
 @dataclass(frozen=True)
 class _Batch:
-    # The trajectory records of a batch of rows with one p: the fields of
-    # TrajectoryRecord with a leading row axis, and each row's length.
-    # states is (rows, n_max, p) and spread and phase (rows, n_max), each NaN
-    # (phase: 0, MIXED) past a row's length; saturation_step is -1 and
+    # The trajectory records of a batch of rows with one p.  states is
+    # component-major, (p, rows, n_max): component k of every state is one
+    # contiguous plane.  spread and phase are (rows, n_max), NaN (phase: 0,
+    # MIXED) past a row's length, as states are; saturation_step is -1 and
     # saturation_values NaN for a row that did not saturate.
     permutation: np.ndarray
     alpha: float
@@ -276,23 +280,30 @@ class _Batch:
     saturation_values: np.ndarray
     length: np.ndarray
 
-    @property
+    @functools.cached_property
     def valid(self) -> np.ndarray:
         # (rows, n_max): state m of row r is recorded
-        return np.arange(self.states.shape[1]) < self.length[:, None]
+        return np.arange(self.states.shape[2]) < self.length[:, None]
+
+    @functools.cached_property
+    def pair_noise(self) -> np.ndarray:
+        # (rows, n_max - 2): the relative error state m+2 inherits from the
+        # storage of state m+1, whose largest (last) component 1 - d keeps d
+        # to half an ulp of 1, plus 1e-14 for the two steps' log/exp round-off.
+        return 5.6e-17 / (1.0 - self.states[-1, :, 1:-1]) + 1e-14
 
     def row(self, r: int) -> TrajectoryRecord:
         # The record of row r, as views of the batch's arrays.
         n, sat = int(self.length[r]), int(self.saturation_step[r])
-        return TrajectoryRecord(self.permutation[r], self.alpha, self.states[r, :n], self.spread[r, :n],
+        return TrajectoryRecord(self.permutation[r], self.alpha, self.states[:, r, :n].T, self.spread[r, :n],
                                 self.phase[r, :n], None if sat < 0 else sat,
                                 None if sat < 0 else self.saturation_values[r])
 
     @classmethod
     def of(cls, traj: TrajectoryRecord) -> "_Batch":
-        # The one-row batch of a record: its arrays with a leading axis.
+        # The one-row batch of a record, as views of its arrays.
         sat = traj.saturation_step
-        return cls(traj.permutation[None], traj.alpha, traj.states[None], traj.spread[None],
+        return cls(traj.permutation[None], traj.alpha, traj.states.T[:, None], traj.spread[None],
                    traj.phase[None], np.array([-1 if sat is None else sat]),
                    np.full((1, traj.p), np.nan) if sat is None else traj.saturation_values[None],
                    np.array([len(traj)]))
@@ -306,19 +317,22 @@ def _run_batch(u0: np.ndarray, max_steps: int, alpha: float) -> _Batch:
     # record is bitwise the one-row record.
     if max_steps < 0:
         raise ValueError(f"max_steps must be >= 0, got {max_steps}")
-    order = np.argsort(u0, axis=-1, kind="stable")
-    u = np.sort(u0, axis=-1)  # u0 in the stable order: tied entries are equal
+    # only the permutation of tied components needs the slower stable sort
+    order = np.argsort(u0, axis=-1)
+    u = np.take_along_axis(u0, order, axis=-1)
+    if (u[:, 1:] == u[:, :-1]).any():
+        order = np.argsort(u0, axis=-1, kind="stable")
     rows, p = u.shape
     sat_step, sat_values = np.full(rows, -1), np.full((rows, p), np.nan)
     live = np.arange(rows)
     steps = [(live, u)]  # (live rows, states) of every recorded step
-    ulp_zero, ulp_one = math.ulp(0.0), math.ulp(1.0)
+    ulp_zero, below_one = math.ulp(0.0), 1.0 - math.ulp(1.0)
     for step in range(max_steps):
         nxt = _step(u)[1]
         # a step that leaves (0, 1), or lands within one ulp of its bounds,
         # saturates: the next products would no longer be trustworthy at
-        # working precision
-        at_bound = (nxt <= ulp_zero) | (1.0 - nxt <= ulp_one)
+        # working precision (nxt >= 1 - ulp(1) is 1 - nxt <= ulp(1), Sterbenz)
+        at_bound = (nxt <= ulp_zero) | (nxt >= below_one)
         if at_bound.any():
             hit = _reduce_components(np.logical_or, at_bound)
             sat_step[live[hit]], sat_values[live[hit]] = step + 1, nxt[hit]
@@ -328,13 +342,13 @@ def _run_batch(u0: np.ndarray, max_steps: int, alpha: float) -> _Batch:
         u = nxt
         steps.append((live, u))
 
-    states = np.full((rows, len(steps), p), np.nan)
+    states = np.full((p, rows, len(steps)), np.nan)
     length = np.zeros(rows, dtype=int)
     for m, (live, u) in enumerate(steps):
-        states[live, m] = u
+        states[:, live, m] = u.T
         length[live] = m + 1
-    return _Batch(order, alpha, states, states[..., -1] / states[..., 0] - 1.0,
-                  _phase_codes(states, alpha), sat_step, sat_values, length)
+    return _Batch(order, alpha, states, states[-1] / states[0] - 1.0, _phase_codes(states, alpha),
+                  sat_step, sat_values, length)
 
 
 def comparison_sequence(tau0: float, p: int, steps: int) -> list[float]:

@@ -91,8 +91,9 @@ def _traj(u, steps=2):
 
 def _check(name, traj):
     # one registered check on the one-row batch of a record, as
-    # trajectory_checks runs it
-    return _TRAJ_CHECKS[name](_Batch.of(traj))[0]
+    # trajectory_checks runs it: row 0's verdict and witness
+    passed, witness = _TRAJ_CHECKS[name](_Batch.of(traj))
+    return bool(passed[0]), witness(0)
 
 
 def _with_state(traj, m, q, value):
@@ -718,7 +719,7 @@ def test_default_suite_draws_each_p_as_one_batch_of_per_seed_draws(monkeypatch):
     def recording(u0, max_steps, alpha):
         batches.append(u0.copy())
         batch = real(u0, max_steps, alpha)
-        assert batch.states.shape[0] == batch.length.size == len(u0)
+        assert batch.states.shape[1] == batch.length.size == len(u0)
         return batch
 
     monkeypatch.setattr(analysis, "_run_batch", recording)
@@ -803,11 +804,14 @@ def test_each_row_of_a_batch_gets_the_verdict_of_its_own_batch():
         assert len(set(batch.saturation_step.tolist()) - {-1}) >= 2
         states = batch.states.copy()
         m = min(2, batch.length[0] - 1)
-        states[0, m, 0] = min(states[0, m, 0] + 0.07, 1.0 - 1e-9)
+        states[0, 0, m] = min(states[0, 0, m] + 0.07, 1.0 - 1e-9)
         batch = dataclasses.replace(batch, states=states)
         for name, check in _TRAJ_CHECKS.items():
-            alone = [check(_Batch.of(batch.row(r)))[0] for r in range(len(seeds))]
-            assert check(batch) == alone, (p, name)
+            # every row's verdict and witness, passing rows' witnesses too
+            passed, witness = check(batch)
+            assert passed.dtype == bool and passed.shape == (len(seeds),)
+            alone = [_check(name, batch.row(r)) for r in range(len(seeds))]
+            assert [(bool(passed[r]), witness(r)) for r in range(len(seeds))] == alone, (p, name)
         verdicts = [r.passed for r in trajectory_checks(batch.row(0))]
         assert not all(verdicts)
 

@@ -122,6 +122,25 @@ def test_validation():
         run_trajectory(ConjugateTuple.of((0.2, 0.5, 0.8)), -1, solve_alpha(3))
 
 
+def test_validation_names_the_first_component_outside():
+    for values, named in (((0.5, 1.5, math.nan), "1.5"), ((0.5, math.nan, 0.0), "nan"),
+                          (np.array([0.2, -0.0, 2.0]), "-0.0"), ((0.5, math.inf), "inf")):
+        with pytest.raises(ValueError, match=rf"strictly inside \(0, 1\), got {named}$"):
+            ConjugateTuple.of(values)
+        with pytest.raises(ValueError, match=rf"weight tuple components .* got {named}$"):
+            WeightTuple.of(values)
+    with pytest.raises(ValueError, match="at least 2 components, got 1"):
+        ConjugateTuple.of([0.5])
+    with pytest.raises(ValueError, match="sequence"):
+        ConjugateTuple.of([[0.2, 0.3], [0.4, 0.5]])
+    # the components become Python floats, from any iterable
+    u = ConjugateTuple(3, (x for x in np.array([0.2, 0.5, 0.8], dtype=np.float32)))
+    assert all(type(v) is float for v in u.u) and u.u == (np.float32(0.2), 0.5, np.float32(0.8))
+    with pytest.raises(SaturationError) as err:
+        conjugate_step(ConjugateTuple.of((1e-300, 1e-300, 0.5)))
+    assert all(type(v) is float for v in err.value.values)
+
+
 def _phase_by_definition(state, alpha):
     # The phase code from its definition, one component at a time: a
     # component within PHASE_TIE_TOL of alpha is undecidable and gives MIXED
@@ -149,7 +168,28 @@ def test_phase_codes():
         # NaN, as in the padding of a batch
         (np.nan, 0.8, 0.9),
     ])
-    assert _phase_codes(states, alpha).tolist() == [-1, 1, 0, 0, 0, 0, 0, 0]
+    # the component axis comes first
+    assert _phase_codes(states.T, alpha).tolist() == [-1, 1, 0, 0, 0, 0, 0, 0]
+
+
+def test_phase_codes_match_the_definition_near_the_threshold():
+    # unsorted states, half of them with one component at a distance from
+    # alpha around PHASE_TIE_TOL, on either side, and some with a NaN
+    rng = np.random.default_rng(5)
+    for p in (3, 8, 64):
+        alpha = solve_alpha(p)
+        u = alpha + rng.uniform(0.01, 0.3, size=(p, 40, 30)) * rng.choice([-1.0, 1.0], size=(p, 40, 30))
+        r, m = np.nonzero(rng.uniform(size=(40, 30)) < 0.5)
+        u[rng.integers(0, p, size=r.size), r, m] = alpha + rng.integers(-12, 13, size=r.size) * 1e-16
+        u[-1, ::7, ::5] = math.nan
+        # more decided states: rows reflected to one side of alpha
+        u[:, ::4] = alpha + np.abs(u[:, ::4] - alpha)
+        u[:, 1::4] = alpha - np.abs(u[:, 1::4] - alpha)
+        codes = _phase_codes(u, alpha)
+        assert codes.shape == (40, 30) and codes.dtype == np.int8
+        want = [[_phase_by_definition(u[:, r, m].tolist(), alpha) for m in range(30)] for r in range(40)]
+        assert codes.tolist() == want
+        assert {-1, 0, 1} <= set(codes.ravel().tolist())
 
 
 def test_run_trajectory_sorts_and_permutes():
@@ -346,7 +386,8 @@ def test_batched_records_equal_one_row_records():
         for steps in (0, 1, 3, 400):
             batch = _run_batch(u0, steps, alpha)
             records = [batch.row(r) for r in range(len(u0))]
-            assert batch.states.shape[:2] == (len(u0), max(len(rec) for rec in records))
+            assert batch.states.shape == (p, len(u0), max(len(rec) for rec in records))
+            assert batch.states.flags.c_contiguous
             for row, rec in zip(u0, records):
                 one = run_trajectory(ConjugateTuple.of(row), steps, alpha)
                 assert _record_bits(rec) == _record_bits(one)
@@ -358,6 +399,42 @@ def test_batched_records_equal_one_row_records():
                 assert len({rec.saturation_step for rec in records} - {None}) >= 2
     with pytest.raises(ValueError):
         _run_batch(u0, -1, alpha)
+
+
+def test_batch_rows_are_views_in_the_record_layout():
+    from barypoly.dynamics import _Batch, _run_batch
+
+    rng = np.random.default_rng(11)
+    for p in (3, 8, 256):
+        u0 = rng.uniform(1e-3, 1.0 - 1e-3, size=(5, p))
+        batch = _run_batch(u0, 400, solve_alpha(p))
+        for r in range(len(u0)):
+            rec = batch.row(r)
+            n = int(batch.length[r])
+            assert rec.states.shape == (n, p) and np.shares_memory(rec.states, batch.states)
+            assert rec.states.tobytes() == np.ascontiguousarray(batch.states[:, r, :n].T).tobytes()
+            # the strided view steps as its contiguous copy does
+            for got, ref in zip(_step(rec.states), _step(np.ascontiguousarray(rec.states))):
+                assert got.tobytes() == ref.tobytes()
+            one = _Batch.of(rec)
+            assert one.states.shape == (p, 1, n) and np.shares_memory(one.states, batch.states)
+            assert _record_bits(one.row(0)) == _record_bits(rec)
+            assert [np.shares_memory(getattr(one.row(0), f), getattr(rec, f))
+                    for f in ("states", "spread", "phase")] == [True] * 3
+
+
+def test_tied_seeds_take_the_stable_permutation():
+    from barypoly.dynamics import _run_batch
+
+    rng = np.random.default_rng(12)
+    for p in (3, 8, 1024):
+        u0 = rng.uniform(1e-3, 1.0 - 1e-3, size=(4, p))
+        u0[0, ::2] = u0[0, 1]  # ties in one row only
+        u0[2, :] = u0[2, -1]  # every component tied
+        for seeds in (u0, u0[1:2], u0[:1]):  # with and without a tie
+            batch = _run_batch(seeds, 3, solve_alpha(p))
+            assert batch.permutation.tolist() == np.argsort(seeds, axis=-1, kind="stable").tolist()
+            assert batch.states[:, :, 0].T.tobytes() == np.sort(seeds, axis=-1).tobytes()
 
 
 class _ReduceSpy:
