@@ -684,7 +684,8 @@ def trajectory_checks(traj: TrajectoryRecord) -> list[CheckResult]:
     """Run every per-trajectory verifier against one record of p >= 3."""
     if traj.p < 3:
         raise ValueError(_P_BELOW_3)
-    verdicts = {name: fn(_Batch.of(traj)) for name, fn in _TRAJ_CHECKS.items()}
+    batch = _Batch.of(traj)
+    verdicts = {name: fn(batch) for name, fn in _TRAJ_CHECKS.items()}
     return [CheckResult(name, bool(passed[0]), witness(0)) for name, (passed, witness) in verdicts.items()]
 
 

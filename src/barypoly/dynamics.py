@@ -52,6 +52,8 @@ def _validated(values: Iterable[float], what: str) -> tuple[float, ...]:
     # propagate NaN, which fails.  The error names the first component
     # outside (0, 1).
     a = np.asarray(values, dtype=float) if isinstance(values, np.ndarray) else np.fromiter(values, dtype=float)
+    if a.ndim != 1:
+        raise ValueError(f"{what} needs a flat sequence of components, got shape {a.shape}")
     if len(a) < 2:
         raise ValueError(f"{what} needs at least 2 components, got {len(a)}")
     if not (0.0 < a.min() and a.max() < 1.0):
@@ -317,11 +319,8 @@ def _run_batch(u0: np.ndarray, max_steps: int, alpha: float) -> _Batch:
     # record is bitwise the one-row record.
     if max_steps < 0:
         raise ValueError(f"max_steps must be >= 0, got {max_steps}")
-    # only the permutation of tied components needs the slower stable sort
-    order = np.argsort(u0, axis=-1)
-    u = np.take_along_axis(u0, order, axis=-1)
-    if (u[:, 1:] == u[:, :-1]).any():
-        order = np.argsort(u0, axis=-1, kind="stable")
+    order = np.argsort(u0, axis=-1, kind="stable")
+    u = np.sort(u0, axis=-1)  # u0 in the stable order: tied entries are equal
     rows, p = u.shape
     sat_step, sat_values = np.full(rows, -1), np.full((rows, p), np.nan)
     live = np.arange(rows)

@@ -133,6 +133,11 @@ def test_validation_names_the_first_component_outside():
         ConjugateTuple.of([0.5])
     with pytest.raises(ValueError, match="sequence"):
         ConjugateTuple.of([[0.2, 0.3], [0.4, 0.5]])
+    for nested in (np.array([[0.2, 0.3], [0.4, 0.5]]), np.array(0.5)):
+        with pytest.raises(ValueError, match=r"needs a flat sequence of components, got shape"):
+            ConjugateTuple(2, nested)
+        with pytest.raises(ValueError, match=r"weight tuple needs a flat sequence"):
+            WeightTuple(2, nested)
     # the components become Python floats, from any iterable
     u = ConjugateTuple(3, (x for x in np.array([0.2, 0.5, 0.8], dtype=np.float32)))
     assert all(type(v) is float for v in u.u) and u.u == (np.float32(0.2), 0.5, np.float32(0.8))
