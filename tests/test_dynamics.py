@@ -428,20 +428,6 @@ def test_batch_rows_are_views_in_the_record_layout():
                     for f in ("states", "spread", "phase")] == [True] * 3
 
 
-def test_tied_seeds_take_the_stable_permutation():
-    from barypoly.dynamics import _run_batch
-
-    rng = np.random.default_rng(12)
-    for p in (3, 8, 1024):
-        u0 = rng.uniform(1e-3, 1.0 - 1e-3, size=(4, p))
-        u0[0, ::2] = u0[0, 1]  # ties in one row only
-        u0[2, :] = u0[2, -1]  # every component tied
-        for seeds in (u0, u0[1:2], u0[:1]):  # with and without a tie
-            batch = _run_batch(seeds, 3, solve_alpha(p))
-            assert batch.permutation.tolist() == np.argsort(seeds, axis=-1, kind="stable").tolist()
-            assert batch.states[:, :, 0].T.tobytes() == np.sort(seeds, axis=-1).tobytes()
-
-
 class _ReduceSpy:
     # Stands in for a ufunc and records which path _reduce_components took.
     def __init__(self, ufunc):
