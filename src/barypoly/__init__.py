@@ -5,8 +5,8 @@ weights induces a product map on the weights themselves.  This package
 computes that map's stationary state and its instability certificate,
 iterates the sorted conjugate state with saturation tracking, verifies the
 qualitative structure (order preservation, two-step contraction, phase
-alternation, even/odd boundary limits), and follows the dual sequence of
-polygon limit points.
+alternation and even/odd boundary limits past saturation, by the one-step
+order-reversing bracket), and follows the dual sequence of limit points.
 
 Only the stationary layer, which needs nothing but math, loads with the
 package; a name of the numpy-backed layers loads its module on first access
@@ -23,8 +23,8 @@ _HOME = {
     for module, names in (
         ("analysis", "KNOWN_CHECKS CheckResult ContractionCertificate VerificationError "
                      "contraction_certificate default_suite spectral_check trajectory_checks"),
-        ("dynamics", "ConjugateTuple SaturationError TrajectoryRecord WeightTuple comparison_sequence "
-                     "conjugate_of conjugate_step derived_step run_trajectory"),
+        ("dynamics", "ConjugateTuple SaturationError TrajectoryRecord WeightTuple conjugate_of "
+                     "conjugate_step derived_step run_trajectory"),
         ("geometry", "DualSequenceRecord PointSet centroid dual_sequence limit_point polygon_step "
                      "weight_orders"),
     )

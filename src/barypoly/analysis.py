@@ -3,9 +3,9 @@
 Each check takes computed data and confirms one structural property at a
 stated tolerance: order preservation, two-step ratio monotonicity, the affine
 two-step contraction of the sorted spread, phase alternation, the even/odd
-boundary limits with their scalar comparison orbit, the spectral splitting of
-the linearized step, and the collapse of the averaging polygon onto its limit
-point.  default_suite sweeps randomized seeds through every check and
+boundary limits, the one-step order-reversing bracket, the spectral splitting
+of the linearized step, and the collapse of the averaging polygon onto its
+limit point.  default_suite sweeps randomized seeds through every check and
 aggregates the outcomes into CheckResult rows that serialize directly to a
 JSON report.
 
@@ -35,11 +35,12 @@ import numpy as np
 from .dynamics import (
     TrajectoryRecord,
     WeightTuple,
+    _EPS,
+    _LIBM_REL,
     _Batch,
     _reduce_components,
     _run_batch,
     _step,
-    comparison_sequence,
 )
 from .geometry import PointSet, _limit_weights, _regular_polygon, dual_sequence
 from .stationary import StationaryCertificate, _index, certificate, solve_alpha
@@ -234,11 +235,9 @@ class CheckResult:
 
 SORTED_SLACK = 1e-14
 SPREAD_FLOOR = 1e-12
-# Slack of the two-step ratio and the comparison-orbit comparisons, and the
-# distance from a corner of [0, 1]^p that decides an unsaturated even/odd
-# limit.
+# Slack of the two-step ratio comparisons, and the distance from a corner of
+# [0, 1]^p that decides an unsaturated even/odd limit.
 RATIO_SLACK = 1e-12
-DOMINATION_SLACK = 1e-12
 LIMIT_TOL = 1e-6
 # Certificates are only emitted on states whose components sit far enough
 # inside (0, 1) that the 1e-10 identity tolerance is numerically meaningful.
@@ -311,8 +310,8 @@ def _traj_spread_contraction(batch: _Batch) -> _Verdicts:
 def _traj_contraction_certificates(batch: _Batch) -> _Verdicts:
     # A certificate is emitted at every m whose states m, m+1 and m+2 lie in
     # CERT_WINDOW and whose state m has a spread above 1e-9.  A row fails at
-    # its first m whose certificate fails; an unsorted state there raises
-    # contraction_certificate's ValueError.
+    # its first m whose certificate fails or whose state is unsorted, which
+    # only corrupt data can give; the other rows keep their verdicts.
     U = batch.states
     p, rows = U.shape[:2]
     lo, hi = CERT_WINDOW
@@ -333,11 +332,9 @@ def _traj_contraction_certificates(batch: _Batch) -> _Verdicts:
     failures = _certificate_failures(fields) & window
     unsorted = ~(U[:-1, :, :-2] <= U[1:, :, :-2]).all(axis=0) & window
     first = _first(failures.any(axis=0) | unsorted)
-    failed = np.flatnonzero(first >= 0)
-    if unsorted[failed, first[failed]].any():
-        raise ValueError(f"state at m={first[failed][unsorted[failed, first[failed]]][0]} is not sorted ascending")
     return first < 0, lambda r: {"certificates": int(counts[r])} if first[r] < 0 else {
-        "step": int(first[r]), "reason": _certificate_error(fields, failures, (r, first[r]), int(first[r]))}
+        "step": int(first[r]), "reason": f"state at m={first[r]} is not sorted ascending" if unsorted[r, first[r]]
+        else _certificate_error(fields, failures, (r, first[r]), int(first[r]))}
 
 
 def _reliable_horizon(batch: _Batch) -> np.ndarray:
@@ -365,12 +362,6 @@ def _traj_geometric_bound(batch: _Batch) -> _Verdicts:
     bound = np.cumsum(scaled, axis=1) * 2.0 ** -q + 1e-12
     bad = (even > bound) & (q >= 1) & (q < (_reliable_horizon(batch)[:, None] + 1) // 2)
     return _verdicts(bad, lambda r, i: {"spread": float(even[r, i]), "bound": float(bound[r, i])}, "q")
-
-
-# Unit roundoff, and the relative error allowed for numpy's log and expm1:
-# 4 ulp.
-_EPS = 2.0**-53
-_LIBM_REL = 8 * _EPS
 
 
 def _traj_t_ratio_transfer(batch: _Batch) -> _Verdicts:
@@ -404,41 +395,55 @@ def _traj_t_ratio_transfer(batch: _Batch) -> _Verdicts:
         "pair": sorted((int(w[:, r, m].argmin()), int(w[:, r, m].argmax()))), "diff": float(diff[r, m])})
 
 
+def _with_saturating(plane: np.ndarray, batch: _Batch, values: np.ndarray, fill) -> np.ndarray:
+    # the (rows, n_max) plane and a column of fill, with values[r] at index length[r] of a saturated row r
+    out = np.concatenate((plane, np.full((len(plane), 1), fill, dtype=plane.dtype)), axis=1)
+    r = np.flatnonzero(batch.saturation_step >= 0)
+    out[r, batch.length[r]] = values[r]
+    return out
+
+
 def _traj_phase_alternation(batch: _Batch) -> _Verdicts:
-    # From the first decided (non-MIXED) phase m0 on, the recorded phases
-    # must alternate strictly between BELOW and ABOVE; a failure counts the
-    # steps that break the alternation.
-    phase, valid = batch.phase, batch.valid
-    decided = (phase != 0) & valid
+    # By the bracket of _traj_comparison_domination a BELOW state maps to
+    # F(u) >= f(u_max) > f(alpha) = alpha, ABOVE, and an ABOVE one to BELOW,
+    # so from one decided state m0 on the phases alternate strictly forever.
+    # m0 is the first decided recorded state, or else the saturating state,
+    # which is audited when its code is decided; a failure counts the
+    # states that break the alternation.
+    # phases are MIXED past a row's length, so every decided entry is audited
+    phase = _with_saturating(batch.phase, batch, batch.saturation_phase, 0)
+    index = np.arange(phase.shape[1])
+    decided = phase != 0
+    audited = (index < batch.length[:, None]) | decided
     m0 = decided.argmax(axis=-1)
     first = phase[np.arange(len(phase)), m0][:, None]
-    offset = np.arange(phase.shape[1]) - m0[:, None]
+    offset = index - m0[:, None]
     expected = np.where(offset % 2 == 0, first, -first)
-    violations = ((phase != expected) & valid & (offset >= 0)).sum(axis=-1)
+    violations = ((phase != expected) & audited & (offset >= 0)).sum(axis=-1)
     has = decided.any(axis=-1)
 
     def witness(r: int) -> dict:
         if not has[r]:
             return {"reason": "no decided phase before saturation" if batch.saturation_step[r] >= 0
                     else "no decided phase within the recorded horizon"}
-        if violations[r]:
-            return {"m0": int(m0[r]), "violations": int(violations[r])}
-        return {"m0": int(m0[r])}
+        out = {"m0": int(m0[r]), "m0_from": "recorded" if m0[r] < batch.length[r] else "saturation"}
+        return {**out, "violations": int(violations[r])} if violations[r] else out
 
     return has & (violations == 0), witness
 
 
 def _traj_even_odd_limits(batch: _Batch) -> _Verdicts:
     # Which parity of steps heads for which corner of [0, 1]^p, by global
-    # step parity.  Saturation is decisive on its own: the saturating state
-    # reached a corner at working precision, and its virtual index fixes
-    # which parity heads there.  Without a decisive saturation the verdict
-    # needs every component of the final recorded even state within
+    # step parity.  A saturating state with a decided phase code that hit
+    # one corner decides on its own, by its virtual index, and the corner
+    # must be the one its code names: 1 for ABOVE, 0 for BELOW.  Otherwise
+    # every component of the final recorded even state must lie within
     # LIMIT_TOL of one corner and every component of the final odd state
     # within LIMIT_TOL of the other.
-    sat, vals = batch.saturation_step, batch.saturation_values
+    sat, vals, code = batch.saturation_step, batch.saturation_values, batch.saturation_phase
     hit_one = (1.0 - vals <= math.ulp(1.0)).any(axis=-1)
-    by_saturation = (sat >= 0) & (hit_one != (vals <= math.ulp(0.0)).any(axis=-1))
+    by_saturation = (code != 0) & (hit_one != (vals <= math.ulp(0.0)).any(axis=-1))
+    wrong_corner = by_saturation & (hit_one != (code == 1))
     last = batch.length - 1
     rows = np.arange(len(last))
     even = batch.states[:, rows, last - last % 2]
@@ -448,43 +453,43 @@ def _traj_even_odd_limits(batch: _Batch) -> _Verdicts:
     # a one-state row compares its seed with itself, which decides nothing
     decided = by_saturation | to_zero | to_one
     even_to_zero = np.where(by_saturation, hit_one == (sat % 2 == 1), to_zero)
-    return decided, lambda r: (
-        {"verdict": "even_to_zero_odd_to_one" if even_to_zero[r] else "even_to_one_odd_to_zero"} if decided[r]
+    return decided & ~wrong_corner, lambda r: (
+        {"reason": f"saturating state of phase code {code[r]} hit corner {int(hit_one[r])}"} if wrong_corner[r]
+        else {"verdict": "even_to_zero_odd_to_one" if even_to_zero[r] else "even_to_one_odd_to_zero"} if decided[r]
         else {"reason": "undecided at the recorded horizon"})
 
 
 def _traj_comparison_domination(batch: _Batch) -> _Verdicts:
-    # The scalar comparison orbit brackets the extremes from the first
-    # BELOW step b0.  The scalar seed is u_max^(b0) when u_min^(b0+1)
-    # exceeds 1 - (u_max^(b0))**(p-1), and otherwise the preimage
-    # (1 - u_min^(b0+1))**(1/(p-1)).  Then along the scalar orbit tau,
-    # tau_{b0+2q} >= u_max^(b0+2q) and tau_{b0+2q+1} <= u_min^(b0+2q+1) at
-    # every recorded offset, to within DOMINATION_SLACK.  Records that never
-    # reach a BELOW phase have nothing to check and pass vacuously; where
-    # there is something to check, p < 3 raises ValueError, as
-    # comparison_sequence does.  The orbit is iterated in Python floats:
-    # numpy's power may differ from the C library's pow in the last bit.
-    # Every row's orbit goes into one list, which one scatter writes into
-    # tau: a boolean mask fills its entries row by row, in order.
+    # F(u)_k = 1 - prod_{i != k} u_i reverses the componentwise order, so
+    # f(u_max) <= F(u)_k <= f(u_min), f(x) = 1 - x^(p-1) (Smith, Monotone
+    # Dynamical Systems, AMS 1995), tested at every recorded pair (m, m+1)
+    # and at (last recorded, saturating state).  f decreases, so by induction
+    # it carries the scalar orbit of f from any start that brackets a state.
+    #
+    # f is -expm1((p-1) log x).  The step's exponent is within (2 eta + p
+    # eps) p L of exact (see _run_batch), L = |log u_min^(m)|, and f's within
+    # (eta + eps) p L.  An exponent error d moves -expm1 by (1 - y) d and
+    # expm1 adds eta y, so the sides y, z of a test are within B = (1 -
+    # min(y, z)) (3 eta + (p + 1) eps) p L + eta (y + z) to first order, p
+    # eps relative on the log sum; the test allows 2 B.  A NaN fails.
     U = batch.states
-    p, rows, n = U.shape
-    first_below = _first((batch.phase == -1) & batch.valid)
-    offset = np.arange(n) - first_below[:, None]
-    has_orbit = (first_below >= 0) & (first_below + 1 < batch.length)
-    r = np.flatnonzero(has_orbit)
-    b0 = first_below[r]
-    orbits = []
-    for start, length, u_top, u_low_next in zip(b0.tolist(), batch.length[r].tolist(),
-                                                U[-1, r, b0].tolist(), U[0, r, b0 + 1].tolist()):
-        if u_low_next > 1.0 - u_top ** (p - 1):
-            tau0 = u_top
-        else:
-            tau0 = (1.0 - u_low_next) ** (1.0 / (p - 1))
-        orbits += comparison_sequence(tau0, p, length - start - 1)
-    tau = np.full((rows, n), np.nan)
-    tau[has_orbit[:, None] & (offset >= 0) & (np.arange(n) < batch.length[:, None])] = orbits
-    # tau is NaN, and so compares false, wherever there is nothing to check
-    return _verdicts(np.where(offset % 2 == 0, tau < U[-1] - DOMINATION_SLACK, tau > U[0] + DOMINATION_SLACK))
+    p, _, n = U.shape
+    lo = _with_saturating(U[0], batch, batch.saturation_values.min(axis=-1), np.nan)
+    hi = _with_saturating(U[-1], batch, batch.saturation_values.max(axis=-1), np.nan)
+    audited = np.arange(n) + 1 < (batch.length + (batch.saturation_step >= 0))[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_lo = np.log(lo[:, :-1])
+        f_hi, f_lo = -np.expm1((p - 1) * np.log(hi[:, :-1])), -np.expm1((p - 1) * log_lo)
+    g = (3 * _LIBM_REL + (p + 1) * _EPS) * p * -log_lo
+
+    def allowance(y, z):
+        return 2.0 * ((1.0 - np.minimum(y, z)) * g + _LIBM_REL * (y + z))
+
+    low = ~(lo[:, 1:] >= f_hi - allowance(lo[:, 1:], f_hi)) & audited
+    high = ~(hi[:, 1:] <= f_lo + allowance(hi[:, 1:], f_lo)) & audited
+    pairs, first = audited.sum(axis=-1), _first(low | high)
+    return first < 0, lambda r: {"pairs": int(pairs[r])} if first[r] < 0 else {
+        "step": int(first[r]), "bracket": "lower" if low[r, first[r]] else "upper"}
 
 
 def _check_stationary(p_values: Sequence[int]) -> tuple[bool, dict]:

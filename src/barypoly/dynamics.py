@@ -32,11 +32,14 @@ __all__ = [
     "derived_step",
     "conjugate_step",
     "run_trajectory",
-    "comparison_sequence",
 ]
 
 # Components this close to the phase threshold make the phase undecidable.
 PHASE_TIE_TOL = 1e-15
+
+# Unit roundoff, and the relative error allowed for numpy's log and expm1 (4 ulp).
+_EPS = 2.0**-53
+_LIBM_REL = 8 * _EPS
 
 
 class SaturationError(ArithmeticError):
@@ -210,15 +213,15 @@ def conjugate_step(u: ConjugateTuple) -> ConjugateTuple:
 _PHASE_NAMES = ("below", "mixed", "above")
 
 
-def _phase_codes(u: np.ndarray, alpha: float) -> np.ndarray:
+def _phase_codes(u: np.ndarray, alpha: float, tol=PHASE_TIE_TOL) -> np.ndarray:
     # Phase code of every state of u (components on the first axis) against
     # alpha: -1 (BELOW) when every component is < alpha, 1 (ABOVE) when
     # every component is > alpha, 0 (MIXED) otherwise.  A component within
-    # PHASE_TIE_TOL of alpha is undecidable and gives MIXED, and so do NaN
-    # components, as in the padding of a batch.  Rounded subtraction is
-    # monotone and odd, so the extremes decide; NaN propagates to them.
-    return ((u.min(axis=0) - alpha > PHASE_TIE_TOL).astype(np.int8)
-            - (alpha - u.max(axis=0) > PHASE_TIE_TOL))
+    # tol of alpha is undecidable and gives MIXED, and so do NaN components,
+    # as in the padding of a batch.  Rounded subtraction is monotone and odd,
+    # so the extremes decide; NaN propagates to them.
+    return ((u.min(axis=0) - alpha > tol).astype(np.int8)
+            - (alpha - u.max(axis=0) > tol))
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,8 +234,8 @@ class TrajectoryRecord:
     code: -1 BELOW, 0 MIXED, 1 ABOVE.  Only states more than one ulp inside
     [0,1]^p are recorded: if a step saturates, saturation_step is the index
     the offending state would have had, saturation_values, (p,), keeps that
-    state's components as evidence of which bound was reached, and
-    iteration stops.
+    state's components as evidence of which bound was reached and
+    saturation_phase its phase code, and iteration stops.
     """
 
     permutation: np.ndarray
@@ -242,6 +245,7 @@ class TrajectoryRecord:
     phase: np.ndarray
     saturation_step: int | None
     saturation_values: np.ndarray | None
+    saturation_phase: int | None
 
     def __post_init__(self):
         for a in (self.permutation, self.states, self.spread, self.phase, self.saturation_values):
@@ -271,8 +275,9 @@ class _Batch:
     # The trajectory records of a batch of rows with one p.  states is
     # component-major, (p, rows, n_max): component k of every state is one
     # contiguous plane.  spread and phase are (rows, n_max), NaN (phase: 0,
-    # MIXED) past a row's length, as states are; saturation_step is -1 and
-    # saturation_values NaN for a row that did not saturate.
+    # MIXED) past a row's length, as states are; saturation_step is -1,
+    # saturation_values NaN and saturation_phase 0 for a row that did not
+    # saturate.
     permutation: np.ndarray
     alpha: float
     states: np.ndarray
@@ -280,6 +285,7 @@ class _Batch:
     phase: np.ndarray
     saturation_step: np.ndarray
     saturation_values: np.ndarray
+    saturation_phase: np.ndarray
     length: np.ndarray
 
     @functools.cached_property
@@ -298,8 +304,8 @@ class _Batch:
         # The record of row r, as views of the batch's arrays.
         n, sat = int(self.length[r]), int(self.saturation_step[r])
         return TrajectoryRecord(self.permutation[r], self.alpha, self.states[:, r, :n].T, self.spread[r, :n],
-                                self.phase[r, :n], None if sat < 0 else sat,
-                                None if sat < 0 else self.saturation_values[r])
+                                self.phase[r, :n], *((None,) * 3 if sat < 0 else (
+                                    sat, self.saturation_values[r], int(self.saturation_phase[r]))))
 
     @classmethod
     def of(cls, traj: TrajectoryRecord) -> "_Batch":
@@ -308,7 +314,7 @@ class _Batch:
         return cls(traj.permutation[None], traj.alpha, traj.states.T[:, None], traj.spread[None],
                    traj.phase[None], np.array([-1 if sat is None else sat]),
                    np.full((1, traj.p), np.nan) if sat is None else traj.saturation_values[None],
-                   np.array([len(traj)]))
+                   np.array([0 if sat is None else traj.saturation_phase], dtype=np.int8), np.array([len(traj)]))
 
 
 def _run_batch(u0: np.ndarray, max_steps: int, alpha: float) -> _Batch:
@@ -346,26 +352,14 @@ def _run_batch(u0: np.ndarray, max_steps: int, alpha: float) -> _Batch:
     for m, (live, u) in enumerate(steps):
         states[:, live, m] = u.T
         length[live] = m + 1
+    # The saturating state's code is decided past the rounding of its step:
+    # component k is -expm1(T - log u_k), T the log total of the last state
+    # u.  The logs (eta = 4 ulp each), their sum in any order ((p - 1) eps
+    # |T|, as the terms share a sign) and the subtraction err by at most
+    # (2 eta + p eps) |T| <= (2 eta + p eps) p |log u_min|, which bounds the
+    # component's move; expm1 adds eta, and PHASE_TIE_TOL alpha's rounding.
+    log_min = np.log(states[0, np.arange(rows), length - 1])
+    margin = PHASE_TIE_TOL + (2 * _LIBM_REL + p * _EPS) * p * -log_min + _LIBM_REL
     return _Batch(order, alpha, states, states[-1] / states[0] - 1.0, _phase_codes(states, alpha),
-                  sat_step, sat_values, length)
+                  sat_step, sat_values, _phase_codes(sat_values.T, alpha, margin), length)
 
-
-def comparison_sequence(tau0: float, p: int, steps: int) -> list[float]:
-    """Orbit of the scalar comparison map x -> 1 - x**(p-1), seed included.
-
-    The scalar map is a decreasing bijection of [0, 1]; the returned list has
-    steps + 1 entries and is allowed to reach the boundary, where the orbit
-    alternates between exactly 0 and exactly 1.
-    """
-    if p < 3:
-        raise ValueError(f"comparison_sequence requires p >= 3, got {p}")
-    if not 0.0 < tau0 < 1.0:
-        raise ValueError(f"tau0 must lie inside (0, 1), got {tau0!r}")
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    out = [tau0]
-    x = tau0
-    for _ in range(steps):
-        x = 1.0 - x ** (p - 1)
-        out.append(x)
-    return out

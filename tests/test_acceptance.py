@@ -160,7 +160,7 @@ def test_criterion_9_even_odd_limits(sweep, sweep_results):
     horizon_ok = all(len(traj) <= 401 for traj in sweep)
     ok = undecided == 0 and domination_bad == 0 and horizon_ok
     _criterion(
-        9, "even/odd boundary verdicts and comparison-orbit domination", ok,
+        9, "even/odd boundary verdicts and one-step bracket", ok,
         f"{undecided} undecided, {domination_bad} domination violations",
     )
 

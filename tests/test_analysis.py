@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import json
@@ -17,7 +18,6 @@ from barypoly import (
     VerificationError,
     WeightTuple,
     certificate,
-    comparison_sequence,
     conjugate_step,
     contraction_certificate,
     default_suite,
@@ -32,7 +32,7 @@ from barypoly.analysis import (
     _TRAJ_CHECKS,
     _reliable_horizon,
 )
-from barypoly.dynamics import _Batch, _run_batch
+from barypoly.dynamics import PHASE_TIE_TOL, _Batch, _phase_codes, _run_batch
 
 # phase codes of a record
 BELOW, MIXED = -1, 0
@@ -141,6 +141,27 @@ def test_contraction_certificate_errors():
         contraction_certificate(shuffled, 0)
 
 
+def test_contraction_certificates_fail_an_unsorted_row_only():
+    # Two components of one row's state 1 swapped in a p = 3 batch of 100
+    # rows: that row fails with the reason, and every other row keeps its
+    # verdict and witness.
+    alpha = solve_alpha(3)
+    clean = _run_batch(np.random.default_rng(0).uniform(1e-3, 1.0 - 1e-3, size=(100, 3)), 400, alpha)
+    r = 7
+    states = clean.states.copy()
+    states[[1, 2], r, 1] = states[[2, 1], r, 1]
+    swapped = dataclasses.replace(clean, states=states)
+    for name, check in _TRAJ_CHECKS.items():
+        (passed, witness), (ref_passed, ref_witness) = check(swapped), check(clean)
+        others = [i for i in range(100) if i != r]
+        assert passed[others].tolist() == ref_passed[others].tolist(), name
+        assert [witness(i) for i in others] == [ref_witness(i) for i in others], name
+    passed, witness = _TRAJ_CHECKS["contraction_certificates"](swapped)
+    assert not passed[r] and witness(r) == {"step": 1, "reason": "state at m=1 is not sorted ascending"}
+    with pytest.raises(ValueError, match="not sorted"):
+        contraction_certificate(swapped.row(r), 1)
+
+
 def test_reliable_horizon():
     traj = _traj((0.15, 0.5, 0.85), steps=400)
     h = _reliable_horizon(_Batch.of(traj))[0]
@@ -212,11 +233,14 @@ def test_undecided_phase_blames_saturation_only_when_the_orbit_saturated():
     assert _check("phase_alternation", unstepped) == (
         False, {"reason": "no decided phase within the recorded horizon"})
     # at p = 256 a random seed saturates at its first step, so only the MIXED
-    # seed is recorded
+    # seed is recorded: the saturating state's phase is m0
     rng = np.random.default_rng(0)
     saturated = _traj(sorted(rng.uniform(1e-3, 1.0 - 1e-3, size=256)), steps=400)
     assert saturated.saturation_step == 1 and len(saturated) == 1
-    assert _check("phase_alternation", saturated) == (
+    assert _check("phase_alternation", saturated) == (True, {"m0": 1, "m0_from": "saturation"})
+    # a saturating state left undecided decides nothing
+    undecided = dataclasses.replace(saturated, saturation_phase=MIXED)
+    assert _check("phase_alternation", undecided) == (
         False, {"reason": "no decided phase before saturation"})
 
 
@@ -248,18 +272,23 @@ def test_verdict_matches_alternation_parity(sweep):
 
 def test_comparison_domination():
     check = functools.partial(_check, "comparison_domination")
-    assert check(_traj((0.2, 0.5, 0.8), steps=400)) == (True, {})
-    assert check(_fixed_point_traj()) == (True, {})  # vacuous: never BELOW
+    # every recorded pair and the saturating pair
+    assert check(_traj((0.2, 0.5, 0.8), steps=400)) == (True, {"pairs": 15})
+    assert check(_fixed_point_traj()) == (True, {"pairs": 10})
+    # at p = 2 the step is u' = 1 - u reversed, so the bracket is exact
+    assert check(_traj((0.2, 0.3), steps=4)) == (True, {"pairs": 4})
 
 
-def _comparison_domination_inline(traj, slack=1e-12):
-    # The check as it was with the scalar orbit written inline, kept as the
-    # oracle for the version that iterates comparison_sequence.
+def _comparison_domination_inline(traj):
+    # The check as it was before the one-step bracket, with its 1e-12 slack:
+    # the scalar orbit x -> 1 - x**(p-1) in Python floats, from the first
+    # BELOW step b0, must bound the extremes from b0 on.  It is the oracle of
+    # the multi-step claim, which the bracket implies by induction.
     states = traj.states.tolist()
     b0 = next((i for i, ph in enumerate(traj.phase.tolist()) if ph == BELOW), None)
     if b0 is None or b0 + 1 >= len(states):
         return True, {}
-    p = traj.p
+    p, slack = traj.p, 1e-12
     u_top = states[b0][-1]
     u_low_next = states[b0 + 1][0]
     if u_low_next > 1.0 - u_top ** (p - 1):
@@ -279,49 +308,156 @@ def _comparison_domination_inline(traj, slack=1e-12):
     return True, {}
 
 
-def test_comparison_domination_matches_the_inline_orbit(sweep, monkeypatch):
+def _restated(traj, states):
+    # the record with the given states, its spreads and phase codes
+    # computed from them as the record builder computes them
+    return dataclasses.replace(traj, states=states, spread=states[:, -1] / states[:, 0] - 1.0,
+                               phase=_phase_codes(states.T, traj.alpha))
+
+
+def _first_decided(traj):
+    decided = np.flatnonzero(traj.phase != MIXED)
+    return int(decided[0]) if decided.size else None
+
+
+def _halfway_to_alpha(traj):
+    # state m0 + 2 moved halfway to alpha
+    m0 = _first_decided(traj)
+    if m0 is None or m0 + 2 >= len(traj):
+        return None
+    states = traj.states.copy()
+    states[m0 + 2] = (states[m0 + 2] + traj.alpha) / 2
+    return _restated(traj, states)
+
+
+def _off_the_corner(traj):
+    # the last recorded even state moved 1e-3 away from its corner
+    m = (len(traj) - 1) // 2 * 2
+    if m < 1:
+        return None
+    states = traj.states.copy()
+    states[m] = np.where(states[m] < traj.alpha, states[m] + 1e-3, states[m] - 1e-3)
+    return _restated(traj, states)
+
+
+def _repeated_state(traj):
+    # state m0 recorded again as state m0 + 1
+    m0 = _first_decided(traj)
+    if m0 is None or m0 + 1 >= len(traj):
+        return None
+    states = traj.states.copy()
+    states[m0 + 1] = states[m0]
+    return _restated(traj, states)
+
+
+def _wrong_saturating_phase(traj):
+    if not traj.saturation_phase:
+        return None
+    return dataclasses.replace(traj, saturation_phase=-traj.saturation_phase)
+
+
+def _mirrored_saturating_state(traj):
+    if traj.saturation_values is None:
+        return None
+    return dataclasses.replace(traj, saturation_values=1.0 - traj.saturation_values)
+
+
+_MUTANTS = (_halfway_to_alpha, _off_the_corner, _repeated_state, _wrong_saturating_phase,
+            _mirrored_saturating_state)
+
+
+def test_comparison_domination_matches_the_inline_orbit(sweep):
+    # The bracket at every step implies the inline orbit's multi-step claim,
+    # so every record that fails the inline orbit must fail the check: the
+    # clean sweep, the mutants of every other record, and records with one
+    # component of one state moved, phases left as recorded.
     check = functools.partial(_check, "comparison_domination")
     rng = np.random.default_rng(17)
-    verdicts = set()
-    for traj in sweep:
-        assert check(traj) == _comparison_domination_inline(traj)
+    records = list(sweep)
+    for traj in sweep[::2]:
+        records += [m for mutant in _MUTANTS if (m := mutant(traj)) is not None]
     for traj in sweep[::5]:
         if len(traj) < 2:
             continue
-        # move one component of one state, leaving the phases as recorded
         m = int(rng.integers(0, len(traj)))
         q = int(rng.integers(0, traj.p))
         step = rng.choice([-1.0, 1.0]) * rng.choice([1e-13, 1e-11, 1e-3, 0.1])
-        bad = _with_state(traj, m, q, min(max(traj.states[m, q].item() + float(step), 1e-9), 1.0 - 1e-9))
-        got = check(bad)
-        assert got == _comparison_domination_inline(bad)
-        verdicts.add(got[0])
-    # negative slacks make the comparisons fail at every margin size, which
-    # pins the orbit values well below the default slack
-    for slack in (1e-12, 0.0, -1e-15, -1e-13, -1e-11, -1e-8, -1e-4):
-        monkeypatch.setattr(analysis, "DOMINATION_SLACK", slack)
-        for traj in sweep[::4]:
-            got = check(traj)
-            assert got == _comparison_domination_inline(traj, slack)
-            verdicts.add(got[0])
-    assert verdicts == {True, False}
+        records.append(_with_state(traj, m, q, min(max(traj.states[m, q].item() + float(step), 1e-9), 1.0 - 1e-9)))
+    caught = 0
+    for traj in records:
+        if not _comparison_domination_inline(traj)[0]:
+            assert not check(traj)[0]
+            caught += 1
+    assert caught > 100
+    assert {check(traj)[0] for traj in records} == {True, False}
 
 
-def test_comparison_domination_requires_p3():
-    # p = 2 alternates between BELOW and ABOVE forever; the scalar orbit, like
-    # the contraction certificate, is defined from p = 3 on
-    traj = _traj((0.2, 0.3), steps=4)
-    assert traj.phase[0] == BELOW
-    with pytest.raises(ValueError, match="p >= 3"):
-        _check("comparison_domination", traj)
+def test_mutants_fail_the_checks_whose_claims_they_break(sweep):
+    # Each mutant makes a claim false on every row it applies to, and the
+    # check of that claim must fail there.
+    must_fail = {
+        _halfway_to_alpha: ["comparison_domination"],
+        _repeated_state: ["comparison_domination", "phase_alternation"],
+        _wrong_saturating_phase: ["phase_alternation"],
+        _mirrored_saturating_state: ["comparison_domination"],
+    }
+    applied = collections.Counter()
+    for traj in sweep[::2]:
+        for mutant in _MUTANTS:
+            bad = mutant(traj)
+            if bad is None:
+                continue
+            applied[mutant] += 1
+            for name in must_fail.get(mutant, ()):
+                assert not _check(name, bad)[0], (mutant.__name__, name)
+            if mutant is _off_the_corner:
+                # a state within LIMIT_TOL of its corner, moved 1e-3, leaves
+                # the bracket; one 1e-3 from its corner may stay inside it
+                m = (len(traj) - 1) // 2 * 2
+                if min(traj.states[m].max(), 1.0 - traj.states[m].min()) < analysis.LIMIT_TOL:
+                    assert not _check("comparison_domination", bad)[0]
+                    applied["deep"] += 1
+            elif mutant is _mirrored_saturating_state:
+                # where the mirror still hits exactly one corner, it is the
+                # other corner from the one the phase code names
+                v = bad.saturation_values
+                if (v <= math.ulp(0.0)).any() != (1.0 - v <= math.ulp(1.0)).any():
+                    assert not _check("even_odd_limits", bad)[0]
+                    applied["one_corner"] += 1
+    assert min(applied.values()) > 300, applied
 
 
-def test_comparison_orbit_is_the_scalar_map():
-    seq = comparison_sequence(0.7, 4, 5)
-    x = 0.7
-    for val in seq:
-        assert val == x
-        x = 1.0 - x ** 3
+def test_saturating_phase_margin_against_a_60_digit_orbit():
+    # The saturating state of each record is the step's image of its last
+    # recorded state.  Its float components lie within the margin of the
+    # 60-digit image, less PHASE_TIE_TOL, which is what makes a decided code
+    # sound; and the 60-digit orbit from the seed, stepped to the
+    # saturation index, has the phase of the float code at every p.
+    eps, eta = 2.0**-53, 8 * 2.0**-53
+    for p in (32, 64, 256, 1024):
+        alpha = solve_alpha(p)
+        batch = _run_batch(np.random.default_rng(p).uniform(1e-3, 1.0 - 1e-3, size=(2, p)), 400, alpha)
+        with mpmath.workdps(60):
+            exact_alpha = mpmath.mpf(alpha)
+            for _ in range(4):
+                exact_alpha -= (exact_alpha ** (p - 1) + exact_alpha - 1) / ((p - 1) * exact_alpha ** (p - 2) + 1)
+            for r in range(2):
+                traj = batch.row(r)
+                assert traj.saturation_phase in (BELOW, 1)
+                u = [mpmath.mpf(x) for x in traj.states[0].tolist()]
+                for _ in range(traj.saturation_step):
+                    logs = [mpmath.log(x) for x in u]
+                    total = mpmath.fsum(logs)
+                    u = [-mpmath.expm1(total - lg) for lg in logs]
+                assert all((x > exact_alpha) == (traj.saturation_phase == 1) for x in u), (p, r)
+                last = [mpmath.mpf(x) for x in traj.states[-1].tolist()]
+                logs = [mpmath.log(x) for x in last]
+                total = mpmath.fsum(logs)
+                image = [-mpmath.expm1(total - lg) for lg in logs]
+                bound = (2 * eta + p * eps) * p * -math.log(traj.states[-1, 0]) + eta
+                error = max(abs(mpmath.mpf(v) - x) for v, x in zip(traj.saturation_values.tolist(), image))
+                assert error <= bound, (p, r)
+                assert min(abs(x - exact_alpha) for x in image) > 1e3 * (bound + PHASE_TIE_TOL), (p, r)
 
 
 def _dense_jacobian(p, beta):
@@ -644,9 +780,9 @@ def test_trajectory_check_witnesses_are_pinned():
         "contraction_certificates": {"certificates": 9},
         "spread_geometric_bound": {},
         "t_ratio_transfer": {},
-        "phase_alternation": {"m0": 2},
+        "phase_alternation": {"m0": 2, "m0_from": "recorded"},
         "even_odd_limits": {"verdict": "even_to_zero_odd_to_one"},
-        "comparison_domination": {},
+        "comparison_domination": {"pairs": 15},
     }
     first = trajectory_checks(readme_seed)
     assert [(r.name, r.passed, r.witness) for r in first] == [

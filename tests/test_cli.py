@@ -202,6 +202,14 @@ def test_verify_polygon_collapse_at_p_1024(capsys):
     assert check["witness"]["p_audited"] == [1024] and check["witness"]["tuples"] == 4
 
 
+@pytest.mark.parametrize("p", ["32", "64", "256", "1024"])
+def test_verify_passes_past_saturation(p, capsys):
+    # the orbits saturate within a few steps, at p >= 256 at the first, and
+    # phase_alternation decides them by the saturating state's phase
+    assert main(["verify", "--p", p]) == 0
+    assert "all checks passed" in capsys.readouterr().out
+
+
 def test_verify_check_filter(capsys):
     assert main(["verify", "--p", "3", "--seeds", "2", "--check", "fixed_point"]) == 0
     out = capsys.readouterr().out
@@ -397,7 +405,7 @@ def test_package_names_load_from_their_home_modules():
         "CheckResult", "ConjugateTuple", "ContractionCertificate", "DualSequenceRecord",
         "KNOWN_CHECKS", "PointSet", "SaturationError", "StationaryCertificate",
         "TrajectoryRecord", "VerificationError", "WeightTuple",
-        "centroid", "certificate", "comparison_sequence", "conjugate_of", "conjugate_step",
+        "centroid", "certificate", "conjugate_of", "conjugate_step",
         "contraction_certificate", "default_suite", "derived_step", "dual_sequence",
         "limit_point", "polygon_step", "run_trajectory", "solve_alpha", "spectral_check",
         "trajectory_checks", "weight_orders",

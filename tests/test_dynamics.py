@@ -8,7 +8,6 @@ from barypoly import (
     ConjugateTuple,
     SaturationError,
     WeightTuple,
-    comparison_sequence,
     conjugate_of,
     conjugate_step,
     derived_step,
@@ -251,29 +250,6 @@ def test_trajectory_diagnostic_fields():
             assert math.exp(log_products[m, k]) == pytest.approx(direct, rel=1e-12)
 
 
-def test_comparison_sequence_recurrence():
-    seq = comparison_sequence(0.9, 3, 12)
-    assert len(seq) == 13
-    assert seq[0] == 0.9
-    for a, b in zip(seq, seq[1:]):
-        assert b == 1.0 - a ** 2
-
-
-def test_comparison_sequence_reaches_boundary():
-    # the scalar orbit is allowed to hit 0 and 1, where it alternates forever
-    seq = comparison_sequence(0.99, 5, 60)
-    assert 0.0 in seq and 1.0 in seq
-
-
-def test_comparison_sequence_validation():
-    with pytest.raises(ValueError):
-        comparison_sequence(0.5, 2, 4)
-    with pytest.raises(ValueError):
-        comparison_sequence(1.0, 3, 4)
-    with pytest.raises(ValueError):
-        comparison_sequence(0.5, 3, -1)
-
-
 def _run_trajectory_stepping_then_summing(u0, max_steps, alpha):
     # The orbit by conjugate_step, then each state's log sums computed again
     # independently of the kernel: math.log and one correctly rounded fsum.
@@ -375,6 +351,7 @@ def _record_bits(traj):
         traj.phase.tolist(),
         traj.saturation_step,
         None if traj.saturation_values is None else _bits(traj.saturation_values),
+        traj.saturation_phase,
     )
 
 
