@@ -50,7 +50,6 @@ __all__ = [
     "VerificationError",
     "ContractionCertificate",
     "CheckResult",
-    "RELIABLE_GAP",
     "contraction_certificate",
     "spectral_check",
     "trajectory_checks",
@@ -60,11 +59,6 @@ __all__ = [
 
 # Relative tolerance of the two-step affine recurrence identities.
 IDENTITY_RTOL = 1e-10
-
-# Components this close to 1 are stored with fewer significant digits of
-# boundary distance than ratio claims at 1e-12 slack need; see
-# _reliable_horizon.
-RELIABLE_GAP = 1e-10
 
 # Entrywise tolerance of the complex-step residuals in spectral_check.
 SPECTRAL_ATOL = 1e-13
@@ -266,26 +260,41 @@ def _verdicts(bad: np.ndarray, more=lambda r, m: {}, key: str = "step") -> _Verd
 
 
 def _traj_order_preserved(batch: _Batch) -> _Verdicts:
+    # the comparison is negated, so that a NaN component fails
     U = batch.states
-    return _verdicts((U[1:] < U[:-1] - SORTED_SLACK).any(axis=0) & batch.valid)
+    return _verdicts((~(U[1:] >= U[:-1] - SORTED_SLACK)).any(axis=0) & batch.valid)
 
 
 def _traj_ratio_monotone(batch: _Batch) -> _Verdicts:
     # Sorted component ratios never increase across two steps: for every
     # sorted pair k < l and every pair of states two steps apart,
-    # 1 <= u_l^(m+2)/u_k^(m+2) <= u_l^(m)/u_k^(m) + slack.  The slack widens
-    # from RATIO_SLACK to ten times the quantization noise the pair inherits
-    # from storage (batch.pair_noise), so deep-corner states degrade to
-    # vacuous comparisons instead of spurious failures.  A failure names the
-    # first violating m.
+    # 1 <= u_l^(m+2)/u_k^(m+2) <= u_l^(m)/u_k^(m) + tol.  tol widens from
+    # RATIO_SLACK to ten times the quantization noise the pair inherits from
+    # storage (batch.pair_noise), so deep-corner states degrade to vacuous
+    # comparisons instead of spurious failures.  A failure names the first
+    # violating m; the comparisons are negated, so that a NaN fails.
+    #
+    # Every pair is tested in one pass over the components.  With b = u^(m+2)
+    # and y = u^(m+2) / u^(m) componentwise, the lower claims of the pairs
+    # (k, l), k < l, are b_l >= (1 - tol) max_{k<l} b_k.  Dividing the upper
+    # claim r^(m+2) <= r^(m) + tol of a pair by r^(m) = u_l^(m) / u_k^(m)
+    # gives y_l / y_k - 1 <= tol u_k^(m) / u_l^(m).  The test allows
+    # y_l / min_{k<l} y_k - 1 <= tol min u^(m) / max u^(m), and min u^(m) /
+    # max u^(m) <= u_k^(m) / u_l^(m): no pair gets more slack than its own
+    # claim grants it.  So a running max of b and a running min of y decide
+    # all p(p-1)/2 pairs in O(p).  Testing the consecutive pairs alone would
+    # be looser, as their slacks add up over the gaps of a pair.
     U = batch.states
     a, b = U[:, :, :-2], U[:, :, 2:]
     tol = np.maximum(RATIO_SLACK, 10.0 * batch.pair_noise)
     bad = np.zeros(b.shape[1:], dtype=bool)
-    for k in range(len(U) - 1) if bad.size else ():
-        # the pairs (k, l) for every l > k
-        r_now = b[k + 1 :] / b[k]
-        bad |= ((r_now < 1.0 - tol) | (r_now > a[k + 1 :] / a[k] + tol)).any(axis=0)
+    if bad.size:
+        keep, allowance = 1.0 - tol, tol * a.min(axis=0) / a.max(axis=0)
+        high, low = b[0], b[0] / a[0]
+        for l in range(1, len(U)):
+            y = b[l] / a[l]
+            bad |= ~((b[l] >= keep * high) & (y / low - 1.0 <= allowance))
+            high, low = np.maximum(high, b[l]), np.minimum(low, y)
     return _verdicts(bad & batch.valid[:, 2:])
 
 
@@ -313,7 +322,7 @@ def _traj_contraction_certificates(batch: _Batch) -> _Verdicts:
     # its first m whose certificate fails or whose state is unsorted, which
     # only corrupt data can give; the other rows keep their verdicts.
     U = batch.states
-    p, rows = U.shape[:2]
+    rows = U.shape[1]
     lo, hi = CERT_WINDOW
     inside = ~((U[0] < lo) | (U[-1] > hi))
     window = (inside[:, :-2] & inside[:, 1:-1] & inside[:, 2:] & (batch.spread[:, :-2] > 1e-9)
@@ -321,8 +330,6 @@ def _traj_contraction_certificates(batch: _Batch) -> _Verdicts:
     counts = window.sum(axis=-1)
     if not window.any():
         return np.ones(rows, dtype=bool), lambda r: {"certificates": int(counts[r])}
-    if p < 3:
-        raise ValueError(f"the contraction certificate requires p >= 3, got {p}")
     # every m is evaluated and then masked: the temporaries keep the batch's
     # shape instead of one that varies with the number of certificates.
     # Gathering only the window's states took ~0.3 ms less per default sweep
@@ -337,30 +344,20 @@ def _traj_contraction_certificates(batch: _Batch) -> _Verdicts:
         else _certificate_error(fields, failures, (r, first[r]), int(first[r]))}
 
 
-def _reliable_horizon(batch: _Batch) -> np.ndarray:
-    # Number of leading states of each row before the first with a component
-    # within RELIABLE_GAP of 1, where spread_geometric_bound stops.  A
-    # component stored as 1 - d keeps d only to half an ulp of 1, and the
-    # next two states inherit that error.  States before the horizon can
-    # still carry more than 1e-12 of it: 1e-10 to 3.6e-10 below 1, a p = 3
-    # spread of ~1e-7 is noise, which the allowances of the spread claims
-    # cover.  The largest component of a sorted state is its last.
-    near_one = (1.0 - batch.states[-1] <= RELIABLE_GAP) & batch.valid
-    return np.where(near_one.any(axis=-1), near_one.argmax(axis=-1), batch.length)
-
-
 def _traj_geometric_bound(batch: _Batch) -> _Verdicts:
-    # spread[2q] <= B_q + 1e-12 for 1 <= 2q < the horizon, with B_0 =
-    # spread[0] and B_q = B_{q-1} / 2 + a_q, a_q the allowance that
+    # spread[2q] <= B_q + 1e-12 for every recorded even state 2q >= 2, with
+    # B_0 = spread[0] and B_q = B_{q-1} / 2 + a_q, a_q the allowance that
     # spread_contraction grants the pair (2q - 2, 2q), whose claim carries
     # spread[2q - 2] <= B_{q-1} to spread[2q] < B_q.  2**q B_q is the
-    # running sum of spread[0] and the 2**j a_j, bit for bit.
+    # running sum of spread[0] and the 2**j a_j, bit for bit.  The
+    # allowances grow with the storage noise of a component near 1, so the
+    # bound holds on every recorded state, deep-corner ones included.
     S = batch.spread
     even = S[:, ::2]
     q = np.arange(even.shape[1])
     scaled = np.concatenate((S[:, :1], _spread_allowance(batch)[:, ::2] * 2.0 ** q[1:]), axis=1)
     bound = np.cumsum(scaled, axis=1) * 2.0 ** -q + 1e-12
-    bad = (even > bound) & (q >= 1) & (q < (_reliable_horizon(batch)[:, None] + 1) // 2)
+    bad = (even > bound) & (q >= 1) & (2 * q < batch.length[:, None])
     return _verdicts(bad, lambda r, i: {"spread": float(even[r, i]), "bound": float(bound[r, i])}, "q")
 
 
@@ -694,13 +691,19 @@ def trajectory_checks(traj: TrajectoryRecord) -> list[CheckResult]:
     return [CheckResult(name, bool(passed[0]), witness(0)) for name, (passed, witness) in verdicts.items()]
 
 
+def _perturbed(batch: _Batch) -> _Batch:
+    # Harness sanity fixture: bump the first component of row 0's state
+    # min(2, length - 1), in a copy of the states, so that order and
+    # recurrence checks must notice.  The other rows are untouched.
+    states = batch.states.copy()
+    m = min(2, batch.length[0] - 1)
+    states[0, 0, m] = min(states[0, 0, m] + 0.07, 1.0 - 1e-9)
+    return replace(batch, states=states)
+
+
 def _perturbed_record(traj: TrajectoryRecord) -> TrajectoryRecord:
-    # Harness sanity fixture: bump one component of a middle state, in a
-    # copy of the states, so that order and recurrence checks must notice.
-    states = traj.states.copy()
-    idx = min(2, len(states) - 1)
-    states[idx, 0] = min(states[idx, 0] + 0.07, 1.0 - 1e-9)
-    return replace(traj, states=states)
+    # the record with _perturbed's fault
+    return _perturbed(_Batch.of(traj)).row(0)
 
 
 def default_suite(
@@ -748,19 +751,16 @@ def default_suite(
         if not traj_names:
             continue
         batch = _run_batch(seeds, max_steps, solve_alpha(p))
-        fault = None
         if inject_fault and swept == 0:
-            fault = _Batch.of(_perturbed_record(batch.row(0)))
+            batch = _perturbed(batch)
         swept += seeds_per_p
         for name in traj_names:
             passed, witness = _TRAJ_CHECKS[name](batch)
-            # row 0 takes the verdict of the fault's one-row batch, if any
-            passed0, witness0 = (passed, witness) if fault is None else _TRAJ_CHECKS[name](fault)
-            failed = np.flatnonzero(~np.concatenate((passed0[:1], passed[1:])))
+            failed = np.flatnonzero(~passed)
             violations[name] += failed.size
             if failed.size and name not in first_failure:
                 s = int(failed[0])
-                first_failure[name] = {"p": p, "seed_index": s, **(witness0 if s == 0 else witness)(s)}
+                first_failure[name] = {"p": p, "seed_index": s, **witness(s)}
 
     results = []
     for name in names:

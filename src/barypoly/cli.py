@@ -18,11 +18,13 @@ verify loads analysis and dynamics (and through them geometry).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import itertools
 import json
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, TextIO
 
 from .stationary import certificate, solve_alpha
 
@@ -130,10 +132,15 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _open_out(path: str | None):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline="\n"), True
+def _write_csv(path: str | None, header: list[str], rows) -> TextIO:
+    # Write the header and rows, lists of fields, as CSV lines to path, or to
+    # stdout for None or '-', and return the stream of the command's note:
+    # stderr when the CSV went to stdout, stdout otherwise.
+    to_stdout = path is None or path == "-"
+    with contextlib.nullcontext(sys.stdout) if to_stdout else open(path, "w", encoding="utf-8", newline="\n") as out:
+        for row in itertools.chain([header], rows):
+            out.write(",".join(row) + "\n")
+    return sys.stderr if to_stdout else sys.stdout
 
 
 # ---------------------------------------------------------------------------
@@ -181,19 +188,10 @@ def cmd_trajectory(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
     alpha = solve_alpha(t0.p)
     traj = run_trajectory(conjugate_of(t0), _max_steps(cfg), alpha)
 
-    out, close = _open_out(args.out)
-    try:
-        header = ["m"] + [f"u_{k + 1}" for k in range(traj.p)] + ["spread", "phase"]
-        out.write(",".join(header) + "\n")
-        for m, (u, spread, code) in enumerate(zip(traj.states.tolist(), traj.spread.tolist(),
-                                                  traj.phase.tolist())):
-            row = [str(m), *map(_fmt, u), _fmt(spread), _PHASE_NAMES[code + 1]]
-            out.write(",".join(row) + "\n")
-    finally:
-        if close:
-            out.close()
-
-    note = sys.stderr if (args.out is None or args.out == "-") else sys.stdout
+    header = ["m"] + [f"u_{k + 1}" for k in range(traj.p)] + ["spread", "phase"]
+    note = _write_csv(args.out, header, (
+        [str(m), *map(_fmt, u), _fmt(spread), _PHASE_NAMES[code + 1]]
+        for m, (u, spread, code) in enumerate(zip(traj.states.tolist(), traj.spread.tolist(), traj.phase.tolist()))))
     if traj.saturation_step is not None:
         print(
             f"saturated at step {traj.saturation_step}: a component left (0, 1); "
@@ -227,21 +225,9 @@ def cmd_dual(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     t0 = WeightTuple.of(cfg.weights)
     record = dual_sequence(_points_from_config(cfg, t0.p), t0, _max_steps(cfg))
 
-    out, close = _open_out(args.out)
-    try:
-        dim = record.points.shape[1]
-        header = ["m"] + [f"g_{d + 1}" for d in range(dim)] + ["distance"]
-        out.write(",".join(header) + "\n")
-        for m in range(record.points.shape[0]):
-            row = [str(m)]
-            row.extend(_fmt(v) for v in record.points[m])
-            row.append(_fmt(record.distances_to_centroid[m]))
-            out.write(",".join(row) + "\n")
-    finally:
-        if close:
-            out.close()
-
-    note = sys.stderr if (args.out is None or args.out == "-") else sys.stdout
+    header = ["m"] + [f"g_{d + 1}" for d in range(record.points.shape[1])] + ["distance"]
+    note = _write_csv(args.out, header, (
+        [str(m), *map(_fmt, g), _fmt(d)] for m, (g, d) in enumerate(zip(record.points, record.distances_to_centroid))))
     if record.fitted_rate is None:
         print("fitted rate: not enough usable samples", file=note)
     else:

@@ -8,7 +8,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from barypoly import (
     KNOWN_CHECKS,
@@ -28,10 +28,7 @@ from barypoly import (
     trajectory_checks,
 )
 from barypoly import analysis, dynamics, geometry
-from barypoly.analysis import (
-    _TRAJ_CHECKS,
-    _reliable_horizon,
-)
+from barypoly.analysis import _TRAJ_CHECKS
 from barypoly.dynamics import PHASE_TIE_TOL, _Batch, _phase_codes, _run_batch
 
 # phase codes of a record
@@ -162,13 +159,6 @@ def test_contraction_certificates_fail_an_unsorted_row_only():
         contraction_certificate(swapped.row(r), 1)
 
 
-def test_reliable_horizon():
-    traj = _traj((0.15, 0.5, 0.85), steps=400)
-    h = _reliable_horizon(_Batch.of(traj))[0]
-    assert 0 < h <= len(traj)
-    assert all(1.0 - max(u) > 1e-10 for u in traj.states[:h].tolist())
-
-
 def test_spread_geometric_bound_passes_on_the_seeds_of_its_false_failures():
     # Each sweep failed one p = 3 row against the closed form 0.5**q
     # spread[0] + 1e-12, at q = 22, 19 and 21, where an 80-digit orbit from
@@ -178,21 +168,44 @@ def test_spread_geometric_bound_passes_on_the_seeds_of_its_false_failures():
         assert res.passed, res.witness
 
 
-def test_spread_geometric_bound_fails_on_a_clean_state_at_twice_its_bound():
-    traj = _traj((0.2, 0.5, 0.8), steps=400)
-    S = traj.spread
+def _geometric_bounds(traj):
     # B_q = B_{q-1} / 2 + a_q from B_0 = spread[0], a_q the allowance of
-    # spread_contraction for the pair (2q - 2, 2q)
+    # spread_contraction for the pair (2q - 2, 2q), for every recorded even
+    # state 2q
+    S = traj.spread
     bound = [S[0]]
-    for q in (1, 2):
+    for q in range(1, (len(traj) + 1) // 2):
         a_q = 10.0 * (5.6e-17 / (1.0 - traj.states[2 * q - 1].max()) + 1e-14) * (1.0 + S[2 * q - 2])
         bound.append(0.5 * bound[-1] + a_q)
+    return bound
+
+
+def _assert_fails_at_twice_the_bound(traj, q):
+    bound = _geometric_bounds(traj)[q] + 1e-12
+    spread = traj.spread.copy()
+    spread[2 * q] = 2.0 * bound
+    ok, witness = _check("spread_geometric_bound", dataclasses.replace(traj, spread=spread))
+    assert not ok and witness == {"q": q, "spread": spread[2 * q], "bound": bound}
+
+
+def test_spread_geometric_bound_fails_on_a_clean_state_at_twice_its_bound():
+    traj = _traj((0.2, 0.5, 0.8), steps=400)
     assert traj.states[:5].max() < 0.99 and _check("spread_geometric_bound", traj) == (True, {})
     for q in (1, 2):
-        spread = S.copy()
-        spread[2 * q] = 2.0 * (bound[q] + 1e-12)
-        ok, witness = _check("spread_geometric_bound", dataclasses.replace(traj, spread=spread))
-        assert not ok and witness == {"q": q, "spread": spread[2 * q], "bound": bound[q] + 1e-12}
+        _assert_fails_at_twice_the_bound(traj, q)
+
+
+def test_spread_geometric_bound_audits_every_recorded_even_state():
+    # The orbit comes within 1e-10 of 1 before its last recorded even state.
+    # A spread at twice its bound fails at every even state, the one past
+    # that deep-corner state included.
+    traj = _traj((0.15, 0.5, 0.85), steps=400)
+    assert _check("spread_geometric_bound", traj) == (True, {})
+    near_one = int(np.argmax(1.0 - traj.states.max(axis=1) <= 1e-10))
+    last = (len(traj) - 1) // 2
+    assert 0 < near_one < 2 * last
+    for q in range(1, last + 1):
+        _assert_fails_at_twice_the_bound(traj, q)
 
 
 def test_ratio_monotonicity_catches_corruption():
@@ -202,6 +215,120 @@ def test_ratio_monotonicity_catches_corruption():
     bad = _with_state(traj, 2, -1, min(traj.states[2, -1] + 0.2, 0.999))
     ok, witness = check(bad)
     assert not ok and witness["step"] in (0, 2)
+
+
+def test_order_checks_fail_a_nan_component():
+    # a NaN component fails the state it belongs to, and the pairs of states
+    # two steps apart that hold it
+    traj = _traj((0.2, 0.3, 0.4, 0.5), steps=6)
+    for m in (0, 2, 3, 6):
+        bad = _with_state(traj, m, 1, math.nan)
+        assert _check("order_preserved", bad) == (False, {"step": m})
+        assert _check("ratio_monotone", bad) == (False, {"step": m - 2 if m >= 2 else m})
+
+
+def _ratio_monotone_by_pair_loop(batch):
+    # The all-pairs loop that ratio_monotone ran before its running extremes,
+    # as its oracle: every sorted pair k < l of every two states two steps
+    # apart, each pair with its own slack.  The first failing m of every
+    # row, -1 in a row that passes.
+    U = batch.states
+    a, b = U[:, :, :-2], U[:, :, 2:]
+    tol = np.maximum(analysis.RATIO_SLACK, 10.0 * batch.pair_noise)
+    bad = np.zeros(b.shape[1:], dtype=bool)
+    for k in range(len(U) - 1):
+        r_now = b[k + 1:] / b[k]
+        bad |= ((r_now < 1.0 - tol) | (r_now > a[k + 1:] / a[k] + tol)).any(axis=0)
+    return analysis._first(bad & batch.valid[:, 2:])
+
+
+def _assert_ratio_monotone_implies_the_pair_loop(batch):
+    # Every row that fails the pair loop fails the check, at the same m or
+    # before it; returns how many rows each fails
+    oracle = _ratio_monotone_by_pair_loop(batch)
+    passed, witness = analysis._traj_ratio_monotone(batch)
+    for r in np.flatnonzero(oracle >= 0):
+        assert not passed[r] and witness(r)["step"] <= oracle[r], (r, oracle[r])
+    return int((oracle >= 0).sum()), int((~passed).sum())
+
+
+def _swapped(traj, m, rng):
+    states = traj.states.copy()
+    k, l = rng.choice(traj.p, size=2, replace=False)
+    states[m, [k, l]] = states[m, [l, k]]
+    return dataclasses.replace(traj, states=states)
+
+
+def _scaled(traj, m, rng, factor, one=True, shift=0.0):
+    # one random component of state m (or all of it) times factor, plus shift
+    states = traj.states.copy()
+    q = int(rng.integers(traj.p)) if one else slice(None)
+    states[m, q] = np.minimum(states[m, q] * factor + shift, 1.0 - 1e-9)
+    return dataclasses.replace(traj, states=states)
+
+
+def test_ratio_monotone_agrees_with_the_pair_loop(sweep):
+    # The clean sweep passes both; its injected faults and six mutant kinds
+    # at a random state, where the pair loop fails, fail the check too.
+    rng = np.random.default_rng(27)
+    for traj in sweep:
+        assert _assert_ratio_monotone_implies_the_pair_loop(_Batch.of(traj)) == (0, 0)
+    mutants = [
+        lambda traj, m: _swapped(traj, m, rng),
+        lambda traj, m: _scaled(traj, m, rng, 1.0 + 1e-9),
+        lambda traj, m: _scaled(traj, m, rng, 1.0 + 1e-6, one=False),
+        lambda traj, m: _scaled(traj, m, rng, 1.0, shift=0.07),
+        lambda traj, m: _repeated_state(traj),
+        lambda traj, m: _halfway_to_alpha(traj),
+    ]
+    oracle_failed = 0
+    for traj in sweep[::2]:
+        if len(traj) < 3:
+            continue
+        bad = [analysis._perturbed_record(traj)]
+        bad += [mutant(traj, int(rng.integers(len(traj)))) for mutant in mutants]
+        for rec in bad:
+            if rec is not None:
+                failed, _ = _assert_ratio_monotone_implies_the_pair_loop(_Batch.of(rec))
+                oracle_failed += failed
+    assert oracle_failed > 500
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 16), st.integers(1, 4), st.integers(0, 6), st.randoms(use_true_random=False),
+       st.lists(st.sampled_from([1.0 + 1e-13, 1.0 + 1e-11, 1.0 - 1e-9, 1.0 + 1e-6, 1.07, 0.5]), max_size=4))
+def test_ratio_monotone_implies_the_pair_loop_on_random_batches(p, rows, steps, random, factors):
+    # orbits of random seeds with random components scaled by the factors,
+    # in one batch of rows of different lengths
+    seeds = np.array([[random.uniform(1e-3, 1.0 - 1e-3) for _ in range(p)] for _ in range(rows)])
+    batch = _run_batch(seeds, steps, solve_alpha(max(p, 3)))
+    states = batch.states.copy()
+    for factor in factors:
+        r = random.randrange(rows)
+        at = (random.randrange(p), r, random.randrange(int(batch.length[r])))
+        states[at] = min(states[at] * factor, 1.0 - 1e-9)
+    _assert_ratio_monotone_implies_the_pair_loop(dataclasses.replace(batch, states=states))
+
+
+def test_ratio_monotone_does_not_add_consecutive_slacks():
+    # A nearly regular state u whose state two steps on moves each
+    # consecutive gap by 0.6 times that gap's slack: the pair (0, 2) moves by
+    # about 1.2 times its own slack and fails, which a test of the
+    # consecutive pairs alone would pass.
+    u = np.array([0.5, 0.501, 0.502])
+    tol = analysis.RATIO_SLACK
+    y = np.cumprod([1.0, 1.0 + 0.6 * tol * u[0] / u[1], 1.0 + 0.6 * tol * u[1] / u[2]])
+    traj = _record_of_states([u, u, u * y])
+    batch = _Batch.of(traj)
+    assert batch.pair_noise.max() * 10.0 < tol
+
+    def consecutive_only(u, v):
+        r_now, r_then = v[1:] / v[:-1], u[1:] / u[:-1]
+        return bool(((r_now >= 1.0 - tol) & (r_now <= r_then + tol)).all())
+
+    assert consecutive_only(u, u * y)
+    assert _ratio_monotone_by_pair_loop(batch)[0] == 0
+    assert _check("ratio_monotone", traj) == (False, {"step": 0})
 
 
 def _fixed_point_traj():
@@ -916,6 +1043,29 @@ def test_default_suite_rejects_a_sweep_of_nothing():
 def test_default_suite_notices_injected_fault():
     results = default_suite(p_values=(4,), seeds_per_p=2, inject_fault=True)
     assert any(not r.passed for r in results)
+
+
+def test_default_suite_checks_each_p_batch_once_with_a_fault(monkeypatch):
+    # the fault is injected into the first p's batch, which every check
+    # then reads once, as it reads every other p's batch
+    calls = collections.Counter()
+    for name, check in _TRAJ_CHECKS.items():
+        monkeypatch.setitem(_TRAJ_CHECKS, name, lambda batch, name=name, check=check: (
+            calls.update([(name, batch.states.shape[0])]) or check(batch)))
+    results = default_suite(p_values=(3, 5), seeds_per_p=4, inject_fault=True)
+    assert calls == {(name, p): 1 for name in _TRAJ_CHECKS for p in (3, 5)}
+    failed = {r.name: r.witness["first_failure"] for r in results if not r.passed}
+    assert failed and all(w["p"] == 3 and w["seed_index"] == 0 for w in failed.values())
+
+
+def test_every_trajectory_check_gives_a_p_2_row_a_verdict():
+    # At p = 2 the two-step map is the identity, slope 1 and intercept 0, so
+    # a state inside the certificate window fails on positivity.  No check
+    # raises for the batch.
+    traj = _traj((0.3, 0.6), steps=6)
+    verdicts = {name: _check(name, traj) for name in _TRAJ_CHECKS}
+    assert verdicts["contraction_certificates"] == (False, {
+        "step": 0, "reason": "positivity failed at m=0: slope=1.0, intercept=0.0"})
 
 
 def test_sweep_is_fully_clean(sweep_results):

@@ -149,6 +149,22 @@ def test_trajectory_to_stdout(capsys):
     assert "recorded" in captured.err
 
 
+@pytest.mark.parametrize("command", ["trajectory", "dual"])
+def test_csv_out_moves_the_note_to_stdout(command, tmp_path, capsys):
+    # The CSV goes to stdout and the note to stderr, with no --out and with
+    # --out -; with --out FILE the file holds the CSV and stdout the note.
+    argv = [command, "--weights", "0.4,0.5,0.6", "--steps", "3"]
+    assert main(argv) == 0
+    csv, note = capsys.readouterr()
+    assert csv.startswith("m,") and note
+    assert main(argv + ["--out", "-"]) == 0
+    assert capsys.readouterr() == (csv, note)
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr() == (note, "")
+    assert out.read_bytes() == csv.encode("utf-8")
+
+
 def test_trajectory_rejects_bad_weights(capsys):
     assert main(["trajectory", "--weights", "0.4,1.5,0.6"]) == 2
     assert "inside (0, 1)" in capsys.readouterr().err
