@@ -737,23 +737,18 @@ def default_suite(
         wanted.discard("unique_fixed_point_grid")
     names = [n for n in KNOWN_CHECKS if n in wanted]
 
-    # The seeds are drawn only when a trajectory or seed check runs, and
-    # before the geometry checks draw theirs; they are stepped only when a
-    # trajectory check runs.
+    # Every p's seeds are drawn whichever checks run, and before the
+    # geometry checks draw theirs, so a check sees the same inputs under any
+    # selection; they are stepped only when a trajectory check runs.
     rng = np.random.default_rng(rng_seed)
+    # one draw takes the same numbers from the RNG as one draw per seed
+    drawn = [(p, rng.uniform(1e-3, 1.0 - 1e-3, size=(seeds_per_p, p))) for p in p_values]
     traj_names = [n for n in names if n in _TRAJ_CHECKS]
-    swept, violations, first_failure = 0, dict.fromkeys(traj_names, 0), {}
-    drawn = []
-    for p in p_values if traj_names or wanted.intersection(_SEED_CHECKS) else ():
-        # one draw takes the same numbers from the RNG as one draw per seed
-        seeds = rng.uniform(1e-3, 1.0 - 1e-3, size=(seeds_per_p, p))
-        drawn.append((p, seeds))
-        if not traj_names:
-            continue
+    violations, first_failure = dict.fromkeys(traj_names, 0), {}
+    for i, (p, seeds) in enumerate(drawn if traj_names else ()):
         batch = _run_batch(seeds, max_steps, solve_alpha(p))
-        if inject_fault and swept == 0:
+        if inject_fault and i == 0:
             batch = _perturbed(batch)
-        swept += seeds_per_p
         for name in traj_names:
             passed, witness = _TRAJ_CHECKS[name](batch)
             failed = np.flatnonzero(~passed)
@@ -768,7 +763,7 @@ def default_suite(
             passed, witness = _STATIC_CHECKS[name](sorted(set(p_values)))
         elif name in _TRAJ_CHECKS:
             passed = violations[name] == 0
-            witness = {"trajectories": swept, "violations": violations[name]}
+            witness = {"trajectories": len(p_values) * seeds_per_p, "violations": violations[name]}
             if name in first_failure:
                 witness["first_failure"] = first_failure[name]
         elif name in _SEED_CHECKS:

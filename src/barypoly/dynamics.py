@@ -115,48 +115,28 @@ def conjugate_of(t: WeightTuple) -> ConjugateTuple:
     return ConjugateTuple.of(u)
 
 
-# Elements per temporary array of the direct sums: about 0.25 MB each at
-# large p, while small p takes a single block.
-_BLOCK_ELEMS = 1 << 15
-
-
-@functools.lru_cache(maxsize=16)
-def _others(p: int) -> np.ndarray:
-    # (p, p - 1), read-only: row k lists every index but k, ascending.
-    i = np.arange(p - 1)
-    others = i + (i >= np.arange(p)[:, None])
-    others.setflags(write=False)
-    return others
-
-
 def _excluded_sums(b: np.ndarray) -> np.ndarray:
     # sum_{i != k} b[..., i] for every k, over the last axis, so a (rows, p)
-    # batch gives each row its own sums.  The shared-total shortcut needs
-    # finite entries; with infinities the direct sums avoid inf - inf.  As
-    # logs of values in (0, 1] are <= 0, a row total is finite exactly when
-    # its entries are, and one non-finite total sends the whole batch to the
-    # direct sums, which gather every row's p - 1 other entries through
-    # _others, in blocks of k that keep the gather within _BLOCK_ELEMS
-    # elements.  Each gathered row is summed as a row of a C-contiguous 2-D
-    # (N, p - 1) array, in the order of the contiguous row on its own
-    # (measured bitwise at p = 2..1024).  A gather of another layout, such as
-    # b[..., _others(p)] on a 3-D batch, sums in another order and differs in
-    # the last bit from p = 9 on; so does the total of a strided row, such as
-    # a record's states, which are a transposed view of its batch.
+    # batch gives each row its own sums: the row total less the entry.  The
+    # total is taken on the contiguous row: the total of a strided row, such
+    # as a record's states (a transposed view of its batch), sums in another
+    # order.  The entries are logs of values in [0, 1], so a total is finite
+    # exactly when its row has no zero value (-inf), and a batch without one
+    # is done.  A zero zeroes every product that takes it: those sums stay
+    # -inf, as -inf - x raises no inf - inf.  The one sum that skips a row's
+    # only zero is its other p - 1 entries, summed as a contiguous row of
+    # their own, so every row of a batch gets the bits it gets alone.  The
+    # orbits' saturated rows are all zeros and skip that sum.
     b = np.ascontiguousarray(b)
     total = b.sum(axis=-1, keepdims=True)
     if np.isfinite(total).all():
         return total - b
-    p = b.shape[-1]
-    flat = b.reshape(-1, p)
-    n = len(flat)
-    out = np.empty_like(flat)
-    width = max(1, _BLOCK_ELEMS // max(1, n * (p - 1)))
-    for k0 in range(0, p, width):
-        k1 = min(k0 + width, p)
-        gathered = flat.take(_others(p)[k0:k1], axis=-1)
-        out[:, k0:k1] = gathered.reshape(n * (k1 - k0), p - 1).sum(axis=-1).reshape(n, k1 - k0)
-    return out.reshape(b.shape)
+    zero = b == -np.inf
+    out = total - np.where(zero, 0.0, b)
+    lone = zero.sum(axis=-1, keepdims=True) == 1
+    if lone.any():
+        out[zero & lone] = b[~zero & lone].reshape(-1, b.shape[-1] - 1).sum(axis=-1)
+    return out
 
 
 def _step(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -53,17 +53,11 @@ def _alpha_residual(p: int, x: float) -> float:
     The power is evaluated as exp((p-1) * log(x)) so that large p does not
     lose precision to repeated multiplication.  solve_alpha validates p.
     """
-    if x == 0.0:
-        return -1.0
     return math.exp((p - 1) * math.log(x)) + x - 1.0
 
 
 def _residual_slope(p: int, x: float) -> float:
     # d/dx of the residual: (p-1) * x**(p-2) + 1, positive on (0, 1).
-    if p == 2:
-        return 2.0
-    if x == 0.0:
-        return 1.0
     return (p - 1) * math.exp((p - 2) * math.log(x)) + 1.0
 
 

@@ -942,15 +942,20 @@ def test_default_suite_check_filter():
 
 
 @pytest.mark.parametrize("name", KNOWN_CHECKS)
-def test_default_suite_runs_each_registered_check_alone(name):
-    results = default_suite(p_values=(3,), seeds_per_p=1, checks=[name])
-    assert [r.name for r in results] == [name]
+def test_default_suite_runs_each_registered_check_alone(name, monkeypatch):
+    # A check run alone reports what the full sweep reports for it: its
+    # inputs, dual_convergence's RNG state included, do not depend on which
+    # other checks run.
+    monkeypatch.setitem(analysis._GEOMETRY_CHECKS, "dual_convergence", lambda rng: (True, {"next": rng.uniform()}))
+    full = {r.name: r for r in default_suite(p_values=(3, 5), seeds_per_p=4, rng_seed=2)}
+    assert list(full) == list(KNOWN_CHECKS)
+    assert default_suite(p_values=(3, 5), seeds_per_p=4, rng_seed=2, checks=[name]) == [full[name]]
 
 
-def test_default_suite_draws_seeds_only_for_trajectory_checks(monkeypatch):
-    # The sweep's seeds are drawn when a trajectory check or polygon_collapse
-    # runs, and stepped only when a trajectory check runs; dual_convergence
-    # draws from the suite's RNG after them.
+def test_default_suite_draws_every_seed_and_steps_only_for_trajectory_checks(monkeypatch):
+    # The sweep's seeds are drawn whichever checks run, and stepped only when
+    # a trajectory check runs; dual_convergence draws from the suite's RNG
+    # after them under every selection.
     stepped = []
     real = analysis._run_batch
     monkeypatch.setattr(analysis, "_run_batch", lambda *args: stepped.append(None) or real(*args))
@@ -965,7 +970,9 @@ def test_default_suite_draws_seeds_only_for_trajectory_checks(monkeypatch):
     collapse = analysis._check_polygon_collapse(
         [(p, rng.uniform(1e-3, 1.0 - 1e-3, size=(4, p))) for p in (3, 5)])[1]
     after_seeds = {"next": rng.uniform()}
-    assert run(["dual_convergence"]) == ({"dual_convergence": {"next": np.random.default_rng(2).uniform()}}, 0)
+    assert run(["dual_convergence"]) == ({"dual_convergence": after_seeds}, 0)
+    witnesses, steps = run(["fixed_point", "dual_convergence"])
+    assert steps == 0 and witnesses["dual_convergence"] == after_seeds
     assert run(["polygon_collapse"]) == ({"polygon_collapse": collapse}, 0)
     assert run(["dual_convergence", "polygon_collapse"]) == (
         {"dual_convergence": after_seeds, "polygon_collapse": collapse}, 0)

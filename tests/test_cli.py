@@ -1,3 +1,4 @@
+import ast
 import doctest
 import importlib
 import json
@@ -448,6 +449,32 @@ except AttributeError:
 else:
     raise AssertionError("barypoly.nonexistent resolved")
 """)
+
+
+def test_source_modules_use_every_name_they_import():
+    # A deletion that strands an import leaves a dead name: every name an
+    # import binds appears as a Name in its module or as a string in its
+    # __all__.  A from __future__ import binds no name.
+    src = Path(__file__).resolve().parents[1] / "src" / "barypoly"
+    paths = sorted(src.glob("*.py"))
+    assert paths
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = {
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = {
+            node.value
+            for stmt in tree.body
+            if isinstance(stmt, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in stmt.targets)
+            for node in ast.walk(stmt.value)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        }
+        assert bound <= used | exported, (path.name, sorted(bound - used - exported))
 
 
 def test_arithmetic_errors_other_than_saturation_propagate(monkeypatch):

@@ -14,6 +14,7 @@ from barypoly import (
     polygon_step,
     weight_orders,
 )
+from barypoly import dynamics
 from barypoly.dynamics import _excluded_sums
 from barypoly.geometry import _dual_weight_trajectory, _limit_weights
 
@@ -280,6 +281,24 @@ def test_excluded_sums_rows_match_the_one_row_kernel():
         assert got.shape == batch.shape
         for row, out in zip(batch.reshape(-1, p), got.reshape(-1, p)):
             assert out.tobytes() == _excluded_sums_1d(row).tobytes()
+
+
+def test_excluded_sums_gives_a_mixed_batch_the_bits_of_each_row_alone():
+    # finite rows beside rows with zero values (logs of -inf): one zero
+    # first, in the middle and last, two zeros, and all zeros
+    rng = np.random.default_rng(12)
+    for p in (2, 3, 8, 9, 64, 1024):
+        rows = np.log(rng.uniform(1e-3, 1.0, size=(8, p)))
+        for r, zeros in zip(rows[3:], ([0], [p // 2], [p - 1], [0, p - 1], range(p))):
+            r[list(zeros)] = -np.inf
+        for batch in (rows, rows.reshape(2, 4, p)):
+            got = _excluded_sums(batch)
+            assert got.shape == batch.shape
+            for row, out in zip(rows, got.reshape(-1, p)):
+                # equal bytes mean equal bits, -0.0 and the infinities included
+                assert out.tobytes() == _excluded_sums_1d(row).tobytes(), p
+    # the kernel has one summation path: the row total less the entry
+    assert not hasattr(dynamics, "_others") and not hasattr(dynamics, "_BLOCK_ELEMS")
 
 
 def test_dual_sequence_reference_seed():
