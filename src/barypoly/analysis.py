@@ -549,13 +549,13 @@ def _check_instability_growth(p_values: Sequence[int]) -> tuple[bool, dict]:
 def _check_unique_fixed_point_grid(p_values: Sequence[int]) -> tuple[bool, dict]:
     # 20-per-axis midpoint grid over (0,1)^3, whatever p_values hold (the
     # suite runs it only when they include 3): near-fixed states must all sit
-    # within 1e-4 of the known stationary tuple.  The grid is stepped in one
-    # slab of 400 rows per first coordinate, which keeps the temporaries
-    # small: one 8000-row slab measured ~0.07 ms faster (0.45 against 0.52
-    # ms per check) but raised a fresh process's peak RSS by ~0.6-0.75 MB
-    # more.  Each slab's maxima fold its 3 columns (_reduce_components).  No
-    # grid state saturates, as every product of two midpoints lies in
-    # [0.025^2, 0.975^2].
+    # within 1e-4 of the known stationary tuple.  It steps one slab of 400
+    # rows per first coordinate, ~1.3-1.6 ms per check in-process on 2 vCPU:
+    # 2000-row slabs took ~0.95 ms and one 8000-row slab ~1.1 ms, but raised
+    # a fresh process's peak RSS after 50 default sweeps by ~0.1 and ~0.45 MB
+    # (of ~37 MB).  Each slab's maxima fold its 3 columns
+    # (_reduce_components).  No grid state saturates, as every product of two
+    # midpoints lies in [0.025^2, 0.975^2].
     alpha = solve_alpha(3)
     n = 20
     axis = (np.arange(n) + 0.5) / n
@@ -603,10 +603,10 @@ def _check_dual_convergence(rng: np.random.Generator) -> tuple[bool, dict]:
     return True, {"reference_rate": record.fitted_rate}
 
 
-def _collapse_bound(t: np.ndarray) -> np.ndarray:
-    # B of every weight tuple on the last axis of t, derived at
-    # _check_polygon_collapse.
-    a = np.abs(np.log1p(-t))
+def _collapse_bound(log_u: np.ndarray) -> np.ndarray:
+    # B of every weight tuple t on the last axis, from log_u = log1p(-t),
+    # derived at _check_polygon_collapse.
+    a = np.abs(log_u)
     return 2.0 * ((_LIBM_REL + _EPS) * a.max(axis=-1) + _EPS * a.sum(axis=-1) + _LIBM_REL + 3 * _EPS) + _EPS
 
 
@@ -624,10 +624,10 @@ def _check_polygon_collapse(seeds: Sequence[tuple[int, np.ndarray]]) -> tuple[bo
     #
     # B bounds that spread for the computed v, in log terms per component,
     # with eps = 2^-53 and eta = 4 ulp for numpy's log1p and exp.
-    # _limit_weights takes a_k = log1p(-t_k), L_k = T - a_k with T the row
-    # total, and exp(L_k - max L) over their sum; the errors of T and of the
-    # sum are shared and cancel.  Left are eta |a_k|, eps |L_k|, eps |L_k -
-    # max L| and eta, and eps each for the division, 1 - t_k and the product.
+    # _limit_weights takes a_k = log1p(-t_k), which B shares, L_k = T - a_k
+    # with T the row total, and exp(L_k - max L) over their sum; the errors
+    # of T and of the sum are shared and cancel.  Left are eta |a_k|, eps
+    # |L_k|, eps |L_k - max L| and eta, and eps each for /, 1 - t_k and *.
     # As a <= 0, |L_k| <= sum |a| and |L_k - max L| <= max |a|, so to first
     # order two components and their quotient differ by at most
     #     B = 2 ((eta + eps) max |a| + eps sum |a| + eta + 3 eps) + eps,
@@ -635,9 +635,10 @@ def _check_polygon_collapse(seeds: Sequence[tuple[int, np.ndarray]]) -> tuple[bo
     worst = 0.0
     for p, u in seeds:
         t = 1.0 - u
-        v = _limit_weights(t) * (1.0 - t)
+        log_u = np.log1p(-t)
+        v = _limit_weights(log_u) * (1.0 - t)
         spread = _reduce_components(np.maximum, v) / _reduce_components(np.minimum, v) - 1.0
-        bound = _collapse_bound(t)
+        bound = _collapse_bound(log_u)
         bad = ~(spread <= bound)
         if bad.any():
             s = int(bad.argmax())
@@ -703,7 +704,7 @@ def _perturbed(batch: _Batch) -> _Batch:
 
 def _perturbed_record(traj: TrajectoryRecord) -> TrajectoryRecord:
     # the record with _perturbed's fault
-    return _perturbed(_Batch.of(traj)).row(0)
+    return _perturbed(_Batch.of(traj)).row(0, traj.permutation)
 
 
 def default_suite(

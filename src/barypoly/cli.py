@@ -251,6 +251,8 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             raise ValueError(f"unknown checks {sorted(unknown)}; known: {', '.join(KNOWN_CHECKS)}")
 
     if cfg.weights is not None:
+        if (args.p, args.seed, args.seeds) != (None, None, None):
+            parser.error("--p, --seed and --seeds set up a sweep; verify --weights checks one trajectory")
         t0 = WeightTuple.of(cfg.weights)
         max_steps = _max_steps(cfg)
         traj = run_trajectory(conjugate_of(t0), max_steps, solve_alpha(t0.p))

@@ -150,7 +150,7 @@ def _step(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _reduce_components(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
     # ufunc.reduce(a, axis=-1) for an order-free ufunc: maximum, minimum,
     # logical_or or logical_and, on the row-major arrays of the saturation
-    # test, the fixed-point grid and polygon_collapse.  Each is exact, so
+    # test, the phase codes, the grid and polygon_collapse.  Each is exact, so
     # folding the p columns one by one gives the same bits and propagates
     # NaN the same way (which of two different NaN payloads survives may
     # differ; the batches hold one).  numpy's reduce over a short last axis
@@ -194,14 +194,14 @@ _PHASE_NAMES = ("below", "mixed", "above")
 
 
 def _phase_codes(u: np.ndarray, alpha: float, tol=PHASE_TIE_TOL) -> np.ndarray:
-    # Phase code of every state of u (components on the first axis) against
+    # Phase code of every state of u (components on the last axis) against
     # alpha: -1 (BELOW) when every component is < alpha, 1 (ABOVE) when
     # every component is > alpha, 0 (MIXED) otherwise.  A component within
     # tol of alpha is undecidable and gives MIXED, and so do NaN components,
-    # as in the padding of a batch.  Rounded subtraction is monotone and odd,
-    # so the extremes decide; NaN propagates to them.
-    return ((u.min(axis=0) - alpha > tol).astype(np.int8)
-            - (alpha - u.max(axis=0) > tol))
+    # as in the unsaturated rows' saturation_values.  Rounded subtraction is
+    # monotone and odd, so the extremes decide; NaN propagates to them.
+    return ((_reduce_components(np.minimum, u) - alpha > tol).astype(np.int8)
+            - (alpha - _reduce_components(np.maximum, u) > tol))
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,7 +209,8 @@ class TrajectoryRecord:
     """Conjugate orbit with per-step diagnostics, as read-only arrays.
 
     states is (n, p): states[0] is the seed sorted ascending (permutation,
-    (p,), holds the sort order applied to the caller's components).
+    (p,), holds the sort order applied to the caller's components; a row of
+    a sweep batch, which sorts its seeds without one, has None).
     spread[m] is u_max/u_min - 1 of state m, and phase[m] its int8 phase
     code: -1 BELOW, 0 MIXED, 1 ABOVE.  Only states more than one ulp inside
     [0,1]^p are recorded: if a step saturates, saturation_step is the index
@@ -218,7 +219,7 @@ class TrajectoryRecord:
     saturation_phase its phase code, and iteration stops.
     """
 
-    permutation: np.ndarray
+    permutation: np.ndarray | None
     alpha: float
     states: np.ndarray
     spread: np.ndarray
@@ -247,7 +248,7 @@ def run_trajectory(u0: ConjugateTuple, max_steps: int, alpha: float) -> Trajecto
     saturates first.  The seed is sorted once, ascending and stably; later
     states stay sorted because the shared log sum preserves order exactly.
     """
-    return _run_batch(np.array([u0.u]), max_steps, alpha).row(0)
+    return _run_batch(np.array([u0.u]), max_steps, alpha).row(0, np.argsort(u0.u, kind="stable"))
 
 
 @dataclass(frozen=True)
@@ -258,7 +259,6 @@ class _Batch:
     # MIXED) past a row's length, as states are; saturation_step is -1,
     # saturation_values NaN and saturation_phase 0 for a row that did not
     # saturate.
-    permutation: np.ndarray
     alpha: float
     states: np.ndarray
     spread: np.ndarray
@@ -280,10 +280,11 @@ class _Batch:
         # to half an ulp of 1, plus 1e-14 for the two steps' log/exp round-off.
         return 5.6e-17 / (1.0 - self.states[-1, :, 1:-1]) + 1e-14
 
-    def row(self, r: int) -> TrajectoryRecord:
-        # The record of row r, as views of the batch's arrays.
+    def row(self, r: int, permutation: np.ndarray | None = None) -> TrajectoryRecord:
+        # The record of row r, as views of the batch's arrays, with the
+        # permutation that sorted its seed, if the caller has one.
         n, sat = int(self.length[r]), int(self.saturation_step[r])
-        return TrajectoryRecord(self.permutation[r], self.alpha, self.states[:, r, :n].T, self.spread[r, :n],
+        return TrajectoryRecord(permutation, self.alpha, self.states[:, r, :n].T, self.spread[r, :n],
                                 self.phase[r, :n], *((None,) * 3 if sat < 0 else (
                                     sat, self.saturation_values[r], int(self.saturation_phase[r]))))
 
@@ -291,7 +292,7 @@ class _Batch:
     def of(cls, traj: TrajectoryRecord) -> "_Batch":
         # The one-row batch of a record, as views of its arrays.
         sat = traj.saturation_step
-        return cls(traj.permutation[None], traj.alpha, traj.states.T[:, None], traj.spread[None],
+        return cls(traj.alpha, traj.states.T[:, None], traj.spread[None],
                    traj.phase[None], np.array([-1 if sat is None else sat]),
                    np.full((1, traj.p), np.nan) if sat is None else traj.saturation_values[None],
                    np.array([0 if sat is None else traj.saturation_phase], dtype=np.int8), np.array([len(traj)]))
@@ -305,12 +306,11 @@ def _run_batch(u0: np.ndarray, max_steps: int, alpha: float) -> _Batch:
     # record is bitwise the one-row record.
     if max_steps < 0:
         raise ValueError(f"max_steps must be >= 0, got {max_steps}")
-    order = np.argsort(u0, axis=-1, kind="stable")
-    u = np.sort(u0, axis=-1)  # u0 in the stable order: tied entries are equal
+    u = np.sort(u0, axis=-1)  # the stable order's values: tied entries are equal
     rows, p = u.shape
     sat_step, sat_values = np.full(rows, -1), np.full((rows, p), np.nan)
     live = np.arange(rows)
-    steps = [(live, u)]  # (live rows, states) of every recorded step
+    lives, stepped = [live], [u]  # the live rows and their states, of every recorded step
     ulp_zero, below_one = math.ulp(0.0), 1.0 - math.ulp(1.0)
     for step in range(max_steps):
         nxt = _step(u)[1]
@@ -325,13 +325,19 @@ def _run_batch(u0: np.ndarray, max_steps: int, alpha: float) -> _Batch:
             if not live.size:
                 break
         u = nxt
-        steps.append((live, u))
+        lives.append(live)
+        stepped.append(u)
 
-    states = np.full((p, rows, len(steps)), np.nan)
-    length = np.zeros(rows, dtype=int)
-    for m, (live, u) in enumerate(steps):
-        states[:, live, m] = u.T
-        length[live] = m + 1
+    # One scatter puts every recorded row, and its phase code, into the
+    # planes; a row saturating at step s records s states, the others n_max.
+    n_max = len(stepped)
+    r, m = np.concatenate(lives), np.repeat(np.arange(n_max), [len(live) for live in lives])
+    flat = np.concatenate(stepped)
+    states = np.full((p, rows, n_max), np.nan)
+    states[:, r, m] = flat.T
+    phase = np.zeros((rows, n_max), dtype=np.int8)
+    phase[r, m] = _phase_codes(flat, alpha)
+    length = np.where(sat_step < 0, n_max, sat_step)
     # The saturating state's code is decided past the rounding of its step:
     # component k is -expm1(T - log u_k), T the log total of the last state
     # u.  The logs (eta = 4 ulp each), their sum in any order ((p - 1) eps
@@ -340,6 +346,5 @@ def _run_batch(u0: np.ndarray, max_steps: int, alpha: float) -> _Batch:
     # component's move; expm1 adds eta, and PHASE_TIE_TOL alpha's rounding.
     log_min = np.log(states[0, np.arange(rows), length - 1])
     margin = PHASE_TIE_TOL + (2 * _LIBM_REL + p * _EPS) * p * -log_min + _LIBM_REL
-    return _Batch(order, alpha, states, states[-1] / states[0] - 1.0, _phase_codes(states, alpha),
-                  sat_step, sat_values, _phase_codes(sat_values.T, alpha, margin), length)
-
+    return _Batch(alpha, states, states[-1] / states[0] - 1.0, phase,
+                  sat_step, sat_values, _phase_codes(sat_values, alpha, margin), length)

@@ -145,10 +145,10 @@ def _normalized_weights(log_w: np.ndarray) -> np.ndarray:
     return w / w.sum(axis=-1, keepdims=True)
 
 
-def _limit_weights(t: np.ndarray) -> np.ndarray:
+def _limit_weights(log_u: np.ndarray) -> np.ndarray:
     # The normalized limit-point weights prod_{i != k} (1 - t_i) of every
-    # weight tuple on the last axis of t, from log sums.
-    return _normalized_weights(_excluded_sums(np.log1p(-t)))
+    # weight tuple t on the last axis, from log sums of log_u = log1p(-t).
+    return _normalized_weights(_excluded_sums(log_u))
 
 
 def limit_point(A: PointSet, t: WeightTuple) -> np.ndarray:
@@ -159,7 +159,7 @@ def limit_point(A: PointSet, t: WeightTuple) -> np.ndarray:
     """
     if A.p != t.p:
         raise ValueError(f"point count {A.p} does not match weight count {t.p}")
-    return _limit_weights(np.asarray(t.t)) @ A.points
+    return _limit_weights(np.log1p(-np.asarray(t.t))) @ A.points
 
 
 def polygon_step(B: PointSet, t: WeightTuple) -> PointSet:

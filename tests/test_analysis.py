@@ -439,7 +439,7 @@ def _restated(traj, states):
     # the record with the given states, its spreads and phase codes
     # computed from them as the record builder computes them
     return dataclasses.replace(traj, states=states, spread=states[:, -1] / states[:, 0] - 1.0,
-                               phase=_phase_codes(states.T, traj.alpha))
+                               phase=_phase_codes(states, traj.alpha))
 
 
 def _first_decided(traj):
@@ -789,12 +789,13 @@ def test_polygon_collapse_passes_at_every_swept_p():
 
 
 def _moved_weights(monkeypatch, move):
-    # polygon_collapse with its limit weights passed through move(w, t)
-    monkeypatch.setattr(analysis, "_limit_weights", lambda t: move(geometry._limit_weights(t), t))
+    # polygon_collapse with its limit weights passed through move(w, log_u),
+    # log_u = log1p(-t) of the weight tuples t
+    monkeypatch.setattr(analysis, "_limit_weights", lambda log_u: move(geometry._limit_weights(log_u), log_u))
 
 
 def test_polygon_collapse_fails_on_the_limit_point_of_the_reversed_weights(monkeypatch):
-    _moved_weights(monkeypatch, lambda w, t: w[..., ::-1])
+    _moved_weights(monkeypatch, lambda w, log_u: w[..., ::-1])
     for p in (3, 5, 8, 1024):
         res = _collapse((p,))
         assert not res.passed and list(res.witness) == ["p", "seed_index", "spread", "bound"]
@@ -803,28 +804,28 @@ def test_polygon_collapse_fails_on_the_limit_point_of_the_reversed_weights(monke
 
 def test_polygon_collapse_fails_on_one_weight_moved_past_its_bound(monkeypatch):
     def moved(by):
-        def move(w, t):
+        def move(w, log_u):
             w = w.copy()
-            w[..., 0] *= 1.0 + by(t)
+            w[..., 0] *= 1.0 + by(log_u)
             return w
         return move
 
     assert _collapse((1024,)).passed
     # 1e-12 relative is far above the bound at p <= 8
-    _moved_weights(monkeypatch, moved(lambda t: 1e-12))
+    _moved_weights(monkeypatch, moved(lambda log_u: 1e-12))
     for p in range(3, 9):
         res = _collapse((p,))
         assert not res.passed and res.witness["seed_index"] == 0
         assert res.witness["bound"] < 1e-13 < res.witness["spread"]
     # at p = 1024 a move of twice the bound fails
-    _moved_weights(monkeypatch, moved(lambda t: 2.0 * analysis._collapse_bound(t)))
+    _moved_weights(monkeypatch, moved(lambda log_u: 2.0 * analysis._collapse_bound(log_u)))
     res = _collapse((1024,))
     assert not res.passed and res.witness["p"] == 1024
     assert res.witness["spread"] > res.witness["bound"]
 
 
 def test_polygon_collapse_fails_on_nan(monkeypatch):
-    def with_nan(w, t):
+    def with_nan(w, log_u):
         w = w.copy()
         w[..., 1] = np.nan
         return w

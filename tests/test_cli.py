@@ -324,6 +324,21 @@ def test_a_flag_the_subcommand_never_reads_is_a_usage_error(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--p", "17"], ["--seed", "9"], ["--seeds", "3"],
+                                   ["--p", "17", "--seeds", "3", "--seed", "9"]], ids=" ".join)
+def test_verify_weights_rejects_the_sweep_flags(flags, tmp_path, capsys):
+    # --weights checks one trajectory, which reads none of the sweep's flags
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--weights", "0.2,0.5,0.7", *flags, "--json"])
+    assert err.value.code == 2
+    assert "--p, --seed and --seeds set up a sweep; verify --weights checks one trajectory" in capsys.readouterr().err
+    # the config keys stay shared: a config's p and seed do not stop a --weights run
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"p": 17, "seed": 9}))
+    assert main(["verify", "--weights", "0.2,0.5,0.7", "--config", str(cfg), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["weights"] == [0.2, 0.5, 0.7]
+
+
 def test_figure_single_order(tmp_path, capsys):
     assert main(["figure", "--weights", REF_WEIGHTS, "--out-dir", str(tmp_path)]) == 0
     assert "wrote" in capsys.readouterr().out

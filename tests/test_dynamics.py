@@ -14,7 +14,7 @@ from barypoly import (
     run_trajectory,
     solve_alpha,
 )
-from barypoly.dynamics import PHASE_TIE_TOL, _phase_codes, _step
+from barypoly.dynamics import _EPS, _LIBM_REL, PHASE_TIE_TOL, _phase_codes, _step
 
 
 def weight_lists(lo=0.05, hi=0.95, min_p=3, max_p=8):
@@ -172,26 +172,27 @@ def test_phase_codes():
         # NaN, as in the padding of a batch
         (np.nan, 0.8, 0.9),
     ])
-    # the component axis comes first
-    assert _phase_codes(states.T, alpha).tolist() == [-1, 1, 0, 0, 0, 0, 0, 0]
+    # the component axis comes last
+    assert _phase_codes(states, alpha).tolist() == [-1, 1, 0, 0, 0, 0, 0, 0]
 
 
 def test_phase_codes_match_the_definition_near_the_threshold():
     # unsorted states, half of them with one component at a distance from
     # alpha around PHASE_TIE_TOL, on either side, and some with a NaN
     rng = np.random.default_rng(5)
+    # (p = 3 and 8 fold the components one by one, p = 64 reduces them)
     for p in (3, 8, 64):
         alpha = solve_alpha(p)
-        u = alpha + rng.uniform(0.01, 0.3, size=(p, 40, 30)) * rng.choice([-1.0, 1.0], size=(p, 40, 30))
+        u = alpha + rng.uniform(0.01, 0.3, size=(40, 30, p)) * rng.choice([-1.0, 1.0], size=(40, 30, p))
         r, m = np.nonzero(rng.uniform(size=(40, 30)) < 0.5)
-        u[rng.integers(0, p, size=r.size), r, m] = alpha + rng.integers(-12, 13, size=r.size) * 1e-16
-        u[-1, ::7, ::5] = math.nan
+        u[r, m, rng.integers(0, p, size=r.size)] = alpha + rng.integers(-12, 13, size=r.size) * 1e-16
+        u[::7, ::5, -1] = math.nan
         # more decided states: rows reflected to one side of alpha
-        u[:, ::4] = alpha + np.abs(u[:, ::4] - alpha)
-        u[:, 1::4] = alpha - np.abs(u[:, 1::4] - alpha)
+        u[::4] = alpha + np.abs(u[::4] - alpha)
+        u[1::4] = alpha - np.abs(u[1::4] - alpha)
         codes = _phase_codes(u, alpha)
         assert codes.shape == (40, 30) and codes.dtype == np.int8
-        want = [[_phase_by_definition(u[:, r, m].tolist(), alpha) for m in range(30)] for r in range(40)]
+        want = [[_phase_by_definition(u[r, m].tolist(), alpha) for m in range(30)] for r in range(40)]
         assert codes.tolist() == want
         assert {-1, 0, 1} <= set(codes.ravel().tolist())
 
@@ -343,7 +344,7 @@ def test_run_trajectory_matches_stepping_then_summing():
 def _record_bits(traj):
     # every field of a record and the log sums of its states, floats by their bits
     return (
-        traj.permutation.tolist(),
+        None if traj.permutation is None else traj.permutation.tolist(),
         traj.alpha.hex(),
         [_bits(u) for u in traj.states],
         [_bits(lp) for lp in _step(traj.states)[0]],
@@ -372,7 +373,10 @@ def test_batched_records_equal_one_row_records():
             assert batch.states.flags.c_contiguous
             for row, rec in zip(u0, records):
                 one = run_trajectory(ConjugateTuple.of(row), steps, alpha)
-                assert _record_bits(rec) == _record_bits(one)
+                # a batch row has no permutation; a single record the stable one
+                assert rec.permutation is None
+                assert one.permutation.tolist() == np.argsort(row, kind="stable").tolist()
+                assert _record_bits(rec)[1:] == _record_bits(one)[1:]
             ends = {len(rec) for rec in records}
             if steps == 0:
                 assert ends == {1}
@@ -403,6 +407,71 @@ def test_batch_rows_are_views_in_the_record_layout():
             assert _record_bits(one.row(0)) == _record_bits(rec)
             assert [np.shares_memory(getattr(one.row(0), f), getattr(rec, f))
                     for f in ("states", "spread", "phase")] == [True] * 3
+
+
+def _phase_codes_over_planes(u, alpha, tol=PHASE_TIE_TOL):
+    # _phase_codes with the components on the first axis
+    return (u.min(axis=0) - alpha > tol).astype(np.int8) - (alpha - u.max(axis=0) > tol)
+
+
+def _batch_by_per_step_scatter(u0, max_steps, alpha):
+    # The reference build of a batch, step by step: each recorded step
+    # scattered into the planes on its own, lengths counted per step, and
+    # the phase codes reduced over the component axis of the planes.
+    u = np.sort(u0, axis=-1)
+    rows, p = u.shape
+    sat_step, sat_values = np.full(rows, -1), np.full((rows, p), np.nan)
+    live = np.arange(rows)
+    steps = [(live, u)]
+    for step in range(max_steps):
+        nxt = _step(u)[1]
+        hit = ((nxt <= math.ulp(0.0)) | (nxt >= 1.0 - math.ulp(1.0))).any(axis=-1)
+        sat_step[live[hit]], sat_values[live[hit]] = step + 1, nxt[hit]
+        live, nxt = live[~hit], nxt[~hit]
+        if not live.size:
+            break
+        u = nxt
+        steps.append((live, u))
+    states = np.full((p, rows, len(steps)), np.nan)
+    length = np.zeros(rows, dtype=int)
+    for m, (live, u) in enumerate(steps):
+        states[:, live, m] = u.T
+        length[live] = m + 1
+    log_min = np.log(states[0, np.arange(rows), length - 1])
+    margin = PHASE_TIE_TOL + (2 * _LIBM_REL + p * _EPS) * p * -log_min + _LIBM_REL
+    return dict(alpha=alpha, states=states, spread=states[-1] / states[0] - 1.0,
+                phase=_phase_codes_over_planes(states, alpha), saturation_step=sat_step,
+                saturation_values=sat_values,
+                saturation_phase=_phase_codes_over_planes(sat_values.T, alpha, margin), length=length)
+
+
+def test_batch_arrays_equal_the_per_step_scatter_build():
+    import dataclasses
+
+    from barypoly.dynamics import _Batch, _run_batch
+
+    fields = [f.name for f in dataclasses.fields(_Batch)]
+    assert "permutation" not in fields
+    rng = np.random.default_rng(29)
+    seen_early = 0
+    for p in (2, 3, 8, 9, 33, 1024):
+        alpha = solve_alpha(p)
+        u0 = rng.uniform(1e-3, 1.0 - 1e-3, size=(12, p))
+        u0[1] = alpha  # at alpha: every component undecidable
+        u0[2] = alpha + rng.integers(-9, 10, size=p) * 1e-16  # within PHASE_TIE_TOL of alpha
+        u0[3, : p // 2 + 1] = u0[3, -1]  # tied components
+        u0[4] = u0[3, ::-1]
+        u0[5, 0] = 1e-300  # saturates at step 1, beside rows that do not
+        for steps in (0, 1, 400):
+            batch = _run_batch(u0, steps, alpha)
+            want = _batch_by_per_step_scatter(u0, steps, alpha)
+            assert fields == list(want)
+            for name in fields:
+                got, ref = np.asarray(getattr(batch, name)), np.asarray(want[name])
+                assert (got.dtype, got.shape, got.tobytes()) == (ref.dtype, ref.shape, ref.tobytes()), (p, steps, name)
+            assert batch.states.flags.c_contiguous
+            seen_early += int(((batch.saturation_step == 1) & (batch.length == 1)).any() and (batch.length > 1).any())
+    assert seen_early >= 6
 
 
 class _ReduceSpy:
