@@ -27,7 +27,7 @@ functions on its one-row view.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -122,10 +122,10 @@ def _certificate_fields(u: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, ...]
         )
 
 
-def _certificate_failures(fields: tuple[np.ndarray, ...]) -> np.ndarray:
+def _certificate_failures(arrays: tuple[np.ndarray, ...]) -> np.ndarray:
     # Which claims of each certificate fail, on a new first axis in the order
     # of _CERTIFICATE_ERRORS.
-    slope, intercept, ratio_bound, contraction, residual_low, residual_high = fields
+    slope, intercept, ratio_bound, contraction, residual_low, residual_high = arrays
     return np.stack([
         (slope <= 0.0) | (intercept <= 0.0),
         ~((0.0 < ratio_bound) & (ratio_bound < 1.0)),
@@ -142,11 +142,10 @@ _CERTIFICATE_ERRORS = (
 )
 
 
-def _certificate_error(fields: tuple[np.ndarray, ...], failures: np.ndarray, at: tuple, m: int) -> str:
-    # The VerificationError text of the first failed claim of the
-    # certificate at index `at` of the fields, the certificate at step m.
-    names = ("slope", "intercept", "ratio_bound", "contraction", "residual_low", "residual_high")
-    values = {name: float(f[at]) for name, f in zip(names, fields)}
+def _certificate_error(arrays: tuple[np.ndarray, ...], failures: np.ndarray, at: tuple, m: int) -> str:
+    # The VerificationError text of the first failed claim of the certificate
+    # at index `at` of _certificate_fields' arrays, the certificate at step m.
+    values = {f.name: float(a[at]) for f, a in zip(fields(ContractionCertificate)[1:], arrays)}
     claim = int(failures[(slice(None), *at)].argmax())
     return _CERTIFICATE_ERRORS[claim].format(m=m, rtol=IDENTITY_RTOL, **values)
 
@@ -169,11 +168,11 @@ def contraction_certificate(traj: TrajectoryRecord, m: int) -> ContractionCertif
         raise ValueError(f"state at m={m} is not sorted ascending")
     if not u[0] < u[-1]:
         raise ValueError("regular state: extreme components coincide")
-    fields = _certificate_fields(u, traj.states[m + 2])
-    failures = _certificate_failures(fields)
+    arrays = _certificate_fields(u, traj.states[m + 2])
+    failures = _certificate_failures(arrays)
     if failures.any():
-        raise VerificationError(_certificate_error(fields, failures, (), m))
-    return ContractionCertificate(m, *map(float, fields))
+        raise VerificationError(_certificate_error(arrays, failures, (), m))
+    return ContractionCertificate(m, *map(float, arrays))
 
 
 def _spectral_residual(cert: StationaryCertificate) -> float:
@@ -335,13 +334,13 @@ def _traj_contraction_certificates(batch: _Batch) -> _Verdicts:
     # Gathering only the window's states took ~0.3 ms less per default sweep
     # but grew a process's peak RSS by ~1 MB over 1200 sweeps, against ~0.1
     # MB this way (allocator fragmentation; numpy 2.4, glibc 2.36).
-    fields = _certificate_fields(U[:, :, :-2], U[:, :, 2:])
-    failures = _certificate_failures(fields) & window
+    arrays = _certificate_fields(U[:, :, :-2], U[:, :, 2:])
+    failures = _certificate_failures(arrays) & window
     unsorted = ~(U[:-1, :, :-2] <= U[1:, :, :-2]).all(axis=0) & window
     first = _first(failures.any(axis=0) | unsorted)
     return first < 0, lambda r: {"certificates": int(counts[r])} if first[r] < 0 else {
         "step": int(first[r]), "reason": f"state at m={first[r]} is not sorted ascending" if unsorted[r, first[r]]
-        else _certificate_error(fields, failures, (r, first[r]), int(first[r]))}
+        else _certificate_error(arrays, failures, (r, first[r]), int(first[r]))}
 
 
 def _traj_geometric_bound(batch: _Batch) -> _Verdicts:
@@ -704,7 +703,7 @@ def _perturbed(batch: _Batch) -> _Batch:
 
 def _perturbed_record(traj: TrajectoryRecord) -> TrajectoryRecord:
     # the record with _perturbed's fault
-    return _perturbed(_Batch.of(traj)).row(0, traj.permutation)
+    return _perturbed(_Batch.of(traj)).row(0)
 
 
 def default_suite(
@@ -718,10 +717,11 @@ def default_suite(
     """Randomized verification sweep across every registered check.
 
     Unknown check names, an empty p_values, a non-integer p or one below 3,
-    and seeds_per_p < 1 raise ValueError: a sweep over no trajectories would
-    pass on no evidence.  The static checks take each distinct p once,
-    ascending.  inject_fault corrupts the first swept trajectory so the
-    harness itself can be shown to catch failures.
+    seeds_per_p < 1 and max_steps < 0 raise ValueError, whichever checks
+    run: a sweep over no trajectories would pass on no evidence.  The static
+    checks take each distinct p once, ascending.  inject_fault corrupts the
+    first swept trajectory so the harness itself can be shown to catch
+    failures.
     """
     if len(p_values) == 0:
         raise ValueError("p_values must name at least one p")
@@ -730,6 +730,8 @@ def default_suite(
         raise ValueError(_P_BELOW_3)
     if seeds_per_p < 1:
         raise ValueError(f"seeds_per_p must be >= 1, got {seeds_per_p}")
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be >= 0, got {max_steps}")
     wanted = set(KNOWN_CHECKS if checks is None else checks)
     unknown = wanted.difference(KNOWN_CHECKS)
     if unknown:

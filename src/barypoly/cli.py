@@ -153,15 +153,7 @@ def cmd_alpha(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         parser.error("alpha needs --p")
     cert = certificate(cfg.p)
     if args.json:
-        payload = {
-            "p": cert.p,
-            "alpha": cert.alpha,
-            "beta": cert.beta,
-            "lambda_repulsive": cert.lambda_repulsive,
-            "lambda_contractive": cert.lambda_contractive,
-            "instability_margin": cert.instability_margin,
-            "stationary_weight": 1.0 - cert.alpha,
-        }
+        payload = {**dataclasses.asdict(cert), "stationary_weight": 1.0 - cert.alpha}
         print(json.dumps(payload, indent=2))
     else:
         print(f"p = {cert.p}")

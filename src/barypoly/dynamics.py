@@ -65,42 +65,38 @@ def _validated(values: Iterable[float], what: str) -> tuple[float, ...]:
     return tuple(a.tolist())
 
 
+class _Tuple:
+    # The constructor of WeightTuple and ConjugateTuple: the components, in
+    # the field named _field, validated once as _what, and p checked on them.
+
+    def __post_init__(self):
+        values = _validated(getattr(self, self._field), self._what)
+        object.__setattr__(self, self._field, values)
+        if self.p != len(values):
+            raise ValueError(f"p={self.p} does not match {len(values)} components")
+
+    @classmethod
+    def of(cls, values: Iterable[float]):
+        vals = tuple(values)
+        return cls(len(vals), vals)
+
+
 @dataclass(frozen=True)
-class WeightTuple:
+class WeightTuple(_Tuple):
     """State of the weight map: p reals strictly inside (0, 1)."""
 
+    _field, _what = "t", "weight tuple"
     p: int
     t: tuple[float, ...]
 
-    def __post_init__(self):
-        t = _validated(self.t, "weight tuple")
-        object.__setattr__(self, "t", t)
-        if self.p != len(t):
-            raise ValueError(f"p={self.p} does not match {len(t)} components")
-
-    @classmethod
-    def of(cls, values: Iterable[float]) -> "WeightTuple":
-        vals = tuple(values)
-        return cls(len(vals), vals)
-
 
 @dataclass(frozen=True)
-class ConjugateTuple:
+class ConjugateTuple(_Tuple):
     """State in u = 1 - t coordinates."""
 
+    _field, _what = "u", "conjugate tuple"
     p: int
     u: tuple[float, ...]
-
-    def __post_init__(self):
-        u = _validated(self.u, "conjugate tuple")
-        object.__setattr__(self, "u", u)
-        if self.p != len(u):
-            raise ValueError(f"p={self.p} does not match {len(u)} components")
-
-    @classmethod
-    def of(cls, values: Iterable[float]) -> "ConjugateTuple":
-        vals = tuple(values)
-        return cls(len(vals), vals)
 
 
 def conjugate_of(t: WeightTuple) -> ConjugateTuple:
@@ -154,15 +150,14 @@ def _reduce_components(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
     # folding the p columns one by one gives the same bits and propagates
     # NaN the same way (which of two different NaN payloads survives may
     # differ; the batches hold one).  numpy's reduce over a short last axis
-    # pays per row, the fold per column and in strided reads.  Measured on
-    # (rows, p) arrays (numpy 2.4, 2 vCPU; numpy -> fold), the fold wins from
-    # about 4 p^2 rows up to p = 32, for NaN-padded maximum ((3400, 3) 245 ->
-    # 3.4 us, (1024, 16) 87 -> 15 us, (4096, 32) 364 -> 126 us) and
-    # logical_or ((1024, 16) 17 -> 14 us, (4096, 32) 81 -> 77 us); with fewer
-    # rows, or from p = 64, numpy wins ((100, 8) logical_or 1.9 -> 3.0 us,
-    # (16384, 64) maximum 1.6 -> 5.0 ms).
+    # pays per row, the fold per column and in strided reads, so the columns
+    # are folded for 2 <= p <= 32 and numpy reduces above.  Measured on
+    # (rows, p) arrays (numpy 2.4, 2 vCPU; numpy -> fold): NaN-padded maximum
+    # ((3400, 3) 245 -> 3.4 us, (1024, 16) 87 -> 15 us, (4096, 32) 364 -> 126
+    # us) and logical_or ((1024, 16) 17 -> 14 us, (4096, 32) 81 -> 77 us), but
+    # (16384, 64) maximum 1.6 -> 5.0 ms.
     p = a.shape[-1]
-    if not 2 <= p <= 32 or a.size < 4 * p**3:
+    if not 2 <= p <= 32:
         return ufunc.reduce(a, axis=-1)
     out = ufunc(a[..., 0], a[..., 1])
     for j in range(2, p):
@@ -208,18 +203,15 @@ def _phase_codes(u: np.ndarray, alpha: float, tol=PHASE_TIE_TOL) -> np.ndarray:
 class TrajectoryRecord:
     """Conjugate orbit with per-step diagnostics, as read-only arrays.
 
-    states is (n, p): states[0] is the seed sorted ascending (permutation,
-    (p,), holds the sort order applied to the caller's components; a row of
-    a sweep batch, which sorts its seeds without one, has None).
-    spread[m] is u_max/u_min - 1 of state m, and phase[m] its int8 phase
-    code: -1 BELOW, 0 MIXED, 1 ABOVE.  Only states more than one ulp inside
-    [0,1]^p are recorded: if a step saturates, saturation_step is the index
-    the offending state would have had, saturation_values, (p,), keeps that
+    states is (n, p): states[0] is the seed sorted ascending.  spread[m] is
+    u_max/u_min - 1 of state m, and phase[m] its int8 phase code: -1 BELOW,
+    0 MIXED, 1 ABOVE.  Only states more than one ulp inside [0,1]^p are
+    recorded: if a step saturates, saturation_step is the index the
+    offending state would have had, saturation_values, (p,), keeps that
     state's components as evidence of which bound was reached and
     saturation_phase its phase code, and iteration stops.
     """
 
-    permutation: np.ndarray | None
     alpha: float
     states: np.ndarray
     spread: np.ndarray
@@ -229,7 +221,7 @@ class TrajectoryRecord:
     saturation_phase: int | None
 
     def __post_init__(self):
-        for a in (self.permutation, self.states, self.spread, self.phase, self.saturation_values):
+        for a in (self.states, self.spread, self.phase, self.saturation_values):
             if a is not None:
                 a.flags.writeable = False
 
@@ -245,10 +237,10 @@ def run_trajectory(u0: ConjugateTuple, max_steps: int, alpha: float) -> Trajecto
     """Iterate the conjugate map from a sorted copy of u0.
 
     Records at most max_steps + 1 states (seed included), fewer if the orbit
-    saturates first.  The seed is sorted once, ascending and stably; later
-    states stay sorted because the shared log sum preserves order exactly.
+    saturates first.  The seed is sorted once, ascending; later states stay
+    sorted because the shared log sum preserves order exactly.
     """
-    return _run_batch(np.array([u0.u]), max_steps, alpha).row(0, np.argsort(u0.u, kind="stable"))
+    return _run_batch(np.array([u0.u]), max_steps, alpha).row(0)
 
 
 @dataclass(frozen=True)
@@ -280,11 +272,10 @@ class _Batch:
         # to half an ulp of 1, plus 1e-14 for the two steps' log/exp round-off.
         return 5.6e-17 / (1.0 - self.states[-1, :, 1:-1]) + 1e-14
 
-    def row(self, r: int, permutation: np.ndarray | None = None) -> TrajectoryRecord:
-        # The record of row r, as views of the batch's arrays, with the
-        # permutation that sorted its seed, if the caller has one.
+    def row(self, r: int) -> TrajectoryRecord:
+        # The record of row r, as views of the batch's arrays.
         n, sat = int(self.length[r]), int(self.saturation_step[r])
-        return TrajectoryRecord(permutation, self.alpha, self.states[:, r, :n].T, self.spread[r, :n],
+        return TrajectoryRecord(self.alpha, self.states[:, r, :n].T, self.spread[r, :n],
                                 self.phase[r, :n], *((None,) * 3 if sat < 0 else (
                                     sat, self.saturation_values[r], int(self.saturation_phase[r]))))
 

@@ -1043,7 +1043,7 @@ def test_default_suite_rejects_p_below_3():
 
 
 def test_default_suite_rejects_a_sweep_of_nothing():
-    for kwargs in (dict(p_values=()), dict(seeds_per_p=0), dict(seeds_per_p=-3)):
+    for kwargs in (dict(p_values=()), dict(seeds_per_p=0), dict(seeds_per_p=-3), dict(max_steps=-3)):
         with pytest.raises(ValueError):
             default_suite(checks=["fixed_point"], **kwargs)
 

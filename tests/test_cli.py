@@ -33,11 +33,16 @@ def test_alpha_text_output(capsys):
 
 
 def test_alpha_json_output(capsys):
+    import dataclasses
+
     assert main(["alpha", "--p", "4", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["p"] == 4
     assert payload["alpha"] == pytest.approx(0.6823278038280193, abs=1e-14)
     assert payload["stationary_weight"] == pytest.approx(1.0 - payload["alpha"])
+    # the certificate's fields, in their order, then the stationary weight
+    fields = [f.name for f in dataclasses.fields(barypoly.StationaryCertificate)]
+    assert list(payload) == fields + ["stationary_weight"]
 
 
 def test_alpha_rejects_small_p(capsys):
@@ -281,6 +286,15 @@ def test_verify_rejects_a_sweep_of_no_seeds(capsys):
     for seeds in ("0", "-3"):
         assert main(["verify", "--seeds", seeds]) == 2
         assert "seeds_per_p" in capsys.readouterr().err
+
+
+def test_verify_rejects_negative_steps_for_every_check(capsys):
+    # a selection that steps no trajectory rejects them as well
+    for check in ("spectral", "order_preserved"):
+        assert main(["verify", "--steps", "-3", "--check", check]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: max_steps must be >= 0, got -3\n"
 
 
 def test_verify_passes_explicit_steps_through(monkeypatch, capsys):

@@ -198,11 +198,19 @@ def test_phase_codes_match_the_definition_near_the_threshold():
 
 
 def test_run_trajectory_sorts_and_permutes():
-    traj = run_trajectory(ConjugateTuple.of((0.8, 0.2, 0.5)), 3, solve_alpha(3))
+    # a seed in any order gives the record of its sorted seed, bit for bit
+    alpha = solve_alpha(3)
+    traj = run_trajectory(ConjugateTuple.of((0.8, 0.2, 0.5)), 3, alpha)
     assert traj.states[0].tolist() == [0.2, 0.5, 0.8]
-    assert traj.permutation.tolist() == [1, 2, 0]
-    original = (0.8, 0.2, 0.5)
-    assert [original[i] for i in traj.permutation] == traj.states[0].tolist()
+    assert _record_bits(traj) == _record_bits(run_trajectory(ConjugateTuple.of((0.2, 0.5, 0.8)), 3, alpha))
+    rng = np.random.default_rng(31)
+    for p in (3, 5, 8, 64):
+        alpha = solve_alpha(p)
+        u = rng.uniform(1e-3, 1.0 - 1e-3, size=p)
+        u[1::3] = u[0]  # tied components
+        ref = _record_bits(run_trajectory(ConjugateTuple.of(np.sort(u)), 400, alpha))
+        for _ in range(5):
+            assert _record_bits(run_trajectory(ConjugateTuple.of(rng.permutation(u)), 400, alpha)) == ref
 
 
 def test_trajectory_record_is_read_only():
@@ -210,7 +218,7 @@ def test_trajectory_record_is_read_only():
                  run_trajectory(ConjugateTuple.of((0.15, 0.5, 0.85)), 400, solve_alpha(3))):
         with pytest.raises(ValueError):
             traj.states[0, 0] = 0.5
-        for field in ("permutation", "spread", "phase", "saturation_values"):
+        for field in ("spread", "phase", "saturation_values"):
             values = getattr(traj, field)
             if values is not None:
                 with pytest.raises(ValueError):
@@ -276,7 +284,6 @@ def _run_trajectory_stepping_then_summing(u0, max_steps, alpha):
         log_products.append(tuple(total - lg for lg in logs))
         log_bounds.append(_log_sum_bound(logs))
     return dict(
-        permutation=order,
         states=[st.u for st in states],
         log_products=log_products,
         log_bounds=log_bounds,
@@ -313,7 +320,7 @@ def test_run_trajectory_matches_stepping_then_summing():
         steps = int(rng.choice([0, 1, 3, 400]))
         cases.append((rng.uniform(1e-3, 1.0 - 1e-3, size=p), steps))
     for p in (16, 64, 1024):
-        # many tied components: only a stable sort keeps Python's order
+        # many tied components
         u = rng.uniform(1e-3, 1.0 - 1e-3, size=p)
         u[::3], u[1::5] = u[0], u[1]
         cases.append((u, 3))
@@ -323,7 +330,6 @@ def test_run_trajectory_matches_stepping_then_summing():
         alpha = solve_alpha(u0.p)
         got = run_trajectory(u0, steps, alpha)
         ref = _run_trajectory_stepping_then_summing(u0, steps, alpha)
-        assert got.permutation.tolist() == list(ref["permutation"])
         assert [_bits(u) for u in got.states] == [_bits(u) for u in ref["states"]]
         log_products = _step(got.states)[0]
         assert len(log_products) == len(ref["log_products"])
@@ -344,7 +350,6 @@ def test_run_trajectory_matches_stepping_then_summing():
 def _record_bits(traj):
     # every field of a record and the log sums of its states, floats by their bits
     return (
-        None if traj.permutation is None else traj.permutation.tolist(),
         traj.alpha.hex(),
         [_bits(u) for u in traj.states],
         [_bits(lp) for lp in _step(traj.states)[0]],
@@ -373,10 +378,7 @@ def test_batched_records_equal_one_row_records():
             assert batch.states.flags.c_contiguous
             for row, rec in zip(u0, records):
                 one = run_trajectory(ConjugateTuple.of(row), steps, alpha)
-                # a batch row has no permutation; a single record the stable one
-                assert rec.permutation is None
-                assert one.permutation.tolist() == np.argsort(row, kind="stable").tolist()
-                assert _record_bits(rec)[1:] == _record_bits(one)[1:]
+                assert _record_bits(rec) == _record_bits(one)
             ends = {len(rec) for rec in records}
             if steps == 0:
                 assert ends == {1}
@@ -494,7 +496,7 @@ def test_reduce_components_matches_numpy_reduce_bit_for_bit():
     rng = np.random.default_rng(7)
     paths = {}
     for p in (2, 3, 8, 32, 64, 1024):
-        # a few rows per component, then more than enough for the fold
+        # a few rows per component, then many
         for rows in (2, 5 * p * p if p <= 32 else 20):
             u = rng.uniform(size=(rows, 3, p))
             u[::3, 2] = np.nan  # NaN padding past a row's length
@@ -508,9 +510,9 @@ def test_reduce_components_matches_numpy_reduce_bit_for_bit():
                     assert got.dtype == ref.dtype and got.shape == ref.shape
                     assert got.tobytes() == ref.tobytes()
                     paths.setdefault(arr.shape[-1], set()).update(spy.paths)
-    # both sides of the crossover are covered, and large p stays with numpy
-    assert paths[3] == paths[8] == paths[32] == {"reduce", "fold"}
-    assert paths[64] == paths[1024] == {"reduce"}
+    # 2 <= p <= 32 folds at any row count, and the other p stay with numpy
+    assert paths[2] == paths[3] == paths[8] == paths[32] == {"fold"}
+    assert paths[1] == paths[64] == paths[1024] == {"reduce"}
     # an empty state axis behaves as numpy's reduce
     empty = np.zeros((400, 3, 0))
     assert _reduce_components(np.logical_or, empty > 0).tobytes() == np.zeros((400, 3), bool).tobytes()
