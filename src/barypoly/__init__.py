@@ -21,8 +21,7 @@ __version__ = "0.1.0"
 _HOME = {
     name: module
     for module, names in (
-        ("analysis", "KNOWN_CHECKS CheckResult ContractionCertificate VerificationError "
-                     "contraction_certificate default_suite spectral_check trajectory_checks"),
+        ("analysis", "KNOWN_CHECKS CheckResult default_suite spectral_check trajectory_checks"),
         ("dynamics", "ConjugateTuple SaturationError TrajectoryRecord WeightTuple conjugate_of "
                      "conjugate_step derived_step run_trajectory"),
         ("geometry", "DualSequenceRecord PointSet centroid dual_sequence limit_point polygon_step "

@@ -27,7 +27,7 @@ functions on its one-row view.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -47,10 +47,7 @@ from .stationary import StationaryCertificate, _index, certificate, solve_alpha
 
 __all__ = [
     "IDENTITY_RTOL",
-    "VerificationError",
-    "ContractionCertificate",
     "CheckResult",
-    "contraction_certificate",
     "spectral_check",
     "trajectory_checks",
     "default_suite",
@@ -64,43 +61,21 @@ IDENTITY_RTOL = 1e-10
 SPECTRAL_ATOL = 1e-13
 
 
-class VerificationError(AssertionError):
-    """A verifier postcondition failed on the supplied data."""
-
-
-@dataclass(frozen=True)
-class ContractionCertificate:
-    """Witness of the two-step affine recurrence on the extreme components.
-
-    Both extremes of a sorted state satisfy u^(m+2) = slope * u^(m) +
-    intercept with positive slope and intercept, so the sorted spread
-    contracts by factor `contraction` < 1/2 every two steps.  With pi the
-    product of the components of u^(m) and the products over its middle
-    components (all but the extremes), slope = prod_mid (u_j - pi) and
-    intercept = 1 - prod_mid (1 - pi / u_j).  ratio_bound is slope * u_min /
-    intercept and must sit strictly inside (0, 1).
-    """
-
-    m: int
-    slope: float
-    intercept: float
-    ratio_bound: float
-    contraction: float
-    residual_low: float
-    residual_high: float
-
-
 def _certificate_fields(u: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, ...]:
-    # slope, intercept, ratio_bound, contraction, residual_low and
-    # residual_high of the certificate for every state of u (at m) and u2
+    # The two-step contraction certificate of every state of u (at m) and u2
     # (at m + 2), components on the first axis, in O(p) array operations,
-    # the same for a (p,) state alone as in a batch.  With pi = prod_i u_i and
-    # u'_j = 1 - pi / u_j, u''_0 = 1 - u'_{p-1} prod_mid u'_j and u'_{p-1} =
-    # 1 - u_0 prod_mid u_j, so u''_0 = intercept + slope u_0, and likewise
-    # u''_{p-1}.  The intercept is the running union c <- c + x_j (1 - c) of
-    # x_j = pi / u_j, whose terms are all non-negative, so nothing cancels
-    # (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., SIAM
-    # 2002).
+    # the same for a (p,) state alone as in a batch.  With pi = prod_i u_i,
+    # prod_mid over all but the extremes and u'_j = 1 - pi / u_j, u''_0 = 1 -
+    # u'_{p-1} prod_mid u'_j and u'_{p-1} = 1 - u_0 prod_mid u_j, so u''_0 =
+    # intercept + slope u_0 with slope = prod_mid (u_j - pi) and intercept =
+    # 1 - prod_mid (1 - pi / u_j), and likewise u''_{p-1}; residual_low and
+    # residual_high are the relative misses of the two.  With slope and
+    # intercept positive and ratio_bound = slope u_0 / intercept strictly
+    # inside (0, 1), the sorted spread contracts by the factor contraction =
+    # slope u_0 / (slope u_0 + intercept) < 1/2 every two steps.  The
+    # intercept is the running union c <- c + x_j (1 - c) of x_j = pi / u_j,
+    # whose terms are all non-negative, so nothing cancels (Higham, Accuracy
+    # and Stability of Numerical Algorithms, 2nd ed., SIAM 2002).
     p = len(u)
     pi = np.ones(u.shape[1:])
     for j in range(p):
@@ -143,36 +118,12 @@ _CERTIFICATE_ERRORS = (
 
 
 def _certificate_error(arrays: tuple[np.ndarray, ...], failures: np.ndarray, at: tuple, m: int) -> str:
-    # The VerificationError text of the first failed claim of the certificate
-    # at index `at` of _certificate_fields' arrays, the certificate at step m.
-    values = {f.name: float(a[at]) for f, a in zip(fields(ContractionCertificate)[1:], arrays)}
+    # The failure text of the first failed claim of the certificate at index
+    # `at` of _certificate_fields' arrays, the certificate at step m.
+    names = ("slope", "intercept", "ratio_bound", "contraction", "residual_low", "residual_high")
+    values = {name: float(a[at]) for name, a in zip(names, arrays)}
     claim = int(failures[(slice(None), *at)].argmax())
     return _CERTIFICATE_ERRORS[claim].format(m=m, rtol=IDENTITY_RTOL, **values)
-
-
-def contraction_certificate(traj: TrajectoryRecord, m: int) -> ContractionCertificate:
-    """Build and validate the two-step contraction certificate at step m.
-
-    Needs recorded states at m and m+2, a sorted irregular state (strictly
-    distinct extremes), and p >= 3.  Raises VerificationError if either
-    recurrence identity misses IDENTITY_RTOL or any positivity/contraction
-    claim fails.
-    """
-    p = traj.p
-    if p < 3:
-        raise ValueError(f"the contraction certificate requires p >= 3, got {p}")
-    if m < 0 or m + 2 >= len(traj):
-        raise ValueError(f"states at m={m} and m+2 must both be recorded")
-    u = traj.states[m]
-    if not (u[:-1] <= u[1:]).all():
-        raise ValueError(f"state at m={m} is not sorted ascending")
-    if not u[0] < u[-1]:
-        raise ValueError("regular state: extreme components coincide")
-    arrays = _certificate_fields(u, traj.states[m + 2])
-    failures = _certificate_failures(arrays)
-    if failures.any():
-        raise VerificationError(_certificate_error(arrays, failures, (), m))
-    return ContractionCertificate(m, *map(float, arrays))
 
 
 def _spectral_residual(cert: StationaryCertificate) -> float:
@@ -717,11 +668,11 @@ def default_suite(
     """Randomized verification sweep across every registered check.
 
     Unknown check names, an empty p_values, a non-integer p or one below 3,
-    seeds_per_p < 1 and max_steps < 0 raise ValueError, whichever checks
-    run: a sweep over no trajectories would pass on no evidence.  The static
-    checks take each distinct p once, ascending.  inject_fault corrupts the
-    first swept trajectory so the harness itself can be shown to catch
-    failures.
+    seeds_per_p < 1, max_steps < 0 and rng_seed < 0 raise ValueError,
+    whichever checks run: a sweep over no trajectories would pass on no
+    evidence.  The static checks take each distinct p once, ascending.
+    inject_fault corrupts the first swept trajectory so the harness itself
+    can be shown to catch failures.
     """
     if len(p_values) == 0:
         raise ValueError("p_values must name at least one p")
@@ -732,6 +683,8 @@ def default_suite(
         raise ValueError(f"seeds_per_p must be >= 1, got {seeds_per_p}")
     if max_steps < 0:
         raise ValueError(f"max_steps must be >= 0, got {max_steps}")
+    if rng_seed < 0:
+        raise ValueError(f"rng_seed must be >= 0, got {rng_seed}")
     wanted = set(KNOWN_CHECKS if checks is None else checks)
     unknown = wanted.difference(KNOWN_CHECKS)
     if unknown:

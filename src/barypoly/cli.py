@@ -370,30 +370,26 @@ def cmd_figure(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
     cfg = _resolve_config(args)
     if cfg.weights is None:
         parser.error("figure needs --weights (comma separated, each in (0,1))")
+    if args.superpose and args.order is not None:
+        parser.error("--superpose draws weight orders 0 and 1; it takes no --order")
+    order = 0 if args.order is None else args.order
+    if order < 0:
+        parser.error(f"--order must be >= 0, got {order}")
     t0 = WeightTuple.of(cfg.weights)
     A = _points_from_config(cfg, t0.p)
     if A.dim != 2:
         raise ValueError(f"figures need planar points, got dim={A.dim}")
     A.require_distinct()
 
-    orders = [0, 1] if args.superpose else [args.order]
-    weight_list = weight_orders(t0, max(orders))
-
-    families = []
-    limits = []
-    for color_idx, order in enumerate(orders):
-        t = weight_list[order]
-        fam = figure_iterates(A, t)
-        color = _ORDER_COLORS[color_idx % len(_ORDER_COLORS)]
-        families.append((fam, color))
-        limits.append((limit_point(A, t), color))
-
+    weights = weight_orders(t0, 1) if args.superpose else [weight_orders(t0, order)[-1]]
+    families = [(figure_iterates(A, t), color) for t, color in zip(weights, _ORDER_COLORS)]
+    limits = [(limit_point(A, t), color) for t, color in zip(weights, _ORDER_COLORS)]
     svg = _render_svg(families, limits, centroid(A))
 
     if args.out:
         out_path = Path(args.out)
     else:
-        name = "figure_superposed.svg" if args.superpose else f"figure_order{args.order}.svg"
+        name = "figure_superposed.svg" if args.superpose else f"figure_order{order}.svg"
         out_path = Path(cfg.output_dir) / name
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text(svg, encoding="utf-8")
@@ -456,8 +452,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = subcommand("figure", "SVG of the collapsing averaging polygon")
     sp.add_argument("--weights", type=_parse_weights, help="initial weights, comma separated")
-    sp.add_argument("--order", type=int, default=0,
-                    help="weight order: 0 uses the seed weights, n the n-th derived weights")
+    sp.add_argument("--order", type=int,
+                    help="weight order: 0 (the default) uses the seed weights, n the n-th derived weights")
     sp.add_argument("--superpose", action="store_true", help="overlay orders 0 and 1")
     sp.add_argument("--points-file", help="JSON array of planar base points")
     sp.add_argument("--out", help="SVG path (default: figure_order<N>.svg)")

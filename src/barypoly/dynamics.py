@@ -180,7 +180,12 @@ def derived_step(t: WeightTuple) -> WeightTuple:
 
 
 def conjugate_step(u: ConjugateTuple) -> ConjugateTuple:
-    """One application of the conjugate map u'_k = 1 - prod_{i != k} u_i."""
+    """One application of the conjugate map u'_k = 1 - prod_{i != k} u_i.
+
+    Raises SaturationError when a component leaves (0, 1).  A component
+    within one ulp of 0 or 1 is returned, though run_trajectory counts it as
+    saturated and records no state from that step on.
+    """
     return _stepped(ConjugateTuple, u.p, _step(np.array(u.u))[1], "conjugate")
 
 

@@ -15,11 +15,9 @@ from barypoly import (
     CheckResult,
     ConjugateTuple,
     PointSet,
-    VerificationError,
     WeightTuple,
     certificate,
     conjugate_step,
-    contraction_certificate,
     default_suite,
     polygon_step,
     run_trajectory,
@@ -100,17 +98,31 @@ def _with_state(traj, m, q, value):
     return dataclasses.replace(traj, states=states)
 
 
+def _certificate(traj, m):
+    # the certificate fields at step m of a record, every claim of which holds
+    arrays = analysis._certificate_fields(traj.states[m], traj.states[m + 2])
+    assert not analysis._certificate_failures(arrays).any()
+    names = ("slope", "intercept", "ratio_bound", "contraction", "residual_low", "residual_high")
+    return dict(zip(names, map(float, arrays)))
+
+
 def test_contraction_certificate_hand_case():
     # pi = 0.012, mid factors (0.3 - pi)(0.4 - pi), intercept 1 - (1 - pi/0.3)(1 - pi/0.4)
     traj = _traj((0.2, 0.3, 0.4, 0.5))
-    cert = contraction_certificate(traj, 0)
-    assert cert.slope == pytest.approx(0.288 * 0.388, rel=1e-15)
-    assert cert.intercept == pytest.approx(0.2 * 0.5 * 0.688, rel=1e-15)
-    assert cert.ratio_bound == pytest.approx(cert.slope * 0.2 / cert.intercept, rel=1e-15)
-    assert cert.residual_low <= 1e-12 and cert.residual_high <= 1e-12
+    cert = _certificate(traj, 0)
+    assert cert["slope"] == pytest.approx(0.288 * 0.388, rel=1e-15)
+    assert cert["intercept"] == pytest.approx(0.2 * 0.5 * 0.688, rel=1e-15)
+    assert cert["ratio_bound"] == pytest.approx(cert["slope"] * 0.2 / cert["intercept"], rel=1e-15)
+    assert cert["residual_low"] <= 1e-12 and cert["residual_high"] <= 1e-12
     u2 = traj.states[2]
-    assert cert.slope * 0.2 + cert.intercept == pytest.approx(u2[0], rel=1e-12)
-    assert cert.slope * 0.5 + cert.intercept == pytest.approx(u2[-1], rel=1e-12)
+    assert cert["slope"] * 0.2 + cert["intercept"] == pytest.approx(u2[0], rel=1e-12)
+    assert cert["slope"] * 0.5 + cert["intercept"] == pytest.approx(u2[-1], rel=1e-12)
+    # the batch check emits that certificate, and none for a regular seed or
+    # for a record without a state m + 2
+    regular, two_states = _traj((0.7, 0.7, 0.7), steps=400), _traj((0.2, 0.3, 0.4, 0.5), steps=1)
+    assert (len(regular), len(two_states)) == (18, 2)
+    for record, emitted in ((traj, 1), (regular, 0), (two_states, 0)):
+        assert _check("contraction_certificates", record) == (True, {"certificates": emitted})
 
 
 def test_contraction_equals_observed_spread_ratio():
@@ -118,24 +130,9 @@ def test_contraction_equals_observed_spread_ratio():
     certificate's contraction field, up to rounding."""
     traj = _traj((0.2, 0.3, 0.4, 0.5), steps=4)
     for m in (0, 2):
-        cert = contraction_certificate(traj, m)
-        assert traj.spread[m + 2] / traj.spread[m] == pytest.approx(
-            cert.contraction, rel=1e-8
-        )
-        assert cert.contraction < 0.5
-
-
-def test_contraction_certificate_errors():
-    with pytest.raises(ValueError):
-        contraction_certificate(_traj((0.3, 0.3, 0.3, 0.3)), 0)  # regular state
-    with pytest.raises(ValueError):
-        contraction_certificate(_traj((0.2, 0.3, 0.4, 0.5)), 1)  # m+2 not recorded
-    with pytest.raises(ValueError):
-        contraction_certificate(_traj((0.4, 0.6)), 0)  # p too small
-    good = _traj((0.2, 0.3, 0.4, 0.5))
-    shuffled = _with_state(_with_state(good, 0, 1, 0.4), 0, 2, 0.3)
-    with pytest.raises(ValueError, match="not sorted"):
-        contraction_certificate(shuffled, 0)
+        contraction = _certificate(traj, m)["contraction"]
+        assert traj.spread[m + 2] / traj.spread[m] == pytest.approx(contraction, rel=1e-8)
+        assert contraction < 0.5
 
 
 def test_contraction_certificates_fail_an_unsorted_row_only():
@@ -155,8 +152,6 @@ def test_contraction_certificates_fail_an_unsorted_row_only():
         assert [witness(i) for i in others] == [ref_witness(i) for i in others], name
     passed, witness = _TRAJ_CHECKS["contraction_certificates"](swapped)
     assert not passed[r] and witness(r) == {"step": 1, "reason": "state at m=1 is not sorted ascending"}
-    with pytest.raises(ValueError, match="not sorted"):
-        contraction_certificate(swapped.row(r), 1)
 
 
 def test_spread_geometric_bound_passes_on_the_seeds_of_its_false_failures():
@@ -1043,7 +1038,8 @@ def test_default_suite_rejects_p_below_3():
 
 
 def test_default_suite_rejects_a_sweep_of_nothing():
-    for kwargs in (dict(p_values=()), dict(seeds_per_p=0), dict(seeds_per_p=-3), dict(max_steps=-3)):
+    for kwargs in (dict(p_values=()), dict(seeds_per_p=0), dict(seeds_per_p=-3), dict(max_steps=-3),
+                   dict(rng_seed=-1)):
         with pytest.raises(ValueError):
             default_suite(checks=["fixed_point"], **kwargs)
 

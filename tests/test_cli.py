@@ -297,6 +297,13 @@ def test_verify_rejects_negative_steps_for_every_check(capsys):
         assert captured.err == "error: max_steps must be >= 0, got -3\n"
 
 
+def test_verify_rejects_a_negative_seed(capsys):
+    assert main(["verify", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: rng_seed must be >= 0, got -1\n"
+
+
 def test_verify_passes_explicit_steps_through(monkeypatch, capsys):
     from barypoly import analysis
 
@@ -368,6 +375,17 @@ def test_figure_superposed(tmp_path, capsys):
     capsys.readouterr()
     svg = (tmp_path / "figure_superposed.svg").read_text()
     assert "#1f77b4" in svg and "#d62728" in svg
+
+
+def test_figure_order_is_a_non_negative_order_without_superpose(tmp_path, capsys):
+    for extra, message in ((["--order", "-1"], "--order must be >= 0, got -1"),
+                           (["--superpose", "--order", "3"], "it takes no --order"),
+                           (["--superpose", "--order", "0"], "it takes no --order")):
+        with pytest.raises(SystemExit) as exc:
+            main(["figure", "--weights", REF_WEIGHTS, "--out-dir", str(tmp_path), *extra])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_figure_order_past_saturation_is_an_input_error(tmp_path, capsys):
@@ -448,11 +466,11 @@ assert "numpy" in sys.modules
 def test_package_names_load_from_their_home_modules():
     assert barypoly.__all__ == [
         "__version__",
-        "CheckResult", "ConjugateTuple", "ContractionCertificate", "DualSequenceRecord",
+        "CheckResult", "ConjugateTuple", "DualSequenceRecord",
         "KNOWN_CHECKS", "PointSet", "SaturationError", "StationaryCertificate",
-        "TrajectoryRecord", "VerificationError", "WeightTuple",
+        "TrajectoryRecord", "WeightTuple",
         "centroid", "certificate", "conjugate_of", "conjugate_step",
-        "contraction_certificate", "default_suite", "derived_step", "dual_sequence",
+        "default_suite", "derived_step", "dual_sequence",
         "limit_point", "polygon_step", "run_trajectory", "solve_alpha", "spectral_check",
         "trajectory_checks", "weight_orders",
     ]
@@ -483,16 +501,21 @@ else:
 def test_source_modules_use_every_name_they_import():
     # A deletion that strands an import leaves a dead name: every name an
     # import binds appears as a Name in its module or as a string in its
-    # __all__.  A from __future__ import binds no name.
+    # __all__.  A from __future__ import binds no name.  A deletion that
+    # strands a private helper leaves one too: every top-level _name that a
+    # module defines is read somewhere in the package, as a name, an
+    # attribute or an imported name.
     src = Path(__file__).resolve().parents[1] / "src" / "barypoly"
     paths = sorted(src.glob("*.py"))
     assert paths
+    private, read = {}, set()
     for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"))
+        imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
         bound = {
             alias.asname or alias.name.split(".")[0]
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for node in imports
+            if not isinstance(node, ast.ImportFrom) or node.module != "__future__"
             for alias in node.names
         }
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
@@ -504,6 +527,23 @@ def test_source_modules_use_every_name_they_import():
             if isinstance(node, ast.Constant) and isinstance(node.value, str)
         }
         assert bound <= used | exported, (path.name, sorted(bound - used - exported))
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [node.id for t in targets for node in ast.walk(t) if isinstance(node, ast.Name)]
+            else:
+                continue
+            private.update((name, path.name) for name in names if name.startswith("_") and not name.startswith("__"))
+        read |= {alias.name for node in imports for alias in node.names}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert private
+    assert not {name: home for name, home in private.items() if name not in read}
 
 
 def test_arithmetic_errors_other_than_saturation_propagate(monkeypatch):

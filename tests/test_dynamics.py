@@ -64,6 +64,12 @@ def test_step_raises_on_saturation():
         conjugate_step(ConjugateTuple.of((1e-300, 1e-300, 0.5)))
     assert err.value.values is not None
     assert any(v >= 1.0 for v in err.value.values)
+    # A component within one ulp of 1 is still a state of the single step,
+    # and already saturation for run_trajectory.
+    u = ConjugateTuple.of((1e-8, 1e-8, 0.5))
+    assert conjugate_step(u).u[2].hex() == "0x1.fffffffffffffp-1"
+    traj = run_trajectory(u, 400, solve_alpha(3))
+    assert (len(traj), traj.saturation_step) == (1, 1)
 
 
 def test_step_raises_when_an_output_reaches_a_bound(monkeypatch):
