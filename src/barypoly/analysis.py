@@ -18,11 +18,13 @@ Each function is the only implementation of its claim.  Their order,
 KNOWN_CHECKS, is the report order.
 
 A sweep is checked one p at a time, as one array batch from stepping to
-verdict: dynamics._run_batch steps the p's seeds into a dynamics._Batch, and
-every trajectory check reduces that batch to a verdict per row, reading only
-the row's recorded states, with no Python per row.  A TrajectoryRecord holds
-the same arrays as one row of a batch, and trajectory_checks runs the same
-functions on its one-row view.
+verdict: dynamics._run_batch steps the p's seeds into a step-major
+dynamics._Batch, and every trajectory check reduces that batch over its steps
+(axis 0 of its (n, rows) planes) to a verdict per row, reading only the row's
+recorded states, with no Python per row.  Only a failing row's witness looks
+for the step where it first fails.  A TrajectoryRecord holds the same arrays
+as one row of a batch, and trajectory_checks runs the same functions on its
+one-row view.
 """
 from __future__ import annotations
 
@@ -76,14 +78,12 @@ def _certificate_fields(u: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, ...]
     # intercept is the running union c <- c + x_j (1 - c) of x_j = pi / u_j,
     # whose terms are all non-negative, so nothing cancels (Higham, Accuracy
     # and Stability of Numerical Algorithms, 2nd ed., SIAM 2002).
-    p = len(u)
-    pi = np.ones(u.shape[1:])
-    for j in range(p):
-        pi = pi * u[j]
-    slope = np.ones(u.shape[1:])
+    # multiply.reduce over the first axis multiplies in index order, so pi
+    # and slope are the running products u_0 u_1 ... bit for bit.
+    pi = np.multiply.reduce(u, axis=0)
+    slope = np.multiply.reduce(u[1:-1] - pi, axis=0)
     intercept = np.zeros(u.shape[1:])
-    for j in range(1, p - 1):
-        slope = slope * (u[j] - pi)
+    for j in range(1, len(u) - 1):
         intercept = intercept + pi / u[j] * (1.0 - intercept)
     low = slope * u[0]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -190,23 +190,24 @@ CERT_WINDOW = (1e-3, 1.0 - 1e-3)
 # Every trajectory check takes a _Batch and returns (passed, witness):
 # passed is a (rows,) bool array and witness(r) builds row r's witness dict.
 # A row's verdict reads only that row's recorded states: the padding past
-# its length is masked out with batch.valid.
+# its length is masked out with batch.valid, (n_max, rows).
 _Verdicts = tuple[np.ndarray, Callable[[int], dict]]
 
 
-def _first(bad: np.ndarray) -> np.ndarray:
-    # Index of the first True on the last axis of a (rows, n) array, -1 in a
-    # row without one.
-    if not bad.shape[-1]:
-        return np.full(len(bad), -1)
-    return np.where(bad.any(axis=-1), bad.argmax(axis=-1), -1)
+def _verdicts(bad: np.ndarray, more=lambda r, m: {}, key: str = "step", clean=lambda r: {}) -> _Verdicts:
+    # The verdicts of a check that fails row r at the first True of the
+    # (n, rows) bad[:, r]: a failure's witness names that index m, and more(r,
+    # m) adds to it; a passing row's witness is clean(r).  m is looked up in
+    # the witness, so only for a failing row.
+    passed = ~bad.any(axis=0)
 
+    def witness(r: int) -> dict:
+        if passed[r]:
+            return clean(r)
+        m = int(bad[:, r].argmax())
+        return {key: m, **more(r, m)}
 
-def _verdicts(bad: np.ndarray, more=lambda r, m: {}, key: str = "step") -> _Verdicts:
-    # The verdicts of a check that fails row r at the first True of bad[r]:
-    # a failure's witness names that index m, and more(r, m) adds to it.
-    first = _first(bad)
-    return first < 0, lambda r: {} if first[r] < 0 else {key: int(first[r]), **more(r, first[r])}
+    return passed, witness
 
 
 def _traj_order_preserved(batch: _Batch) -> _Verdicts:
@@ -235,7 +236,7 @@ def _traj_ratio_monotone(batch: _Batch) -> _Verdicts:
     # all p(p-1)/2 pairs in O(p).  Testing the consecutive pairs alone would
     # be looser, as their slacks add up over the gaps of a pair.
     U = batch.states
-    a, b = U[:, :, :-2], U[:, :, 2:]
+    a, b = U[:, :-2], U[:, 2:]
     tol = np.maximum(RATIO_SLACK, 10.0 * batch.pair_noise)
     bad = np.zeros(b.shape[1:], dtype=bool)
     if bad.size:
@@ -245,14 +246,14 @@ def _traj_ratio_monotone(batch: _Batch) -> _Verdicts:
             y = b[l] / a[l]
             bad |= ~((b[l] >= keep * high) & (y / low - 1.0 <= allowance))
             high, low = np.maximum(high, b[l]), np.minimum(low, y)
-    return _verdicts(bad & batch.valid[:, 2:])
+    return _verdicts(bad & batch.valid[2:])
 
 
 def _spread_allowance(batch: _Batch) -> np.ndarray:
-    # (rows, n_max - 2): the allowance of the claim spread[m+2] < spread[m]
+    # (n_max - 2, rows): the allowance of the claim spread[m+2] < spread[m]
     # / 2, ten times the hard bound on the noise the pair inherits from
     # storage.
-    return 10.0 * batch.pair_noise * (1.0 + batch.spread[:, :-2])
+    return 10.0 * batch.pair_noise * (1.0 + batch.spread[:-2])
 
 
 def _traj_spread_contraction(batch: _Batch) -> _Verdicts:
@@ -261,9 +262,9 @@ def _traj_spread_contraction(batch: _Batch) -> _Verdicts:
     # _spread_allowance instead of a skip rule: a real violation always
     # exceeds it.
     S = batch.spread
-    now, later = S[:, :-2], S[:, 2:]
-    bad = (now > SPREAD_FLOOR) & ~(later < 0.5 * now + _spread_allowance(batch)) & batch.valid[:, 2:]
-    return _verdicts(bad, lambda r, m: {"ratio": float(S[r, m + 2] / S[r, m])})
+    now, later = S[:-2], S[2:]
+    bad = (now > SPREAD_FLOOR) & ~(later < 0.5 * now + _spread_allowance(batch)) & batch.valid[2:]
+    return _verdicts(bad, lambda r, m: {"ratio": float(S[m + 2, r] / S[m, r])})
 
 
 def _traj_contraction_certificates(batch: _Batch) -> _Verdicts:
@@ -272,26 +273,28 @@ def _traj_contraction_certificates(batch: _Batch) -> _Verdicts:
     # its first m whose certificate fails or whose state is unsorted, which
     # only corrupt data can give; the other rows keep their verdicts.
     U = batch.states
-    rows = U.shape[1]
     lo, hi = CERT_WINDOW
     inside = ~((U[0] < lo) | (U[-1] > hi))
-    window = (inside[:, :-2] & inside[:, 1:-1] & inside[:, 2:] & (batch.spread[:, :-2] > 1e-9)
-              & (U[0, :, :-2] < U[-1, :, :-2]) & batch.valid[:, 2:])
-    counts = window.sum(axis=-1)
+    window = (inside[:-2] & inside[1:-1] & inside[2:] & (batch.spread[:-2] > 1e-9)
+              & (U[0, :-2] < U[-1, :-2]) & batch.valid[2:])
+    counts = window.sum(axis=0)
+
+    def clean(r: int) -> dict:
+        return {"certificates": int(counts[r])}
+
     if not window.any():
-        return np.ones(rows, dtype=bool), lambda r: {"certificates": int(counts[r])}
+        return np.ones(U.shape[2], dtype=bool), clean
     # every m is evaluated and then masked: the temporaries keep the batch's
     # shape instead of one that varies with the number of certificates.
     # Gathering only the window's states took ~0.3 ms less per default sweep
     # but grew a process's peak RSS by ~1 MB over 1200 sweeps, against ~0.1
     # MB this way (allocator fragmentation; numpy 2.4, glibc 2.36).
-    arrays = _certificate_fields(U[:, :, :-2], U[:, :, 2:])
+    arrays = _certificate_fields(U[:, :-2], U[:, 2:])
     failures = _certificate_failures(arrays) & window
-    unsorted = ~(U[:-1, :, :-2] <= U[1:, :, :-2]).all(axis=0) & window
-    first = _first(failures.any(axis=0) | unsorted)
-    return first < 0, lambda r: {"certificates": int(counts[r])} if first[r] < 0 else {
-        "step": int(first[r]), "reason": f"state at m={first[r]} is not sorted ascending" if unsorted[r, first[r]]
-        else _certificate_error(arrays, failures, (r, first[r]), int(first[r]))}
+    unsorted = ~(U[:-1, :-2] <= U[1:, :-2]).all(axis=0) & window
+    return _verdicts(failures.any(axis=0) | unsorted, lambda r, m: {
+        "reason": f"state at m={m} is not sorted ascending" if unsorted[m, r]
+        else _certificate_error(arrays, failures, (m, r), m)}, clean=clean)
 
 
 def _traj_geometric_bound(batch: _Batch) -> _Verdicts:
@@ -303,12 +306,12 @@ def _traj_geometric_bound(batch: _Batch) -> _Verdicts:
     # allowances grow with the storage noise of a component near 1, so the
     # bound holds on every recorded state, deep-corner ones included.
     S = batch.spread
-    even = S[:, ::2]
-    q = np.arange(even.shape[1])
-    scaled = np.concatenate((S[:, :1], _spread_allowance(batch)[:, ::2] * 2.0 ** q[1:]), axis=1)
-    bound = np.cumsum(scaled, axis=1) * 2.0 ** -q + 1e-12
-    bad = (even > bound) & (q >= 1) & (2 * q < batch.length[:, None])
-    return _verdicts(bad, lambda r, i: {"spread": float(even[r, i]), "bound": float(bound[r, i])}, "q")
+    even = S[::2]
+    q = np.arange(len(even))[:, None]
+    scaled = np.concatenate((S[:1], _spread_allowance(batch)[::2] * 2.0 ** q[1:]))
+    bound = np.cumsum(scaled, axis=0) * 2.0 ** -q + 1e-12
+    bad = (even > bound) & (q >= 1) & (2 * q < batch.length)
+    return _verdicts(bad, lambda r, i: {"spread": float(even[i, r]), "bound": float(bound[i, r])}, "q")
 
 
 def _traj_t_ratio_transfer(batch: _Batch) -> _Verdicts:
@@ -331,22 +334,23 @@ def _traj_t_ratio_transfer(batch: _Batch) -> _Verdicts:
     # to first order; the factor 2 of the test covers the rest.  An unsorted
     # state can only get a smaller B.
     U = batch.states
-    t = 1.0 - U[:, :, 1:]
-    w = t * U[:, :, :-1]
+    t = 1.0 - U[:, 1:]
+    w = t * U[:, :-1]
     with np.errstate(divide="ignore", invalid="ignore"):
         diff = w.max(axis=0) / w.min(axis=0) - 1.0
         t_min = t[-1]
-        bound = (2.0 * (_LIBM_REL * np.abs(np.log(U[0, :, :-1])) + _EPS * np.abs(np.log(t_min))
+        bound = (2.0 * (_LIBM_REL * np.abs(np.log(U[0, :-1])) + _EPS * np.abs(np.log(t_min))
                         + (_LIBM_REL + _EPS) / t_min) + 5 * _EPS)
-    return _verdicts(~(diff <= 2.0 * bound) & batch.valid[:, 1:], lambda r, m: {
-        "pair": sorted((int(w[:, r, m].argmin()), int(w[:, r, m].argmax()))), "diff": float(diff[r, m])})
+    return _verdicts(~(diff <= 2.0 * bound) & batch.valid[1:], lambda r, m: {
+        "pair": sorted((int(w[:, m, r].argmin()), int(w[:, m, r].argmax()))), "diff": float(diff[m, r])})
 
 
 def _with_saturating(plane: np.ndarray, batch: _Batch, values: np.ndarray, fill) -> np.ndarray:
-    # the (rows, n_max) plane and a column of fill, with values[r] at index length[r] of a saturated row r
-    out = np.concatenate((plane, np.full((len(plane), 1), fill, dtype=plane.dtype)), axis=1)
+    # the (n_max, rows) plane and a line of fill, (n_max + 1, rows), with
+    # values[r] at step length[r] of a saturated row r
+    out = np.concatenate((plane, np.full((1, plane.shape[1]), fill, dtype=plane.dtype)))
     r = np.flatnonzero(batch.saturation_step >= 0)
-    out[r, batch.length[r]] = values[r]
+    out[batch.length[r], r] = values[r]
     return out
 
 
@@ -359,15 +363,15 @@ def _traj_phase_alternation(batch: _Batch) -> _Verdicts:
     # states that break the alternation.
     # phases are MIXED past a row's length, so every decided entry is audited
     phase = _with_saturating(batch.phase, batch, batch.saturation_phase, 0)
-    index = np.arange(phase.shape[1])
+    index = np.arange(len(phase))[:, None]
     decided = phase != 0
-    audited = (index < batch.length[:, None]) | decided
-    m0 = decided.argmax(axis=-1)
-    first = phase[np.arange(len(phase)), m0][:, None]
-    offset = index - m0[:, None]
+    audited = (index < batch.length) | decided
+    m0 = decided.argmax(axis=0)
+    first = phase[m0, np.arange(phase.shape[1])]
+    offset = index - m0
     expected = np.where(offset % 2 == 0, first, -first)
-    violations = ((phase != expected) & audited & (offset >= 0)).sum(axis=-1)
-    has = decided.any(axis=-1)
+    violations = ((phase != expected) & audited & (offset >= 0)).sum(axis=0)
+    has = decided.any(axis=0)
 
     def witness(r: int) -> dict:
         if not has[r]:
@@ -393,8 +397,8 @@ def _traj_even_odd_limits(batch: _Batch) -> _Verdicts:
     wrong_corner = by_saturation & (hit_one != (code == 1))
     last = batch.length - 1
     rows = np.arange(len(last))
-    even = batch.states[:, rows, last - last % 2]
-    odd = batch.states[:, rows, np.maximum(last - (last + 1) % 2, 0)]
+    even = batch.states[:, last - last % 2, rows]
+    odd = batch.states[:, np.maximum(last - (last + 1) % 2, 0), rows]
     to_zero = (even.max(axis=0) < LIMIT_TOL) & (odd.min(axis=0) > 1.0 - LIMIT_TOL)
     to_one = (even.min(axis=0) > 1.0 - LIMIT_TOL) & (odd.max(axis=0) < LIMIT_TOL)
     # a one-state row compares its seed with itself, which decides nothing
@@ -420,23 +424,23 @@ def _traj_comparison_domination(batch: _Batch) -> _Verdicts:
     # min(y, z)) (3 eta + (p + 1) eps) p L + eta (y + z) to first order, p
     # eps relative on the log sum; the test allows 2 B.  A NaN fails.
     U = batch.states
-    p, _, n = U.shape
+    p, n, _ = U.shape
     lo = _with_saturating(U[0], batch, batch.saturation_values.min(axis=-1), np.nan)
     hi = _with_saturating(U[-1], batch, batch.saturation_values.max(axis=-1), np.nan)
-    audited = np.arange(n) + 1 < (batch.length + (batch.saturation_step >= 0))[:, None]
+    audited = np.arange(n)[:, None] + 1 < batch.length + (batch.saturation_step >= 0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_lo = np.log(lo[:, :-1])
-        f_hi, f_lo = -np.expm1((p - 1) * np.log(hi[:, :-1])), -np.expm1((p - 1) * log_lo)
+        log_lo = np.log(lo[:-1])
+        f_hi, f_lo = -np.expm1((p - 1) * np.log(hi[:-1])), -np.expm1((p - 1) * log_lo)
     g = (3 * _LIBM_REL + (p + 1) * _EPS) * p * -log_lo
 
     def allowance(y, z):
         return 2.0 * ((1.0 - np.minimum(y, z)) * g + _LIBM_REL * (y + z))
 
-    low = ~(lo[:, 1:] >= f_hi - allowance(lo[:, 1:], f_hi)) & audited
-    high = ~(hi[:, 1:] <= f_lo + allowance(hi[:, 1:], f_lo)) & audited
-    pairs, first = audited.sum(axis=-1), _first(low | high)
-    return first < 0, lambda r: {"pairs": int(pairs[r])} if first[r] < 0 else {
-        "step": int(first[r]), "bracket": "lower" if low[r, first[r]] else "upper"}
+    low = ~(lo[1:] >= f_hi - allowance(lo[1:], f_hi)) & audited
+    high = ~(hi[1:] <= f_lo + allowance(hi[1:], f_lo)) & audited
+    pairs = audited.sum(axis=0)
+    return _verdicts(low | high, lambda r, m: {"bracket": "lower" if low[m, r] else "upper"},
+                     clean=lambda r: {"pairs": int(pairs[r])})
 
 
 def _check_stationary(p_values: Sequence[int]) -> tuple[bool, dict]:
@@ -500,10 +504,11 @@ def _check_unique_fixed_point_grid(p_values: Sequence[int]) -> tuple[bool, dict]
     # 20-per-axis midpoint grid over (0,1)^3, whatever p_values hold (the
     # suite runs it only when they include 3): near-fixed states must all sit
     # within 1e-4 of the known stationary tuple.  It steps one slab of 400
-    # rows per first coordinate, ~1.3-1.6 ms per check in-process on 2 vCPU:
-    # 2000-row slabs took ~0.95 ms and one 8000-row slab ~1.1 ms, but raised
-    # a fresh process's peak RSS after 50 default sweeps by ~0.1 and ~0.45 MB
-    # (of ~37 MB).  Each slab's maxima fold its 3 columns
+    # rows per first coordinate, ~0.7 ms per check in-process (numpy 2.4, 2
+    # vCPU): 2000-row slabs take ~0.47 ms and one 8000-row slab ~0.77 ms, but
+    # when the slab size was chosen they raised a fresh process's peak RSS
+    # after 50 default sweeps by ~0.1 and ~0.45 MB (of ~37 MB).  Each slab's
+    # maxima fold its 3 columns
     # (_reduce_components).  No grid state saturates, as every product of two
     # midpoints lies in [0.025^2, 0.975^2].
     alpha = solve_alpha(3)
@@ -648,7 +653,7 @@ def _perturbed(batch: _Batch) -> _Batch:
     # recurrence checks must notice.  The other rows are untouched.
     states = batch.states.copy()
     m = min(2, batch.length[0] - 1)
-    states[0, 0, m] = min(states[0, 0, m] + 0.07, 1.0 - 1e-9)
+    states[0, m, 0] = min(states[0, m, 0] + 0.07, 1.0 - 1e-9)
     return replace(batch, states=states)
 
 
@@ -707,9 +712,11 @@ def default_suite(
             batch = _perturbed(batch)
         for name in traj_names:
             passed, witness = _TRAJ_CHECKS[name](batch)
+            if passed.all():
+                continue
             failed = np.flatnonzero(~passed)
             violations[name] += failed.size
-            if failed.size and name not in first_failure:
+            if name not in first_failure:
                 s = int(failed[0])
                 first_failure[name] = {"p": p, "seed_index": s, **witness(s)}
 

@@ -411,10 +411,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     # Each subcommand takes only the flags it reads (--p only alpha and
     # verify, --seed only verify; the config keys stay shared), spelled out:
-    # an abbreviation would read `figure --p 5` as --points-file 5.
+    # an abbreviation would read `figure --p 5` as --points-file 5.  Its
+    # usage errors go through its own parser, so they print its usage line.
     def subcommand(name: str, help: str) -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help, allow_abbrev=False)
         sp.add_argument("--config", help="JSON config file; explicit flags override it")
+        sp.set_defaults(parser=sp)
         return sp
 
     sp = subcommand("alpha", "stationary value and instability certificate")
@@ -469,7 +471,7 @@ def main(argv: list[str] | None = None) -> int:
     # and SaturationError for input whose iteration leaves (0, 1).  Other
     # ArithmeticErrors propagate; only they make main load dynamics.
     try:
-        return args.fn(args, parser)
+        return args.fn(args, args.parser)
     except (OSError, ValueError, ArithmeticError) as exc:
         if isinstance(exc, ArithmeticError):
             from .dynamics import SaturationError

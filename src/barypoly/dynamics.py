@@ -251,11 +251,13 @@ def run_trajectory(u0: ConjugateTuple, max_steps: int, alpha: float) -> Trajecto
 @dataclass(frozen=True)
 class _Batch:
     # The trajectory records of a batch of rows with one p.  states is
-    # component-major, (p, rows, n_max): component k of every state is one
-    # contiguous plane.  spread and phase are (rows, n_max), NaN (phase: 0,
-    # MIXED) past a row's length, as states are; saturation_step is -1,
-    # saturation_values NaN and saturation_phase 0 for a row that did not
-    # saturate.
+    # component- and step-major, (p, n_max, rows): component k of every state
+    # is one contiguous plane, and within it step m of every row one
+    # contiguous line, so the step-shifted planes of the pair claims
+    # (states[k, 2:], spread[:-2], ...) are contiguous blocks.  spread and
+    # phase are (n_max, rows), NaN (phase: 0, MIXED) past a row's length, as
+    # states are; saturation_step is -1, saturation_values (rows, p) NaN and
+    # saturation_phase 0 for a row that did not saturate.
     alpha: float
     states: np.ndarray
     spread: np.ndarray
@@ -267,29 +269,29 @@ class _Batch:
 
     @functools.cached_property
     def valid(self) -> np.ndarray:
-        # (rows, n_max): state m of row r is recorded
-        return np.arange(self.states.shape[2]) < self.length[:, None]
+        # (n_max, rows): state m of row r is recorded
+        return np.arange(self.states.shape[1])[:, None] < self.length
 
     @functools.cached_property
     def pair_noise(self) -> np.ndarray:
-        # (rows, n_max - 2): the relative error state m+2 inherits from the
+        # (n_max - 2, rows): the relative error state m+2 inherits from the
         # storage of state m+1, whose largest (last) component 1 - d keeps d
         # to half an ulp of 1, plus 1e-14 for the two steps' log/exp round-off.
-        return 5.6e-17 / (1.0 - self.states[-1, :, 1:-1]) + 1e-14
+        return 5.6e-17 / (1.0 - self.states[-1, 1:-1]) + 1e-14
 
     def row(self, r: int) -> TrajectoryRecord:
         # The record of row r, as views of the batch's arrays.
         n, sat = int(self.length[r]), int(self.saturation_step[r])
-        return TrajectoryRecord(self.alpha, self.states[:, r, :n].T, self.spread[r, :n],
-                                self.phase[r, :n], *((None,) * 3 if sat < 0 else (
+        return TrajectoryRecord(self.alpha, self.states[:, :n, r].T, self.spread[:n, r],
+                                self.phase[:n, r], *((None,) * 3 if sat < 0 else (
                                     sat, self.saturation_values[r], int(self.saturation_phase[r]))))
 
     @classmethod
     def of(cls, traj: TrajectoryRecord) -> "_Batch":
         # The one-row batch of a record, as views of its arrays.
         sat = traj.saturation_step
-        return cls(traj.alpha, traj.states.T[:, None], traj.spread[None],
-                   traj.phase[None], np.array([-1 if sat is None else sat]),
+        return cls(traj.alpha, traj.states.T[:, :, None], traj.spread[:, None],
+                   traj.phase[:, None], np.array([-1 if sat is None else sat]),
                    np.full((1, traj.p), np.nan) if sat is None else traj.saturation_values[None],
                    np.array([0 if sat is None else traj.saturation_phase], dtype=np.int8), np.array([len(traj)]))
 
@@ -329,10 +331,10 @@ def _run_batch(u0: np.ndarray, max_steps: int, alpha: float) -> _Batch:
     n_max = len(stepped)
     r, m = np.concatenate(lives), np.repeat(np.arange(n_max), [len(live) for live in lives])
     flat = np.concatenate(stepped)
-    states = np.full((p, rows, n_max), np.nan)
-    states[:, r, m] = flat.T
-    phase = np.zeros((rows, n_max), dtype=np.int8)
-    phase[r, m] = _phase_codes(flat, alpha)
+    states = np.full((p, n_max, rows), np.nan)
+    states[:, m, r] = flat.T
+    phase = np.zeros((n_max, rows), dtype=np.int8)
+    phase[m, r] = _phase_codes(flat, alpha)
     length = np.where(sat_step < 0, n_max, sat_step)
     # The saturating state's code is decided past the rounding of its step:
     # component k is -expm1(T - log u_k), T the log total of the last state
@@ -340,7 +342,7 @@ def _run_batch(u0: np.ndarray, max_steps: int, alpha: float) -> _Batch:
     # |T|, as the terms share a sign) and the subtraction err by at most
     # (2 eta + p eps) |T| <= (2 eta + p eps) p |log u_min|, which bounds the
     # component's move; expm1 adds eta, and PHASE_TIE_TOL alpha's rounding.
-    log_min = np.log(states[0, np.arange(rows), length - 1])
+    log_min = np.log(states[0, length - 1, np.arange(rows)])
     margin = PHASE_TIE_TOL + (2 * _LIBM_REL + p * _EPS) * p * -log_min + _LIBM_REL
     return _Batch(alpha, states, states[-1] / states[0] - 1.0, phase,
                   sat_step, sat_values, _phase_codes(sat_values, alpha, margin), length)

@@ -79,6 +79,33 @@ def test_certificate_slope_and_intercept_against_an_oracle():
     assert tiny
 
 
+def _certificate_fields_by_loops(u, u2):
+    # _certificate_fields with pi and slope as running products, one
+    # component at a time, as its reference
+    pi, slope, intercept = np.ones(u.shape[1:]), np.ones(u.shape[1:]), np.zeros(u.shape[1:])
+    for j in range(len(u)):
+        pi = pi * u[j]
+    for j in range(1, len(u) - 1):
+        slope = slope * (u[j] - pi)
+        intercept = intercept + pi / u[j] * (1.0 - intercept)
+    low = slope * u[0]
+    return (slope, intercept, low / intercept, low / (low + intercept),
+            np.abs(low + intercept - u2[0]) / np.abs(u2[0]), np.abs(slope * u[-1] + intercept - u2[-1]) / np.abs(u2[-1]))
+
+
+def test_certificate_fields_equal_the_running_product_loops():
+    # bit for bit, on one state, on a plane of states and on a strided batch
+    # of them, as the checks pass step-shifted views
+    rng = np.random.default_rng(33)
+    for p in (2, 3, 4, 5, 8, 9, 33, 256, 1024):
+        for shape in ((p,), (p, 7), (p, 5, 9)):
+            u, u2 = (np.sort(rng.uniform(0.3, 0.999, size=shape), axis=0) for _ in range(2))
+            for a, b in ((u, u2), (u[..., ::2], u2[..., ::2])):
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    got, want = analysis._certificate_fields(a, b), _certificate_fields_by_loops(a, b)
+                assert [x.tobytes() for x in got] == [x.tobytes() for x in want], (p, shape)
+
+
 def _traj(u, steps=2):
     u = tuple(u)
     return run_trajectory(ConjugateTuple.of(u), steps, solve_alpha(len(u)))
@@ -143,7 +170,7 @@ def test_contraction_certificates_fail_an_unsorted_row_only():
     clean = _run_batch(np.random.default_rng(0).uniform(1e-3, 1.0 - 1e-3, size=(100, 3)), 400, alpha)
     r = 7
     states = clean.states.copy()
-    states[[1, 2], r, 1] = states[[2, 1], r, 1]
+    states[[1, 2], 1, r] = states[[2, 1], 1, r]
     swapped = dataclasses.replace(clean, states=states)
     for name, check in _TRAJ_CHECKS.items():
         (passed, witness), (ref_passed, ref_witness) = check(swapped), check(clean)
@@ -222,19 +249,27 @@ def test_order_checks_fail_a_nan_component():
         assert _check("ratio_monotone", bad) == (False, {"step": m - 2 if m >= 2 else m})
 
 
+def _first_step(bad):
+    # the index of the first True of every row r of an (n, rows) bad[:, r],
+    # -1 in a row without one
+    if not len(bad):
+        return np.full(bad.shape[1], -1)
+    return np.where(bad.any(axis=0), bad.argmax(axis=0), -1)
+
+
 def _ratio_monotone_by_pair_loop(batch):
     # The all-pairs loop that ratio_monotone ran before its running extremes,
     # as its oracle: every sorted pair k < l of every two states two steps
     # apart, each pair with its own slack.  The first failing m of every
     # row, -1 in a row that passes.
     U = batch.states
-    a, b = U[:, :, :-2], U[:, :, 2:]
+    a, b = U[:, :-2], U[:, 2:]
     tol = np.maximum(analysis.RATIO_SLACK, 10.0 * batch.pair_noise)
     bad = np.zeros(b.shape[1:], dtype=bool)
     for k in range(len(U) - 1):
         r_now = b[k + 1:] / b[k]
         bad |= ((r_now < 1.0 - tol) | (r_now > a[k + 1:] / a[k] + tol)).any(axis=0)
-    return analysis._first(bad & batch.valid[:, 2:])
+    return _first_step(bad & batch.valid[2:])
 
 
 def _assert_ratio_monotone_implies_the_pair_loop(batch):
@@ -300,7 +335,7 @@ def test_ratio_monotone_implies_the_pair_loop_on_random_batches(p, rows, steps, 
     states = batch.states.copy()
     for factor in factors:
         r = random.randrange(rows)
-        at = (random.randrange(p), r, random.randrange(int(batch.length[r])))
+        at = (random.randrange(p), random.randrange(int(batch.length[r])), r)
         states[at] = min(states[at] * factor, 1.0 - 1e-9)
     _assert_ratio_monotone_implies_the_pair_loop(dataclasses.replace(batch, states=states))
 
@@ -985,7 +1020,7 @@ def test_default_suite_draws_each_p_as_one_batch_of_per_seed_draws(monkeypatch):
     def recording(u0, max_steps, alpha):
         batches.append(u0.copy())
         batch = real(u0, max_steps, alpha)
-        assert batch.states.shape[1] == batch.length.size == len(u0)
+        assert batch.states.shape[2] == batch.length.size == len(u0)
         return batch
 
     monkeypatch.setattr(analysis, "_run_batch", recording)
@@ -1094,7 +1129,7 @@ def test_each_row_of_a_batch_gets_the_verdict_of_its_own_batch():
         assert len(set(batch.saturation_step.tolist()) - {-1}) >= 2
         states = batch.states.copy()
         m = min(2, batch.length[0] - 1)
-        states[0, 0, m] = min(states[0, 0, m] + 0.07, 1.0 - 1e-9)
+        states[0, m, 0] = min(states[0, m, 0] + 0.07, 1.0 - 1e-9)
         batch = dataclasses.replace(batch, states=states)
         for name, check in _TRAJ_CHECKS.items():
             # every row's verdict and witness, passing rows' witnesses too
@@ -1104,6 +1139,99 @@ def test_each_row_of_a_batch_gets_the_verdict_of_its_own_batch():
             assert [(bool(passed[r]), witness(r)) for r in range(len(seeds))] == alone, (p, name)
         verdicts = [r.passed for r in trajectory_checks(batch.row(0))]
         assert not all(verdicts)
+
+
+def test_a_row_failing_at_several_steps_names_its_first():
+    # A row corrupted at two steps a < b gets the witness of the corruption
+    # at a alone, and the corruption at b alone fails later: the step, q and
+    # reason of a witness are the row's first failure, whatever follows it.
+    traj = _traj((0.2, 0.5, 0.8), steps=400)
+    bounds = _geometric_bounds(traj)
+
+    def nan_at(*ms):
+        return functools.reduce(lambda rec, m: _with_state(rec, m, 1, math.nan), ms, traj)
+
+    def swapped_at(*ms):
+        states = traj.states.copy()
+        for m in ms:
+            states[m, [1, 2]] = states[m, [2, 1]]
+        return dataclasses.replace(traj, states=states)
+
+    def twice_the_bound_at(*qs):
+        spread = traj.spread.copy()
+        for q in qs:
+            spread[2 * q] = 2.0 * (bounds[q] + 1e-12)
+        return dataclasses.replace(traj, spread=spread)
+
+    for name, corrupt, a, b, key in (("order_preserved", nan_at, 3, 5, "step"),
+                                     ("spread_geometric_bound", twice_the_bound_at, 1, 2, "q"),
+                                     ("contraction_certificates", swapped_at, 3, 5, "step")):
+        ok, first = _check(name, corrupt(a))
+        later = _check(name, corrupt(b))[1]
+        assert not ok and later[key] > first[key], name
+        assert _check(name, corrupt(a, b)) == (False, first), name
+    assert _check("order_preserved", nan_at(3, 5)) == (False, {"step": 3})
+    assert _check("spread_geometric_bound", twice_the_bound_at(1, 2))[1]["q"] == 1
+    # state 3 is state m + 2 of the certificate at m = 1, and state 5 of the one at m = 3
+    assert _check("contraction_certificates", swapped_at(3, 5))[1]["reason"].endswith(" at m=1")
+    assert _check("contraction_certificates", swapped_at(5))[1]["reason"].endswith(" at m=3")
+
+
+def test_a_row_whose_bad_entries_lie_past_its_length_passes():
+    # Unsorted states and large spreads written into the padding of the
+    # shorter rows change no row's verdict or witness.
+    rng = np.random.default_rng(33)
+    alpha = solve_alpha(3)
+    clean = _run_batch(rng.uniform(1e-3, 1.0 - 1e-3, size=(40, 3)), 400, alpha)
+    states, spread = clean.states.copy(), clean.spread.copy()
+    short = np.flatnonzero(clean.length + 2 < clean.states.shape[1])
+    assert short.size >= 10
+    for r in short:
+        states[:, clean.length[r]:, r] = np.array([0.9, 0.5, 0.1])[:, None]
+        spread[clean.length[r]:, r] = 1e3
+    padded = dataclasses.replace(clean, states=states, spread=spread)
+    for name, check in _TRAJ_CHECKS.items():
+        (passed, witness), (ref_passed, ref_witness) = check(padded), check(clean)
+        assert passed.all() and ref_passed.all(), name
+        assert [witness(r) for r in range(40)] == [ref_witness(r) for r in range(40)], name
+
+
+def test_batches_of_at_most_two_states_have_empty_pair_planes():
+    # At max_steps 0 and 1 the planes of the pairs (m, m + 2) are (0, rows),
+    # and the verdicts are those the component-major layout gave: only
+    # order_preserved and t_ratio_transfer can fail a state, at row 0's
+    # bumped state 1 and its pair (0, 1).
+    rng = np.random.default_rng(33)
+    alpha = solve_alpha(5)
+    seeds = rng.uniform(1e-3, 1.0 - 1e-3, size=(3, 5))
+    seeds[1] = alpha
+    seeds[2, 0] = 1e-300
+    undecided = {"reason": "no decided phase within the recorded horizon"}
+    not_at_corners = {"reason": "undecided at the recorded horizon"}
+    want = {
+        0: {"order_preserved": [(True, {})] * 3,
+            "phase_alternation": [(False, undecided), (False, undecided), (True, {"m0": 0, "m0_from": "recorded"})],
+            "even_odd_limits": [(False, not_at_corners)] * 3,
+            "comparison_domination": [(True, {"pairs": 0})] * 3,
+            "t_ratio_transfer": [(True, {})] * 3},
+        1: {"order_preserved": [(False, {"step": 1}), (True, {}), (True, {})],
+            "phase_alternation": [(True, {"m0": 1, "m0_from": "recorded"}), (False, undecided),
+                                  (True, {"m0": 0, "m0_from": "recorded"})],
+            "even_odd_limits": [(False, not_at_corners), (False, not_at_corners),
+                                (True, {"verdict": "even_to_zero_odd_to_one"})],
+            "comparison_domination": [(True, {"pairs": 1})] * 3,
+            "t_ratio_transfer": [(False, {"step": 0, "pair": [0, 2], "diff": 1.0821102704984633}),
+                                 (True, {}), (True, {})]},
+    }
+    for steps, verdicts in want.items():
+        batch = analysis._perturbed(_run_batch(seeds, steps, alpha))
+        assert batch.pair_noise.shape == analysis._spread_allowance(batch).shape == (0, 3)
+        assert batch.valid[2:].shape == batch.spread[2:].shape == (0, 3)
+        for name, check in _TRAJ_CHECKS.items():
+            passed, witness = check(batch)
+            got = [(bool(passed[r]), witness(r)) for r in range(3)]
+            pair_only = [(True, {"certificates": 0} if name == "contraction_certificates" else {})] * 3
+            assert got == verdicts.get(name, pair_only), (steps, name)
 
 
 def _json_numbers(value):

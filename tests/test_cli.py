@@ -360,6 +360,20 @@ def test_verify_weights_rejects_the_sweep_flags(flags, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["config"]["weights"] == [0.2, 0.5, 0.7]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["alpha"], "alpha needs --p"),
+    (["verify", "--weights", "0.2,0.5,0.7", "--p", "3"], "--p, --seed and --seeds set up a sweep"),
+    (["figure", "--weights", "0.3,0.2,0.1", "--superpose", "--order", "3"], "it takes no --order"),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_a_subcommand_usage_error_prints_that_subcommand_usage(argv, message, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith(f"usage: barypoly {argv[0]} [-h] [--config CONFIG]")
+    assert lines[-1].startswith(f"barypoly {argv[0]}: error: ") and message in lines[-1]
+
+
 def test_figure_single_order(tmp_path, capsys):
     assert main(["figure", "--weights", REF_WEIGHTS, "--out-dir", str(tmp_path)]) == 0
     assert "wrote" in capsys.readouterr().out

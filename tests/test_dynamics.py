@@ -380,7 +380,7 @@ def test_batched_records_equal_one_row_records():
         for steps in (0, 1, 3, 400):
             batch = _run_batch(u0, steps, alpha)
             records = [batch.row(r) for r in range(len(u0))]
-            assert batch.states.shape == (p, len(u0), max(len(rec) for rec in records))
+            assert batch.states.shape == (p, max(len(rec) for rec in records), len(u0))
             assert batch.states.flags.c_contiguous
             for row, rec in zip(u0, records):
                 one = run_trajectory(ConjugateTuple.of(row), steps, alpha)
@@ -406,12 +406,12 @@ def test_batch_rows_are_views_in_the_record_layout():
             rec = batch.row(r)
             n = int(batch.length[r])
             assert rec.states.shape == (n, p) and np.shares_memory(rec.states, batch.states)
-            assert rec.states.tobytes() == np.ascontiguousarray(batch.states[:, r, :n].T).tobytes()
+            assert rec.states.tobytes() == np.ascontiguousarray(batch.states[:, :n, r].T).tobytes()
             # the strided view steps as its contiguous copy does
             for got, ref in zip(_step(rec.states), _step(np.ascontiguousarray(rec.states))):
                 assert got.tobytes() == ref.tobytes()
             one = _Batch.of(rec)
-            assert one.states.shape == (p, 1, n) and np.shares_memory(one.states, batch.states)
+            assert one.states.shape == (p, n, 1) and np.shares_memory(one.states, batch.states)
             assert _record_bits(one.row(0)) == _record_bits(rec)
             assert [np.shares_memory(getattr(one.row(0), f), getattr(rec, f))
                     for f in ("states", "spread", "phase")] == [True] * 3
@@ -440,12 +440,12 @@ def _batch_by_per_step_scatter(u0, max_steps, alpha):
             break
         u = nxt
         steps.append((live, u))
-    states = np.full((p, rows, len(steps)), np.nan)
+    states = np.full((p, len(steps), rows), np.nan)
     length = np.zeros(rows, dtype=int)
     for m, (live, u) in enumerate(steps):
-        states[:, live, m] = u.T
+        states[:, m, live] = u.T
         length[live] = m + 1
-    log_min = np.log(states[0, np.arange(rows), length - 1])
+    log_min = np.log(states[0, length - 1, np.arange(rows)])
     margin = PHASE_TIE_TOL + (2 * _LIBM_REL + p * _EPS) * p * -log_min + _LIBM_REL
     return dict(alpha=alpha, states=states, spread=states[-1] / states[0] - 1.0,
                 phase=_phase_codes_over_planes(states, alpha), saturation_step=sat_step,
@@ -480,6 +480,23 @@ def test_batch_arrays_equal_the_per_step_scatter_build():
             assert batch.states.flags.c_contiguous
             seen_early += int(((batch.saturation_step == 1) & (batch.length == 1)).any() and (batch.length > 1).any())
     assert seen_early >= 6
+
+
+def test_step_shifted_batch_planes_are_contiguous():
+    # A batch is step-major: the pair claims compare step m with step m + 1
+    # or m + 2, and every such slice of a component plane, the spreads and
+    # the valid mask is one C-contiguous block, not a strided view.
+    from barypoly.dynamics import _run_batch
+
+    rng = np.random.default_rng(33)
+    for p in (3, 8):
+        batch = _run_batch(rng.uniform(1e-3, 1.0 - 1e-3, size=(50, p)), 400, solve_alpha(p))
+        assert batch.states.shape[0] == p and batch.states.shape[1] > 3
+        for k in range(p):
+            assert batch.states[k, 2:].flags.c_contiguous and batch.states[k, :-2].flags.c_contiguous
+        assert batch.spread[2:].flags.c_contiguous and batch.spread[:-2].flags.c_contiguous
+        assert batch.valid[1:].flags.c_contiguous and batch.valid[2:].flags.c_contiguous
+        assert batch.phase.shape == batch.valid.shape == (batch.states.shape[1], 50)
 
 
 class _ReduceSpy:
