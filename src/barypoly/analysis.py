@@ -78,8 +78,11 @@ def _certificate_fields(u: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, ...]
     # intercept is the running union c <- c + x_j (1 - c) of x_j = pi / u_j,
     # whose terms are all non-negative, so nothing cancels (Higham, Accuracy
     # and Stability of Numerical Algorithms, 2nd ed., SIAM 2002).
-    # multiply.reduce over the first axis multiplies in index order, so pi
-    # and slope are the running products u_0 u_1 ... bit for bit.
+    # numpy 2.4's multiply.reduce over the first axis multiplies in index
+    # order, so pi and slope are the running products u_0 u_1 ... bit for
+    # bit.  numpy does not document that order (add.reduce sums pairwise);
+    # test_certificate_fields_equal_the_running_product_loops pins it, and if
+    # it fails after a numpy upgrade, go back to the running-product loops.
     pi = np.multiply.reduce(u, axis=0)
     slope = np.multiply.reduce(u[1:-1] - pi, axis=0)
     intercept = np.zeros(u.shape[1:])

@@ -147,10 +147,10 @@ def _write_csv(path: str | None, header: list[str], rows) -> TextIO:
 # alpha
 # ---------------------------------------------------------------------------
 
-def cmd_alpha(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def cmd_alpha(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     if cfg.p is None:
-        parser.error("alpha needs --p")
+        args.parser.error("alpha needs --p")
     cert = certificate(cfg.p)
     if args.json:
         payload = {**dataclasses.asdict(cert), "stationary_weight": 1.0 - cert.alpha}
@@ -170,12 +170,12 @@ def cmd_alpha(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 # trajectory
 # ---------------------------------------------------------------------------
 
-def cmd_trajectory(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def cmd_trajectory(args: argparse.Namespace) -> int:
     from .dynamics import _PHASE_NAMES, WeightTuple, conjugate_of, run_trajectory
 
     cfg = _resolve_config(args)
     if cfg.weights is None:
-        parser.error("trajectory needs --weights (comma separated, each in (0,1))")
+        args.parser.error("trajectory needs --weights (comma separated, each in (0,1))")
     t0 = WeightTuple.of(cfg.weights)
     alpha = solve_alpha(t0.p)
     traj = run_trajectory(conjugate_of(t0), _max_steps(cfg), alpha)
@@ -207,13 +207,13 @@ def _points_from_config(cfg: RunConfig, p: int) -> PointSet:
     return _regular_polygon(p)
 
 
-def cmd_dual(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def cmd_dual(args: argparse.Namespace) -> int:
     from .dynamics import WeightTuple
     from .geometry import dual_sequence
 
     cfg = _resolve_config(args)
     if cfg.weights is None:
-        parser.error("dual needs --weights (comma separated, each in (0,1))")
+        args.parser.error("dual needs --weights (comma separated, each in (0,1))")
     t0 = WeightTuple.of(cfg.weights)
     record = dual_sequence(_points_from_config(cfg, t0.p), t0, _max_steps(cfg))
 
@@ -231,7 +231,7 @@ def cmd_dual(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     from .analysis import KNOWN_CHECKS, _perturbed_record, default_suite, trajectory_checks
     from .dynamics import WeightTuple, conjugate_of, run_trajectory
 
@@ -244,7 +244,7 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
     if cfg.weights is not None:
         if (args.p, args.seed, args.seeds) != (None, None, None):
-            parser.error("--p, --seed and --seeds set up a sweep; verify --weights checks one trajectory")
+            args.parser.error("--p, --seed and --seeds set up a sweep; verify --weights checks one trajectory")
         t0 = WeightTuple.of(cfg.weights)
         max_steps = _max_steps(cfg)
         traj = run_trajectory(conjugate_of(t0), max_steps, solve_alpha(t0.p))
@@ -363,18 +363,18 @@ def _render_svg(families: list[tuple[list[PointSet], str]], limits: list[tuple[n
     return "\n".join(lines) + "\n"
 
 
-def cmd_figure(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def cmd_figure(args: argparse.Namespace) -> int:
     from .dynamics import WeightTuple
     from .geometry import centroid, limit_point, weight_orders
 
     cfg = _resolve_config(args)
     if cfg.weights is None:
-        parser.error("figure needs --weights (comma separated, each in (0,1))")
+        args.parser.error("figure needs --weights (comma separated, each in (0,1))")
     if args.superpose and args.order is not None:
-        parser.error("--superpose draws weight orders 0 and 1; it takes no --order")
+        args.parser.error("--superpose draws weight orders 0 and 1; it takes no --order")
     order = 0 if args.order is None else args.order
     if order < 0:
-        parser.error(f"--order must be >= 0, got {order}")
+        args.parser.error(f"--order must be >= 0, got {order}")
     t0 = WeightTuple.of(cfg.weights)
     A = _points_from_config(cfg, t0.p)
     if A.dim != 2:
@@ -471,7 +471,7 @@ def main(argv: list[str] | None = None) -> int:
     # and SaturationError for input whose iteration leaves (0, 1).  Other
     # ArithmeticErrors propagate; only they make main load dynamics.
     try:
-        return args.fn(args, args.parser)
+        return args.fn(args)
     except (OSError, ValueError, ArithmeticError) as exc:
         if isinstance(exc, ArithmeticError):
             from .dynamics import SaturationError

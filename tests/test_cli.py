@@ -563,7 +563,7 @@ def test_source_modules_use_every_name_they_import():
 def test_arithmetic_errors_other_than_saturation_propagate(monkeypatch):
     from barypoly import cli
 
-    def fault(args, parser):
+    def fault(args):
         raise ZeroDivisionError("a fault, not an input error")
 
     monkeypatch.setattr(cli, "cmd_alpha", fault)

@@ -2,13 +2,13 @@
 
 Usage, from anywhere:
 
-    python3 tools/ab_inprocess.py PARENT_TREE CHANGE_TREE [--sets 6] [--reps 30] [--spec NAME ...] [--json]
+    python3 tools/ab_inprocess.py PARENT_TREE CHANGE_TREE [--json]
 
 A tree is a checkout (or an unpacked `git archive`) with src/barypoly in it.
-In every set, each spec runs in one fresh process per tree, the two processes
-back to back and the tree that goes first alternating from set to set.  A
-process imports barypoly from its tree's src, makes one warm-up call of the
-spec and then times `reps` calls with time.perf_counter; it reports their
+In each of 10 sets, each spec runs in one fresh process per tree, the two
+processes back to back and the tree that goes first alternating from set to
+set.  A process imports barypoly from its tree's src, makes one warm-up call
+of the spec and then times 30 calls with time.perf_counter; it reports their
 median.  Per spec the script prints, over the sets, each side's median and
 quartiles of those medians, the ratio change / parent of the two medians, and
 the number of sets in which the change was faster.  --json prints the same as
@@ -35,6 +35,8 @@ import time
 from pathlib import Path
 
 SPECS = ("default", "large_p", "p1024x100", "p16_32x100", "one_record")
+SETS = 10
+REPS = 30
 ONE_RECORD_WEIGHTS = (0.3, 0.08, 0.06, 0.04, 0.01)
 THREAD_ENV = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                                      "NUMEXPR_NUM_THREADS")}
@@ -52,8 +54,8 @@ def _spec_call(bp, spec: str):
     return lambda: bp.default_suite(**kwargs)
 
 
-def _child(tree: str, spec: str, reps: int) -> None:
-    # One fresh process: the median of reps timed calls, in ms, on stdout.
+def _child(tree: str, spec: str) -> None:
+    # One fresh process: the median of REPS timed calls, in ms, on stdout.
     src = Path(tree).resolve() / "src"
     sys.path.insert(0, str(src))
     import barypoly as bp
@@ -63,16 +65,16 @@ def _child(tree: str, spec: str, reps: int) -> None:
     call = _spec_call(bp, spec)
     call()
     times = []
-    for _ in range(reps):
+    for _ in range(REPS):
         t0 = time.perf_counter()
         call()
         times.append(time.perf_counter() - t0)
     print(1e3 * statistics.median(times))
 
 
-def _run(tree: str, spec: str, reps: int) -> float:
+def _run(tree: str, spec: str) -> float:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"} | THREAD_ENV
-    out = subprocess.run([sys.executable, __file__, "--child", tree, spec, str(reps)],
+    out = subprocess.run([sys.executable, __file__, "--child", tree, spec],
                          env=env, capture_output=True, text=True, check=True)
     return float(out.stdout.split()[-1])
 
@@ -85,38 +87,32 @@ def _summary(xs: list[float]) -> dict:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == ["--child"]:
-        _child(argv[1], argv[2], int(argv[3]))
+        _child(argv[1], argv[2])
         return 0
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", help="source tree of the parent (holds src/barypoly)")
     ap.add_argument("change", help="source tree of the change (holds src/barypoly)")
-    ap.add_argument("--sets", type=int, default=6, help="fresh process pairs per spec (default 6)")
-    ap.add_argument("--reps", type=int, default=30, help="timed calls per process (default 30)")
-    ap.add_argument("--spec", action="append", choices=SPECS, help="spec to run (repeatable; default all)")
     ap.add_argument("--json", action="store_true", help="print one JSON object instead of the table")
     args = ap.parse_args(argv)
-    if args.sets < 2 or args.reps < 1:
-        ap.error("--sets must be >= 2 and --reps >= 1")
     for tree in (args.parent, args.change):
         if not (Path(tree) / "src" / "barypoly" / "__init__.py").is_file():
             ap.error(f"{tree} holds no src/barypoly")
 
-    specs = args.spec or list(SPECS)
-    times = {spec: {"parent": [], "change": []} for spec in specs}
-    for i in range(args.sets):
-        for spec in specs:
+    times = {spec: {"parent": [], "change": []} for spec in SPECS}
+    for i in range(SETS):
+        for spec in SPECS:
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                times[spec][side].append(_run(getattr(args, side), spec, args.reps))
+                times[spec][side].append(_run(getattr(args, side), spec))
 
     report = {}
-    for spec in specs:
+    for spec in SPECS:
         parent, change = times[spec]["parent"], times[spec]["change"]
         report[spec] = {
             "parent_ms": _summary(parent), "change_ms": _summary(change),
             "ratio": statistics.median(change) / statistics.median(parent),
-            "change_faster_sets": sum(c < p for p, c in zip(parent, change)), "sets": args.sets,
-            "reps": args.reps, "raw_ms": times[spec]}
+            "change_faster_sets": sum(c < p for p, c in zip(parent, change)), "sets": SETS,
+            "reps": REPS, "raw_ms": times[spec]}
     if args.json:
         print(json.dumps(report, indent=1))
         return 0
