@@ -43,7 +43,7 @@ _FIT_FLOOR = 1e-13
 _FIT_MIN_POINTS = 5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointSet:
     """p points in R^dim, stored as a read-only (p, dim) array.
 
@@ -104,7 +104,7 @@ class PointSet:
         return self
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualSequenceRecord:
     """Dual sequence G_m with distances to the centroid and a decay fit.
 

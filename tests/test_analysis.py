@@ -920,6 +920,93 @@ def test_instability_growth_names_the_audited_p():
         assert res.witness == {"p_audited": audited}
 
 
+def _on_p(p, fault):
+    # analysis._step with fault(u, nxt) in place of its next state on states
+    # of p components, the real step elsewhere
+    real = analysis._step
+
+    def step(u):
+        sums, nxt = real(u)
+        return sums, fault(u, nxt) if u.shape[-1] == p else nxt
+
+    return step
+
+
+def _static(name, p_values=(3, 5, 8)):
+    (res,) = default_suite(p_values=p_values, seeds_per_p=1, checks=[name])
+    return res
+
+
+def test_fixed_point_fails_on_a_step_that_moves_alpha(monkeypatch):
+    monkeypatch.setattr(analysis, "_step", _on_p(5, lambda u, nxt: nxt + 1e-12))
+    res = _static("fixed_point")
+    assert not res.passed
+    assert set(res.witness) == {"p", "diff"} and res.witness["p"] == 5
+    assert 0.9e-12 < res.witness["diff"] < 1.1e-12
+
+
+def _wrong_jacobian(u, nxt):
+    # keeps every fixed point, but the Jacobian J becomes 1.5 J - 0.5 I
+    return nxt + 0.5 * (nxt - u)
+
+
+def test_spectral_fails_on_a_step_with_a_wrong_jacobian(monkeypatch):
+    monkeypatch.setattr(analysis, "_step", _on_p(5, _wrong_jacobian))
+    assert _static("fixed_point").passed
+    res = _static("spectral")
+    assert not res.passed and res.witness == {"p": 5, "reason": "eigen action"}
+
+
+def test_instability_growth_fails_on_a_step_with_a_wrong_jacobian(monkeypatch):
+    monkeypatch.setattr(analysis, "_step", _on_p(5, _wrong_jacobian))
+    res = _static("instability_growth")
+    assert not res.passed
+    assert set(res.witness) == {"p", "factor", "expected"} and res.witness["p"] == 5
+    assert res.witness["expected"] == abs(certificate(5).lambda_repulsive)
+    assert abs(res.witness["factor"] / res.witness["expected"] - 1.0) > 0.1
+
+
+def _with_certificate(monkeypatch, **fields):
+    # analysis.certificate(p) with fields(p) replacing its entries
+    monkeypatch.setattr(analysis, "certificate", lambda p: dataclasses.replace(
+        certificate(p), **{name: f(p) for name, f in fields.items()}))
+
+
+def test_stationary_certificate_fails_on_alpha_at_its_bound(monkeypatch):
+    _with_certificate(monkeypatch, alpha=lambda p: 1.0 - 1.0 / p if p == 5 else solve_alpha(p))
+    res = _static("stationary_certificate")
+    assert not res.passed and res.witness == {"p": 5, "reason": "alpha bound"}
+
+
+def test_stationary_certificate_fails_on_alpha_falling_with_p(monkeypatch):
+    _with_certificate(monkeypatch, alpha=lambda p: solve_alpha(3) - 0.01 * (p - 3))
+    res = _static("stationary_certificate")
+    assert not res.passed and res.witness == {"p": 5, "reason": "monotonicity in p"}
+
+
+@pytest.mark.parametrize("lam", [-0.5, -1.0, math.nan])
+@pytest.mark.parametrize("exact_step", [False, True])
+def test_only_spectral_tests_the_repulsive_eigenvalue(monkeypatch, lam, exact_step):
+    # |lambda_repulsive| > 1 is spectral's claim alone: with a repulsive
+    # eigenvalue of modulus at most 1 (or NaN) at p = 5, spectral fails,
+    # also when the step's eigen actions match the certificate exactly,
+    # and stationary_certificate, which tests alpha, passes
+    _with_certificate(monkeypatch, lambda_repulsive=lambda p: lam if p == 5 else certificate(p).lambda_repulsive)
+    if exact_step:
+        monkeypatch.setattr(analysis, "_spectral_residual", lambda cert: 0.0)
+    res = _static("spectral")
+    assert not res.passed and res.witness == {"p": 5, "reason": "eigen action"}
+    assert _static("stationary_certificate").passed
+
+
+def test_spectral_check_takes_its_p_rules_from_certificate():
+    with pytest.raises(ValueError, match=r"^the instability certificate requires p >= 3, got 2$"):
+        spectral_check(2)
+    for p in (2.0, 3.0):
+        with pytest.raises(ValueError, match=r"^p must be an integer"):
+            spectral_check(p)
+
+
 def test_trajectory_checks_pass_and_catch_faults():
     traj = _traj((0.12, 0.34, 0.56, 0.78), steps=400)
     results = trajectory_checks(traj)

@@ -329,6 +329,18 @@ def test_dual_sequence_validation():
         _dual_weight_trajectory(WeightTuple.of((0.3, 0.3, 0.3)), -1)
 
 
+def test_pointsets_and_dual_records_compare_and_hash_by_identity():
+    # their array fields have no truth value, so the generated __eq__ and
+    # __hash__ would raise; identity is all they compare
+    pts = [(0, 0), (1, 0), (0, 1)]
+    a, b = PointSet.of(pts), PointSet.of(pts)
+    t0 = WeightTuple.of((0.3, 0.2, 0.1))
+    r, s = dual_sequence(a, t0, 5), dual_sequence(a, t0, 5)
+    for x, y in ((a, b), (r, s)):
+        assert x == x and x != y and not x == y
+        assert hash(x) == hash(x) and len({x, y}) == 2
+
+
 def test_weight_orders():
     t0 = WeightTuple.of((0.2, 0.3, 0.4))
     orders = weight_orders(t0, 3)

@@ -22,6 +22,8 @@ The specs:
     p16_32x100  default_suite(p_values=(16, 32), seeds_per_p=100)
     one_record  trajectory_checks on the record of `verify --weights
                 0.3,0.08,0.06,0.04,0.01` (200 steps)
+    static      default_suite(checks=STATIC_CHECKS): the five checks of the
+                stationary tuple at the default p values
 """
 from __future__ import annotations
 
@@ -34,10 +36,12 @@ import sys
 import time
 from pathlib import Path
 
-SPECS = ("default", "large_p", "p1024x100", "p16_32x100", "one_record")
+SPECS = ("default", "large_p", "p1024x100", "p16_32x100", "one_record", "static")
 SETS = 10
 REPS = 30
 ONE_RECORD_WEIGHTS = (0.3, 0.08, 0.06, 0.04, 0.01)
+STATIC_CHECKS = ("stationary_certificate", "fixed_point", "spectral", "instability_growth",
+                 "unique_fixed_point_grid")
 THREAD_ENV = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                                      "NUMEXPR_NUM_THREADS")}
 
@@ -50,7 +54,8 @@ def _spec_call(bp, spec: str):
         return lambda: bp.trajectory_checks(record)
     kwargs = {"default": {}, "large_p": dict(p_values=(256, 1024), seeds_per_p=4),
               "p1024x100": dict(p_values=(1024,), seeds_per_p=100),
-              "p16_32x100": dict(p_values=(16, 32), seeds_per_p=100)}[spec]
+              "p16_32x100": dict(p_values=(16, 32), seeds_per_p=100),
+              "static": dict(checks=STATIC_CHECKS)}[spec]
     return lambda: bp.default_suite(**kwargs)
 
 
