@@ -241,7 +241,7 @@ def _traj_ratio_monotone(batch: _Batch) -> _Verdicts:
     tol = np.maximum(RATIO_SLACK, 10.0 * batch.pair_noise)
     bad = np.zeros(b.shape[1:], dtype=bool)
     if bad.size:
-        keep, allowance = 1.0 - tol, tol * a.min(axis=0) / a.max(axis=0)
+        keep, allowance = 1.0 - tol, tol * batch.low[:-2] / batch.high[:-2]
         high, low = b[0], b[0] / a[0]
         for l in range(1, len(U)):
             y = b[l] / a[l]
@@ -278,10 +278,9 @@ def _traj_contraction_certificates(batch: _Batch) -> _Verdicts:
     inside = ~((U[0] < lo) | (U[-1] > hi))
     window = (inside[:-2] & inside[1:-1] & inside[2:] & (batch.spread[:-2] > 1e-9)
               & (U[0, :-2] < U[-1, :-2]) & batch.valid[2:])
-    counts = window.sum(axis=0)
 
     def clean(r: int) -> dict:
-        return {"certificates": int(counts[r])}
+        return {"certificates": int(window[:, r].sum())}
 
     if not window.any():
         return np.ones(U.shape[2], dtype=bool), clean
@@ -398,10 +397,10 @@ def _traj_even_odd_limits(batch: _Batch) -> _Verdicts:
     wrong_corner = by_saturation & (hit_one != (code == 1))
     last = batch.length - 1
     rows = np.arange(len(last))
-    even = batch.states[:, last - last % 2, rows]
-    odd = batch.states[:, np.maximum(last - (last + 1) % 2, 0), rows]
-    to_zero = (even.max(axis=0) < LIMIT_TOL) & (odd.min(axis=0) > 1.0 - LIMIT_TOL)
-    to_one = (even.min(axis=0) > 1.0 - LIMIT_TOL) & (odd.max(axis=0) < LIMIT_TOL)
+    even, odd = last - last % 2, np.maximum(last - (last + 1) % 2, 0)
+    low, high = batch.low, batch.high
+    to_zero = (high[even, rows] < LIMIT_TOL) & (low[odd, rows] > 1.0 - LIMIT_TOL)
+    to_one = (low[even, rows] > 1.0 - LIMIT_TOL) & (high[odd, rows] < LIMIT_TOL)
     # a one-state row compares its seed with itself, which decides nothing
     decided = by_saturation | to_zero | to_one
     even_to_zero = np.where(by_saturation, hit_one == (sat % 2 == 1), to_zero)
@@ -426,8 +425,8 @@ def _traj_comparison_domination(batch: _Batch) -> _Verdicts:
     # eps relative on the log sum; the test allows 2 B.  A NaN fails.
     U = batch.states
     p, n, _ = U.shape
-    lo = _with_saturating(U[0], batch, batch.saturation_values.min(axis=-1), np.nan)
-    hi = _with_saturating(U[-1], batch, batch.saturation_values.max(axis=-1), np.nan)
+    lo = _with_saturating(U[0], batch, batch.saturation_low, np.nan)
+    hi = _with_saturating(U[-1], batch, batch.saturation_high, np.nan)
     audited = np.arange(n)[:, None] + 1 < batch.length + (batch.saturation_step >= 0)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_lo = np.log(lo[:-1])
@@ -439,9 +438,8 @@ def _traj_comparison_domination(batch: _Batch) -> _Verdicts:
 
     low = ~(lo[1:] >= f_hi - allowance(lo[1:], f_hi)) & audited
     high = ~(hi[1:] <= f_lo + allowance(hi[1:], f_lo)) & audited
-    pairs = audited.sum(axis=0)
     return _verdicts(low | high, lambda r, m: {"bracket": "lower" if low[m, r] else "upper"},
-                     clean=lambda r: {"pairs": int(pairs[r])})
+                     clean=lambda r: {"pairs": int(audited[:, r].sum())})
 
 
 def _check_stationary(p_values: Sequence[int]) -> tuple[bool, dict]:
@@ -554,7 +552,8 @@ def _collapse_bound(log_u: np.ndarray) -> np.ndarray:
     # B of every weight tuple t on the last axis, from log_u = log1p(-t),
     # derived at _check_polygon_collapse.
     a = np.abs(log_u)
-    return 2.0 * ((_LIBM_REL + _EPS) * a.max(axis=-1) + _EPS * a.sum(axis=-1) + _LIBM_REL + 3 * _EPS) + _EPS
+    return (2.0 * ((_LIBM_REL + _EPS) * _reduce_components(np.maximum, a) + _EPS * a.sum(axis=-1)
+                   + _LIBM_REL + 3 * _EPS) + _EPS)
 
 
 def _check_polygon_collapse(seeds: Sequence[tuple[int, np.ndarray]]) -> tuple[bool, dict]:

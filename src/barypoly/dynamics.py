@@ -146,7 +146,8 @@ def _step(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _reduce_components(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
     # ufunc.reduce(a, axis=-1) for an order-free ufunc: maximum, minimum,
     # logical_or or logical_and, on the row-major arrays of the saturation
-    # test, the phase codes, the grid and polygon_collapse.  Each is exact, so
+    # test, a batch's extremes, the grid, polygon_collapse's spread and bound
+    # and the limit weights' shift.  Each is exact, so
     # folding the p columns one by one gives the same bits and propagates
     # NaN the same way (which of two different NaN payloads survives may
     # differ; the batches hold one).  numpy's reduce over a short last axis
@@ -155,9 +156,10 @@ def _reduce_components(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
     # (rows, p) arrays (numpy 2.4, 2 vCPU; numpy -> fold): NaN-padded maximum
     # ((3400, 3) 245 -> 3.4 us, (1024, 16) 87 -> 15 us, (4096, 32) 364 -> 126
     # us) and logical_or ((1024, 16) 17 -> 14 us, (4096, 32) 81 -> 77 us), but
-    # (16384, 64) maximum 1.6 -> 5.0 ms.
+    # (16384, 64) maximum 1.6 -> 5.0 ms.  A single row is reduced by numpy:
+    # its fold would start from a scalar, which out= cannot take.
     p = a.shape[-1]
-    if not 2 <= p <= 32:
+    if a.ndim < 2 or not 2 <= p <= 32:
         return ufunc.reduce(a, axis=-1)
     out = ufunc(a[..., 0], a[..., 1])
     for j in range(2, p):
@@ -193,15 +195,15 @@ def conjugate_step(u: ConjugateTuple) -> ConjugateTuple:
 _PHASE_NAMES = ("below", "mixed", "above")
 
 
-def _phase_codes(u: np.ndarray, alpha: float, tol=PHASE_TIE_TOL) -> np.ndarray:
-    # Phase code of every state of u (components on the last axis) against
-    # alpha: -1 (BELOW) when every component is < alpha, 1 (ABOVE) when
-    # every component is > alpha, 0 (MIXED) otherwise.  A component within
-    # tol of alpha is undecidable and gives MIXED, and so do NaN components,
-    # as in the unsaturated rows' saturation_values.  Rounded subtraction is
-    # monotone and odd, so the extremes decide; NaN propagates to them.
-    return ((_reduce_components(np.minimum, u) - alpha > tol).astype(np.int8)
-            - (alpha - _reduce_components(np.maximum, u) > tol))
+def _phase_codes(low: np.ndarray, high: np.ndarray, alpha: float, tol=PHASE_TIE_TOL) -> np.ndarray:
+    # Phase code of every state, from its smallest component low and its
+    # largest high, against alpha: -1 (BELOW) when every component is <
+    # alpha, 1 (ABOVE) when every component is > alpha, 0 (MIXED) otherwise.
+    # A component within tol of alpha is undecidable and gives MIXED, and so
+    # do NaN extremes, as in a batch's padding and the unsaturated rows'
+    # saturation_values.  Rounded subtraction is monotone and odd, so the
+    # extremes decide.
+    return (low - alpha > tol).astype(np.int8) - (alpha - high > tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,7 +259,11 @@ class _Batch:
     # (states[k, 2:], spread[:-2], ...) are contiguous blocks.  spread and
     # phase are (n_max, rows), NaN (phase: 0, MIXED) past a row's length, as
     # states are; saturation_step is -1, saturation_values (rows, p) NaN and
-    # saturation_phase 0 for a row that did not saturate.
+    # saturation_phase 0 for a row that did not saturate.  low and high,
+    # (n_max, rows), and saturation_low and saturation_high, (rows,), are the
+    # least and greatest component of every state and saturating state, NaN
+    # where these are: computed from the states on first use, so replaced
+    # states get their own, or filled by _run_batch from its flat rows.
     alpha: float
     states: np.ndarray
     spread: np.ndarray
@@ -271,6 +277,11 @@ class _Batch:
     def valid(self) -> np.ndarray:
         # (n_max, rows): state m of row r is recorded
         return np.arange(self.states.shape[1])[:, None] < self.length
+
+    low = functools.cached_property(lambda self: self.states.min(axis=0))
+    high = functools.cached_property(lambda self: self.states.max(axis=0))
+    saturation_low = functools.cached_property(lambda self: self.saturation_values.min(axis=-1))
+    saturation_high = functools.cached_property(lambda self: self.saturation_values.max(axis=-1))
 
     @functools.cached_property
     def pair_noise(self) -> np.ndarray:
@@ -326,15 +337,17 @@ def _run_batch(u0: np.ndarray, max_steps: int, alpha: float) -> _Batch:
         lives.append(live)
         stepped.append(u)
 
-    # One scatter puts every recorded row, and its phase code, into the
-    # planes; a row saturating at step s records s states, the others n_max.
+    # One scatter puts every recorded row, and its extremes, into the planes,
+    # state m of row r at m * rows + r of a flattened plane; a row saturating
+    # at step s records s states, the others n_max.
     n_max = len(stepped)
-    r, m = np.concatenate(lives), np.repeat(np.arange(n_max), [len(live) for live in lives])
+    at = np.concatenate(lives) + rows * np.repeat(np.arange(n_max), [len(live) for live in lives])
     flat = np.concatenate(stepped)
     states = np.full((p, n_max, rows), np.nan)
-    states[:, m, r] = flat.T
-    phase = np.zeros((n_max, rows), dtype=np.int8)
-    phase[m, r] = _phase_codes(flat, alpha)
+    states.reshape(p, -1)[:, at] = flat.T
+    low, high = np.full((2, n_max, rows), np.nan)
+    low.reshape(-1)[at] = _reduce_components(np.minimum, flat)
+    high.reshape(-1)[at] = _reduce_components(np.maximum, flat)
     length = np.where(sat_step < 0, n_max, sat_step)
     # The saturating state's code is decided past the rounding of its step:
     # component k is -expm1(T - log u_k), T the log total of the last state
@@ -344,5 +357,8 @@ def _run_batch(u0: np.ndarray, max_steps: int, alpha: float) -> _Batch:
     # component's move; expm1 adds eta, and PHASE_TIE_TOL alpha's rounding.
     log_min = np.log(states[0, length - 1, np.arange(rows)])
     margin = PHASE_TIE_TOL + (2 * _LIBM_REL + p * _EPS) * p * -log_min + _LIBM_REL
-    return _Batch(alpha, states, states[-1] / states[0] - 1.0, phase,
-                  sat_step, sat_values, _phase_codes(sat_values, alpha, margin), length)
+    sat_low, sat_high = _reduce_components(np.minimum, sat_values), _reduce_components(np.maximum, sat_values)
+    batch = _Batch(alpha, states, states[-1] / states[0] - 1.0, _phase_codes(low, high, alpha),
+                   sat_step, sat_values, _phase_codes(sat_low, sat_high, alpha, margin), length)
+    vars(batch).update(low=low, high=high, saturation_low=sat_low, saturation_high=sat_high)
+    return batch

@@ -19,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .dynamics import WeightTuple, _excluded_sums, derived_step
+from .dynamics import WeightTuple, _excluded_sums, _reduce_components, derived_step
 
 __all__ = [
     "DISTINCT_TOL",
@@ -139,7 +139,7 @@ def _normalized_weights(log_w: np.ndarray) -> np.ndarray:
     # weight -inf) has degenerate mass ratios, and the mathematical limit of
     # its normalized weights is uniform: it takes ones, which normalize to
     # exactly 1 / p.
-    shift = log_w.max(axis=-1, keepdims=True)
+    shift = _reduce_components(np.maximum, log_w)[..., None]
     finite = np.isfinite(shift)
     w = np.where(finite, np.exp(log_w - np.where(finite, shift, 0.0)), 1.0)
     return w / w.sum(axis=-1, keepdims=True)

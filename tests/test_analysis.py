@@ -469,7 +469,7 @@ def _restated(traj, states):
     # the record with the given states, its spreads and phase codes
     # computed from them as the record builder computes them
     return dataclasses.replace(traj, states=states, spread=states[:, -1] / states[:, 0] - 1.0,
-                               phase=_phase_codes(states, traj.alpha))
+                               phase=_phase_codes(states.min(axis=-1), states.max(axis=-1), traj.alpha))
 
 
 def _first_decided(traj):

@@ -14,7 +14,7 @@ from barypoly import (
     run_trajectory,
     solve_alpha,
 )
-from barypoly.dynamics import _EPS, _LIBM_REL, PHASE_TIE_TOL, _phase_codes, _step
+from barypoly.dynamics import _EPS, _LIBM_REL, PHASE_TIE_TOL, _phase_codes, _reduce_components, _step
 
 
 def weight_lists(lo=0.05, hi=0.95, min_p=3, max_p=8):
@@ -163,6 +163,12 @@ def _phase_by_definition(state, alpha):
     return 1 if all(v > alpha for v in state) else 0
 
 
+def _codes_of_states(u, alpha):
+    # the phase codes of the states of u (components on the last axis) from
+    # their extremes, reduced as _run_batch reduces its rows
+    return _phase_codes(_reduce_components(np.minimum, u), _reduce_components(np.maximum, u), alpha)
+
+
 def test_phase_codes():
     alpha = solve_alpha(3)
     states = np.array([
@@ -178,8 +184,9 @@ def test_phase_codes():
         # NaN, as in the padding of a batch
         (np.nan, 0.8, 0.9),
     ])
-    # the component axis comes last
-    assert _phase_codes(states, alpha).tolist() == [-1, 1, 0, 0, 0, 0, 0, 0]
+    assert _codes_of_states(states, alpha).tolist() == [-1, 1, 0, 0, 0, 0, 0, 0]
+    # a single state
+    assert [_codes_of_states(u, alpha) for u in states[:3]] == [-1, 1, 0]
 
 
 def test_phase_codes_match_the_definition_near_the_threshold():
@@ -196,7 +203,7 @@ def test_phase_codes_match_the_definition_near_the_threshold():
         # more decided states: rows reflected to one side of alpha
         u[::4] = alpha + np.abs(u[::4] - alpha)
         u[1::4] = alpha - np.abs(u[1::4] - alpha)
-        codes = _phase_codes(u, alpha)
+        codes = _codes_of_states(u, alpha)
         assert codes.shape == (40, 30) and codes.dtype == np.int8
         want = [[_phase_by_definition(u[r, m].tolist(), alpha) for m in range(30)] for r in range(40)]
         assert codes.tolist() == want
@@ -482,6 +489,51 @@ def test_batch_arrays_equal_the_per_step_scatter_build():
     assert seen_early >= 6
 
 
+def _assert_extremes_of_the_states(batch, where):
+    # low and high are np.min and np.max of every state, and saturation_low
+    # and saturation_high of every saturating state, bit for bit: NaN past a
+    # row's length and for a row that did not saturate
+    want = {"low": np.min(batch.states, axis=0), "high": np.max(batch.states, axis=0),
+            "saturation_low": np.min(batch.saturation_values, axis=-1),
+            "saturation_high": np.max(batch.saturation_values, axis=-1)}
+    for name, ref in want.items():
+        got = getattr(batch, name)
+        assert (got.dtype, got.shape, got.tobytes()) == (ref.dtype, ref.shape, ref.tobytes()), (where, name)
+    assert np.isnan(batch.low[~batch.valid]).all() and not np.isnan(batch.high[batch.valid]).any(), where
+    assert (np.isnan(batch.saturation_low) == (batch.saturation_step < 0)).all(), where
+
+
+def test_batch_extremes_are_the_extremes_of_its_states():
+    # _run_batch's own extremes, those of a record's one-row batch, of the
+    # harness fault's batch and of a batch whose states were replaced after
+    # its extremes were read
+    import dataclasses
+
+    from barypoly.analysis import _perturbed
+    from barypoly.dynamics import _Batch, _run_batch
+
+    rng = np.random.default_rng(35)
+    for p in (3, 5, 8, 64, 1024):
+        alpha = solve_alpha(p)
+        # rows closer to alpha saturate later, the row at alpha never
+        near = alpha * (1.0 + np.geomspace(1e-1, 1e-9, 5)[:, None] * rng.uniform(-1.0, 1.0, size=(5, p)))
+        u0 = np.concatenate([rng.uniform(1e-3, 1.0 - 1e-3, size=(4, p)), near, np.full((1, p), alpha)])
+        u0[0, 0] = 1e-300  # saturates at step 1
+        for steps in (0, 1, 400):
+            batch = _run_batch(u0, steps, alpha)
+            # a sweep reads the extremes _run_batch took for the phase codes
+            assert {"low", "high", "saturation_low", "saturation_high"} <= vars(batch).keys()
+            _assert_extremes_of_the_states(batch, (p, steps))
+            if steps == 400:
+                assert len(set(batch.saturation_step.tolist())) >= 3, p
+            for r in range(len(u0)):
+                _assert_extremes_of_the_states(_Batch.of(batch.row(r)), (p, steps, r))
+            _assert_extremes_of_the_states(_perturbed(batch), (p, steps, "perturbed"))
+            states = batch.states[::-1] * rng.uniform(0.5, 1.0, size=batch.states.shape)
+            replaced = dataclasses.replace(batch, states=states, saturation_values=batch.saturation_values[:, ::-1] / 2)
+            _assert_extremes_of_the_states(replaced, (p, steps, "replaced"))
+
+
 def test_step_shifted_batch_planes_are_contiguous():
     # A batch is step-major: the pair claims compare step m with step m + 1
     # or m + 2, and every such slice of a component plane, the spreads and
@@ -543,3 +595,18 @@ def test_reduce_components_matches_numpy_reduce_bit_for_bit():
     for ufunc in (np.maximum, np.minimum):
         with pytest.raises(ValueError):
             _reduce_components(ufunc, empty)
+
+
+def test_reduce_components_reduces_a_single_row_as_numpy_does():
+    # one row and a (rows, p) array, at every p from 1 to 40, with rows that
+    # hold one NaN and rows of NaN
+    rng = np.random.default_rng(3)
+    for p in range(1, 41):
+        u = rng.uniform(size=(6, p))
+        u[1, rng.integers(0, p)] = np.nan
+        u[2] = np.nan
+        for arr in (u, *u):
+            for ufunc, a in ((np.maximum, arr), (np.minimum, arr), (np.logical_or, arr < 0.5),
+                             (np.logical_and, arr < 0.5)):
+                got, ref = np.asarray(_reduce_components(ufunc, a)), np.asarray(ufunc.reduce(a, axis=-1))
+                assert (got.dtype, got.shape, got.tobytes()) == (ref.dtype, ref.shape, ref.tobytes()), (p, a.shape)
