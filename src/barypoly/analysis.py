@@ -9,13 +9,15 @@ limit point.  default_suite sweeps randomized seeds through every check and
 aggregates the outcomes into CheckResult rows that serialize directly to a
 JSON report.
 
-The check registry is the one place a check is added: _STATIC_CHECKS (run
-once on the distinct swept p, ascending), _TRAJ_CHECKS (run on every swept
-trajectory), _GEOMETRY_CHECKS (run on the suite's RNG after the sweep has
-drawn its seeds) and _SEED_CHECKS (run on every swept p's seeds) map each
-name to a function that returns (passed, witness), a fresh dict per call.
-Each function is the only implementation of its claim.  Their order,
-KNOWN_CHECKS, is the report order.
+The check registry, _CHECKS, is the one place a check is added: one row per
+name, (function, input), where the input is one of the four things
+default_suite builds: "p_values" (the distinct swept p, ascending), "drawn"
+(every swept p's (p, seeds)), "rng" (the suite's RNG after the sweep has
+drawn its seeds) or "batch" (each swept p's _Batch).  A batch function
+returns a verdict per row, and the others (passed, witness), a fresh dict
+per call.  _TRAJ_CHECKS is the "batch" rows, in order.  Each function is the
+only implementation of its claim.  The registry's order, KNOWN_CHECKS, is the
+report order.
 
 A sweep is checked one p at a time, as one array batch from stepping to
 verdict: dynamics._run_batch steps the p's seeds into a step-major
@@ -595,35 +597,29 @@ def _check_polygon_collapse(seeds: Sequence[tuple[int, np.ndarray]]) -> tuple[bo
 
 
 # The check registry; see the module docstring.
-_STATIC_CHECKS: dict[str, Callable[[Sequence[int]], tuple[bool, dict]]] = {
-    "stationary_certificate": _check_stationary,
-    "fixed_point": _check_fixed_point,
-    "spectral": _check_spectral,
-    "instability_growth": _check_instability_growth,
-    "unique_fixed_point_grid": _check_unique_fixed_point_grid,
+_CHECKS: dict[str, tuple[Callable, str]] = {
+    "stationary_certificate": (_check_stationary, "p_values"),
+    "fixed_point": (_check_fixed_point, "p_values"),
+    "spectral": (_check_spectral, "p_values"),
+    "instability_growth": (_check_instability_growth, "p_values"),
+    "unique_fixed_point_grid": (_check_unique_fixed_point_grid, "p_values"),
+    "order_preserved": (_traj_order_preserved, "batch"),
+    "ratio_monotone": (_traj_ratio_monotone, "batch"),
+    "spread_contraction": (_traj_spread_contraction, "batch"),
+    "contraction_certificates": (_traj_contraction_certificates, "batch"),
+    "spread_geometric_bound": (_traj_geometric_bound, "batch"),
+    "t_ratio_transfer": (_traj_t_ratio_transfer, "batch"),
+    "phase_alternation": (_traj_phase_alternation, "batch"),
+    "even_odd_limits": (_traj_even_odd_limits, "batch"),
+    "comparison_domination": (_traj_comparison_domination, "batch"),
+    "dual_convergence": (_check_dual_convergence, "rng"),
+    "polygon_collapse": (_check_polygon_collapse, "drawn"),
 }
+
+KNOWN_CHECKS = tuple(_CHECKS)
 
 _TRAJ_CHECKS: dict[str, Callable[[_Batch], _Verdicts]] = {
-    "order_preserved": _traj_order_preserved,
-    "ratio_monotone": _traj_ratio_monotone,
-    "spread_contraction": _traj_spread_contraction,
-    "contraction_certificates": _traj_contraction_certificates,
-    "spread_geometric_bound": _traj_geometric_bound,
-    "t_ratio_transfer": _traj_t_ratio_transfer,
-    "phase_alternation": _traj_phase_alternation,
-    "even_odd_limits": _traj_even_odd_limits,
-    "comparison_domination": _traj_comparison_domination,
-}
-
-_GEOMETRY_CHECKS: dict[str, Callable[[np.random.Generator], tuple[bool, dict]]] = {
-    "dual_convergence": _check_dual_convergence,
-}
-
-_SEED_CHECKS: dict[str, Callable[[Sequence[tuple[int, np.ndarray]]], tuple[bool, dict]]] = {
-    "polygon_collapse": _check_polygon_collapse,
-}
-
-KNOWN_CHECKS = (*_STATIC_CHECKS, *_TRAJ_CHECKS, *_GEOMETRY_CHECKS, *_SEED_CHECKS)
+    name: fn for name, (fn, takes) in _CHECKS.items() if takes == "batch"}
 
 
 _P_BELOW_3 = "verification sweeps require p >= 3"
@@ -711,18 +707,16 @@ def default_suite(
                 s = int(failed[0])
                 first_failure[name] = {"p": p, "seed_index": s, **witness(s)}
 
+    inputs = {"p_values": sorted(set(p_values)), "drawn": drawn, "rng": rng}
     results = []
     for name in names:
-        if name in _STATIC_CHECKS:
-            passed, witness = _STATIC_CHECKS[name](sorted(set(p_values)))
-        elif name in _TRAJ_CHECKS:
+        fn, takes = _CHECKS[name]
+        if takes == "batch":
             passed = violations[name] == 0
             witness = {"trajectories": len(p_values) * seeds_per_p, "violations": violations[name]}
             if name in first_failure:
                 witness["first_failure"] = first_failure[name]
-        elif name in _SEED_CHECKS:
-            passed, witness = _SEED_CHECKS[name](drawn)
         else:
-            passed, witness = _GEOMETRY_CHECKS[name](rng)
+            passed, witness = fn(inputs[takes])
         results.append(CheckResult(name, passed, witness))
     return results

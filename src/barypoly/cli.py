@@ -116,16 +116,10 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ValueError(f"unknown config keys {unknown}; known: {', '.join(known)}")
         for key, value in raw.items():
             setattr(cfg, key, _config_value(key, value))
-    if getattr(args, "p", None) is not None:
-        cfg.p = args.p
-    if getattr(args, "weights", None) is not None:
-        cfg.weights = args.weights
-    if getattr(args, "steps", None) is not None:
-        cfg.max_steps = args.steps
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "out_dir", None) is not None:
-        cfg.output_dir = args.out_dir
+    # A flag writes the config key of its dest, and wins when given.
+    for f in dataclasses.fields(RunConfig):
+        if getattr(args, f.name, None) is not None:
+            setattr(cfg, f.name, getattr(args, f.name))
     if getattr(args, "points_file", None):
         with open(args.points_file, encoding="utf-8") as fh:
             cfg.points = _config_value("points", json.load(fh))
@@ -297,10 +291,7 @@ def figure_iterates(A: PointSet, t: WeightTuple) -> list[PointSet]:
 
     def diameter(ps: PointSet) -> float:
         pts = ps.points
-        d = 0.0
-        for i in range(pts.shape[0] - 1):
-            d = max(d, float(np.max(np.linalg.norm(pts[i + 1:] - pts[i], axis=1))))
-        return d
+        return float(np.linalg.norm(pts[:, None] - pts, axis=-1).max())
 
     d0 = diameter(A)
     iterates = [A]
@@ -426,13 +417,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = subcommand("trajectory", "iterate the sorted conjugate state, CSV output")
     sp.add_argument("--weights", type=_parse_weights, help="initial weights, comma separated")
-    sp.add_argument("--steps", type=int, help="iteration count (default 200)")
+    sp.add_argument("--steps", type=int, dest="max_steps", metavar="STEPS", help="iteration count (default 200)")
     sp.add_argument("--out", help="CSV path ('-' for stdout, the default)")
     sp.set_defaults(fn=cmd_trajectory)
 
     sp = subcommand("dual", "dual limit-point sequence, CSV output")
     sp.add_argument("--weights", type=_parse_weights, help="initial weights, comma separated")
-    sp.add_argument("--steps", type=int, help="sequence length (default 200)")
+    sp.add_argument("--steps", type=int, dest="max_steps", metavar="STEPS", help="sequence length (default 200)")
     sp.add_argument("--points-file", help="JSON array of base points (default: regular polygon)")
     sp.add_argument("--out", help="CSV path ('-' for stdout, the default)")
     sp.set_defaults(fn=cmd_dual)
@@ -442,7 +433,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, help="RNG seed of the sweep")
     sp.add_argument("--check", action="append", help="restrict to this check (repeatable)")
     sp.add_argument("--weights", type=_parse_weights, help="verify one trajectory instead of sweeping")
-    sp.add_argument("--steps", type=int,
+    sp.add_argument("--steps", type=int, dest="max_steps", metavar="STEPS",
                     help="steps per trajectory (default 400 for a sweep, 200 with --weights)")
     sp.add_argument("--seeds", type=int, help="random seeds per p (default 100)")
     sp.add_argument("--inject-fault", action="store_true",
@@ -459,7 +450,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--superpose", action="store_true", help="overlay orders 0 and 1")
     sp.add_argument("--points-file", help="JSON array of planar base points")
     sp.add_argument("--out", help="SVG path (default: figure_order<N>.svg)")
-    sp.add_argument("--out-dir", dest="out_dir", help="directory for default output names")
+    sp.add_argument("--out-dir", dest="output_dir", metavar="OUT_DIR", help="directory for default output names")
     sp.set_defaults(fn=cmd_figure)
     return parser
 

@@ -1044,6 +1044,24 @@ def test_trajectory_check_witnesses_are_pinned():
     }
 
 
+def test_seeds_at_alpha_and_tied_seeds_get_their_documented_verdicts():
+    # At the float alpha the p = 3 and 5 orbits never move, so no state is
+    # decided and the two phase checks FAIL on no evidence: the fixed point
+    # the claims exclude.  At p = 8 and 64 the float orbit leaves alpha and
+    # saturates, and every check passes, as it does on tied seeds.
+    undecided = {"phase_alternation": {"reason": "no decided phase within the recorded horizon"},
+                 "even_odd_limits": {"reason": "undecided at the recorded horizon"}}
+    for p, leaves_at in ((3, None), (5, None), (8, 66), (64, 34)):
+        alpha = solve_alpha(p)
+        for u in ([alpha] * p, [0.3, 0.3] + [0.7] * (p - 2), [0.4] * p):
+            traj = run_trajectory(ConjugateTuple.of(u), 400, alpha)
+            failed = {r.name: r.witness for r in trajectory_checks(traj) if not r.passed}
+            at_alpha = u[0] == alpha
+            if at_alpha:
+                assert traj.saturation_step == leaves_at and len(traj) == (401 if leaves_at is None else leaves_at)
+            assert failed == (undecided if at_alpha and leaves_at is None else {}), (p, u)
+
+
 def test_default_suite_small_run_is_clean():
     results = default_suite(p_values=(3, 5), seeds_per_p=5)
     assert [r.name for r in results] == [n for n in KNOWN_CHECKS]
@@ -1059,12 +1077,28 @@ def test_default_suite_check_filter():
         default_suite(checks=["no_such_check"])
 
 
+def test_the_check_registry_is_one_table_of_what_each_check_reads():
+    # One row per check, in report order, naming the one input default_suite
+    # hands it; the trajectory checks, whose names perfbench reads, are its
+    # "batch" rows in order.
+    traj = ["order_preserved", "ratio_monotone", "spread_contraction", "contraction_certificates",
+            "spread_geometric_bound", "t_ratio_transfer", "phase_alternation", "even_odd_limits",
+            "comparison_domination"]
+    static = ["stationary_certificate", "fixed_point", "spectral", "instability_growth", "unique_fixed_point_grid"]
+    assert KNOWN_CHECKS == tuple(analysis._CHECKS)
+    assert [(name, takes) for name, (_, takes) in analysis._CHECKS.items()] == [
+        *((name, "p_values") for name in static), *((name, "batch") for name in traj),
+        ("dual_convergence", "rng"), ("polygon_collapse", "drawn")]
+    assert list(_TRAJ_CHECKS) == traj
+    assert all(analysis._CHECKS[name][0] is fn for name, fn in _TRAJ_CHECKS.items())
+
+
 @pytest.mark.parametrize("name", KNOWN_CHECKS)
 def test_default_suite_runs_each_registered_check_alone(name, monkeypatch):
     # A check run alone reports what the full sweep reports for it: its
     # inputs, dual_convergence's RNG state included, do not depend on which
     # other checks run.
-    monkeypatch.setitem(analysis._GEOMETRY_CHECKS, "dual_convergence", lambda rng: (True, {"next": rng.uniform()}))
+    monkeypatch.setitem(analysis._CHECKS, "dual_convergence", (lambda rng: (True, {"next": rng.uniform()}), "rng"))
     full = {r.name: r for r in default_suite(p_values=(3, 5), seeds_per_p=4, rng_seed=2)}
     assert list(full) == list(KNOWN_CHECKS)
     assert default_suite(p_values=(3, 5), seeds_per_p=4, rng_seed=2, checks=[name]) == [full[name]]
@@ -1077,7 +1111,7 @@ def test_default_suite_draws_every_seed_and_steps_only_for_trajectory_checks(mon
     stepped = []
     real = analysis._run_batch
     monkeypatch.setattr(analysis, "_run_batch", lambda *args: stepped.append(None) or real(*args))
-    monkeypatch.setitem(analysis._GEOMETRY_CHECKS, "dual_convergence", lambda rng: (True, {"next": rng.uniform()}))
+    monkeypatch.setitem(analysis._CHECKS, "dual_convergence", (lambda rng: (True, {"next": rng.uniform()}), "rng"))
 
     def run(checks):
         stepped.clear()

@@ -66,6 +66,53 @@ def test_config_file_and_flag_override(tmp_path, capsys):
     assert "p = 6" in capsys.readouterr().out
 
 
+class _Resolved(Exception):
+    pass
+
+
+@pytest.mark.parametrize("command, flag, text, key, in_file, from_flag", [
+    ("alpha", "--p", "5", "p", 6, 5),
+    ("verify", "--p", "5", "p", 6, 5),
+    ("trajectory", "--weights", "0.2,0.5", "weights", [0.3, 0.4], (0.2, 0.5)),
+    ("dual", "--weights", "0.2,0.5", "weights", [0.3, 0.4], (0.2, 0.5)),
+    ("verify", "--weights", "0.2,0.5", "weights", [0.3, 0.4], (0.2, 0.5)),
+    ("figure", "--weights", "0.2,0.5", "weights", [0.3, 0.4], (0.2, 0.5)),
+    ("trajectory", "--steps", "7", "max_steps", 12, 7),
+    ("dual", "--steps", "7", "max_steps", 12, 7),
+    ("verify", "--steps", "7", "max_steps", 12, 7),
+    ("verify", "--seed", "3", "seed", 9, 3),
+    ("figure", "--out-dir", "from_flag", "output_dir", "in_file", "from_flag"),
+])
+def test_each_config_flag_beats_the_file_and_an_absent_one_keeps_it(
+        command, flag, text, key, in_file, from_flag, tmp_path, monkeypatch):
+    # Each flag writes its own config key over the --config file's value;
+    # without the flag the file's value stands, and every other key keeps its
+    # default.  The resolved config is read before the command runs.
+    from barypoly import cli
+
+    def resolved(args):
+        raise _Resolved(real(args))
+
+    real = cli._resolve_config
+    monkeypatch.setattr(cli, "_resolve_config", resolved)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: in_file}))
+    for argv, want in (([flag, text], from_flag), ([], tuple(in_file) if key == "weights" else in_file)):
+        with pytest.raises(_Resolved) as got:
+            main([command, "--config", str(cfg), *argv])
+        assert got.value.args[0] == cli.RunConfig(**{key: want}), argv
+
+
+@pytest.mark.parametrize("command, usage", [("trajectory", "[--steps STEPS]"), ("dual", "[--steps STEPS]"),
+                                            ("verify", "[--steps STEPS]"), ("figure", "[--out-dir OUT_DIR]")])
+def test_flags_that_write_a_config_key_keep_their_metavar(command, usage, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    out = capsys.readouterr().out
+    assert usage in out.split("\n\n")[0]
+    assert f"  {usage[1:-1]}  " in out
+
+
 def test_config_file_errors(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["alpha", "--config", str(missing), "--p", "4"]) == 2

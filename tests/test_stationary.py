@@ -89,6 +89,27 @@ def test_alpha_monotone_in_p():
     assert all(a < b for a, b in zip(values, values[1:]))
 
 
+def test_the_two_step_lemma_numbers():
+    # README's proof that f(f(x)) < x on (0, alpha), with q = p - 1: psi(x) =
+    # q^2 x^(q-1) - (q^2 - 1) x^q - 1 is alpha (lambda^2 - 1) > 0 at alpha and
+    # changes sign once on (0, alpha], and phi(x) = q log(1 - x^q) - log(1 - x)
+    # is positive inside it.  The grid part is checked numerically, not proven.
+    for p in [*range(3, 65), 128, 256, 512, 1024]:
+        q, cert = p - 1, certificate(p)
+        alpha, lam = cert.alpha, cert.lambda_repulsive
+
+        def psi(x):
+            return q * q * x ** (q - 1) - (q * q - 1) * x ** q - 1.0
+
+        assert psi(alpha) == pytest.approx(alpha * (lam * lam - 1.0), rel=1e-12)
+        assert psi(alpha) > 0.0
+        x = np.linspace(0.0, alpha, 4001)[1:]
+        sign = np.sign(psi(x))
+        assert sign.all() and np.count_nonzero(sign[1:] != sign[:-1]) == 1, p
+        inner = x[:-1]
+        assert (q * np.log1p(-inner ** q) - np.log1p(-inner) > 0.0).all(), p
+
+
 @given(st.integers(min_value=3, max_value=128))
 def test_root_and_spectrum_properties(p):
     cert = certificate(p)
