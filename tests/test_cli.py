@@ -66,10 +66,6 @@ def test_config_file_and_flag_override(tmp_path, capsys):
     assert "p = 6" in capsys.readouterr().out
 
 
-class _Resolved(Exception):
-    pass
-
-
 @pytest.mark.parametrize("command, flag, text, key, in_file, from_flag", [
     ("alpha", "--p", "5", "p", 6, 5),
     ("verify", "--p", "5", "p", 6, 5),
@@ -84,23 +80,17 @@ class _Resolved(Exception):
     ("figure", "--out-dir", "from_flag", "output_dir", "in_file", "from_flag"),
 ])
 def test_each_config_flag_beats_the_file_and_an_absent_one_keeps_it(
-        command, flag, text, key, in_file, from_flag, tmp_path, monkeypatch):
+        command, flag, text, key, in_file, from_flag, tmp_path):
     # Each flag writes its own config key over the --config file's value;
     # without the flag the file's value stands, and every other key keeps its
-    # default.  The resolved config is read before the command runs.
+    # default.
     from barypoly import cli
 
-    def resolved(args):
-        raise _Resolved(real(args))
-
-    real = cli._resolve_config
-    monkeypatch.setattr(cli, "_resolve_config", resolved)
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({key: in_file}))
     for argv, want in (([flag, text], from_flag), ([], tuple(in_file) if key == "weights" else in_file)):
-        with pytest.raises(_Resolved) as got:
-            main([command, "--config", str(cfg), *argv])
-        assert got.value.args[0] == cli.RunConfig(**{key: want}), argv
+        args = cli._build_parser().parse_args([command, "--config", str(cfg), *argv])
+        assert cli._resolve_config(args) == cli.RunConfig(**{key: want}), argv
 
 
 @pytest.mark.parametrize("command, usage", [("trajectory", "[--steps STEPS]"), ("dual", "[--steps STEPS]"),
