@@ -65,7 +65,7 @@ IDENTITY_RTOL = 1e-10
 SPECTRAL_ATOL = 1e-13
 
 
-def _certificate_fields(u: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, ...]:
+def _certificate_fields(u: np.ndarray, u2: np.ndarray) -> dict[str, np.ndarray]:
     # The two-step contraction certificate of every state of u (at m) and u2
     # (at m + 2), components on the first axis, in O(p) array operations,
     # the same for a (p,) state alone as in a batch.  With pi = prod_i u_i,
@@ -92,43 +92,27 @@ def _certificate_fields(u: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, ...]
         intercept = intercept + pi / u[j] * (1.0 - intercept)
     low = slope * u[0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        return (
-            slope,
-            intercept,
-            low / intercept,
-            low / (low + intercept),
-            np.abs(low + intercept - u2[0]) / np.abs(u2[0]),
-            np.abs(slope * u[-1] + intercept - u2[-1]) / np.abs(u2[-1]),
-        )
+        return {"slope": slope, "intercept": intercept, "ratio_bound": low / intercept,
+                "contraction": low / (low + intercept),
+                "residual_low": np.abs(low + intercept - u2[0]) / np.abs(u2[0]),
+                "residual_high": np.abs(slope * u[-1] + intercept - u2[-1]) / np.abs(u2[-1])}
 
 
-def _certificate_failures(arrays: tuple[np.ndarray, ...]) -> np.ndarray:
-    # Which claims of each certificate fail, on a new first axis in the order
-    # of _CERTIFICATE_ERRORS.
-    slope, intercept, ratio_bound, contraction, residual_low, residual_high = arrays
-    return np.stack([
-        (slope <= 0.0) | (intercept <= 0.0),
-        ~((0.0 < ratio_bound) & (ratio_bound < 1.0)),
-        ~(contraction < 0.5),
-        (residual_low > IDENTITY_RTOL) | (residual_high > IDENTITY_RTOL),
-    ])
-
-
-_CERTIFICATE_ERRORS = (
-    "positivity failed at m={m}: slope={slope!r}, intercept={intercept!r}",
-    "ratio bound {ratio_bound!r} outside (0, 1) at m={m}",
-    "two-step contraction {contraction!r} not below 1/2 at m={m}",
-    "recurrence identity residuals ({residual_low:.3e}, {residual_high:.3e}) exceed {rtol} at m={m}",
+# A certificate's claims, in the order that picks a failure's reason.  A row is
+# (fails, text): fails(u, f) is True where the claim fails for the state u at
+# m with figures f = _certificate_fields(u, u2) (only corrupt data gives an
+# unsorted state), and text, formatted with m, rtol and the figures at one
+# index, is the reason.
+_CERTIFICATE_CLAIMS = (
+    (lambda u, f: ~(u[:-1] <= u[1:]).all(axis=0), "state at m={m} is not sorted ascending"),
+    (lambda u, f: (f["slope"] <= 0.0) | (f["intercept"] <= 0.0),
+     "positivity failed at m={m}: slope={slope!r}, intercept={intercept!r}"),
+    (lambda u, f: ~((0.0 < f["ratio_bound"]) & (f["ratio_bound"] < 1.0)),
+     "ratio bound {ratio_bound!r} outside (0, 1) at m={m}"),
+    (lambda u, f: ~(f["contraction"] < 0.5), "two-step contraction {contraction!r} not below 1/2 at m={m}"),
+    (lambda u, f: (f["residual_low"] > IDENTITY_RTOL) | (f["residual_high"] > IDENTITY_RTOL),
+     "recurrence identity residuals ({residual_low:.3e}, {residual_high:.3e}) exceed {rtol} at m={m}"),
 )
-
-
-def _certificate_error(arrays: tuple[np.ndarray, ...], failures: np.ndarray, at: tuple, m: int) -> str:
-    # The failure text of the first failed claim of the certificate at index
-    # `at` of _certificate_fields' arrays, the certificate at step m.
-    names = ("slope", "intercept", "ratio_bound", "contraction", "residual_low", "residual_high")
-    values = {name: float(a[at]) for name, a in zip(names, arrays)}
-    claim = int(failures[(slice(None), *at)].argmax())
-    return _CERTIFICATE_ERRORS[claim].format(m=m, rtol=IDENTITY_RTOL, **values)
 
 
 def _spectral_residual(cert: StationaryCertificate) -> float:
@@ -273,8 +257,8 @@ def _traj_spread_contraction(batch: _Batch) -> _Verdicts:
 def _traj_contraction_certificates(batch: _Batch) -> _Verdicts:
     # A certificate is emitted at every m whose states m, m+1 and m+2 lie in
     # CERT_WINDOW and whose state m has a spread above 1e-9.  A row fails at
-    # its first m whose certificate fails or whose state is unsorted, which
-    # only corrupt data can give; the other rows keep their verdicts.
+    # its first m where a claim of _CERTIFICATE_CLAIMS fails, with the reason
+    # of the first such claim; the other rows keep their verdicts.
     U = batch.states
     lo, hi = CERT_WINDOW
     inside = ~((U[0] < lo) | (U[-1] > hi))
@@ -291,12 +275,12 @@ def _traj_contraction_certificates(batch: _Batch) -> _Verdicts:
     # Gathering only the window's states took ~0.3 ms less per default sweep
     # but grew a process's peak RSS by ~1 MB over 1200 sweeps, against ~0.1
     # MB this way (allocator fragmentation; numpy 2.4, glibc 2.36).
-    arrays = _certificate_fields(U[:, :-2], U[:, 2:])
-    failures = _certificate_failures(arrays) & window
-    unsorted = ~(U[:-1, :-2] <= U[1:, :-2]).all(axis=0) & window
-    return _verdicts(failures.any(axis=0) | unsorted, lambda r, m: {
-        "reason": f"state at m={m} is not sorted ascending" if unsorted[m, r]
-        else _certificate_error(arrays, failures, (m, r), m)}, clean=clean)
+    u = U[:, :-2]
+    figures = _certificate_fields(u, U[:, 2:])
+    failures = np.stack([fails(u, figures) for fails, _ in _CERTIFICATE_CLAIMS]) & window
+    return _verdicts(failures.any(axis=0), lambda r, m: {
+        "reason": _CERTIFICATE_CLAIMS[failures[:, m, r].argmax()][1].format(
+            m=m, rtol=IDENTITY_RTOL, **{name: float(f[m, r]) for name, f in figures.items()})}, clean=clean)
 
 
 def _traj_geometric_bound(batch: _Batch) -> _Verdicts:
@@ -389,13 +373,14 @@ def _traj_even_odd_limits(batch: _Batch) -> _Verdicts:
     # Which parity of steps heads for which corner of [0, 1]^p, by global
     # step parity.  A saturating state with a decided phase code that hit
     # one corner decides on its own, by its virtual index, and the corner
-    # must be the one its code names: 1 for ABOVE, 0 for BELOW.  Otherwise
+    # must be the one its code names: 1 for ABOVE, 0 for BELOW; its extremes
+    # tell which corner it hit, as rounded 1 - v is monotone.  Otherwise
     # every component of the final recorded even state must lie within
     # LIMIT_TOL of one corner and every component of the final odd state
     # within LIMIT_TOL of the other.
-    sat, vals, code = batch.saturation_step, batch.saturation_values, batch.saturation_phase
-    hit_one = (1.0 - vals <= math.ulp(1.0)).any(axis=-1)
-    by_saturation = (code != 0) & (hit_one != (vals <= math.ulp(0.0)).any(axis=-1))
+    sat, code = batch.saturation_step, batch.saturation_phase
+    hit_one = 1.0 - batch.saturation_high <= math.ulp(1.0)
+    by_saturation = (code != 0) & (hit_one != (batch.saturation_low <= math.ulp(0.0)))
     wrong_corner = by_saturation & (hit_one != (code == 1))
     last = batch.length - 1
     rows = np.arange(len(last))

@@ -141,8 +141,7 @@ def _write_csv(path: str | None, header: list[str], rows) -> TextIO:
 # alpha
 # ---------------------------------------------------------------------------
 
-def cmd_alpha(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+def cmd_alpha(args: argparse.Namespace, cfg: RunConfig) -> int:
     if cfg.p is None:
         args.parser.error("alpha needs --p")
     cert = certificate(cfg.p)
@@ -164,10 +163,9 @@ def cmd_alpha(args: argparse.Namespace) -> int:
 # trajectory
 # ---------------------------------------------------------------------------
 
-def cmd_trajectory(args: argparse.Namespace) -> int:
+def cmd_trajectory(args: argparse.Namespace, cfg: RunConfig) -> int:
     from .dynamics import _PHASE_NAMES, WeightTuple, conjugate_of, run_trajectory
 
-    cfg = _resolve_config(args)
     if cfg.weights is None:
         args.parser.error("trajectory needs --weights (comma separated, each in (0,1))")
     t0 = WeightTuple.of(cfg.weights)
@@ -201,11 +199,10 @@ def _points_from_config(cfg: RunConfig, p: int) -> PointSet:
     return _regular_polygon(p)
 
 
-def cmd_dual(args: argparse.Namespace) -> int:
+def cmd_dual(args: argparse.Namespace, cfg: RunConfig) -> int:
     from .dynamics import WeightTuple
     from .geometry import dual_sequence
 
-    cfg = _resolve_config(args)
     if cfg.weights is None:
         args.parser.error("dual needs --weights (comma separated, each in (0,1))")
     t0 = WeightTuple.of(cfg.weights)
@@ -225,11 +222,10 @@ def cmd_dual(args: argparse.Namespace) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
     from .analysis import KNOWN_CHECKS, _perturbed_record, default_suite, trajectory_checks
     from .dynamics import WeightTuple, conjugate_of, run_trajectory
 
-    cfg = _resolve_config(args)
     checks = args.check or None
     if checks:
         unknown = set(checks).difference(KNOWN_CHECKS)
@@ -354,11 +350,10 @@ def _render_svg(families: list[tuple[list[PointSet], str]], limits: list[tuple[n
     return "\n".join(lines) + "\n"
 
 
-def cmd_figure(args: argparse.Namespace) -> int:
+def cmd_figure(args: argparse.Namespace, cfg: RunConfig) -> int:
     from .dynamics import WeightTuple
     from .geometry import centroid, limit_point, weight_orders
 
-    cfg = _resolve_config(args)
     if cfg.weights is None:
         args.parser.error("figure needs --weights (comma separated, each in (0,1))")
     if args.superpose and args.order is not None:
@@ -462,7 +457,7 @@ def main(argv: list[str] | None = None) -> int:
     # and SaturationError for input whose iteration leaves (0, 1).  Other
     # ArithmeticErrors propagate; only they make main load dynamics.
     try:
-        return args.fn(args)
+        return args.fn(args, _resolve_config(args))
     except (OSError, ValueError, ArithmeticError) as exc:
         if isinstance(exc, ArithmeticError):
             from .dynamics import SaturationError

@@ -127,13 +127,13 @@ def test_criterion_7_certificate_algebra():
         if not u[0] < u[-1]:
             continue
         traj = bp.run_trajectory(bp.ConjugateTuple.of(u), 2, bp.solve_alpha(p))
-        arrays = bp.analysis._certificate_fields(traj.states[0], traj.states[2])
-        if bp.analysis._certificate_failures(arrays).any():
+        figures = bp.analysis._certificate_fields(traj.states[0], traj.states[2])
+        if any(fails(traj.states[0], figures) for fails, _ in bp.analysis._CERTIFICATE_CLAIMS):
             ok = False
             break
-        slope, intercept, ratio_bound, contraction, residual_low, residual_high = map(float, arrays)
-        worst_res = max(worst_res, residual_low, residual_high)
-        if not (slope > 0 and intercept > 0 and 0 < ratio_bound < 1 and contraction < 0.5):
+        f = {name: float(x) for name, x in figures.items()}
+        worst_res = max(worst_res, f["residual_low"], f["residual_high"])
+        if not (f["slope"] > 0 and f["intercept"] > 0 and 0 < f["ratio_bound"] < 1 and f["contraction"] < 0.5):
             ok = False
             break
         count += 1

@@ -68,7 +68,8 @@ def test_certificate_slope_and_intercept_against_an_oracle():
     tiny = 0
     for u in _window_states():
         p = len(u)
-        slope, intercept = (float(f) for f in analysis._certificate_fields(u, u)[:2])
+        figures = analysis._certificate_fields(u, u)
+        slope, intercept = float(figures["slope"]), float(figures["intercept"])
         exact_slope, exact_intercept = _oracle_slope_intercept(u)
         pi = math.prod(u.tolist())
         tiny += pi < 1e-20
@@ -89,8 +90,9 @@ def _certificate_fields_by_loops(u, u2):
         slope = slope * (u[j] - pi)
         intercept = intercept + pi / u[j] * (1.0 - intercept)
     low = slope * u[0]
-    return (slope, intercept, low / intercept, low / (low + intercept),
-            np.abs(low + intercept - u2[0]) / np.abs(u2[0]), np.abs(slope * u[-1] + intercept - u2[-1]) / np.abs(u2[-1]))
+    return {"slope": slope, "intercept": intercept, "ratio_bound": low / intercept,
+            "contraction": low / (low + intercept), "residual_low": np.abs(low + intercept - u2[0]) / np.abs(u2[0]),
+            "residual_high": np.abs(slope * u[-1] + intercept - u2[-1]) / np.abs(u2[-1])}
 
 
 def test_certificate_fields_equal_the_running_product_loops():
@@ -103,7 +105,7 @@ def test_certificate_fields_equal_the_running_product_loops():
             for a, b in ((u, u2), (u[..., ::2], u2[..., ::2])):
                 with np.errstate(divide="ignore", invalid="ignore"):
                     got, want = analysis._certificate_fields(a, b), _certificate_fields_by_loops(a, b)
-                assert [x.tobytes() for x in got] == [x.tobytes() for x in want], (p, shape)
+                assert {k: x.tobytes() for k, x in got.items()} == {k: x.tobytes() for k, x in want.items()}, (p, shape)
 
 
 def _traj(u, steps=2):
@@ -127,10 +129,10 @@ def _with_state(traj, m, q, value):
 
 def _certificate(traj, m):
     # the certificate fields at step m of a record, every claim of which holds
-    arrays = analysis._certificate_fields(traj.states[m], traj.states[m + 2])
-    assert not analysis._certificate_failures(arrays).any()
-    names = ("slope", "intercept", "ratio_bound", "contraction", "residual_low", "residual_high")
-    return dict(zip(names, map(float, arrays)))
+    u = traj.states[m]
+    figures = analysis._certificate_fields(u, traj.states[m + 2])
+    assert not any(fails(u, figures) for fails, _ in analysis._CERTIFICATE_CLAIMS)
+    return {name: float(f) for name, f in figures.items()}
 
 
 def test_contraction_certificate_hand_case():
@@ -150,6 +152,43 @@ def test_contraction_certificate_hand_case():
     assert (len(regular), len(two_states)) == (18, 2)
     for record, emitted in ((traj, 1), (regular, 0), (two_states, 0)):
         assert _check("contraction_certificates", record) == (True, {"certificates": emitted})
+
+
+def _figures(low, intercept, residual_low=0.0):
+    # the figures of a certificate with slope u_0 = low, computed as
+    # _certificate_fields computes them, as 0-d arrays
+    low, intercept = np.float64(low), np.float64(intercept)
+    return {"slope": low, "intercept": intercept, "ratio_bound": low / intercept,
+            "contraction": low / (low + intercept), "residual_low": np.float64(residual_low),
+            "residual_high": np.float64(0.0)}
+
+
+def test_each_certificate_claim_row_reports_its_own_reason(monkeypatch):
+    # Each row of the claims table gets figures that fail it first, fed to
+    # the check in place of the record's own; the reason is that row's text.
+    # The contraction row can fail first only by rounding: ratio_bound =
+    # low / intercept < 1 gives contraction = low / (low + intercept) < 1/2
+    # in exact arithmetic, but at intercept = 1 + 2**-52 the ratio bound is
+    # 1 - 2**-52 while low + intercept rounds to 2.
+    near_tie = _figures(1.0, 1.0 + 2.0**-52)
+    assert near_tie["ratio_bound"] == 1.0 - 2.0**-52 and near_tie["contraction"] == 0.5
+    traj = _traj((0.2, 0.3, 0.4, 0.5))
+    unsorted = _with_state(traj, 0, 1, 0.45)
+    cases = [
+        (unsorted, _figures(0.1, 0.5), "state at m=0 is not sorted ascending"),
+        (traj, _figures(-0.1, 0.5), "positivity failed at m=0: slope=-0.1, intercept=0.5"),
+        (traj, _figures(0.6, 0.5), "ratio bound 1.2 outside (0, 1) at m=0"),
+        (traj, near_tie, "two-step contraction 0.5 not below 1/2 at m=0"),
+        (traj, _figures(0.1, 0.5, 1e-9), "recurrence identity residuals (1.000e-09, 0.000e+00) exceed 1e-10 at m=0"),
+    ]
+    assert len(cases) == len(analysis._CERTIFICATE_CLAIMS)
+    for row, (record, figures, reason) in enumerate(cases):
+        u = record.states[0]
+        failed = [bool(fails(u, figures)) for fails, _ in analysis._CERTIFICATE_CLAIMS]
+        assert failed.index(True) == row, reason
+        monkeypatch.setattr(analysis, "_certificate_fields", lambda u, u2, figures=figures: {
+            name: np.full(u.shape[1:], f) for name, f in figures.items()})
+        assert _check("contraction_certificates", record) == (False, {"step": 0, "reason": reason})
 
 
 def test_contraction_equals_observed_spread_ratio():
@@ -477,14 +516,19 @@ def _first_decided(traj):
     return int(decided[0]) if decided.size else None
 
 
-def _halfway_to_alpha(traj):
-    # state m0 + 2 moved halfway to alpha
+def _edited_at_m0_plus_2(traj, edit):
+    # the record with state m0 + 2 replaced by edit(state, alpha)
     m0 = _first_decided(traj)
     if m0 is None or m0 + 2 >= len(traj):
         return None
     states = traj.states.copy()
-    states[m0 + 2] = (states[m0 + 2] + traj.alpha) / 2
+    states[m0 + 2] = edit(states[m0 + 2], traj.alpha)
     return _restated(traj, states)
+
+
+def _halfway_to_alpha(traj):
+    # state m0 + 2 moved halfway to alpha
+    return _edited_at_m0_plus_2(traj, lambda u, alpha: (u + alpha) / 2)
 
 
 def _off_the_corner(traj):
@@ -522,6 +566,16 @@ def _mirrored_saturating_state(traj):
 _MUTANTS = (_halfway_to_alpha, _off_the_corner, _repeated_state, _wrong_saturating_phase,
             _mirrored_saturating_state)
 
+# The mutation matrix's further mutants, each an edit of state m0 + 2: its two
+# smallest components swapped, its mirror image 1 - u reversed (sorted), and
+# its smallest component nudged up by a relative 1e-9 and 1e-6.
+_STATE_EDITS = {
+    "swapped_pair": lambda u, alpha: u[[1, 0, *range(2, len(u))]],
+    "mirrored_state": lambda u, alpha: 1.0 - u[::-1],
+    "nudged_1e-9": lambda u, alpha: u * np.r_[1.0 + 1e-9, np.ones(len(u) - 1)],
+    "nudged_1e-6": lambda u, alpha: u * np.r_[1.0 + 1e-6, np.ones(len(u) - 1)],
+}
+
 
 def test_comparison_domination_matches_the_inline_orbit(sweep):
     # The bracket at every step implies the inline orbit's multi-step claim,
@@ -547,6 +601,18 @@ def test_comparison_domination_matches_the_inline_orbit(sweep):
             caught += 1
     assert caught > 100
     assert {check(traj)[0] for traj in records} == {True, False}
+
+
+def _failing_columns(traj):
+    # the trajectory checks that fail the record, and "claim i" for the row
+    # of the certificate's claims table whose reason a failure gives
+    failed = {r.name: r.witness for r in trajectory_checks(traj) if not r.passed}
+    columns = set(failed)
+    if "contraction_certificates" in failed:
+        reason = failed["contraction_certificates"]["reason"]
+        columns.add(next(f"claim {i}" for i, (_, text) in enumerate(analysis._CERTIFICATE_CLAIMS)
+                         if reason.startswith(text.split("{")[0])))
+    return columns
 
 
 def test_mutants_fail_the_checks_whose_claims_they_break(sweep):
@@ -582,6 +648,41 @@ def test_mutants_fail_the_checks_whose_claims_they_break(sweep):
                     assert not _check("even_odd_limits", bad)[0]
                     applied["one_corner"] += 1
     assert min(applied.values()) > 300, applied
+
+    # The mutation matrix over sweep[::10].  Its columns are the trajectory
+    # checks and "claim i", the row of the certificate's claims table whose
+    # reason contraction_certificates gives.  Per mutant, the columns that
+    # fail on every row it applies to, and those that fail on some row; the
+    # others fail on none.  README tabulates the counts.
+    mutants = {m.__name__.strip("_"): m for m in _MUTANTS} | {
+        name: functools.partial(_edited_at_m0_plus_2, edit=edit) for name, edit in _STATE_EDITS.items()}
+    columns = {*_TRAJ_CHECKS, *(f"claim {i}" for i in range(len(analysis._CERTIFICATE_CLAIMS)))}
+    failing = {name: [] for name in mutants}
+    for traj in sweep[::10]:
+        for name, mutant in mutants.items():
+            if (bad := mutant(traj)) is not None:
+                failing[name].append(_failing_columns(bad))
+    assert min(map(len, failing.values())) == 100
+    pair = {"ratio_monotone", "spread_contraction", "contraction_certificates", "claim 4"}
+    expected = {
+        "halfway_to_alpha": ({"t_ratio_transfer", "comparison_domination"}, pair),
+        "off_the_corner": (set(), {"t_ratio_transfer", "comparison_domination"} | pair),
+        "repeated_state": ({"t_ratio_transfer", "phase_alternation", "comparison_domination"},
+                           pair | {"spread_geometric_bound"}),
+        "wrong_saturating_phase": ({"phase_alternation", "even_odd_limits"}, set()),
+        "mirrored_saturating_state": ({"comparison_domination"}, {"even_odd_limits"}),
+        "swapped_pair": (set(), {"order_preserved", "t_ratio_transfer", "comparison_domination"} | pair),
+        "mirrored_state": ({"t_ratio_transfer"}, pair | {"spread_geometric_bound", "phase_alternation",
+                                                         "comparison_domination"}),
+        "nudged_1e-9": (set(), {"order_preserved", "ratio_monotone", "contraction_certificates", "claim 4",
+                                "t_ratio_transfer", "comparison_domination"}),
+        "nudged_1e-6": ({"t_ratio_transfer"}, {"order_preserved", "ratio_monotone", "contraction_certificates",
+                                               "claim 4", "comparison_domination"}),
+    }
+    for name, rows in failing.items():
+        always, some = expected[name]
+        assert set.intersection(*rows) == always, name
+        assert columns - set.union(*rows) == columns - always - some, name
 
 
 def test_saturating_phase_margin_against_a_60_digit_orbit():

@@ -1,0 +1,167 @@
+"""Output A/B check of barypoly: two source trees must give the same bytes.
+
+Usage, from anywhere:
+
+    python3 tools/ab_outputs.py PARENT_TREE CHANGE_TREE
+
+A tree is a checkout (or an unpacked `git archive`) with src/barypoly in it.
+Both trees' barypoly are imported into this process under distinct package
+names, as tools/ab_inprocess.py does, and compared on:
+
+  - the JSON report of default_suite for every spec of SUITE_SPECS, with
+    every check and with each check of KNOWN_CHECKS alone;
+  - the states and the JSON of trajectory_checks of a clean and of a
+    _perturbed_record record at every p of RECORD_P and every step count of
+    RECORD_STEPS;
+  - every invocation of CLI_CASES, run as `python -m barypoly.cli` of the
+    tree in a fresh temporary directory per tree that holds INPUT_FILES:
+    stdout, stderr, exit code and every file the directory holds afterwards.
+
+An exception is compared by its type and message.  The script prints the
+counts compared, or the first difference, and exits 1 on a difference.
+Uses the standard library and numpy only.
+"""
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from ab_inprocess import THREAD_ENV, _load
+
+SUITE_SPECS = (
+    {},
+    *({"rng_seed": s} for s in range(100, 108)),
+    {"p_values": (256, 1024), "seeds_per_p": 4},
+    {"p_values": (16, 32), "seeds_per_p": 100},
+    {"p_values": (1024,), "seeds_per_p": 100},
+    {"p_values": (64,), "seeds_per_p": 200},
+    {"inject_fault": True},
+    {"p_values": (3, 8), "seeds_per_p": 20, "rng_seed": 9, "inject_fault": True},
+    {"max_steps": 0},
+    {"max_steps": 3},
+)
+RECORD_P = (3, 4, 5, 8, 16, 64, 1024)
+RECORD_STEPS = (0, 1, 400)
+
+SEED = "0.3,0.08,0.06,0.04,0.01"
+INPUT_FILES = {
+    "points.json": "[[0.0, 0.0], [2.0, 0.1], [1.7, 1.3], [-0.4, 0.9]]\n",
+    "config.json": json.dumps({"p": 5, "weights": [0.2, 0.5, 0.7], "max_steps": 3, "seed": 4,
+                               "output_dir": "figs"}) + "\n",
+    "unknown_key.json": '{"bogus": 1}\n',
+    "wrong_type.json": '{"p": "five"}\n',
+}
+CLI_CASES = (
+    ["--help"], [],
+    *([cmd, "--help"] for cmd in ("alpha", "trajectory", "dual", "verify", "figure")),
+    *([cmd, "--bogus"] for cmd in ("alpha", "trajectory", "dual", "verify", "figure")),
+    ["alpha"], ["trajectory"], ["dual"], ["figure"],
+    ["alpha", "--p", "7"], ["alpha", "--p", "7", "--json"], ["alpha", "--p", "2"],
+    ["trajectory", "--weights", SEED, "--steps", "100"],
+    ["trajectory", "--weights", "0.15,0.5,0.85", "--out", "trajectory.csv"],
+    ["trajectory", "--weights", "0.5,1.5"],
+    ["dual", "--weights", SEED, "--steps", "60"],
+    ["dual", "--weights", "0.2,0.5,0.7,0.4", "--points-file", "points.json", "--out", "dual.csv"],
+    ["verify", "--weights", "0.2,0.5,0.7,0.8", "--json"],
+    ["verify", "--weights", "0.2,0.5,0.7", "--inject-fault", "--json"],
+    ["verify", "--weights", "0.2,0.5,0.7", "--p", "3"],
+    ["verify", "--p", "5", "--seeds", "10", "--json"],
+    ["verify", "--p", "4", "--seeds", "5", "--inject-fault"],
+    ["verify", "--seeds", "3", "--seed", "2", "--out", "report.json"],
+    ["verify", "--p", "5", "--check", "spectral", "--check", "contraction_certificates"],
+    ["verify", "--check", "nope"],
+    ["verify", "--p", "4", "--check", "unique_fixed_point_grid"],
+    ["alpha", "--config", "config.json"],
+    ["trajectory", "--config", "config.json"],
+    ["verify", "--config", "config.json", "--json"],
+    ["figure", "--config", "config.json"],
+    ["alpha", "--config", "unknown_key.json"],
+    ["alpha", "--config", "wrong_type.json"],
+    ["alpha", "--config", "missing.json"],
+    ["figure", "--weights", "0.2,0.5,0.7", "--superpose"],
+    ["figure", "--weights", "0.2,0.5,0.7,0.4", "--order", "2", "--points-file", "points.json", "--out", "fig.svg"],
+    ["figure", "--weights", "0.2,0.5,0.7", "--superpose", "--order", "1"],
+    ["figure", "--weights", "0.2,0.5,0.7", "--order", "-1"],
+)
+
+
+def _outcome(fn) -> str:
+    # fn's JSON, or its exception's type and message
+    try:
+        return json.dumps(fn(), sort_keys=True)
+    except Exception as exc:  # noqa: BLE001 - an exception is an outcome to compare
+        return f"raises {type(exc).__name__}: {exc}"
+
+
+def _reports(bp, known: tuple[str, ...]):
+    # (label, outcome) of every report of one tree's barypoly
+    for spec in SUITE_SPECS:
+        for checks in (None, *([name] for name in known)):
+            yield (f"default_suite(**{spec}, checks={checks})",
+                   _outcome(lambda: [r.as_json() for r in bp.default_suite(**spec, checks=checks)]))
+    for p in RECORD_P:
+        seed = np.random.default_rng(p).uniform(1e-3, 1.0 - 1e-3, size=p)
+        for steps in RECORD_STEPS:
+            record = bp.run_trajectory(bp.ConjugateTuple.of(seed), steps, bp.solve_alpha(p))
+            yield f"run_trajectory p={p} steps={steps}", record.states.tobytes().hex()
+            for label, rec in (("clean", record), ("perturbed", bp.analysis._perturbed_record(record))):
+                yield (f"trajectory_checks {label} p={p} steps={steps}",
+                       _outcome(lambda: [r.as_json() for r in bp.trajectory_checks(rec)]))
+
+
+def _cli_run(tree: str, argv: list[str]) -> dict:
+    # one invocation in a fresh directory holding INPUT_FILES: its streams,
+    # exit code and the files the directory holds afterwards
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"} | THREAD_ENV
+    env["PYTHONPATH"] = str(Path(tree).resolve() / "src")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in INPUT_FILES.items():
+            Path(tmp, name).write_text(text, encoding="utf-8")
+        out = subprocess.run([sys.executable, "-m", "barypoly.cli", *argv], cwd=tmp, env=env,
+                             capture_output=True, timeout=120)
+        files = {str(f.relative_to(tmp)): f.read_bytes().hex() for f in sorted(Path(tmp).rglob("*")) if f.is_file()}
+    return {"exit_code": out.returncode, "stdout": out.stdout.decode(), "stderr": out.stderr.decode(),
+            "files": files}
+
+
+def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2 or argv[0].startswith("-"):
+        print("usage: python3 tools/ab_outputs.py PARENT_TREE CHANGE_TREE", file=sys.stderr)
+        return 2
+    for tree in argv:
+        if not (Path(tree) / "src" / "barypoly" / "__init__.py").is_file():
+            print(f"{tree} holds no src/barypoly", file=sys.stderr)
+            return 2
+    parent, change = (_load(tree, f"barypoly_{side}") for tree, side in zip(argv, ("parent", "change")))
+    if parent.KNOWN_CHECKS != change.KNOWN_CHECKS:
+        print(f"KNOWN_CHECKS differ: {parent.KNOWN_CHECKS} against {change.KNOWN_CHECKS}")
+        return 1
+    compared = 0
+    for (label, want), (_, got) in zip(*(_reports(bp, parent.KNOWN_CHECKS) for bp in (parent, change))):
+        if got != want:
+            print(f"first difference: {label}\n  parent: {want[:2000]}\n  change: {got[:2000]}")
+            return 1
+        compared += 1
+    files = 0
+    for case in CLI_CASES:
+        want, got = (_cli_run(tree, case) for tree in argv)
+        for key in want:
+            if got[key] != want[key]:
+                print(f"first difference: barypoly {' '.join(case)}: {key}\n  parent: {str(want[key])[:2000]}\n"
+                      f"  change: {str(got[key])[:2000]}")
+                return 1
+        files += len(want["files"]) - len(INPUT_FILES)
+    print(f"no difference: {compared} reports and record states, {len(CLI_CASES)} CLI invocations "
+          f"(stdout, stderr, exit code, {files} written files)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
