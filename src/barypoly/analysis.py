@@ -23,7 +23,8 @@ A sweep is checked one p at a time, as one array batch from stepping to
 verdict: dynamics._run_batch steps the p's seeds into a step-major
 dynamics._Batch, and every trajectory check reduces that batch over its steps
 (axis 0 of its (n, rows) planes) to a verdict per row, reading only the row's
-recorded states, with no Python per row.  Only a failing row's witness looks
+recorded states and, where a claim is about it, its saturating state on the
+line after them, with no Python per row.  Only a failing row's witness looks
 for the step where it first fails.  A TrajectoryRecord holds the same arrays
 as one row of a batch, and trajectory_checks runs the same functions on its
 one-row view.
@@ -110,7 +111,7 @@ _CERTIFICATE_CLAIMS = (
     (lambda u, f: ~((0.0 < f["ratio_bound"]) & (f["ratio_bound"] < 1.0)),
      "ratio bound {ratio_bound!r} outside (0, 1) at m={m}"),
     (lambda u, f: ~(f["contraction"] < 0.5), "two-step contraction {contraction!r} not below 1/2 at m={m}"),
-    (lambda u, f: (f["residual_low"] > IDENTITY_RTOL) | (f["residual_high"] > IDENTITY_RTOL),
+    (lambda u, f: ~((f["residual_low"] <= IDENTITY_RTOL) & (f["residual_high"] <= IDENTITY_RTOL)),
      "recurrence identity residuals ({residual_low:.3e}, {residual_high:.3e}) exceed {rtol} at m={m}"),
 )
 
@@ -176,8 +177,9 @@ CERT_WINDOW = (1e-3, 1.0 - 1e-3)
 
 # Every trajectory check takes a _Batch and returns (passed, witness):
 # passed is a (rows,) bool array and witness(r) builds row r's witness dict.
-# A row's verdict reads only that row's recorded states: the padding past
-# its length is masked out with batch.valid, (n_max, rows).
+# A row's verdict reads only that row's recorded states, and its saturating
+# state where the claim is about it: the lines from its length on are masked
+# out with batch.valid, (n, rows).
 _Verdicts = tuple[np.ndarray, Callable[[int], dict]]
 
 
@@ -229,15 +231,17 @@ def _traj_ratio_monotone(batch: _Batch) -> _Verdicts:
     if bad.size:
         keep, allowance = 1.0 - tol, tol * batch.low[:-2] / batch.high[:-2]
         high, low = b[0], b[0] / a[0]
-        for l in range(1, len(U)):
-            y = b[l] / a[l]
-            bad |= ~((b[l] >= keep * high) & (y / low - 1.0 <= allowance))
-            high, low = np.maximum(high, b[l]), np.minimum(low, y)
+        # a saturating state in b may have zero components, masked out with valid
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for l in range(1, len(U)):
+                y = b[l] / a[l]
+                bad |= ~((b[l] >= keep * high) & (y / low - 1.0 <= allowance))
+                high, low = np.maximum(high, b[l]), np.minimum(low, y)
     return _verdicts(bad & batch.valid[2:])
 
 
 def _spread_allowance(batch: _Batch) -> np.ndarray:
-    # (n_max - 2, rows): the allowance of the claim spread[m+2] < spread[m]
+    # (n - 2, rows): the allowance of the claim spread[m+2] < spread[m]
     # / 2, ten times the hard bound on the noise the pair inherits from
     # storage.
     return 10.0 * batch.pair_noise * (1.0 + batch.spread[:-2])
@@ -318,8 +322,9 @@ def _traj_t_ratio_transfer(batch: _Batch) -> _Verdicts:
     # two components, with the rounding of their quotient, is within
     #     B = 2 (eta |log u_0| + eps |log t'_{p-1}| + (eta + eps) / t'_{p-1}) + 5 eps
     # to first order; the factor 2 of the test covers the rest.  An unsorted
-    # state can only get a smaller B.
-    U = batch.states
+    # state can only get a smaller B.  The last line holds no recorded state
+    # and is left out.
+    U = batch.states[:, :-1]
     t = 1.0 - U[:, 1:]
     w = t * U[:, :-1]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -327,17 +332,8 @@ def _traj_t_ratio_transfer(batch: _Batch) -> _Verdicts:
         t_min = t[-1]
         bound = (2.0 * (_LIBM_REL * np.abs(np.log(U[0, :-1])) + _EPS * np.abs(np.log(t_min))
                         + (_LIBM_REL + _EPS) / t_min) + 5 * _EPS)
-    return _verdicts(~(diff <= 2.0 * bound) & batch.valid[1:], lambda r, m: {
+    return _verdicts(~(diff <= 2.0 * bound) & batch.valid[1:-1], lambda r, m: {
         "pair": sorted((int(w[:, m, r].argmin()), int(w[:, m, r].argmax()))), "diff": float(diff[m, r])})
-
-
-def _with_saturating(plane: np.ndarray, batch: _Batch, values: np.ndarray, fill) -> np.ndarray:
-    # the (n_max, rows) plane and a line of fill, (n_max + 1, rows), with
-    # values[r] at step length[r] of a saturated row r
-    out = np.concatenate((plane, np.full((1, plane.shape[1]), fill, dtype=plane.dtype)))
-    r = np.flatnonzero(batch.saturation_step >= 0)
-    out[batch.length[r], r] = values[r]
-    return out
 
 
 def _traj_phase_alternation(batch: _Batch) -> _Verdicts:
@@ -347,16 +343,16 @@ def _traj_phase_alternation(batch: _Batch) -> _Verdicts:
     # m0 is the first decided recorded state, or else the saturating state,
     # which is audited when its code is decided; a failure counts the
     # states that break the alternation.
-    # phases are MIXED past a row's length, so every decided entry is audited
-    phase = _with_saturating(batch.phase, batch, batch.saturation_phase, 0)
-    index = np.arange(len(phase))[:, None]
-    decided = phase != 0
+    # phases are MIXED past a row's saturating line, and on it if it did not
+    # saturate, so every decided entry is audited
+    index = np.arange(len(batch.phase))[:, None]
+    decided = batch.phase != 0
     audited = (index < batch.length) | decided
     m0 = decided.argmax(axis=0)
-    first = phase[m0, np.arange(phase.shape[1])]
+    first = batch.phase[m0, np.arange(len(m0))]
     offset = index - m0
     expected = np.where(offset % 2 == 0, first, -first)
-    violations = ((phase != expected) & audited & (offset >= 0)).sum(axis=0)
+    violations = ((batch.phase != expected) & audited & (offset >= 0)).sum(axis=0)
     has = decided.any(axis=0)
 
     def witness(r: int) -> dict:
@@ -378,14 +374,14 @@ def _traj_even_odd_limits(batch: _Batch) -> _Verdicts:
     # every component of the final recorded even state must lie within
     # LIMIT_TOL of one corner and every component of the final odd state
     # within LIMIT_TOL of the other.
-    sat, code = batch.saturation_step, batch.saturation_phase
-    hit_one = 1.0 - batch.saturation_high <= math.ulp(1.0)
-    by_saturation = (code != 0) & (hit_one != (batch.saturation_low <= math.ulp(0.0)))
+    sat, length, low, high = batch.saturation_step, batch.length, batch.low, batch.high
+    rows = np.arange(len(length))
+    code = batch.phase[length, rows]
+    hit_one = 1.0 - high[length, rows] <= math.ulp(1.0)
+    by_saturation = (code != 0) & (hit_one != (low[length, rows] <= math.ulp(0.0)))
     wrong_corner = by_saturation & (hit_one != (code == 1))
-    last = batch.length - 1
-    rows = np.arange(len(last))
+    last = length - 1
     even, odd = last - last % 2, np.maximum(last - (last + 1) % 2, 0)
-    low, high = batch.low, batch.high
     to_zero = (high[even, rows] < LIMIT_TOL) & (low[odd, rows] > 1.0 - LIMIT_TOL)
     to_one = (low[even, rows] > 1.0 - LIMIT_TOL) & (high[odd, rows] < LIMIT_TOL)
     # a one-state row compares its seed with itself, which decides nothing
@@ -401,8 +397,10 @@ def _traj_comparison_domination(batch: _Batch) -> _Verdicts:
     # F(u)_k = 1 - prod_{i != k} u_i reverses the componentwise order, so
     # f(u_max) <= F(u)_k <= f(u_min), f(x) = 1 - x^(p-1) (Smith, Monotone
     # Dynamical Systems, AMS 1995), tested at every recorded pair (m, m+1)
-    # and at (last recorded, saturating state).  f decreases, so by induction
-    # it carries the scalar orbit of f from any start that brackets a state.
+    # and at (last recorded, saturating state), u_min and u_max the first and
+    # last component of a recorded state and the extremes of a saturating one.
+    # f decreases, so by induction it carries the scalar orbit of f from any
+    # start that brackets a state.
     #
     # f is -expm1((p-1) log x).  The step's exponent is within (2 eta + p
     # eps) p L of exact (see _run_batch), L = |log u_min^(m)|, and f's within
@@ -412,9 +410,10 @@ def _traj_comparison_domination(batch: _Batch) -> _Verdicts:
     # eps relative on the log sum; the test allows 2 B.  A NaN fails.
     U = batch.states
     p, n, _ = U.shape
-    lo = _with_saturating(U[0], batch, batch.saturation_low, np.nan)
-    hi = _with_saturating(U[-1], batch, batch.saturation_high, np.nan)
-    audited = np.arange(n)[:, None] + 1 < batch.length + (batch.saturation_step >= 0)
+    index = np.arange(n)[:, None]
+    at = index == batch.length
+    lo, hi = np.where(at, batch.low, U[0]), np.where(at, batch.high, U[-1])
+    audited = (index < batch.length + (batch.saturation_step >= 0))[1:]
     with np.errstate(divide="ignore", invalid="ignore"):
         log_lo = np.log(lo[:-1])
         f_hi, f_lo = -np.expm1((p - 1) * np.log(hi[:-1])), -np.expm1((p - 1) * log_lo)

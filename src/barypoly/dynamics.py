@@ -200,8 +200,8 @@ def _phase_codes(low: np.ndarray, high: np.ndarray, alpha: float, tol=PHASE_TIE_
     # largest high, against alpha: -1 (BELOW) when every component is <
     # alpha, 1 (ABOVE) when every component is > alpha, 0 (MIXED) otherwise.
     # A component within tol of alpha is undecidable and gives MIXED, and so
-    # do NaN extremes, as in a batch's padding and the unsaturated rows'
-    # saturation_values.  Rounded subtraction is monotone and odd, so the
+    # do NaN extremes, as on a batch's NaN lines.  tol may be an array of
+    # the extremes' shape.  Rounded subtraction is monotone and odd, so the
     # extremes decide.
     return (low - alpha > tol).astype(np.int8) - (alpha - high > tol)
 
@@ -253,58 +253,55 @@ def run_trajectory(u0: ConjugateTuple, max_steps: int, alpha: float) -> Trajecto
 @dataclass(frozen=True)
 class _Batch:
     # The trajectory records of a batch of rows with one p.  states is
-    # component- and step-major, (p, n_max, rows): component k of every state
-    # is one contiguous plane, and within it step m of every row one
-    # contiguous line, so the step-shifted planes of the pair claims
-    # (states[k, 2:], spread[:-2], ...) are contiguous blocks.  spread and
-    # phase are (n_max, rows), NaN (phase: 0, MIXED) past a row's length, as
-    # states are; saturation_step is -1, saturation_values (rows, p) NaN and
-    # saturation_phase 0 for a row that did not saturate.  low and high,
-    # (n_max, rows), and saturation_low and saturation_high, (rows,), are the
-    # least and greatest component of every state and saturating state, NaN
-    # where these are: computed from the states on first use, so replaced
-    # states get their own, or filled by _run_batch from its flat rows.
+    # component- and step-major, (p, n, rows): component k of every state is
+    # one contiguous plane, and within it step m of every row one contiguous
+    # line, so the step-shifted planes of the pair claims (states[k, 2:],
+    # spread[:-2], ...) are contiguous blocks.  Row r holds state m on line m
+    # < length[r], and on line length[r] its saturating state if it saturated
+    # (at saturation_step[r] = length[r]; else -1) or NaN, as on every later
+    # line; n is length.max() + 1.  spread, phase (0, MIXED, on NaN), low and
+    # high, (n, rows), are the spread, phase code and least and greatest
+    # component of each line: low and high are computed from the states on
+    # first use, so replaced states get their own, or filled by _run_batch.
     alpha: float
     states: np.ndarray
     spread: np.ndarray
     phase: np.ndarray
     saturation_step: np.ndarray
-    saturation_values: np.ndarray
-    saturation_phase: np.ndarray
     length: np.ndarray
 
     @functools.cached_property
     def valid(self) -> np.ndarray:
-        # (n_max, rows): state m of row r is recorded
+        # (n, rows): state m of row r is recorded
         return np.arange(self.states.shape[1])[:, None] < self.length
 
     low = functools.cached_property(lambda self: self.states.min(axis=0))
     high = functools.cached_property(lambda self: self.states.max(axis=0))
-    saturation_low = functools.cached_property(lambda self: self.saturation_values.min(axis=-1))
-    saturation_high = functools.cached_property(lambda self: self.saturation_values.max(axis=-1))
 
     @functools.cached_property
     def pair_noise(self) -> np.ndarray:
-        # (n_max - 2, rows): the relative error state m+2 inherits from the
+        # (n - 2, rows): the relative error state m+2 inherits from the
         # storage of state m+1, whose largest (last) component 1 - d keeps d
         # to half an ulp of 1, plus 1e-14 for the two steps' log/exp round-off.
-        return 5.6e-17 / (1.0 - self.states[-1, 1:-1]) + 1e-14
+        with np.errstate(divide="ignore"):  # inf where state m+1 saturated at 1
+            return 5.6e-17 / (1.0 - self.states[-1, 1:-1]) + 1e-14
 
     def row(self, r: int) -> TrajectoryRecord:
         # The record of row r, as views of the batch's arrays.
         n, sat = int(self.length[r]), int(self.saturation_step[r])
-        return TrajectoryRecord(self.alpha, self.states[:, :n, r].T, self.spread[:n, r],
-                                self.phase[:n, r], *((None,) * 3 if sat < 0 else (
-                                    sat, self.saturation_values[r], int(self.saturation_phase[r]))))
+        return TrajectoryRecord(self.alpha, self.states[:, :n, r].T, self.spread[:n, r], self.phase[:n, r],
+                                *((None,) * 3 if sat < 0 else (sat, self.states[:, n, r], int(self.phase[n, r]))))
 
     @classmethod
     def of(cls, traj: TrajectoryRecord) -> "_Batch":
-        # The one-row batch of a record, as views of its arrays.
-        sat = traj.saturation_step
-        return cls(traj.alpha, traj.states.T[:, :, None], traj.spread[:, None],
-                   traj.phase[:, None], np.array([-1 if sat is None else sat]),
-                   np.full((1, traj.p), np.nan) if sat is None else traj.saturation_values[None],
-                   np.array([0 if sat is None else traj.saturation_phase], dtype=np.int8), np.array([len(traj)]))
+        # The one-row batch of a record: its arrays and one more line, its
+        # saturating state or NaN (saturation_step is at least 1).
+        last = np.full(traj.p, np.nan) if traj.saturation_step is None else traj.saturation_values
+        with np.errstate(divide="ignore", invalid="ignore"):
+            spread = np.append(traj.spread, last[-1] / last[0] - 1.0)
+        return cls(traj.alpha, np.concatenate((traj.states, last[None])).T[:, :, None], spread[:, None],
+                   np.append(traj.phase, np.int8(traj.saturation_phase or 0))[:, None],
+                   np.array([traj.saturation_step or -1]), np.array([len(traj)]))
 
 
 def _run_batch(u0: np.ndarray, max_steps: int, alpha: float) -> _Batch:
@@ -317,48 +314,48 @@ def _run_batch(u0: np.ndarray, max_steps: int, alpha: float) -> _Batch:
         raise ValueError(f"max_steps must be >= 0, got {max_steps}")
     u = np.sort(u0, axis=-1)  # the stable order's values: tied entries are equal
     rows, p = u.shape
-    sat_step, sat_values = np.full(rows, -1), np.full((rows, p), np.nan)
+    sat_step = np.full(rows, -1)
     live = np.arange(rows)
-    lives, stepped = [live], [u]  # the live rows and their states, of every recorded step
+    lives, stepped = [live], [u]  # the rows of every line and their states
     ulp_zero, below_one = math.ulp(0.0), 1.0 - math.ulp(1.0)
     for step in range(max_steps):
         nxt = _step(u)[1]
+        lives.append(live)
+        stepped.append(nxt)
         # a step that leaves (0, 1), or lands within one ulp of its bounds,
         # saturates: the next products would no longer be trustworthy at
         # working precision (nxt >= 1 - ulp(1) is 1 - nxt <= ulp(1), Sterbenz)
         at_bound = (nxt <= ulp_zero) | (nxt >= below_one)
         if at_bound.any():
             hit = _reduce_components(np.logical_or, at_bound)
-            sat_step[live[hit]], sat_values[live[hit]] = step + 1, nxt[hit]
+            sat_step[live[hit]] = step + 1
             live, nxt = live[~hit], nxt[~hit]
             if not live.size:
                 break
         u = nxt
-        lives.append(live)
-        stepped.append(u)
 
-    # One scatter puts every recorded row, and its extremes, into the planes,
-    # state m of row r at m * rows + r of a flattened plane; a row saturating
-    # at step s records s states, the others n_max.
-    n_max = len(stepped)
-    at = np.concatenate(lives) + rows * np.repeat(np.arange(n_max), [len(live) for live in lives])
+    # One scatter puts every line, and its extremes, into the planes, line m
+    # of row r at m * rows + r of a flattened plane; a row saturating at step
+    # s records s states, the others every stepped line.
+    length = np.where(sat_step < 0, len(stepped), sat_step)
+    n = length.max() + 1
+    at = np.concatenate(lives) + rows * np.repeat(np.arange(len(lives)), [len(live) for live in lives])
     flat = np.concatenate(stepped)
-    states = np.full((p, n_max, rows), np.nan)
+    states = np.full((p, n, rows), np.nan)
     states.reshape(p, -1)[:, at] = flat.T
-    low, high = np.full((2, n_max, rows), np.nan)
+    low, high = np.full((2, n, rows), np.nan)
     low.reshape(-1)[at] = _reduce_components(np.minimum, flat)
     high.reshape(-1)[at] = _reduce_components(np.maximum, flat)
-    length = np.where(sat_step < 0, n_max, sat_step)
     # The saturating state's code is decided past the rounding of its step:
     # component k is -expm1(T - log u_k), T the log total of the last state
     # u.  The logs (eta = 4 ulp each), their sum in any order ((p - 1) eps
     # |T|, as the terms share a sign) and the subtraction err by at most
     # (2 eta + p eps) |T| <= (2 eta + p eps) p |log u_min|, which bounds the
-    # component's move; expm1 adds eta, and PHASE_TIE_TOL alpha's rounding.
+    # component's move; expm1 adds eta, and PHASE_TIE_TOL alpha's rounding,
+    # the one tolerance of the recorded states.
     log_min = np.log(states[0, length - 1, np.arange(rows)])
     margin = PHASE_TIE_TOL + (2 * _LIBM_REL + p * _EPS) * p * -log_min + _LIBM_REL
-    sat_low, sat_high = _reduce_components(np.minimum, sat_values), _reduce_components(np.maximum, sat_values)
-    batch = _Batch(alpha, states, states[-1] / states[0] - 1.0, _phase_codes(low, high, alpha),
-                   sat_step, sat_values, _phase_codes(sat_low, sat_high, alpha, margin), length)
-    vars(batch).update(low=low, high=high, saturation_low=sat_low, saturation_high=sat_high)
+    tol = np.where(np.arange(n)[:, None] == length, margin, PHASE_TIE_TOL)
+    batch = _Batch(alpha, states, states[-1] / states[0] - 1.0, _phase_codes(low, high, alpha, tol), sat_step, length)
+    vars(batch).update(low=low, high=high)
     return batch

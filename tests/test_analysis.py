@@ -166,6 +166,8 @@ def _figures(low, intercept, residual_low=0.0):
 def test_each_certificate_claim_row_reports_its_own_reason(monkeypatch):
     # Each row of the claims table gets figures that fail it first, fed to
     # the check in place of the record's own; the reason is that row's text.
+    # A NaN residual fails the residual row, in given figures and in those of
+    # a record with a NaN component in state m + 2.
     # The contraction row can fail first only by rounding: ratio_bound =
     # low / intercept < 1 gives contraction = low / (low + intercept) < 1/2
     # in exact arithmetic, but at intercept = 1 + 2**-52 the ratio bound is
@@ -175,20 +177,26 @@ def test_each_certificate_claim_row_reports_its_own_reason(monkeypatch):
     traj = _traj((0.2, 0.3, 0.4, 0.5))
     unsorted = _with_state(traj, 0, 1, 0.45)
     cases = [
-        (unsorted, _figures(0.1, 0.5), "state at m=0 is not sorted ascending"),
-        (traj, _figures(-0.1, 0.5), "positivity failed at m=0: slope=-0.1, intercept=0.5"),
-        (traj, _figures(0.6, 0.5), "ratio bound 1.2 outside (0, 1) at m=0"),
-        (traj, near_tie, "two-step contraction 0.5 not below 1/2 at m=0"),
-        (traj, _figures(0.1, 0.5, 1e-9), "recurrence identity residuals (1.000e-09, 0.000e+00) exceed 1e-10 at m=0"),
+        (0, unsorted, _figures(0.1, 0.5), "state at m=0 is not sorted ascending"),
+        (1, traj, _figures(-0.1, 0.5), "positivity failed at m=0: slope=-0.1, intercept=0.5"),
+        (2, traj, _figures(0.6, 0.5), "ratio bound 1.2 outside (0, 1) at m=0"),
+        (3, traj, near_tie, "two-step contraction 0.5 not below 1/2 at m=0"),
+        (4, traj, _figures(0.1, 0.5, 1e-9), "recurrence identity residuals (1.000e-09, 0.000e+00) exceed 1e-10 at m=0"),
+        (4, traj, _figures(0.1, 0.5, np.nan), "recurrence identity residuals (nan, 0.000e+00) exceed 1e-10 at m=0"),
     ]
-    assert len(cases) == len(analysis._CERTIFICATE_CLAIMS)
-    for row, (record, figures, reason) in enumerate(cases):
+    assert sorted({row for row, *_ in cases}) == list(range(len(analysis._CERTIFICATE_CLAIMS)))
+    for row, record, figures, reason in cases:
         u = record.states[0]
         failed = [bool(fails(u, figures)) for fails, _ in analysis._CERTIFICATE_CLAIMS]
         assert failed.index(True) == row, reason
         monkeypatch.setattr(analysis, "_certificate_fields", lambda u, u2, figures=figures: {
             name: np.full(u.shape[1:], f) for name, f in figures.items()})
         assert _check("contraction_certificates", record) == (False, {"step": 0, "reason": reason})
+    monkeypatch.undo()
+    four_steps = _traj((0.2, 0.3, 0.4, 0.5), steps=4)
+    for q, residuals in ((0, "(nan, 7.792e-16)"), (3, "(9.135e-16, nan)")):
+        assert _check("contraction_certificates", _with_state(four_steps, 2, q, np.nan)) == (False, {
+            "step": 0, "reason": f"recurrence identity residuals {residuals} exceed 1e-10 at m=0"})
 
 
 def test_contraction_equals_observed_spread_ratio():
@@ -1401,16 +1409,17 @@ def test_a_row_failing_at_several_steps_names_its_first():
 
 def test_a_row_whose_bad_entries_lie_past_its_length_passes():
     # Unsorted states and large spreads written into the padding of the
-    # shorter rows change no row's verdict or witness.
+    # shorter rows, past their saturating line, change no row's verdict or
+    # witness.
     rng = np.random.default_rng(33)
     alpha = solve_alpha(3)
     clean = _run_batch(rng.uniform(1e-3, 1.0 - 1e-3, size=(40, 3)), 400, alpha)
     states, spread = clean.states.copy(), clean.spread.copy()
-    short = np.flatnonzero(clean.length + 2 < clean.states.shape[1])
+    short = np.flatnonzero(clean.length + 3 < clean.states.shape[1])
     assert short.size >= 10
     for r in short:
-        states[:, clean.length[r]:, r] = np.array([0.9, 0.5, 0.1])[:, None]
-        spread[clean.length[r]:, r] = 1e3
+        states[:, clean.length[r] + 1:, r] = np.array([0.9, 0.5, 0.1])[:, None]
+        spread[clean.length[r] + 1:, r] = 1e3
     padded = dataclasses.replace(clean, states=states, spread=spread)
     for name, check in _TRAJ_CHECKS.items():
         (passed, witness), (ref_passed, ref_witness) = check(padded), check(clean)
@@ -1419,8 +1428,9 @@ def test_a_row_whose_bad_entries_lie_past_its_length_passes():
 
 
 def test_batches_of_at_most_two_states_have_empty_pair_planes():
-    # At max_steps 0 and 1 the planes of the pairs (m, m + 2) are (0, rows),
-    # and the verdicts are those the component-major layout gave: only
+    # At max_steps 0 and 1 no row records a pair (m, m + 2): its planes are
+    # (max_steps, rows), the line past the last recorded one included, and the
+    # verdicts are those the component-major layout gave: only
     # order_preserved and t_ratio_transfer can fail a state, at row 0's
     # bumped state 1 and its pair (0, 1).
     rng = np.random.default_rng(33)
@@ -1447,8 +1457,9 @@ def test_batches_of_at_most_two_states_have_empty_pair_planes():
     }
     for steps, verdicts in want.items():
         batch = analysis._perturbed(_run_batch(seeds, steps, alpha))
-        assert batch.pair_noise.shape == analysis._spread_allowance(batch).shape == (0, 3)
-        assert batch.valid[2:].shape == batch.spread[2:].shape == (0, 3)
+        assert batch.pair_noise.shape == analysis._spread_allowance(batch).shape == (steps, 3)
+        assert batch.valid[2:].shape == batch.spread[2:].shape == (steps, 3)
+        assert not batch.valid[2:].any()
         for name, check in _TRAJ_CHECKS.items():
             passed, witness = check(batch)
             got = [(bool(passed[r]), witness(r)) for r in range(3)]

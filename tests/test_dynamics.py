@@ -387,7 +387,8 @@ def test_batched_records_equal_one_row_records():
         for steps in (0, 1, 3, 400):
             batch = _run_batch(u0, steps, alpha)
             records = [batch.row(r) for r in range(len(u0))]
-            assert batch.states.shape == (p, max(len(rec) for rec in records), len(u0))
+            # one line more than the longest record: its saturating state, or NaN
+            assert batch.states.shape == (p, max(len(rec) for rec in records) + 1, len(u0))
             assert batch.states.flags.c_contiguous
             for row, rec in zip(u0, records):
                 one = run_trajectory(ConjugateTuple.of(row), steps, alpha)
@@ -403,25 +404,36 @@ def test_batched_records_equal_one_row_records():
 
 
 def test_batch_rows_are_views_in_the_record_layout():
+    # A record is views of its row of the batch, and the one-row batch of a
+    # record is that row again through its saturating line, bit for bit.
     from barypoly.dynamics import _Batch, _run_batch
 
     rng = np.random.default_rng(11)
+    saturated = rows = 0
     for p in (3, 8, 256):
         u0 = rng.uniform(1e-3, 1.0 - 1e-3, size=(5, p))
-        batch = _run_batch(u0, 400, solve_alpha(p))
-        for r in range(len(u0)):
-            rec = batch.row(r)
-            n = int(batch.length[r])
-            assert rec.states.shape == (n, p) and np.shares_memory(rec.states, batch.states)
-            assert rec.states.tobytes() == np.ascontiguousarray(batch.states[:, :n, r].T).tobytes()
-            # the strided view steps as its contiguous copy does
-            for got, ref in zip(_step(rec.states), _step(np.ascontiguousarray(rec.states))):
-                assert got.tobytes() == ref.tobytes()
-            one = _Batch.of(rec)
-            assert one.states.shape == (p, n, 1) and np.shares_memory(one.states, batch.states)
-            assert _record_bits(one.row(0)) == _record_bits(rec)
-            assert [np.shares_memory(getattr(one.row(0), f), getattr(rec, f))
-                    for f in ("states", "spread", "phase")] == [True] * 3
+        for steps in (3, 400):
+            batch = _run_batch(u0, steps, solve_alpha(p))
+            for r in range(len(u0)):
+                rec = batch.row(r)
+                n = int(batch.length[r])
+                assert rec.states.shape == (n, p) and np.shares_memory(rec.states, batch.states)
+                assert rec.states.tobytes() == np.ascontiguousarray(batch.states[:, :n, r].T).tobytes()
+                # the strided view steps as its contiguous copy does
+                for got, ref in zip(_step(rec.states), _step(np.ascontiguousarray(rec.states))):
+                    assert got.tobytes() == ref.tobytes()
+                one = _Batch.of(rec)
+                assert one.states.shape == (p, n + 1, 1)
+                for name in ("states", "spread", "phase", "low", "high"):
+                    got, ref = (np.ascontiguousarray(a) for a in (
+                        getattr(one, name)[..., 0], getattr(batch, name)[..., : n + 1, r]))
+                    assert (got.dtype, got.tobytes()) == (ref.dtype, ref.tobytes()), (p, steps, r, name)
+                assert (one.saturation_step.tolist(), one.length.tolist()) == (
+                    [batch.saturation_step[r]], [batch.length[r]])
+                assert _record_bits(one.row(0)) == _record_bits(rec)
+                saturated += rec.saturation_step is not None
+                rows += 1
+    assert 0 < saturated < rows
 
 
 def _phase_codes_over_planes(u, alpha, tol=PHASE_TIE_TOL):
@@ -431,8 +443,9 @@ def _phase_codes_over_planes(u, alpha, tol=PHASE_TIE_TOL):
 
 def _batch_by_per_step_scatter(u0, max_steps, alpha):
     # The reference build of a batch, step by step: each recorded step
-    # scattered into the planes on its own, lengths counted per step, and
-    # the phase codes reduced over the component axis of the planes.
+    # scattered into the planes on its own, lengths counted per step, each
+    # saturating state put on its row's line length, and the phase codes
+    # reduced over the component axis of the planes.
     u = np.sort(u0, axis=-1)
     rows, p = u.shape
     sat_step, sat_values = np.full(rows, -1), np.full((rows, p), np.nan)
@@ -447,17 +460,18 @@ def _batch_by_per_step_scatter(u0, max_steps, alpha):
             break
         u = nxt
         steps.append((live, u))
-    states = np.full((p, len(steps), rows), np.nan)
+    states = np.full((p, len(steps) + 1, rows), np.nan)
     length = np.zeros(rows, dtype=int)
     for m, (live, u) in enumerate(steps):
         states[:, m, live] = u.T
         length[live] = m + 1
+    sat = np.flatnonzero(sat_step >= 0)
+    states[:, length[sat], sat] = sat_values[sat].T
     log_min = np.log(states[0, length - 1, np.arange(rows)])
-    margin = PHASE_TIE_TOL + (2 * _LIBM_REL + p * _EPS) * p * -log_min + _LIBM_REL
+    tol = np.full(states.shape[1:], PHASE_TIE_TOL)
+    tol[length, np.arange(rows)] = PHASE_TIE_TOL + (2 * _LIBM_REL + p * _EPS) * p * -log_min + _LIBM_REL
     return dict(alpha=alpha, states=states, spread=states[-1] / states[0] - 1.0,
-                phase=_phase_codes_over_planes(states, alpha), saturation_step=sat_step,
-                saturation_values=sat_values,
-                saturation_phase=_phase_codes_over_planes(sat_values.T, alpha, margin), length=length)
+                phase=_phase_codes_over_planes(states, alpha, tol), saturation_step=sat_step, length=length)
 
 
 def test_batch_arrays_equal_the_per_step_scatter_build():
@@ -490,17 +504,16 @@ def test_batch_arrays_equal_the_per_step_scatter_build():
 
 
 def _assert_extremes_of_the_states(batch, where):
-    # low and high are np.min and np.max of every state, and saturation_low
-    # and saturation_high of every saturating state, bit for bit: NaN past a
-    # row's length and for a row that did not saturate
-    want = {"low": np.min(batch.states, axis=0), "high": np.max(batch.states, axis=0),
-            "saturation_low": np.min(batch.saturation_values, axis=-1),
-            "saturation_high": np.max(batch.saturation_values, axis=-1)}
+    # low and high are np.min and np.max of every line, bit for bit: a
+    # number on every recorded and saturating state, NaN past a row's
+    # saturating line and on the line length of a row that did not saturate
+    want = {"low": np.min(batch.states, axis=0), "high": np.max(batch.states, axis=0)}
     for name, ref in want.items():
         got = getattr(batch, name)
         assert (got.dtype, got.shape, got.tobytes()) == (ref.dtype, ref.shape, ref.tobytes()), (where, name)
-    assert np.isnan(batch.low[~batch.valid]).all() and not np.isnan(batch.high[batch.valid]).any(), where
-    assert (np.isnan(batch.saturation_low) == (batch.saturation_step < 0)).all(), where
+    index = np.arange(batch.states.shape[1])[:, None]
+    held = batch.valid | ((index == batch.length) & (batch.saturation_step >= 0))
+    assert np.isnan(batch.low[~held]).all() and not np.isnan(batch.high[held]).any(), where
 
 
 def test_batch_extremes_are_the_extremes_of_its_states():
@@ -522,7 +535,7 @@ def test_batch_extremes_are_the_extremes_of_its_states():
         for steps in (0, 1, 400):
             batch = _run_batch(u0, steps, alpha)
             # a sweep reads the extremes _run_batch took for the phase codes
-            assert {"low", "high", "saturation_low", "saturation_high"} <= vars(batch).keys()
+            assert {"low", "high"} <= vars(batch).keys()
             _assert_extremes_of_the_states(batch, (p, steps))
             if steps == 400:
                 assert len(set(batch.saturation_step.tolist())) >= 3, p
@@ -530,7 +543,7 @@ def test_batch_extremes_are_the_extremes_of_its_states():
                 _assert_extremes_of_the_states(_Batch.of(batch.row(r)), (p, steps, r))
             _assert_extremes_of_the_states(_perturbed(batch), (p, steps, "perturbed"))
             states = batch.states[::-1] * rng.uniform(0.5, 1.0, size=batch.states.shape)
-            replaced = dataclasses.replace(batch, states=states, saturation_values=batch.saturation_values[:, ::-1] / 2)
+            replaced = dataclasses.replace(batch, states=states)
             _assert_extremes_of_the_states(replaced, (p, steps, "replaced"))
 
 

@@ -10,9 +10,11 @@ names, as tools/ab_inprocess.py does, and compared on:
 
   - the JSON report of default_suite for every spec of SUITE_SPECS, with
     every check and with each check of KNOWN_CHECKS alone;
-  - the states and the JSON of trajectory_checks of a clean and of a
-    _perturbed_record record at every p of RECORD_P and every step count of
-    RECORD_STEPS;
+  - the states and the JSON of trajectory_checks of a clean record at every
+    p of RECORD_P and every step count of RECORD_STEPS, and of its edits: its
+    _perturbed_record and the hand edits of RECORD_EDITS, each built with
+    dataclasses.replace on the record, so that both trees check the same
+    input;
   - every invocation of CLI_CASES, run as `python -m barypoly.cli` of the
     tree in a fresh temporary directory per tree that holds INPUT_FILES:
     stdout, stderr, exit code and every file the directory holds afterwards.
@@ -23,6 +25,7 @@ Uses the standard library and numpy only.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -48,6 +51,29 @@ SUITE_SPECS = (
 )
 RECORD_P = (3, 4, 5, 8, 16, 64, 1024)
 RECORD_STEPS = (0, 1, 400)
+
+
+def _edited_state_2(record, edit):
+    # the record with state 2 replaced by edit(state 2), if it has one
+    if len(record) < 3:
+        return None
+    states = record.states.copy()
+    states[2] = edit(states[2])
+    return dataclasses.replace(record, states=states)
+
+
+# Hand edits of a record: name -> edit(record), None where the record has no
+# field to edit.  The saturating state's code flipped and its components
+# mirrored, 1 - v; state 2's two smallest components swapped, and its smallest
+# nudged up by a relative 1e-9.
+RECORD_EDITS = {
+    "flipped_saturation_phase": lambda rec: None if rec.saturation_phase is None else dataclasses.replace(
+        rec, saturation_phase=-rec.saturation_phase),
+    "mirrored_saturation_values": lambda rec: None if rec.saturation_values is None else dataclasses.replace(
+        rec, saturation_values=1.0 - rec.saturation_values),
+    "swapped_pair_at_2": lambda rec: _edited_state_2(rec, lambda u: u[[1, 0, *range(2, len(u))]]),
+    "nudged_1e-9_at_2": lambda rec: _edited_state_2(rec, lambda u: u * np.r_[1.0 + 1e-9, np.ones(len(u) - 1)]),
+}
 
 SEED = "0.3,0.08,0.06,0.04,0.01"
 INPUT_FILES = {
@@ -110,8 +136,11 @@ def _reports(bp, known: tuple[str, ...]):
         for steps in RECORD_STEPS:
             record = bp.run_trajectory(bp.ConjugateTuple.of(seed), steps, bp.solve_alpha(p))
             yield f"run_trajectory p={p} steps={steps}", record.states.tobytes().hex()
-            for label, rec in (("clean", record), ("perturbed", bp.analysis._perturbed_record(record))):
+            edited = {"clean": record, "perturbed": bp.analysis._perturbed_record(record)}
+            edited |= {name: edit(record) for name, edit in RECORD_EDITS.items()}
+            for label, rec in edited.items():
                 yield (f"trajectory_checks {label} p={p} steps={steps}",
+                       "no such record" if rec is None else
                        _outcome(lambda: [r.as_json() for r in bp.trajectory_checks(rec)]))
 
 
