@@ -144,20 +144,18 @@ def _step(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _reduce_components(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
-    # ufunc.reduce(a, axis=-1) for an order-free ufunc: maximum, minimum,
-    # logical_or or logical_and, on the row-major arrays of the saturation
-    # test, a batch's extremes, the grid, polygon_collapse's spread and bound
-    # and the limit weights' shift.  Each is exact, so
-    # folding the p columns one by one gives the same bits and propagates
-    # NaN the same way (which of two different NaN payloads survives may
-    # differ; the batches hold one).  numpy's reduce over a short last axis
-    # pays per row, the fold per column and in strided reads, so the columns
-    # are folded for 2 <= p <= 32 and numpy reduces above.  Measured on
-    # (rows, p) arrays (numpy 2.4, 2 vCPU; numpy -> fold): NaN-padded maximum
-    # ((3400, 3) 245 -> 3.4 us, (1024, 16) 87 -> 15 us, (4096, 32) 364 -> 126
-    # us) and logical_or ((1024, 16) 17 -> 14 us, (4096, 32) 81 -> 77 us), but
-    # (16384, 64) maximum 1.6 -> 5.0 ms.  A single row is reduced by numpy:
-    # its fold would start from a scalar, which out= cannot take.
+    # ufunc.reduce(a, axis=-1) for an order-free ufunc, maximum or minimum,
+    # on the row-major arrays of the grid, polygon_collapse's spread and
+    # bound and the dual weights' shift.  Each is exact, so folding the p
+    # columns one by one gives the same bits and propagates NaN the same way
+    # (which of two different NaN payloads survives may differ; numpy's own
+    # NaNs have one).  numpy's reduce over a short last axis pays per row,
+    # the fold per column and in strided reads, so the columns are folded
+    # for 2 <= p <= 32 and numpy reduces above.  Measured on (rows, p)
+    # arrays (numpy 2.4, 2 vCPU; numpy -> fold): NaN-padded maximum ((3400,
+    # 3) 245 -> 3.4 us, (1024, 16) 87 -> 15 us, (4096, 32) 364 -> 126 us),
+    # but (16384, 64) 1.6 -> 5.0 ms.  A single row is reduced by numpy: its
+    # fold would start from a scalar, which out= cannot take.
     p = a.shape[-1]
     if a.ndim < 2 or not 2 <= p <= 32:
         return ufunc.reduce(a, axis=-1)
@@ -261,8 +259,9 @@ class _Batch:
     # (at saturation_step[r] = length[r]; else -1) or NaN, as on every later
     # line; n is length.max() + 1.  spread, phase (0, MIXED, on NaN), low and
     # high, (n, rows), are the spread, phase code and least and greatest
-    # component of each line: low and high are computed from the states on
-    # first use, so replaced states get their own, or filled by _run_batch.
+    # component of each line.  _run_batch's lines are sorted, so it sets low
+    # and high to its first and last planes; any other batch, a record's or
+    # one with replaced states, computes them from its states on first use.
     alpha: float
     states: np.ndarray
     spread: np.ndarray
@@ -309,7 +308,9 @@ def _run_batch(u0: np.ndarray, max_steps: int, alpha: float) -> _Batch:
     # inside (0, 1), stepped as one array.  A row leaves the batch at its own
     # saturation step.  The rows still stepping are copied into one
     # contiguous array, so each row is summed as it is on its own and its
-    # record is bitwise the one-row record.
+    # record is bitwise the one-row record.  The seeds are sorted and every
+    # step keeps them sorted (total - log u_k, log and expm1 are monotone),
+    # so a state's first and last components are its least and greatest.
     if max_steps < 0:
         raise ValueError(f"max_steps must be >= 0, got {max_steps}")
     u = np.sort(u0, axis=-1)  # the stable order's values: tied entries are equal
@@ -325,27 +326,23 @@ def _run_batch(u0: np.ndarray, max_steps: int, alpha: float) -> _Batch:
         # a step that leaves (0, 1), or lands within one ulp of its bounds,
         # saturates: the next products would no longer be trustworthy at
         # working precision (nxt >= 1 - ulp(1) is 1 - nxt <= ulp(1), Sterbenz)
-        at_bound = (nxt <= ulp_zero) | (nxt >= below_one)
-        if at_bound.any():
-            hit = _reduce_components(np.logical_or, at_bound)
+        hit = (nxt[:, 0] <= ulp_zero) | (nxt[:, -1] >= below_one)
+        if hit.any():
             sat_step[live[hit]] = step + 1
             live, nxt = live[~hit], nxt[~hit]
             if not live.size:
                 break
         u = nxt
 
-    # One scatter puts every line, and its extremes, into the planes, line m
-    # of row r at m * rows + r of a flattened plane; a row saturating at step
-    # s records s states, the others every stepped line.
+    # One scatter puts every line into the planes, line m of row r at m *
+    # rows + r of a flattened plane; a row saturating at step s records s
+    # states, the others every stepped line.
     length = np.where(sat_step < 0, len(stepped), sat_step)
     n = length.max() + 1
     at = np.concatenate(lives) + rows * np.repeat(np.arange(len(lives)), [len(live) for live in lives])
-    flat = np.concatenate(stepped)
     states = np.full((p, n, rows), np.nan)
-    states.reshape(p, -1)[:, at] = flat.T
-    low, high = np.full((2, n, rows), np.nan)
-    low.reshape(-1)[at] = _reduce_components(np.minimum, flat)
-    high.reshape(-1)[at] = _reduce_components(np.maximum, flat)
+    states.reshape(p, -1)[:, at] = np.concatenate(stepped).T
+    low, high = states[0], states[-1]  # of every sorted line, NaN on the others
     # The saturating state's code is decided past the rounding of its step:
     # component k is -expm1(T - log u_k), T the log total of the last state
     # u.  The logs (eta = 4 ulp each), their sum in any order ((p - 1) eps
@@ -353,9 +350,9 @@ def _run_batch(u0: np.ndarray, max_steps: int, alpha: float) -> _Batch:
     # (2 eta + p eps) |T| <= (2 eta + p eps) p |log u_min|, which bounds the
     # component's move; expm1 adds eta, and PHASE_TIE_TOL alpha's rounding,
     # the one tolerance of the recorded states.
-    log_min = np.log(states[0, length - 1, np.arange(rows)])
+    log_min = np.log(low[length - 1, np.arange(rows)])
     margin = PHASE_TIE_TOL + (2 * _LIBM_REL + p * _EPS) * p * -log_min + _LIBM_REL
     tol = np.where(np.arange(n)[:, None] == length, margin, PHASE_TIE_TOL)
-    batch = _Batch(alpha, states, states[-1] / states[0] - 1.0, _phase_codes(low, high, alpha, tol), sat_step, length)
+    batch = _Batch(alpha, states, high / low - 1.0, _phase_codes(low, high, alpha, tol), sat_step, length)
     vars(batch).update(low=low, high=high)
     return batch

@@ -483,6 +483,21 @@ def test_comparison_domination():
     assert check(_traj((0.2, 0.3), steps=4)) == (True, {"pairs": 4})
 
 
+@pytest.mark.parametrize("u", [(0.2, 0.5, 0.8), (0.3, 0.08, 0.06, 0.04, 0.01), (0.12, 0.34, 0.56, 0.78)])
+def test_comparison_domination_reads_a_saturating_states_true_extremes(u):
+    # Every component of these saturating states is exactly 1.0.  With its
+    # component 1 set to half of component 0 the state is unsorted, and its
+    # least component, no longer its first, leaves the lower bracket: a check
+    # that read the first and last components would see 1.0 and pass it.
+    traj = _traj(u, steps=400)
+    v = traj.saturation_values.copy()
+    assert (v == 1.0).all()
+    v[1] = v[0] / 2
+    bad = dataclasses.replace(traj, saturation_values=v)
+    failed = {r.name: r.witness for r in trajectory_checks(bad) if not r.passed}
+    assert failed == {"comparison_domination": {"bracket": "lower", "step": len(traj) - 1}}
+
+
 def _comparison_domination_inline(traj):
     # The check as it was before the one-step bracket, with its 1e-12 slack:
     # the scalar orbit x -> 1 - x**(p-1) in Python floats, from the first
@@ -1019,6 +1034,23 @@ def test_unique_fixed_point_grid_notices_a_spurious_fixed_point(monkeypatch):
     (res,) = default_suite(p_values=(3,), seeds_per_p=1, checks=["unique_fixed_point_grid"])
     assert not res.passed
     assert res.witness["spurious"] >= 1
+
+
+@pytest.mark.parametrize("mutant, witness", [
+    # every row the seed's own G_0, which stays 0.068 from the centroid
+    (lambda real, t0, steps: np.resize(real(t0, 0), (steps + 1, t0.p)),
+     {"reason": "reference seed distance floor", "min": pytest.approx(0.068, abs=1e-3)}),
+    # rows that sum to 1.01
+    (lambda real, t0, steps: real(t0, steps) * 1.01, {"reason": "weight normalization", "err": pytest.approx(0.01)}),
+])
+def test_dual_convergence_fails_wrong_dual_weights(monkeypatch, mutant, witness):
+    (clean,) = default_suite(p_values=(3,), seeds_per_p=1, checks=["dual_convergence"])
+    assert clean.passed
+    # dual_sequence looks the weight trajectory up when it is called
+    monkeypatch.setattr(geometry, "_dual_weight_trajectory",
+                        functools.partial(mutant, geometry._dual_weight_trajectory))
+    (res,) = default_suite(p_values=(3,), seeds_per_p=1, checks=["dual_convergence"])
+    assert (res.passed, res.witness) == (False, witness)
 
 
 def test_instability_growth_names_the_audited_p():

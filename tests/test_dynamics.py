@@ -526,18 +526,24 @@ def test_batch_extremes_are_the_extremes_of_its_states():
     from barypoly.dynamics import _Batch, _run_batch
 
     rng = np.random.default_rng(35)
-    for p in (3, 5, 8, 64, 1024):
+    for p in (2, 3, 5, 8, 33, 64, 1024):
         alpha = solve_alpha(p)
         # rows closer to alpha saturate later, the row at alpha never
         near = alpha * (1.0 + np.geomspace(1e-1, 1e-9, 5)[:, None] * rng.uniform(-1.0, 1.0, size=(5, p)))
-        u0 = np.concatenate([rng.uniform(1e-3, 1.0 - 1e-3, size=(4, p)), near, np.full((1, p), alpha)])
+        # rows within 1e-9 of 0 or 1, and rows of tied components
+        edge = rng.uniform(1e-12, 1e-9, size=(2, p))
+        edge = np.where(rng.uniform(size=(2, p)) < 0.5, edge, 1.0 - edge)
+        tied = rng.choice([0.2, 0.5, 0.7], size=(2, p))
+        u0 = np.concatenate([rng.uniform(1e-3, 1.0 - 1e-3, size=(4, p)), near, edge, tied, np.full((1, p), alpha)])
         u0[0, 0] = 1e-300  # saturates at step 1
         for steps in (0, 1, 400):
             batch = _run_batch(u0, steps, alpha)
-            # a sweep reads the extremes _run_batch took for the phase codes
+            # _run_batch's states are sorted, so its extremes are its first
+            # and last planes, which a sweep reads without a reduction
             assert {"low", "high"} <= vars(batch).keys()
+            assert np.shares_memory(batch.low, batch.states) and np.shares_memory(batch.high, batch.states)
             _assert_extremes_of_the_states(batch, (p, steps))
-            if steps == 400:
+            if steps == 400 and p > 2:  # at p = 2 the step 1 - u reversed is a 2-cycle
                 assert len(set(batch.saturation_step.tolist())) >= 3, p
             for r in range(len(u0)):
                 _assert_extremes_of_the_states(_Batch.of(batch.row(r)), (p, steps, r))

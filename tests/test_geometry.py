@@ -322,6 +322,8 @@ def test_dual_sequence_validation():
     pent = regular_polygon(5)
     with pytest.raises(ValueError):
         dual_sequence(pent, WeightTuple.of((0.3, 0.3, 0.3)), 10)
+    with pytest.raises(ValueError, match=r"requires p >= 3, got 2"):
+        dual_sequence(PointSet.of([(0.0, 0.0), (1.0, 0.0)]), WeightTuple.of((0.3, 0.4)), 10)
     degenerate = PointSet.of([(0.0, 0.0), (0.0, 0.0), (1.0, 0.0)])
     with pytest.raises(ValueError):
         dual_sequence(degenerate, WeightTuple.of((0.3, 0.3, 0.3)), 10)

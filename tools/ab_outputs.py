@@ -15,6 +15,10 @@ names, as tools/ab_inprocess.py does, and compared on:
     _perturbed_record and the hand edits of RECORD_EDITS, each built with
     dataclasses.replace on the record, so that both trees check the same
     input;
+  - every field of the _Batch that _run_batch builds, its cached arrays
+    (valid, low, high, pair_noise) included, by dtype, shape and sha256 of
+    the bytes: at every p of BATCH_P and every step count of RECORD_STEPS,
+    for each family of _seed_families and for all families in one batch;
   - every invocation of CLI_CASES, run as `python -m barypoly.cli` of the
     tree in a fresh temporary directory per tree that holds INPUT_FILES:
     stdout, stderr, exit code and every file the directory holds afterwards.
@@ -26,6 +30,7 @@ Uses the standard library and numpy only.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -51,6 +56,8 @@ SUITE_SPECS = (
 )
 RECORD_P = (3, 4, 5, 8, 16, 64, 1024)
 RECORD_STEPS = (0, 1, 400)
+BATCH_P = (2, 3, 4, 5, 8, 16, 32, 33, 64, 256, 1024)
+BATCH_ROWS = 8
 
 
 def _edited_state_2(record, edit):
@@ -62,15 +69,28 @@ def _edited_state_2(record, edit):
     return dataclasses.replace(record, states=states)
 
 
+def _halved_saturation_component_1(record):
+    # the record with component 1 of its saturating state set to half of
+    # component 0, if it saturated: an unsorted state whose least component
+    # is not its first
+    if record.saturation_values is None:
+        return None
+    values = record.saturation_values.copy()
+    values[1] = values[0] / 2
+    return dataclasses.replace(record, saturation_values=values)
+
+
 # Hand edits of a record: name -> edit(record), None where the record has no
-# field to edit.  The saturating state's code flipped and its components
-# mirrored, 1 - v; state 2's two smallest components swapped, and its smallest
-# nudged up by a relative 1e-9.
+# field to edit.  The saturating state's code flipped, its components
+# mirrored, 1 - v, and its component 1 halved against component 0; state 2's
+# two smallest components swapped, and its smallest nudged up by a relative
+# 1e-9.
 RECORD_EDITS = {
     "flipped_saturation_phase": lambda rec: None if rec.saturation_phase is None else dataclasses.replace(
         rec, saturation_phase=-rec.saturation_phase),
     "mirrored_saturation_values": lambda rec: None if rec.saturation_values is None else dataclasses.replace(
         rec, saturation_values=1.0 - rec.saturation_values),
+    "halved_saturation_component_1": _halved_saturation_component_1,
     "swapped_pair_at_2": lambda rec: _edited_state_2(rec, lambda u: u[[1, 0, *range(2, len(u))]]),
     "nudged_1e-9_at_2": lambda rec: _edited_state_2(rec, lambda u: u * np.r_[1.0 + 1e-9, np.ones(len(u) - 1)]),
 }
@@ -93,6 +113,7 @@ CLI_CASES = (
     ["trajectory", "--weights", "0.15,0.5,0.85", "--out", "trajectory.csv"],
     ["trajectory", "--weights", "0.5,1.5"],
     ["dual", "--weights", SEED, "--steps", "60"],
+    ["dual", "--weights", "0.3,0.4"],
     ["dual", "--weights", "0.2,0.5,0.7,0.4", "--points-file", "points.json", "--out", "dual.csv"],
     ["verify", "--weights", "0.2,0.5,0.7,0.8", "--json"],
     ["verify", "--weights", "0.2,0.5,0.7", "--inject-fault", "--json"],
@@ -125,6 +146,29 @@ def _outcome(fn) -> str:
         return f"raises {type(exc).__name__}: {exc}"
 
 
+def _seed_families(p: int, alpha: float) -> dict[str, np.ndarray]:
+    # name -> (BATCH_ROWS, p) seeds strictly inside (0, 1)
+    rng = np.random.default_rng(p)
+    shape = (BATCH_ROWS, p)
+    edge = rng.uniform(1e-12, 1e-9, size=shape)
+    return {
+        "uniform": rng.uniform(1e-3, 1.0 - 1e-3, size=shape),
+        "alpha+-1e-3": alpha * (1.0 + 1e-3 * rng.uniform(-1.0, 1.0, size=shape)),
+        "alpha+-1e-9": alpha * (1.0 + 1e-9 * rng.uniform(-1.0, 1.0, size=shape)),
+        "within_1e-9_of_0_or_1": np.where(rng.uniform(size=shape) < 0.5, edge, 1.0 - edge),
+        "tied": rng.choice([0.2, alpha, 0.7], size=shape),
+        "at_alpha": np.full(shape, alpha),
+    }
+
+
+def _batch_fields(batch) -> str:
+    # dtype, shape and sha256 of every field of a _Batch and of its cached arrays
+    names = [f.name for f in dataclasses.fields(batch)] + ["valid", "low", "high", "pair_noise"]
+    arrays = {name: np.asarray(getattr(batch, name)) for name in names}
+    return "; ".join(f"{name} {a.dtype} {a.shape} {hashlib.sha256(a.tobytes()).hexdigest()}"
+                     for name, a in arrays.items())
+
+
 def _reports(bp, known: tuple[str, ...]):
     # (label, outcome) of every report of one tree's barypoly
     for spec in SUITE_SPECS:
@@ -142,6 +186,13 @@ def _reports(bp, known: tuple[str, ...]):
                 yield (f"trajectory_checks {label} p={p} steps={steps}",
                        "no such record" if rec is None else
                        _outcome(lambda: [r.as_json() for r in bp.trajectory_checks(rec)]))
+    for p in BATCH_P:
+        alpha = bp.solve_alpha(p)
+        families = _seed_families(p, alpha)
+        families["all"] = np.concatenate(list(families.values()))
+        for name, u0 in families.items():
+            for steps in RECORD_STEPS:
+                yield f"_run_batch {name} p={p} steps={steps}", _batch_fields(bp.dynamics._run_batch(u0, steps, alpha))
 
 
 def _cli_run(tree: str, argv: list[str]) -> dict:
@@ -187,7 +238,7 @@ def main(argv: list[str] | None = None) -> int:
                       f"  change: {str(got[key])[:2000]}")
                 return 1
         files += len(want["files"]) - len(INPUT_FILES)
-    print(f"no difference: {compared} reports and record states, {len(CLI_CASES)} CLI invocations "
+    print(f"no difference: {compared} reports, record states and batches, {len(CLI_CASES)} CLI invocations "
           f"(stdout, stderr, exit code, {files} written files)")
     return 0
 
