@@ -526,7 +526,7 @@ def _check_dual_convergence(rng: np.random.Generator) -> tuple[bool, dict]:
         return False, {"reason": "regular weights not centered", "max": float(reg_record.distances_to_centroid.max())}
 
     p = int(rng.integers(3, 8))
-    pts = PointSet(p, 3, rng.uniform(-1.0, 1.0, size=(p, 3)))
+    pts = PointSet(rng.uniform(-1.0, 1.0, size=(p, 3)))
     t0 = WeightTuple.of(rng.uniform(0.05, 0.95, size=p))
     rec = dual_sequence(pts, t0, 80)
     if not rec.distances_to_centroid.min() < 1e-8:

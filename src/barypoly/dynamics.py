@@ -67,18 +67,16 @@ def _validated(values: Iterable[float], what: str) -> tuple[float, ...]:
 
 class _Tuple:
     # The constructor of WeightTuple and ConjugateTuple: the components, in
-    # the field named _field, validated once as _what, and p checked on them.
+    # the one field named _field, validated once as _what.  p is their count.
 
     def __post_init__(self):
-        values = _validated(getattr(self, self._field), self._what)
-        object.__setattr__(self, self._field, values)
-        if self.p != len(values):
-            raise ValueError(f"p={self.p} does not match {len(values)} components")
+        object.__setattr__(self, self._field, _validated(getattr(self, self._field), self._what))
+
+    p = property(lambda self: len(getattr(self, self._field)))
 
     @classmethod
     def of(cls, values: Iterable[float]):
-        vals = tuple(values)
-        return cls(len(vals), vals)
+        return cls(values)
 
 
 @dataclass(frozen=True)
@@ -86,7 +84,6 @@ class WeightTuple(_Tuple):
     """State of the weight map: p reals strictly inside (0, 1)."""
 
     _field, _what = "t", "weight tuple"
-    p: int
     t: tuple[float, ...]
 
 
@@ -95,7 +92,6 @@ class ConjugateTuple(_Tuple):
     """State in u = 1 - t coordinates."""
 
     _field, _what = "u", "conjugate tuple"
-    p: int
     u: tuple[float, ...]
 
 
@@ -165,18 +161,18 @@ def _reduce_components(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _stepped(cls, p: int, out: np.ndarray, what: str):
-    # cls(p, out), the step's output validated once: a component outside
-    # (0, 1) is the step's saturation.
+def _stepped(cls, out: np.ndarray, what: str):
+    # cls(out), the step's output validated once: a component outside (0, 1)
+    # is the step's saturation.
     try:
-        return cls(p, out)
+        return cls(out)
     except ValueError:
         raise SaturationError(f"{what} step left (0, 1) in working precision", tuple(out.tolist())) from None
 
 
 def derived_step(t: WeightTuple) -> WeightTuple:
     """One application of the weight map t'_k = prod_{i != k} (1 - t_i)."""
-    return _stepped(WeightTuple, t.p, np.exp(_excluded_sums(np.log1p(-np.array(t.t)))), "derived")
+    return _stepped(WeightTuple, np.exp(_excluded_sums(np.log1p(-np.array(t.t)))), "derived")
 
 
 def conjugate_step(u: ConjugateTuple) -> ConjugateTuple:
@@ -186,7 +182,7 @@ def conjugate_step(u: ConjugateTuple) -> ConjugateTuple:
     within one ulp of 0 or 1 is returned, though run_trajectory counts it as
     saturated and records no state from that step on.
     """
-    return _stepped(ConjugateTuple, u.p, _step(np.array(u.u))[1], "conjugate")
+    return _stepped(ConjugateTuple, _step(np.array(u.u))[1], "conjugate")
 
 
 # Name of phase code c in the trajectory CSV: _PHASE_NAMES[c + 1].

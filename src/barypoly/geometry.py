@@ -45,7 +45,7 @@ _FIT_MIN_POINTS = 5
 
 @dataclass(frozen=True, eq=False)
 class PointSet:
-    """p points in R^dim, stored as a read-only (p, dim) array.
+    """p points in R^dim: a read-only (p, dim) array, whose shape gives p and dim.
 
     Construction checks shape and finiteness only; families that feed the
     averaging iteration as inputs must additionally pass require_distinct.
@@ -53,31 +53,26 @@ class PointSet:
     is never imposed on outputs.
     """
 
-    p: int
-    dim: int
     points: np.ndarray
 
     def __post_init__(self):
         arr = np.array(self.points, dtype=float)
         if arr.ndim != 2:
             raise ValueError(f"points must be a (p, dim) array, got shape {arr.shape}")
-        if arr.shape != (self.p, self.dim):
-            raise ValueError(
-                f"declared ({self.p}, {self.dim}) does not match data shape {arr.shape}"
-            )
-        if self.p < 2 or self.dim < 1:
-            raise ValueError(f"need p >= 2 points in dim >= 1, got p={self.p}, dim={self.dim}")
+        p, dim = arr.shape
+        if p < 2 or dim < 1:
+            raise ValueError(f"need p >= 2 points in dim >= 1, got p={p}, dim={dim}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("points must have finite coordinates")
         arr.setflags(write=False)
         object.__setattr__(self, "points", arr)
 
+    p = property(lambda self: self.points.shape[0])
+    dim = property(lambda self: self.points.shape[1])
+
     @classmethod
     def of(cls, coords: Iterable[Iterable[float]]) -> "PointSet":
-        arr = np.array([list(row) for row in coords], dtype=float)
-        if arr.ndim == 1:
-            arr = arr[:, None]
-        return cls(arr.shape[0], arr.shape[1], arr)
+        return cls(np.array([list(row) for row in coords], dtype=float))
 
     def require_distinct(self) -> "PointSet":
         """Raise unless all pairwise distances exceed DISTINCT_TOL; returns self.
@@ -168,7 +163,7 @@ def polygon_step(B: PointSet, t: WeightTuple) -> PointSet:
         raise ValueError(f"point count {B.p} does not match weight count {t.p}")
     w = np.asarray(t.t)[:, None]
     shifted = np.concatenate((B.points[1:], B.points[:1]))
-    return PointSet(B.p, B.dim, w * B.points + (1.0 - w) * shifted)
+    return PointSet(w * B.points + (1.0 - w) * shifted)
 
 
 def _dual_weight_trajectory(t0: WeightTuple, steps: int) -> np.ndarray:

@@ -1053,6 +1053,31 @@ def test_dual_convergence_fails_wrong_dual_weights(monkeypatch, mutant, witness)
     assert (res.passed, res.witness) == (False, witness)
 
 
+@pytest.mark.parametrize("edited_steps, edit, witness", [
+    # the reference seed (60 steps) with no decay fit, or a growing one
+    (60, lambda rec: dataclasses.replace(rec, fitted_rate=None), {"reason": "fitted rate", "rate": None}),
+    (60, lambda rec: dataclasses.replace(rec, fitted_rate=0.5), {"reason": "fitted rate", "rate": 0.5}),
+    # the regular weights on the square (20 steps) 1e-6 off the centroid
+    (20, lambda rec: dataclasses.replace(rec, distances_to_centroid=rec.distances_to_centroid + 1e-6),
+     {"reason": "regular weights not centered", "max": pytest.approx(1e-6)}),
+    # the random family (80 steps) kept 1e-3 from the centroid
+    (80, lambda rec: dataclasses.replace(rec, distances_to_centroid=np.maximum(rec.distances_to_centroid, 1e-3)),
+     {"reason": "random seed distance floor", "p": 7}),
+])
+def test_dual_convergence_fails_each_edited_record(monkeypatch, edited_steps, edit, witness):
+    # the record of one of the check's three dual sequences, told apart by
+    # its step count, edited after dual_sequence computed it
+    real = analysis.dual_sequence
+
+    def edited(A, t0, steps):
+        rec = real(A, t0, steps)
+        return edit(rec) if steps == edited_steps else rec
+
+    assert analysis._check_dual_convergence(np.random.default_rng(0))[0]
+    monkeypatch.setattr(analysis, "dual_sequence", edited)
+    assert analysis._check_dual_convergence(np.random.default_rng(0)) == (False, witness)
+
+
 def test_instability_growth_names_the_audited_p():
     for p_values, audited in (((3, 4, 5, 6), [3, 4, 5, 6]), ((8,), [8]), ((6, 4), [4, 6]),
                               ((1024, 8192), [1024, 8192])):

@@ -401,6 +401,10 @@ def test_verify_weights_rejects_the_sweep_flags(flags, tmp_path, capsys):
     (["alpha"], "alpha needs --p"),
     (["verify", "--weights", "0.2,0.5,0.7", "--p", "3"], "--p, --seed and --seeds set up a sweep"),
     (["figure", "--weights", "0.3,0.2,0.1", "--superpose", "--order", "3"], "it takes no --order"),
+    (["trajectory"], "trajectory needs --weights"),
+    (["dual"], "dual needs --weights"),
+    (["figure"], "figure needs --weights"),
+    (["trajectory", "--weights", "0.2,abc"], "bad weight list"),
 ], ids=lambda v: v[0] if isinstance(v, list) else None)
 def test_a_subcommand_usage_error_prints_that_subcommand_usage(argv, message, capsys):
     with pytest.raises(SystemExit) as err:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -112,7 +113,7 @@ def test_stepped_states_equal_validated_states():
 def test_validation():
     for bad in (math.nan, 0.0, 1.0, math.inf, -math.inf):
         with pytest.raises(ValueError):
-            ConjugateTuple(3, (0.5, bad, 0.25))
+            ConjugateTuple((0.5, bad, 0.25))
         with pytest.raises(ValueError):
             ConjugateTuple.of((0.5, bad, 0.25))
     with pytest.raises(ValueError):
@@ -122,9 +123,20 @@ def test_validation():
     with pytest.raises(ValueError):
         ConjugateTuple.of((0.0, 0.5, 0.5))
     with pytest.raises(ValueError):
-        WeightTuple(4, (0.1, 0.2, 0.3))
-    with pytest.raises(ValueError):
         run_trajectory(ConjugateTuple.of((0.2, 0.5, 0.8)), -1, solve_alpha(3))
+
+
+def test_tuples_take_their_size_from_the_components():
+    # the components are the one field, from any iterable: p is their count
+    x = (0.2, 0.5, 0.8, 0.4)
+    for make in (tuple, list, lambda v: (c for c in v), lambda v: np.array(v, dtype=np.float32)):
+        for cls in (WeightTuple, ConjugateTuple):
+            built = cls(make(x))
+            assert built == cls.of(make(x)) and built.p == len(x)
+            with pytest.raises(AttributeError):
+                built.p = 3
+    assert [f.name for f in dataclasses.fields(WeightTuple)] == ["t"]
+    assert [f.name for f in dataclasses.fields(ConjugateTuple)] == ["u"]
 
 
 def test_validation_names_the_first_component_outside():
@@ -140,11 +152,11 @@ def test_validation_names_the_first_component_outside():
         ConjugateTuple.of([[0.2, 0.3], [0.4, 0.5]])
     for nested in (np.array([[0.2, 0.3], [0.4, 0.5]]), np.array(0.5)):
         with pytest.raises(ValueError, match=r"needs a flat sequence of components, got shape"):
-            ConjugateTuple(2, nested)
+            ConjugateTuple(nested)
         with pytest.raises(ValueError, match=r"weight tuple needs a flat sequence"):
-            WeightTuple(2, nested)
+            WeightTuple(nested)
     # the components become Python floats, from any iterable
-    u = ConjugateTuple(3, (x for x in np.array([0.2, 0.5, 0.8], dtype=np.float32)))
+    u = ConjugateTuple((x for x in np.array([0.2, 0.5, 0.8], dtype=np.float32)))
     assert all(type(v) is float for v in u.u) and u.u == (np.float32(0.2), 0.5, np.float32(0.8))
     with pytest.raises(SaturationError) as err:
         conjugate_step(ConjugateTuple.of((1e-300, 1e-300, 0.5)))

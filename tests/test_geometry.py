@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -28,8 +29,6 @@ def regular_polygon(p):
 
 def test_pointset_validation():
     with pytest.raises(ValueError):
-        PointSet(3, 2, np.zeros((2, 2)))
-    with pytest.raises(ValueError):
         PointSet.of([(0.0, np.nan), (1.0, 0.0)])
     with pytest.raises(ValueError):
         PointSet.of([(0.0, 0.0)])
@@ -55,9 +54,24 @@ def test_require_distinct_names_the_first_close_pair():
     pts = np.column_stack((np.arange(300.0), np.zeros(300)))
     pts[299] = (250.0, near)
     with pytest.raises(ValueError, match=r"^points 250 and 299 are closer"):
-        PointSet(300, 2, pts).require_distinct()
-    assert PointSet(299, 2, pts[:299]).require_distinct().p == 299
+        PointSet(pts).require_distinct()
+    assert PointSet(pts[:299]).require_distinct().p == 299
     assert PointSet.of([(0.0,), (far,)]).require_distinct().p == 2
+
+
+def test_pointset_takes_its_sizes_from_the_points():
+    for bad in (np.zeros(3), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError, match=r"^points must be a \(p, dim\) array, got shape"):
+            PointSet(bad)
+    with pytest.raises(ValueError, match=r"^points must be a \(p, dim\) array, got shape \(0,\)$"):
+        PointSet.of([])
+    for arr in (np.zeros((2, 1)), np.arange(12.0).reshape(4, 3), np.eye(5)[:, :2]):
+        ps = PointSet(arr)
+        assert (ps.p, ps.dim) == arr.shape
+    # the points are the one field: p and dim are read from them
+    assert [f.name for f in dataclasses.fields(PointSet)] == ["points"]
+    with pytest.raises(AttributeError):
+        ps.p = 3
 
 
 def test_pointset_of_one_dimensional_rows():
@@ -108,7 +122,7 @@ def test_limit_weights_rows_are_the_weights_of_limit_point():
     rng = np.random.default_rng(8)
     for p in (3, 8, 1024):
         t = rng.uniform(1e-3, 1.0 - 1e-3, size=(5, p))
-        eye = PointSet(p, p, np.eye(p))
+        eye = PointSet(np.eye(p))
         for row, w in zip(t, _limit_weights(np.log1p(-t))):
             assert limit_point(eye, WeightTuple.of(row)).tobytes() == w.tobytes()
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from barypoly import WeightTuple, certificate, derived_step, solve_alpha
+from barypoly import stationary
 from barypoly.stationary import _alpha_residual
 
 # independently computed digits: bisection of x**(p-1) + x - 1 to a 1e-15
@@ -49,6 +50,15 @@ def test_degenerate_linear_case():
 def test_solve_alpha_validation():
     with pytest.raises(ValueError):
         solve_alpha(1)
+
+
+def test_solve_alpha_raises_when_refinement_misses_the_tolerance(monkeypatch):
+    # no bisection and no Newton step leave the midpoint 0.5, whose residual
+    # is -0.5; an uncached p, so _root computes it
+    monkeypatch.setattr(stationary, "_BISECT_WIDTH", 1.0)
+    monkeypatch.setattr(stationary, "_NEWTON_STEPS", 0)
+    with pytest.raises(ArithmeticError, match=r"^root refinement for p=99991 missed the tolerance 1e-14$"):
+        solve_alpha(99991)
 
 
 def test_non_integer_p_is_a_value_error():

@@ -25,8 +25,9 @@ The specs:
     p16_32x100  default_suite(p_values=(16, 32), seeds_per_p=100)
     one_record  trajectory_checks on the record of `verify --weights
                 0.3,0.08,0.06,0.04,0.01` (200 steps)
-    static      default_suite(checks=STATIC_CHECKS): the five checks of the
-                stationary tuple at the default p values
+    static      default_suite(checks=...) with the checks of the tree's
+                analysis._CHECKS that take "p_values", the checks of the
+                stationary tuple, at the default p values
 """
 from __future__ import annotations
 
@@ -45,8 +46,6 @@ SIDES = ("parent", "change")
 SETS = 10
 REPS = 30
 ONE_RECORD_WEIGHTS = (0.3, 0.08, 0.06, 0.04, 0.01)
-STATIC_CHECKS = ("stationary_certificate", "fixed_point", "spectral", "instability_growth",
-                 "unique_fixed_point_grid")
 THREAD_ENV = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                                      "NUMEXPR_NUM_THREADS")}
 
@@ -60,7 +59,8 @@ def _spec_call(bp, spec: str):
     kwargs = {"default": {}, "large_p": dict(p_values=(256, 1024), seeds_per_p=4),
               "p1024x100": dict(p_values=(1024,), seeds_per_p=100),
               "p16_32x100": dict(p_values=(16, 32), seeds_per_p=100),
-              "static": dict(checks=STATIC_CHECKS)}[spec]
+              "static": dict(checks=[name for name, (_, takes) in bp.analysis._CHECKS.items()
+                                     if takes == "p_values"])}[spec]
     return lambda: bp.default_suite(**kwargs)
 
 

@@ -19,6 +19,13 @@ names, as tools/ab_inprocess.py does, and compared on:
     (valid, low, high, pair_noise) included, by dtype, shape and sha256 of
     the bytes: at every p of BATCH_P and every step count of RECORD_STEPS,
     for each family of _seed_families and for all families in one batch;
+  - the geometry of fixed inputs built with .of, at every p of GEOMETRY_P:
+    a planar point family and two weight tuples, one uniform and one within
+    1e-3 of the stationary tuple.  Arrays are compared as the batches are:
+    limit_point's; polygon_step's points, with its p and dim; the hex
+    components of weight_orders at every order of WEIGHT_ORDERS; and
+    dual_sequence's points, distances and weights over GEOMETRY_STEPS
+    steps, with its fitted rate;
   - every invocation of CLI_CASES, run as `python -m barypoly.cli` of the
     tree in a fresh temporary directory per tree that holds INPUT_FILES:
     stdout, stderr, exit code and every file the directory holds afterwards.
@@ -58,6 +65,9 @@ RECORD_P = (3, 4, 5, 8, 16, 64, 1024)
 RECORD_STEPS = (0, 1, 400)
 BATCH_P = (2, 3, 4, 5, 8, 16, 32, 33, 64, 256, 1024)
 BATCH_ROWS = 8
+GEOMETRY_P = (3, 4, 5, 8, 64)
+GEOMETRY_STEPS = 60
+WEIGHT_ORDERS = (1, 2, 40)
 
 
 def _edited_state_2(record, edit):
@@ -111,7 +121,7 @@ CLI_CASES = (
     ["alpha", "--p", "7"], ["alpha", "--p", "7", "--json"], ["alpha", "--p", "2"],
     ["trajectory", "--weights", SEED, "--steps", "100"],
     ["trajectory", "--weights", "0.15,0.5,0.85", "--out", "trajectory.csv"],
-    ["trajectory", "--weights", "0.5,1.5"],
+    ["trajectory", "--weights", "0.5,1.5"], ["trajectory", "--weights", "0.2,abc"],
     ["dual", "--weights", SEED, "--steps", "60"],
     ["dual", "--weights", "0.3,0.4"],
     ["dual", "--weights", "0.2,0.5,0.7,0.4", "--points-file", "points.json", "--out", "dual.csv"],
@@ -161,12 +171,41 @@ def _seed_families(p: int, alpha: float) -> dict[str, np.ndarray]:
     }
 
 
+def _digest(a) -> str:
+    # dtype, shape and sha256 of an array's bytes
+    a = np.asarray(a)
+    return f"{a.dtype} {a.shape} {hashlib.sha256(a.tobytes()).hexdigest()}"
+
+
 def _batch_fields(batch) -> str:
-    # dtype, shape and sha256 of every field of a _Batch and of its cached arrays
+    # the digest of every field of a _Batch and of its cached arrays
     names = [f.name for f in dataclasses.fields(batch)] + ["valid", "low", "high", "pair_noise"]
-    arrays = {name: np.asarray(getattr(batch, name)) for name in names}
-    return "; ".join(f"{name} {a.dtype} {a.shape} {hashlib.sha256(a.tobytes()).hexdigest()}"
-                     for name, a in arrays.items())
+    return "; ".join(f"{name} {_digest(getattr(batch, name))}" for name in names)
+
+
+def _geometry(bp):
+    # (label, outcome) of the geometry of one tree's barypoly on fixed inputs
+    def stepped(A, t):
+        B = bp.polygon_step(A, t)
+        return [_digest(B.points), B.p, B.dim]
+
+    def dual(A, t):
+        rec = bp.dual_sequence(A, t, GEOMETRY_STEPS)
+        return [_digest(rec.points), _digest(rec.distances_to_centroid), _digest(rec.weights), rec.fitted_rate]
+
+    for p in GEOMETRY_P:
+        rng = np.random.default_rng(p)
+        A = bp.PointSet.of(rng.uniform(-1.0, 1.0, size=(p, 2)))
+        seeds = {"uniform": rng.uniform(1e-3, 1.0 - 1e-3, size=p),
+                 "stationary+-1e-3": 1.0 - bp.solve_alpha(p) * (1.0 + 1e-3 * rng.uniform(-1.0, 1.0, size=p))}
+        for name, seed in seeds.items():
+            t = bp.WeightTuple.of(seed)
+            yield f"limit_point {name} p={p}", _outcome(lambda: _digest(bp.limit_point(A, t)))
+            yield f"polygon_step {name} p={p}", _outcome(lambda: stepped(A, t))
+            for order in WEIGHT_ORDERS:
+                yield (f"weight_orders {name} p={p} order={order}",
+                       _outcome(lambda: [[v.hex() for v in w.t] for w in bp.weight_orders(t, order)]))
+            yield f"dual_sequence {name} p={p}", _outcome(lambda: dual(A, t))
 
 
 def _reports(bp, known: tuple[str, ...]):
@@ -193,6 +232,7 @@ def _reports(bp, known: tuple[str, ...]):
         for name, u0 in families.items():
             for steps in RECORD_STEPS:
                 yield f"_run_batch {name} p={p} steps={steps}", _batch_fields(bp.dynamics._run_batch(u0, steps, alpha))
+    yield from _geometry(bp)
 
 
 def _cli_run(tree: str, argv: list[str]) -> dict:
@@ -238,7 +278,7 @@ def main(argv: list[str] | None = None) -> int:
                       f"  change: {str(got[key])[:2000]}")
                 return 1
         files += len(want["files"]) - len(INPUT_FILES)
-    print(f"no difference: {compared} reports, record states and batches, {len(CLI_CASES)} CLI invocations "
+    print(f"no difference: {compared} reports, record states, batches and geometry outcomes, {len(CLI_CASES)} CLI invocations "
           f"(stdout, stderr, exit code, {files} written files)")
     return 0
 
