@@ -644,11 +644,11 @@ def default_suite(
     """Randomized verification sweep across every registered check.
 
     Unknown check names, an empty p_values, a non-integer p or one below 3,
-    seeds_per_p < 1, max_steps < 0 and rng_seed < 0 raise ValueError,
-    whichever checks run: a sweep over no trajectories would pass on no
-    evidence.  The static checks take each distinct p once, ascending.
-    inject_fault corrupts the first swept trajectory so the harness itself
-    can be shown to catch failures.
+    seeds_per_p < 1, max_steps < 0 and rng_seed < 0 raise ValueError under
+    any selection, as a sweep of no trajectory would pass on no evidence; yet
+    unique_fixed_point_grid alone returns [] unless p_values hold 3.  The
+    static checks take each distinct p once, ascending.  inject_fault
+    corrupts the first swept trajectory, which the harness must catch.
     """
     if len(p_values) == 0:
         raise ValueError("p_values must name at least one p")

@@ -189,7 +189,7 @@ def conjugate_step(u: ConjugateTuple) -> ConjugateTuple:
 _PHASE_NAMES = ("below", "mixed", "above")
 
 
-def _phase_codes(low: np.ndarray, high: np.ndarray, alpha: float, tol=PHASE_TIE_TOL) -> np.ndarray:
+def _phase_codes(low: np.ndarray, high: np.ndarray, alpha: float, tol) -> np.ndarray:
     # Phase code of every state, from its smallest component low and its
     # largest high, against alpha: -1 (BELOW) when every component is <
     # alpha, 1 (ABOVE) when every component is > alpha, 0 (MIXED) otherwise.

@@ -1,4 +1,7 @@
-"""Shared fixtures: one randomized trajectory sweep reused across test modules."""
+"""Shared fixtures: one randomized trajectory sweep reused across test modules,
+and edited, the one way the tests change a record."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,25 @@ from barypoly import (
 SWEEP_SEED = 20260819
 SWEEP_SIZE = 1000
 SWEEP_MAX_STEPS = 400
+
+
+def edited(traj, at, value, field="states", restate=False):
+    """A copy of the record whose array field holds value at index at.
+
+    The array is copied, so the record stays as it was.  With restate, the
+    spreads and phase codes are computed from the edited states, as the
+    record builder computes them.
+    """
+    a = getattr(traj, field).copy()
+    a[at] = value
+    traj = dataclasses.replace(traj, **{field: a})
+    if not restate:
+        return traj
+    from barypoly.dynamics import PHASE_TIE_TOL, _phase_codes
+
+    states = traj.states
+    return dataclasses.replace(traj, spread=states[:, -1] / states[:, 0] - 1.0, phase=_phase_codes(
+        states.min(axis=-1), states.max(axis=-1), traj.alpha, PHASE_TIE_TOL))
 
 
 @pytest.fixture(scope="session")

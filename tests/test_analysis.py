@@ -26,8 +26,8 @@ from barypoly import (
     trajectory_checks,
 )
 from barypoly import analysis, dynamics, geometry
-from barypoly.analysis import _TRAJ_CHECKS
-from barypoly.dynamics import PHASE_TIE_TOL, _Batch, _phase_codes, _run_batch
+from barypoly.dynamics import PHASE_TIE_TOL
+from conftest import edited
 
 # phase codes of a record
 BELOW, MIXED = -1, 0
@@ -113,18 +113,15 @@ def _traj(u, steps=2):
     return run_trajectory(ConjugateTuple.of(u), steps, solve_alpha(len(u)))
 
 
+def _report(traj):
+    # trajectory_checks of a record, keyed by check name, as sweep_results
+    return {r.name: r for r in trajectory_checks(traj)}
+
+
 def _check(name, traj):
-    # one registered check on the one-row batch of a record, as
-    # trajectory_checks runs it: row 0's verdict and witness
-    passed, witness = _TRAJ_CHECKS[name](_Batch.of(traj))
-    return bool(passed[0]), witness(0)
-
-
-def _with_state(traj, m, q, value):
-    # the record with component q of state m set to value, in a copy
-    states = traj.states.copy()
-    states[m, q] = value
-    return dataclasses.replace(traj, states=states)
+    # the verdict and witness trajectory_checks reports for one check
+    res = _report(traj)[name]
+    return res.passed, res.witness
 
 
 def _certificate(traj, m):
@@ -175,7 +172,7 @@ def test_each_certificate_claim_row_reports_its_own_reason(monkeypatch):
     near_tie = _figures(1.0, 1.0 + 2.0**-52)
     assert near_tie["ratio_bound"] == 1.0 - 2.0**-52 and near_tie["contraction"] == 0.5
     traj = _traj((0.2, 0.3, 0.4, 0.5))
-    unsorted = _with_state(traj, 0, 1, 0.45)
+    unsorted = edited(traj, (0, 1), 0.45)
     cases = [
         (0, unsorted, _figures(0.1, 0.5), "state at m=0 is not sorted ascending"),
         (1, traj, _figures(-0.1, 0.5), "positivity failed at m=0: slope=-0.1, intercept=0.5"),
@@ -195,7 +192,7 @@ def test_each_certificate_claim_row_reports_its_own_reason(monkeypatch):
     monkeypatch.undo()
     four_steps = _traj((0.2, 0.3, 0.4, 0.5), steps=4)
     for q, residuals in ((0, "(nan, 7.792e-16)"), (3, "(9.135e-16, nan)")):
-        assert _check("contraction_certificates", _with_state(four_steps, 2, q, np.nan)) == (False, {
+        assert _check("contraction_certificates", edited(four_steps, (2, q), np.nan)) == (False, {
             "step": 0, "reason": f"recurrence identity residuals {residuals} exceed 1e-10 at m=0"})
 
 
@@ -209,25 +206,6 @@ def test_contraction_equals_observed_spread_ratio():
         assert contraction < 0.5
 
 
-def test_contraction_certificates_fail_an_unsorted_row_only():
-    # Two components of one row's state 1 swapped in a p = 3 batch of 100
-    # rows: that row fails with the reason, and every other row keeps its
-    # verdict and witness.
-    alpha = solve_alpha(3)
-    clean = _run_batch(np.random.default_rng(0).uniform(1e-3, 1.0 - 1e-3, size=(100, 3)), 400, alpha)
-    r = 7
-    states = clean.states.copy()
-    states[[1, 2], 1, r] = states[[2, 1], 1, r]
-    swapped = dataclasses.replace(clean, states=states)
-    for name, check in _TRAJ_CHECKS.items():
-        (passed, witness), (ref_passed, ref_witness) = check(swapped), check(clean)
-        others = [i for i in range(100) if i != r]
-        assert passed[others].tolist() == ref_passed[others].tolist(), name
-        assert [witness(i) for i in others] == [ref_witness(i) for i in others], name
-    passed, witness = _TRAJ_CHECKS["contraction_certificates"](swapped)
-    assert not passed[r] and witness(r) == {"step": 1, "reason": "state at m=1 is not sorted ascending"}
-
-
 def test_spread_geometric_bound_passes_on_the_seeds_of_its_false_failures():
     # Each sweep failed one p = 3 row against the closed form 0.5**q
     # spread[0] + 1e-12, at q = 22, 19 and 21, where an 80-digit orbit from
@@ -237,24 +215,29 @@ def test_spread_geometric_bound_passes_on_the_seeds_of_its_false_failures():
         assert res.passed, res.witness
 
 
+def _pair_noise(traj):
+    # (n - 2,): the error state m + 2 inherits from storing state m + 1, whose
+    # last (if sorted, largest) component 1 - d keeps d to half an ulp, plus
+    # 1e-14 for two steps' log/exp round-off; the pair claims allow 10 times it
+    with np.errstate(divide="ignore"):  # inf where state m + 1 holds a 1
+        return 5.6e-17 / (1.0 - traj.states[1:-1, -1]) + 1e-14
+
+
 def _geometric_bounds(traj):
     # B_q = B_{q-1} / 2 + a_q from B_0 = spread[0], a_q the allowance of
     # spread_contraction for the pair (2q - 2, 2q), for every recorded even
     # state 2q
-    S = traj.spread
+    S, noise = traj.spread, _pair_noise(traj)
     bound = [S[0]]
     for q in range(1, (len(traj) + 1) // 2):
-        a_q = 10.0 * (5.6e-17 / (1.0 - traj.states[2 * q - 1].max()) + 1e-14) * (1.0 + S[2 * q - 2])
-        bound.append(0.5 * bound[-1] + a_q)
+        bound.append(0.5 * bound[-1] + 10.0 * noise[2 * q - 2] * (1.0 + S[2 * q - 2]))
     return bound
 
 
 def _assert_fails_at_twice_the_bound(traj, q):
     bound = _geometric_bounds(traj)[q] + 1e-12
-    spread = traj.spread.copy()
-    spread[2 * q] = 2.0 * bound
-    ok, witness = _check("spread_geometric_bound", dataclasses.replace(traj, spread=spread))
-    assert not ok and witness == {"q": q, "spread": spread[2 * q], "bound": bound}
+    ok, witness = _check("spread_geometric_bound", edited(traj, 2 * q, 2.0 * bound, field="spread"))
+    assert not ok and witness == {"q": q, "spread": 2.0 * bound, "bound": bound}
 
 
 def test_spread_geometric_bound_fails_on_a_clean_state_at_twice_its_bound():
@@ -281,7 +264,7 @@ def test_ratio_monotonicity_catches_corruption():
     check = functools.partial(_check, "ratio_monotone")
     traj = _traj((0.2, 0.3, 0.4, 0.5), steps=6)
     assert check(traj) == (True, {})
-    bad = _with_state(traj, 2, -1, min(traj.states[2, -1] + 0.2, 0.999))
+    bad = edited(traj, (2, -1), min(traj.states[2, -1] + 0.2, 0.999))
     ok, witness = check(bad)
     assert not ok and witness["step"] in (0, 2)
 
@@ -291,100 +274,87 @@ def test_order_checks_fail_a_nan_component():
     # two steps apart that hold it
     traj = _traj((0.2, 0.3, 0.4, 0.5), steps=6)
     for m in (0, 2, 3, 6):
-        bad = _with_state(traj, m, 1, math.nan)
+        bad = edited(traj, (m, 1), math.nan)
         assert _check("order_preserved", bad) == (False, {"step": m})
         assert _check("ratio_monotone", bad) == (False, {"step": m - 2 if m >= 2 else m})
 
 
-def _first_step(bad):
-    # the index of the first True of every row r of an (n, rows) bad[:, r],
-    # -1 in a row without one
-    if not len(bad):
-        return np.full(bad.shape[1], -1)
-    return np.where(bad.any(axis=0), bad.argmax(axis=0), -1)
-
-
-def _ratio_monotone_by_pair_loop(batch):
+def _ratio_monotone_by_pair_loop(traj):
     # The all-pairs loop that ratio_monotone ran before its running extremes,
     # as its oracle: every sorted pair k < l of every two states two steps
-    # apart, each pair with its own slack.  The first failing m of every
-    # row, -1 in a row that passes.
-    U = batch.states
+    # apart, each pair with its own slack.  The first failing m of the
+    # record, -1 if it passes.
+    U = traj.states.T
     a, b = U[:, :-2], U[:, 2:]
-    tol = np.maximum(analysis.RATIO_SLACK, 10.0 * batch.pair_noise)
+    tol = np.maximum(analysis.RATIO_SLACK, 10.0 * _pair_noise(traj))
     bad = np.zeros(b.shape[1:], dtype=bool)
     for k in range(len(U) - 1):
         r_now = b[k + 1:] / b[k]
         bad |= ((r_now < 1.0 - tol) | (r_now > a[k + 1:] / a[k] + tol)).any(axis=0)
-    return _first_step(bad & batch.valid[2:])
+    return int(bad.argmax()) if bad.any() else -1
 
 
-def _assert_ratio_monotone_implies_the_pair_loop(batch):
-    # Every row that fails the pair loop fails the check, at the same m or
-    # before it; returns how many rows each fails
-    oracle = _ratio_monotone_by_pair_loop(batch)
-    passed, witness = analysis._traj_ratio_monotone(batch)
-    for r in np.flatnonzero(oracle >= 0):
-        assert not passed[r] and witness(r)["step"] <= oracle[r], (r, oracle[r])
-    return int((oracle >= 0).sum()), int((~passed).sum())
+def _assert_ratio_monotone_implies_the_pair_loop(traj, report=None):
+    # A record that fails the pair loop fails the check, at the same m or
+    # before it, in its report if given; returns whether it fails the loop
+    oracle = _ratio_monotone_by_pair_loop(traj)
+    if oracle >= 0:
+        res = (report or _report(traj))["ratio_monotone"]
+        assert not res.passed and res.witness["step"] <= oracle, oracle
+    return oracle >= 0
 
 
 def _swapped(traj, m, rng):
-    states = traj.states.copy()
     k, l = rng.choice(traj.p, size=2, replace=False)
-    states[m, [k, l]] = states[m, [l, k]]
-    return dataclasses.replace(traj, states=states)
+    return edited(traj, (m, [k, l]), traj.states[m, [l, k]])
 
 
 def _scaled(traj, m, rng, factor, one=True, shift=0.0):
     # one random component of state m (or all of it) times factor, plus shift
-    states = traj.states.copy()
     q = int(rng.integers(traj.p)) if one else slice(None)
-    states[m, q] = np.minimum(states[m, q] * factor + shift, 1.0 - 1e-9)
-    return dataclasses.replace(traj, states=states)
+    return edited(traj, (m, q), np.minimum(traj.states[m, q] * factor + shift, 1.0 - 1e-9))
 
 
-def test_ratio_monotone_agrees_with_the_pair_loop(sweep):
-    # The clean sweep passes both; its injected faults and six mutant kinds
-    # at a random state, where the pair loop fails, fail the check too.
+def test_ratio_monotone_agrees_with_the_pair_loop(sweep, sweep_results, sweep_mutants):
+    # The clean sweep passes both; its injected faults and six mutant kinds,
+    # four of them at a random state, where the pair loop fails, fail the
+    # check too.
     rng = np.random.default_rng(27)
-    for traj in sweep:
-        assert _assert_ratio_monotone_implies_the_pair_loop(_Batch.of(traj)) == (0, 0)
+    for traj, res in zip(sweep, sweep_results):
+        assert not _assert_ratio_monotone_implies_the_pair_loop(traj) and res["ratio_monotone"].passed
     mutants = [
         lambda traj, m: _swapped(traj, m, rng),
         lambda traj, m: _scaled(traj, m, rng, 1.0 + 1e-9),
         lambda traj, m: _scaled(traj, m, rng, 1.0 + 1e-6, one=False),
         lambda traj, m: _scaled(traj, m, rng, 1.0, shift=0.07),
-        lambda traj, m: _repeated_state(traj),
-        lambda traj, m: _halfway_to_alpha(traj),
     ]
     oracle_failed = 0
-    for traj in sweep[::2]:
+    for i, traj in enumerate(sweep[::2]):
         if len(traj) < 3:
             continue
-        bad = [analysis._perturbed_record(traj)]
-        bad += [mutant(traj, int(rng.integers(len(traj)))) for mutant in mutants]
-        for rec in bad:
-            if rec is not None:
-                failed, _ = _assert_ratio_monotone_implies_the_pair_loop(_Batch.of(rec))
-                oracle_failed += failed
+        bad = [analysis._perturbed_record(traj)] + [mutant(traj, int(rng.integers(len(traj)))) for mutant in mutants]
+        oracle_failed += sum(_assert_ratio_monotone_implies_the_pair_loop(rec) for rec in bad)
+        for mutant in (_repeated_state, _halfway_to_alpha):
+            if i in sweep_mutants[mutant]:
+                oracle_failed += _assert_ratio_monotone_implies_the_pair_loop(*sweep_mutants[mutant][i])
     assert oracle_failed > 500
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(2, 16), st.integers(1, 4), st.integers(0, 6), st.randoms(use_true_random=False),
+@given(st.integers(3, 16), st.integers(1, 4), st.integers(0, 6), st.randoms(use_true_random=False),
        st.lists(st.sampled_from([1.0 + 1e-13, 1.0 + 1e-11, 1.0 - 1e-9, 1.0 + 1e-6, 1.07, 0.5]), max_size=4))
 def test_ratio_monotone_implies_the_pair_loop_on_random_batches(p, rows, steps, random, factors):
-    # orbits of random seeds with random components scaled by the factors,
-    # in one batch of rows of different lengths
-    seeds = np.array([[random.uniform(1e-3, 1.0 - 1e-3) for _ in range(p)] for _ in range(rows)])
-    batch = _run_batch(seeds, steps, solve_alpha(max(p, 3)))
-    states = batch.states.copy()
+    # orbits of random seeds, of different lengths, with random components
+    # of random records scaled by the factors
+    alpha = solve_alpha(p)
+    records = [run_trajectory(ConjugateTuple.of([random.uniform(1e-3, 1.0 - 1e-3) for _ in range(p)]), steps, alpha)
+               for _ in range(rows)]
     for factor in factors:
         r = random.randrange(rows)
-        at = (random.randrange(p), random.randrange(int(batch.length[r])), r)
-        states[at] = min(states[at] * factor, 1.0 - 1e-9)
-    _assert_ratio_monotone_implies_the_pair_loop(dataclasses.replace(batch, states=states))
+        q, m = random.randrange(p), random.randrange(len(records[r]))
+        records[r] = edited(records[r], (m, q), min(records[r].states[m, q] * factor, 1.0 - 1e-9))
+    for traj in records:
+        _assert_ratio_monotone_implies_the_pair_loop(traj)
 
 
 def test_ratio_monotone_does_not_add_consecutive_slacks():
@@ -396,15 +366,14 @@ def test_ratio_monotone_does_not_add_consecutive_slacks():
     tol = analysis.RATIO_SLACK
     y = np.cumprod([1.0, 1.0 + 0.6 * tol * u[0] / u[1], 1.0 + 0.6 * tol * u[1] / u[2]])
     traj = _record_of_states([u, u, u * y])
-    batch = _Batch.of(traj)
-    assert batch.pair_noise.max() * 10.0 < tol
+    assert _pair_noise(traj).max() * 10.0 < tol
 
     def consecutive_only(u, v):
         r_now, r_then = v[1:] / v[:-1], u[1:] / u[:-1]
         return bool(((r_now >= 1.0 - tol) & (r_now <= r_then + tol)).all())
 
     assert consecutive_only(u, u * y)
-    assert _ratio_monotone_by_pair_loop(batch)[0] == 0
+    assert _ratio_monotone_by_pair_loop(traj) == 0
     assert _check("ratio_monotone", traj) == (False, {"step": 0})
 
 
@@ -479,8 +448,6 @@ def test_comparison_domination():
     # every recorded pair and the saturating pair
     assert check(_traj((0.2, 0.5, 0.8), steps=400)) == (True, {"pairs": 15})
     assert check(_fixed_point_traj()) == (True, {"pairs": 10})
-    # at p = 2 the step is u' = 1 - u reversed, so the bracket is exact
-    assert check(_traj((0.2, 0.3), steps=4)) == (True, {"pairs": 4})
 
 
 @pytest.mark.parametrize("u", [(0.2, 0.5, 0.8), (0.3, 0.08, 0.06, 0.04, 0.01), (0.12, 0.34, 0.56, 0.78)])
@@ -490,10 +457,9 @@ def test_comparison_domination_reads_a_saturating_states_true_extremes(u):
     # least component, no longer its first, leaves the lower bracket: a check
     # that read the first and last components would see 1.0 and pass it.
     traj = _traj(u, steps=400)
-    v = traj.saturation_values.copy()
+    v = traj.saturation_values
     assert (v == 1.0).all()
-    v[1] = v[0] / 2
-    bad = dataclasses.replace(traj, saturation_values=v)
+    bad = edited(traj, 1, v[0] / 2, field="saturation_values")
     failed = {r.name: r.witness for r in trajectory_checks(bad) if not r.passed}
     assert failed == {"comparison_domination": {"bracket": "lower", "step": len(traj) - 1}}
 
@@ -527,13 +493,6 @@ def _comparison_domination_inline(traj):
     return True, {}
 
 
-def _restated(traj, states):
-    # the record with the given states, its spreads and phase codes
-    # computed from them as the record builder computes them
-    return dataclasses.replace(traj, states=states, spread=states[:, -1] / states[:, 0] - 1.0,
-                               phase=_phase_codes(states.min(axis=-1), states.max(axis=-1), traj.alpha))
-
-
 def _first_decided(traj):
     decided = np.flatnonzero(traj.phase != MIXED)
     return int(decided[0]) if decided.size else None
@@ -544,9 +503,7 @@ def _edited_at_m0_plus_2(traj, edit):
     m0 = _first_decided(traj)
     if m0 is None or m0 + 2 >= len(traj):
         return None
-    states = traj.states.copy()
-    states[m0 + 2] = edit(states[m0 + 2], traj.alpha)
-    return _restated(traj, states)
+    return edited(traj, m0 + 2, edit(traj.states[m0 + 2], traj.alpha), restate=True)
 
 
 def _halfway_to_alpha(traj):
@@ -559,9 +516,8 @@ def _off_the_corner(traj):
     m = (len(traj) - 1) // 2 * 2
     if m < 1:
         return None
-    states = traj.states.copy()
-    states[m] = np.where(states[m] < traj.alpha, states[m] + 1e-3, states[m] - 1e-3)
-    return _restated(traj, states)
+    u = traj.states[m]
+    return edited(traj, m, np.where(u < traj.alpha, u + 1e-3, u - 1e-3), restate=True)
 
 
 def _repeated_state(traj):
@@ -569,9 +525,7 @@ def _repeated_state(traj):
     m0 = _first_decided(traj)
     if m0 is None or m0 + 1 >= len(traj):
         return None
-    states = traj.states.copy()
-    states[m0 + 1] = states[m0]
-    return _restated(traj, states)
+    return edited(traj, m0 + 1, traj.states[m0], restate=True)
 
 
 def _wrong_saturating_phase(traj):
@@ -583,7 +537,7 @@ def _wrong_saturating_phase(traj):
 def _mirrored_saturating_state(traj):
     if traj.saturation_values is None:
         return None
-    return dataclasses.replace(traj, saturation_values=1.0 - traj.saturation_values)
+    return edited(traj, ..., 1.0 - traj.saturation_values, field="saturation_values")
 
 
 _MUTANTS = (_halfway_to_alpha, _off_the_corner, _repeated_state, _wrong_saturating_phase,
@@ -600,36 +554,48 @@ _STATE_EDITS = {
 }
 
 
-def test_comparison_domination_matches_the_inline_orbit(sweep):
+@pytest.fixture(scope="module")
+def sweep_mutants(sweep):
+    # {mutant: {i: (record, report)}}: each mutant of _MUTANTS applied to
+    # sweep[2 i], where it applies, and the record's _report, checked once
+    # for the tests that read them
+    out = {mutant: {} for mutant in _MUTANTS}
+    for i, traj in enumerate(sweep[::2]):
+        for mutant in _MUTANTS:
+            if (bad := mutant(traj)) is not None:
+                out[mutant][i] = bad, _report(bad)
+    return out
+
+
+def test_comparison_domination_matches_the_inline_orbit(sweep, sweep_results, sweep_mutants):
     # The bracket at every step implies the inline orbit's multi-step claim,
     # so every record that fails the inline orbit must fail the check: the
     # clean sweep, the mutants of every other record, and records with one
-    # component of one state moved, phases left as recorded.
-    check = functools.partial(_check, "comparison_domination")
+    # component of one state moved, phases left as recorded.  The clean
+    # sweep passes the check.
     rng = np.random.default_rng(17)
-    records = list(sweep)
-    for traj in sweep[::2]:
-        records += [m for mutant in _MUTANTS if (m := mutant(traj)) is not None]
+    records = [(traj, None) for traj in sweep]
+    records += [rec for reports in sweep_mutants.values() for rec in reports.values()]
     for traj in sweep[::5]:
         if len(traj) < 2:
             continue
         m = int(rng.integers(0, len(traj)))
         q = int(rng.integers(0, traj.p))
         step = rng.choice([-1.0, 1.0]) * rng.choice([1e-13, 1e-11, 1e-3, 0.1])
-        records.append(_with_state(traj, m, q, min(max(traj.states[m, q].item() + float(step), 1e-9), 1.0 - 1e-9)))
+        records.append((edited(traj, (m, q), min(max(traj.states[m, q].item() + float(step), 1e-9), 1.0 - 1e-9)), None))
     caught = 0
-    for traj in records:
+    for traj, report in records:
         if not _comparison_domination_inline(traj)[0]:
-            assert not check(traj)[0]
+            assert not (report or _report(traj))["comparison_domination"].passed
             caught += 1
     assert caught > 100
-    assert {check(traj)[0] for traj in records} == {True, False}
+    assert all(res["comparison_domination"].passed for res in sweep_results)
 
 
-def _failing_columns(traj):
-    # the trajectory checks that fail the record, and "claim i" for the row
-    # of the certificate's claims table whose reason a failure gives
-    failed = {r.name: r.witness for r in trajectory_checks(traj) if not r.passed}
+def _failing_columns(report):
+    # the trajectory checks that fail a record's report, and "claim i" for
+    # the row of the certificate's claims table whose reason a failure gives
+    failed = {r.name: r.witness for r in report.values() if not r.passed}
     columns = set(failed)
     if "contraction_certificates" in failed:
         reason = failed["contraction_certificates"]["reason"]
@@ -638,7 +604,7 @@ def _failing_columns(traj):
     return columns
 
 
-def test_mutants_fail_the_checks_whose_claims_they_break(sweep):
+def test_mutants_fail_the_checks_whose_claims_they_break(sweep, sweep_mutants):
     # Each mutant makes a claim false on every row it applies to, and the
     # check of that claim must fail there.
     must_fail = {
@@ -647,44 +613,46 @@ def test_mutants_fail_the_checks_whose_claims_they_break(sweep):
         _wrong_saturating_phase: ["phase_alternation"],
         _mirrored_saturating_state: ["comparison_domination"],
     }
+    # The mutation matrix over sweep[::10], every fifth record of sweep[::2],
+    # is filled on the way.  Its columns are the trajectory checks and "claim
+    # i", the row of the certificate's claims table whose reason
+    # contraction_certificates gives.
+    failing = {name: [] for name in [m.__name__.strip("_") for m in _MUTANTS] + list(_STATE_EDITS)}
     applied = collections.Counter()
-    for traj in sweep[::2]:
+    for i, traj in enumerate(sweep[::2]):
         for mutant in _MUTANTS:
-            bad = mutant(traj)
-            if bad is None:
+            if i not in sweep_mutants[mutant]:
                 continue
+            bad, report = sweep_mutants[mutant][i]
             applied[mutant] += 1
-            for name in must_fail.get(mutant, ()):
-                assert not _check(name, bad)[0], (mutant.__name__, name)
+            failed = _failing_columns(report)
+            if i % 5 == 0:
+                failing[mutant.__name__.strip("_")].append(failed)
+            assert failed >= set(must_fail.get(mutant, ())), mutant.__name__
             if mutant is _off_the_corner:
                 # a state within LIMIT_TOL of its corner, moved 1e-3, leaves
                 # the bracket; one 1e-3 from its corner may stay inside it
                 m = (len(traj) - 1) // 2 * 2
                 if min(traj.states[m].max(), 1.0 - traj.states[m].min()) < analysis.LIMIT_TOL:
-                    assert not _check("comparison_domination", bad)[0]
+                    assert "comparison_domination" in failed
                     applied["deep"] += 1
             elif mutant is _mirrored_saturating_state:
                 # where the mirror still hits exactly one corner, it is the
                 # other corner from the one the phase code names
                 v = bad.saturation_values
                 if (v <= math.ulp(0.0)).any() != (1.0 - v <= math.ulp(1.0)).any():
-                    assert not _check("even_odd_limits", bad)[0]
+                    assert "even_odd_limits" in failed
                     applied["one_corner"] += 1
     assert min(applied.values()) > 300, applied
 
-    # The mutation matrix over sweep[::10].  Its columns are the trajectory
-    # checks and "claim i", the row of the certificate's claims table whose
-    # reason contraction_certificates gives.  Per mutant, the columns that
-    # fail on every row it applies to, and those that fail on some row; the
-    # others fail on none.  README tabulates the counts.
-    mutants = {m.__name__.strip("_"): m for m in _MUTANTS} | {
-        name: functools.partial(_edited_at_m0_plus_2, edit=edit) for name, edit in _STATE_EDITS.items()}
-    columns = {*_TRAJ_CHECKS, *(f"claim {i}" for i in range(len(analysis._CERTIFICATE_CLAIMS)))}
-    failing = {name: [] for name in mutants}
+    # Per mutant, the columns that fail on every row it applies to, and
+    # those that fail on some row; the others fail on none.  README
+    # tabulates the counts.
     for traj in sweep[::10]:
-        for name, mutant in mutants.items():
-            if (bad := mutant(traj)) is not None:
-                failing[name].append(_failing_columns(bad))
+        for name, edit in _STATE_EDITS.items():
+            if (bad := _edited_at_m0_plus_2(traj, edit)) is not None:
+                failing[name].append(_failing_columns(_report(bad)))
+    columns = {*analysis._TRAJ_CHECKS, *(f"claim {i}" for i in range(len(analysis._CERTIFICATE_CLAIMS)))}
     assert min(map(len, failing.values())) == 100
     pair = {"ratio_monotone", "spread_contraction", "contraction_certificates", "claim 4"}
     expected = {
@@ -708,6 +676,36 @@ def test_mutants_fail_the_checks_whose_claims_they_break(sweep):
         assert columns - set.union(*rows) == columns - always - some, name
 
 
+def _step_summing_u(u):
+    # dynamics._step with the kernel summing u where it sums log u
+    sums = dynamics._excluded_sums(u)
+    return sums, -np.expm1(sums)
+
+
+@pytest.mark.parametrize("name, mutant, failing", [
+    # u in place of log u: analysis binds _step at import, so its static
+    # checks step with the real step and only the trajectory checks, which
+    # dynamics steps, see the mutant
+    ("_step", lambda real: _step_summing_u, {"phase_alternation", "comparison_domination"}),
+    # p factors in place of p - 1: every sum is the row total
+    ("_excluded_sums", lambda real: lambda b: np.broadcast_to(b.sum(axis=-1, keepdims=True), b.shape),
+     {"fixed_point", "spectral", "instability_growth", "contraction_certificates", "t_ratio_transfer",
+      "comparison_domination"}),
+    # an off-by-one excluded index: sum k excludes entry k - 1
+    ("_excluded_sums", lambda real: lambda b: np.roll(real(b), 1, axis=-1),
+     {"spectral", "order_preserved", "ratio_monotone", "contraction_certificates", "t_ratio_transfer",
+      "phase_alternation", "comparison_domination"}),
+], ids=["u_for_log_u", "p_factors", "excluded_index_off_by_one"])
+def test_kernel_mutants_fail_the_checks_that_read_the_kernel(monkeypatch, name, mutant, failing):
+    # The kernel's mutants in the mutation matrix, through a sweep: each
+    # breaks the product it computes, and the checks that fail are pinned.
+    # README tabulates them.
+    kwargs = dict(p_values=(3, 5, 8), seeds_per_p=20)
+    assert all(r.passed for r in default_suite(**kwargs))
+    monkeypatch.setattr(dynamics, name, mutant(getattr(dynamics, name)))
+    assert {r.name for r in default_suite(**kwargs) if not r.passed} == failing
+
+
 def test_saturating_phase_margin_against_a_60_digit_orbit():
     # The saturating state of each record is the step's image of its last
     # recorded state.  Its float components lie within the margin of the
@@ -717,13 +715,13 @@ def test_saturating_phase_margin_against_a_60_digit_orbit():
     eps, eta = 2.0**-53, 8 * 2.0**-53
     for p in (32, 64, 256, 1024):
         alpha = solve_alpha(p)
-        batch = _run_batch(np.random.default_rng(p).uniform(1e-3, 1.0 - 1e-3, size=(2, p)), 400, alpha)
+        seeds = np.random.default_rng(p).uniform(1e-3, 1.0 - 1e-3, size=(2, p))
         with mpmath.workdps(60):
             exact_alpha = mpmath.mpf(alpha)
             for _ in range(4):
                 exact_alpha -= (exact_alpha ** (p - 1) + exact_alpha - 1) / ((p - 1) * exact_alpha ** (p - 2) + 1)
-            for r in range(2):
-                traj = batch.row(r)
+            for r, u0 in enumerate(seeds):
+                traj = run_trajectory(ConjugateTuple.of(u0), 400, alpha)
                 assert traj.saturation_phase in (BELOW, 1)
                 u = [mpmath.mpf(x) for x in traj.states[0].tolist()]
                 for _ in range(traj.saturation_step):
@@ -815,20 +813,19 @@ def _t_ratio_by_pair_loop(traj):
 
 
 def _record_of_states(rows):
-    # A record of the given sorted rows as its states; spreads and phases
-    # come from the record builder itself.
-    recs = [_traj(u, steps=0) for u in rows]
-    return dataclasses.replace(recs[0], **{
-        field: np.concatenate([getattr(r, field) for r in recs]) for field in ("states", "spread", "phase")})
+    # A record of the given sorted rows as its states, in place of the orbit
+    # of the first, with spreads and phases as the record builder gives them
+    return edited(_traj(rows[0], steps=len(rows) - 1), ..., rows, restate=True)
 
 
 def _assert_same_t_ratio_verdict(traj):
+    # the check's verdict and witness, which the pair loop's must match
     ok, info = _check("t_ratio_transfer", traj)
     ref_ok, ref_info = _t_ratio_by_pair_loop(traj)
     assert ok == ref_ok
     if not ok:
         assert (info["step"], info["diff"]) == (ref_info["step"], ref_info["diff"])
-    return ok
+    return ok, info
 
 
 def _near_alpha_record(p, steps=400, seed=0):
@@ -848,18 +845,16 @@ def test_t_ratio_transfer_agrees_with_pair_loop():
     rng = np.random.default_rng(7)
     for p in (3, 4, 5, 6, 7, 8, 16, 64, 256):
         clean = _near_alpha_record(p, steps=6, seed=p)
-        assert len(clean) == 7 and _assert_same_t_ratio_verdict(clean)
+        assert len(clean) == 7 and _assert_same_t_ratio_verdict(clean)[0]
         for m in range(len(clean) - 1):
             u, t = clean.states[m], 1.0 - clean.states[m + 1]
             bound = 2 * (8 * 2.0**-53 * abs(math.log(u[0])) + 9 * 2.0**-53 / t[-1])
             q = int(rng.integers(0, p))
             v = clean.states[m + 1, q]
             for moved in (np.nextafter(v, 0.0), np.nextafter(v, 1.0)):
-                assert _assert_same_t_ratio_verdict(_with_state(clean, m + 1, q, moved)), (p, m)
-            traj = _with_state(clean, m + 1, q, v - 1e3 * bound * t[q])
-            assert not _assert_same_t_ratio_verdict(traj), (p, m)
-            ok, info = _check("t_ratio_transfer", traj)
-            assert info["step"] == m and q in info["pair"]
+                assert _assert_same_t_ratio_verdict(edited(clean, (m + 1, q), moved))[0], (p, m)
+            ok, info = _assert_same_t_ratio_verdict(edited(clean, (m + 1, q), v - 1e3 * bound * t[q]))
+            assert not ok and info["step"] == m and q in info["pair"], (p, m)
 
     # An unsorted state takes its bound from the wrong ends, a smaller one,
     # so it cannot pass on a looser bound than its sorted twin.  Here 2B is
@@ -869,16 +864,16 @@ def test_t_ratio_transfer_agrees_with_pair_loop():
     nxt = dynamics._step(u)[1]
     nxt[0] -= 860 * 2.0**-53 * (1.0 - nxt[0])
     in_order = _record_of_states([u, nxt])
-    assert _assert_same_t_ratio_verdict(in_order)
-    reversed_ = _with_state(_with_state(in_order, 0, slice(None), u[::-1]), 1, slice(None), nxt[::-1])
-    assert not _assert_same_t_ratio_verdict(reversed_)
+    assert _assert_same_t_ratio_verdict(in_order)[0]
+    reversed_ = edited(in_order, ..., [u[::-1], nxt[::-1]])
+    assert not _assert_same_t_ratio_verdict(reversed_)[0]
 
 
 def test_t_ratio_transfer_fails_on_a_nan_gap():
     # a NaN in a state fails the step it belongs to, as either end
     clean = _traj((0.2, 0.5, 0.8), steps=400)
     for m in (0, 1):
-        ok, info = _check("t_ratio_transfer", _with_state(clean, m, 2, math.nan))
+        ok, info = _check("t_ratio_transfer", edited(clean, (m, 2), math.nan))
         assert not ok and info["step"] == 0 and info["pair"] == [2, 2] and math.isnan(info["diff"])
 
 
@@ -1178,7 +1173,7 @@ def test_trajectory_checks_pass_and_catch_faults():
     results = trajectory_checks(traj)
     assert len(results) == 9
     assert all(r.passed for r in results)
-    corrupted = _with_state(traj, 2, 0, min(traj.states[2, 0] + 0.07, 0.99))
+    corrupted = edited(traj, (2, 0), min(traj.states[2, 0] + 0.07, 0.99))
     assert any(not r.passed for r in trajectory_checks(corrupted))
 
 
@@ -1212,9 +1207,11 @@ def test_trajectory_check_witnesses_are_pinned():
 
 def test_seeds_at_alpha_and_tied_seeds_get_their_documented_verdicts():
     # At the float alpha the p = 3 and 5 orbits never move, so no state is
-    # decided and the two phase checks FAIL on no evidence: the fixed point
-    # the claims exclude.  At p = 8 and 64 the float orbit leaves alpha and
-    # saturates, and every check passes, as it does on tied seeds.
+    # decided and the two phase checks FAIL.  These FAILs are float
+    # artifacts: the float alpha is not the exact root, and the exact orbit
+    # of that seed leaves alpha within 400 steps, but the seed is a fixed
+    # point of the float map.  At p = 8 and 64 the float orbit leaves alpha
+    # and saturates, and every check passes, as it does on tied seeds.
     undecided = {"phase_alternation": {"reason": "no decided phase within the recorded horizon"},
                  "even_odd_limits": {"reason": "undecided at the recorded horizon"}}
     for p, leaves_at in ((3, None), (5, None), (8, 66), (64, 34)):
@@ -1255,8 +1252,8 @@ def test_the_check_registry_is_one_table_of_what_each_check_reads():
     assert [(name, takes) for name, (_, takes) in analysis._CHECKS.items()] == [
         *((name, "p_values") for name in static), *((name, "batch") for name in traj),
         ("dual_convergence", "rng"), ("polygon_collapse", "drawn")]
-    assert list(_TRAJ_CHECKS) == traj
-    assert all(analysis._CHECKS[name][0] is fn for name, fn in _TRAJ_CHECKS.items())
+    assert list(analysis._TRAJ_CHECKS) == traj
+    assert all(analysis._CHECKS[name][0] is fn for name, fn in analysis._TRAJ_CHECKS.items())
 
 
 @pytest.mark.parametrize("name", KNOWN_CHECKS)
@@ -1364,6 +1361,10 @@ def test_default_suite_rejects_a_sweep_of_nothing():
                    dict(rng_seed=-1)):
         with pytest.raises(ValueError):
             default_suite(checks=["fixed_point"], **kwargs)
+    # One sweep of nothing is not rejected yet: unique_fixed_point_grid alone
+    # without p = 3 returns no result, which all() passes.  perfbench/layers.py
+    # times this call, so making it raise waits on a change of the benchmark.
+    assert default_suite(p_values=(5,), checks=["unique_fixed_point_grid"]) == []
 
 
 def test_default_suite_notices_injected_fault():
@@ -1375,23 +1376,36 @@ def test_default_suite_checks_each_p_batch_once_with_a_fault(monkeypatch):
     # the fault is injected into the first p's batch, which every check
     # then reads once, as it reads every other p's batch
     calls = collections.Counter()
-    for name, check in _TRAJ_CHECKS.items():
-        monkeypatch.setitem(_TRAJ_CHECKS, name, lambda batch, name=name, check=check: (
+    checks = analysis._TRAJ_CHECKS
+    for name, check in checks.items():
+        monkeypatch.setitem(checks, name, lambda batch, name=name, check=check: (
             calls.update([(name, batch.states.shape[0])]) or check(batch)))
     results = default_suite(p_values=(3, 5), seeds_per_p=4, inject_fault=True)
-    assert calls == {(name, p): 1 for name in _TRAJ_CHECKS for p in (3, 5)}
+    assert calls == {(name, p): 1 for name in checks for p in (3, 5)}
     failed = {r.name: r.witness["first_failure"] for r in results if not r.passed}
     assert failed and all(w["p"] == 3 and w["seed_index"] == 0 for w in failed.values())
 
 
 def test_every_trajectory_check_gives_a_p_2_row_a_verdict():
     # At p = 2 the two-step map is the identity, slope 1 and intercept 0, so
-    # a state inside the certificate window fails on positivity.  No check
-    # raises for the batch.
+    # a state inside the certificate window fails on positivity; and the step
+    # is u' = 1 - u reversed, so the bracket of comparison_domination is
+    # exact.  No check raises for the batch.  trajectory_checks rejects
+    # p < 3, so the checks run on the records' one-row batches.
+    def verdicts(traj):
+        batch = dynamics._Batch.of(traj)
+        results = {name: check(batch) for name, check in analysis._TRAJ_CHECKS.items()}
+        return {name: (bool(passed[0]), witness(0)) for name, (passed, witness) in results.items()}
+
     traj = _traj((0.3, 0.6), steps=6)
-    verdicts = {name: _check(name, traj) for name in _TRAJ_CHECKS}
-    assert verdicts["contraction_certificates"] == (False, {
+    assert verdicts(traj)["contraction_certificates"] == (False, {
         "step": 0, "reason": "positivity failed at m=0: slope=1.0, intercept=0.0"})
+    assert verdicts(_traj((0.2, 0.3), steps=4))["comparison_domination"] == (True, {"pairs": 4})
+    # The two-step map keeps the ratio: component 1 of state 4 times
+    # 1 + 3 RATIO_SLACK fails the pair (2, 4) in the pair loop and the check.
+    moved = edited(traj, (4, 1), traj.states[4, 1] * (1.0 + 3 * analysis.RATIO_SLACK))
+    assert _ratio_monotone_by_pair_loop(moved) == 2
+    assert verdicts(moved)["ratio_monotone"] == (False, {"step": 2})
 
 
 def test_sweep_is_fully_clean(sweep_results):
@@ -1403,29 +1417,36 @@ def test_sweep_is_fully_clean(sweep_results):
 def test_each_row_of_a_batch_gets_the_verdict_of_its_own_batch():
     # Rows of different lengths share one batch: random seeds, seeds ever
     # closer to the fixed tuple, which saturate ever later, the fixed tuple,
-    # which never saturates, and a row corrupted in a copy of the batch's
-    # states.  Every check must give each row the verdict of that row's
-    # one-row view, so nothing leaks between rows through the padding.
+    # which never saturates, and two rows corrupted in a copy of the batch's
+    # states: a component of row 0 moved by 0.07, and two components of
+    # state 1 of row 3, the seed 1e-2 from alpha, swapped, which
+    # contraction_certificates fails as unsorted.  Every check must give each
+    # row the verdict of that row's one-row view, so nothing leaks between
+    # rows through the padding.
     rng = np.random.default_rng(9)
     for p in (3, 5, 8, 32, 256):
         alpha = solve_alpha(p)
         near = alpha * (1.0 + np.geomspace(1e-2, 1e-8, 3)[:, None] * rng.uniform(-1.0, 1.0, size=(3, p)))
         seeds = np.concatenate([rng.uniform(1e-3, 1.0 - 1e-3, size=(3, p)), near, np.full((1, p), alpha)])
-        batch = _run_batch(seeds, 20, alpha)
+        batch = dynamics._run_batch(seeds, 20, alpha)
         assert batch.saturation_step[-1] == -1 and batch.length[-1] == 21
         assert len(set(batch.saturation_step.tolist()) - {-1}) >= 2
         states = batch.states.copy()
         m = min(2, batch.length[0] - 1)
         states[0, m, 0] = min(states[0, m, 0] + 0.07, 1.0 - 1e-9)
+        states[[1, 2], 1, 3] = states[[2, 1], 1, 3]
         batch = dataclasses.replace(batch, states=states)
-        for name, check in _TRAJ_CHECKS.items():
+        alone = [_report(batch.row(r)) for r in range(len(seeds))]
+        for name, check in analysis._TRAJ_CHECKS.items():
             # every row's verdict and witness, passing rows' witnesses too
             passed, witness = check(batch)
             assert passed.dtype == bool and passed.shape == (len(seeds),)
-            alone = [_check(name, batch.row(r)) for r in range(len(seeds))]
-            assert [(bool(passed[r]), witness(r)) for r in range(len(seeds))] == alone, (p, name)
-        verdicts = [r.passed for r in trajectory_checks(batch.row(0))]
-        assert not all(verdicts)
+            assert [(bool(passed[r]), witness(r)) for r in range(len(seeds))] == [
+                (a[name].passed, a[name].witness) for a in alone], (p, name)
+        assert not all(r.passed for r in alone[0].values())
+        swapped = alone[3]["contraction_certificates"]
+        assert (swapped.passed, swapped.witness) == (False, {
+            "step": 1, "reason": "state at m=1 is not sorted ascending"}), p
 
 
 def test_a_row_failing_at_several_steps_names_its_first():
@@ -1436,19 +1457,13 @@ def test_a_row_failing_at_several_steps_names_its_first():
     bounds = _geometric_bounds(traj)
 
     def nan_at(*ms):
-        return functools.reduce(lambda rec, m: _with_state(rec, m, 1, math.nan), ms, traj)
+        return edited(traj, (list(ms), 1), math.nan)
 
     def swapped_at(*ms):
-        states = traj.states.copy()
-        for m in ms:
-            states[m, [1, 2]] = states[m, [2, 1]]
-        return dataclasses.replace(traj, states=states)
+        return edited(traj, np.ix_(ms, [1, 2]), traj.states[np.ix_(ms, [2, 1])])
 
     def twice_the_bound_at(*qs):
-        spread = traj.spread.copy()
-        for q in qs:
-            spread[2 * q] = 2.0 * (bounds[q] + 1e-12)
-        return dataclasses.replace(traj, spread=spread)
+        return edited(traj, [2 * q for q in qs], [2.0 * (bounds[q] + 1e-12) for q in qs], field="spread")
 
     for name, corrupt, a, b, key in (("order_preserved", nan_at, 3, 5, "step"),
                                      ("spread_geometric_bound", twice_the_bound_at, 1, 2, "q"),
@@ -1470,7 +1485,7 @@ def test_a_row_whose_bad_entries_lie_past_its_length_passes():
     # witness.
     rng = np.random.default_rng(33)
     alpha = solve_alpha(3)
-    clean = _run_batch(rng.uniform(1e-3, 1.0 - 1e-3, size=(40, 3)), 400, alpha)
+    clean = dynamics._run_batch(rng.uniform(1e-3, 1.0 - 1e-3, size=(40, 3)), 400, alpha)
     states, spread = clean.states.copy(), clean.spread.copy()
     short = np.flatnonzero(clean.length + 3 < clean.states.shape[1])
     assert short.size >= 10
@@ -1478,7 +1493,7 @@ def test_a_row_whose_bad_entries_lie_past_its_length_passes():
         states[:, clean.length[r] + 1:, r] = np.array([0.9, 0.5, 0.1])[:, None]
         spread[clean.length[r] + 1:, r] = 1e3
     padded = dataclasses.replace(clean, states=states, spread=spread)
-    for name, check in _TRAJ_CHECKS.items():
+    for name, check in analysis._TRAJ_CHECKS.items():
         (passed, witness), (ref_passed, ref_witness) = check(padded), check(clean)
         assert passed.all() and ref_passed.all(), name
         assert [witness(r) for r in range(40)] == [ref_witness(r) for r in range(40)], name
@@ -1513,11 +1528,11 @@ def test_batches_of_at_most_two_states_have_empty_pair_planes():
                                  (True, {}), (True, {})]},
     }
     for steps, verdicts in want.items():
-        batch = analysis._perturbed(_run_batch(seeds, steps, alpha))
+        batch = analysis._perturbed(dynamics._run_batch(seeds, steps, alpha))
         assert batch.pair_noise.shape == analysis._spread_allowance(batch).shape == (steps, 3)
         assert batch.valid[2:].shape == batch.spread[2:].shape == (steps, 3)
         assert not batch.valid[2:].any()
-        for name, check in _TRAJ_CHECKS.items():
+        for name, check in analysis._TRAJ_CHECKS.items():
             passed, witness = check(batch)
             got = [(bool(passed[r]), witness(r)) for r in range(3)]
             pair_only = [(True, {"certificates": 0} if name == "contraction_certificates" else {})] * 3

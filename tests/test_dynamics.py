@@ -15,7 +15,7 @@ from barypoly import (
     run_trajectory,
     solve_alpha,
 )
-from barypoly.dynamics import _EPS, _LIBM_REL, PHASE_TIE_TOL, _phase_codes, _reduce_components, _step
+from barypoly.dynamics import _EPS, _LIBM_REL, PHASE_TIE_TOL, _reduce_components, _step
 
 
 def weight_lists(lo=0.05, hi=0.95, min_p=3, max_p=8):
@@ -178,7 +178,9 @@ def _phase_by_definition(state, alpha):
 def _codes_of_states(u, alpha):
     # the phase codes of the states of u (components on the last axis) from
     # their extremes, reduced as _run_batch reduces its rows
-    return _phase_codes(_reduce_components(np.minimum, u), _reduce_components(np.maximum, u), alpha)
+    from barypoly.dynamics import _phase_codes
+
+    return _phase_codes(_reduce_components(np.minimum, u), _reduce_components(np.maximum, u), alpha, PHASE_TIE_TOL)
 
 
 def test_phase_codes():
