@@ -206,6 +206,25 @@ def test_contraction_equals_observed_spread_ratio():
         assert contraction < 0.5
 
 
+def test_contraction_certificates_fail_an_unsorted_row_only():
+    # Two components of one row's state 1 swapped in a p = 3 batch of 100
+    # rows: that row fails with the reason, and every other row keeps its
+    # verdict and witness.
+    alpha = solve_alpha(3)
+    clean = dynamics._run_batch(np.random.default_rng(0).uniform(1e-3, 1.0 - 1e-3, size=(100, 3)), 400, alpha)
+    r = 7
+    states = clean.states.copy()
+    states[[1, 2], 1, r] = states[[2, 1], 1, r]
+    swapped = dataclasses.replace(clean, states=states)
+    for name, check in analysis._TRAJ_CHECKS.items():
+        (passed, witness), (ref_passed, ref_witness) = check(swapped), check(clean)
+        others = [i for i in range(100) if i != r]
+        assert passed[others].tolist() == ref_passed[others].tolist(), name
+        assert [witness(i) for i in others] == [ref_witness(i) for i in others], name
+    passed, witness = analysis._TRAJ_CHECKS["contraction_certificates"](swapped)
+    assert not passed[r] and witness(r) == {"step": 1, "reason": "state at m=1 is not sorted ascending"}
+
+
 def test_spread_geometric_bound_passes_on_the_seeds_of_its_false_failures():
     # Each sweep failed one p = 3 row against the closed form 0.5**q
     # spread[0] + 1e-12, at q = 22, 19 and 21, where an 80-digit orbit from

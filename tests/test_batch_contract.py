@@ -19,6 +19,7 @@ CONTRACT_TESTS = {
         "test_step_shifted_batch_planes_are_contiguous",
     },
     "test_analysis.py": {
+        "test_contraction_certificates_fail_an_unsorted_row_only",
         "test_each_row_of_a_batch_gets_the_verdict_of_its_own_batch",
         "test_a_row_whose_bad_entries_lie_past_its_length_passes",
         "test_batches_of_at_most_two_states_have_empty_pair_planes",
